@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 config parse error (with line/column),
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
@@ -116,10 +117,17 @@ class Param:
 
 def _coerce_scalar(param: Param, field: str, text: str):
     if param.kind in ("int", "float"):
+        if param.kind == "int":
+            try:
+                return int(text)  # exact beyond 2**53, where float() rounds
+            except ValueError:
+                pass
         try:
             value = float(text)
         except ValueError:
             raise ValidationError(field, f"expected a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ValidationError(field, f"expected a finite number, got {text!r}")
         if param.kind == "int":
             if not value.is_integer():
                 raise ValidationError(field, f"expected an integer, got {text!r}")
@@ -168,6 +176,12 @@ def coerce_value(param: Param, field: str, text: str):
 # ----------------------------------------------------------------------------
 
 def _run_squint(params: dict, seed: int):
+    if params["span_hz"] >= 2.0 * params["center_frequency_hz"]:
+        raise ValidationError(
+            "span_hz",
+            f"must be < 2 * center_frequency_hz = {2.0 * params['center_frequency_hz']} "
+            f"so the band stays at positive frequencies, got {params['span_hz']}",
+        )
     array = PlanarArray.half_wavelength_at(
         params["rows"], params["cols"], params["center_frequency_hz"]
     )

@@ -159,3 +159,28 @@ def channel_vector(array: PlanarArray, channel: MultipathChannel, frequency_hz: 
     for path in channel.paths:
         h += path.gain * array_response(array, path.direction, frequency_hz).entries
     return h
+
+
+def steering_factors(
+    array: PlanarArray, channel: MultipathChannel, frequencies_hz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column factors of every path's response at every frequency.
+
+    The planar response is separable: with s = 2*pi*(f/c)*spacing, entry
+    (m, n) is a_v[m] * a_h[n] for a_v[m] = exp(j*s*m*k_v) and
+    a_h[n] = exp(j*s*n*k_h), so the row-major response of ``array_response``
+    equals np.kron(a_v, a_h) up to last-ulp rounding (exp(a)*exp(b) against
+    exp(a+b)).  Returns a_v with shape (paths, frequencies, rows) and a_h
+    with shape (paths, frequencies, cols), both checked for unit modulus.
+    """
+    freqs = np.asarray(frequencies_hz, dtype=float)
+    if not np.all(freqs > 0):
+        raise ValueError(f"frequency_hz must be positive, got {freqs[~(freqs > 0)][0]}")
+    k_h, k_v = np.array([path.direction.cosines() for path in channel.paths]).T
+    scale = (2.0 * np.pi * (freqs / SPEED_OF_LIGHT_M_S) * array.spacing_m)[None, :, None]
+    a_v = np.exp(1j * (scale * (np.arange(array.rows) * k_v[:, None, None])))
+    a_h = np.exp(1j * (scale * (np.arange(array.cols) * k_h[:, None, None])))
+    for factor in (a_v, a_h):
+        if np.max(np.abs(np.abs(factor) - 1.0)) > 1e-12:
+            raise ValueError("array response entries must have unit magnitude")
+    return a_v, a_h

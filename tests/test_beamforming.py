@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolab.beamforming import (
+    _SWEEP_CHUNK,
     ANALOG,
     DIGITAL,
     HYBRID,
@@ -249,6 +250,33 @@ def test_digital_dominates_hybrid_dominates_analog_across_band():
         assert digital_eff == pytest.approx(1.0, abs=1e-12)
         assert digital_eff >= hybrid_eff - 1e-12
         assert hybrid_eff >= analog_eff - 1e-12
+
+
+def _single_path_channel():
+    return MultipathChannel((Path(1.0, Direction(0.8, -0.5)),))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, channel, n_points",
+    [
+        (32, 32, sixpath_channel(42), 201),
+        (8, 24, sixpath_channel(7), 2 * _SWEEP_CHUNK + 3),
+        (24, 8, sixpath_channel(7), 2 * _SWEEP_CHUNK + 3),
+        (8, 24, _single_path_channel(), _SWEEP_CHUNK - 1),
+        (24, 8, _single_path_channel(), 3),
+    ],
+    ids=["sixpath-32x32", "sixpath-8x24", "sixpath-24x8", "los-8x24", "los-24x8"],
+)
+def test_sweep_matches_per_frequency_reference(rows, cols, channel, n_points):
+    # the batched separable kernel against one full channel vector per frequency
+    arr = PlanarArray.half_wavelength_at(rows, cols, SIXPATH_CENTER_HZ)
+    curve = squint_sweep(arr, channel, SIXPATH_CENTER_HZ, 2e9, n_points)
+    w = analog_weights(channel_vector(arr, channel, SIXPATH_CENTER_HZ))
+    expected = [efficiency(w, channel_vector(arr, channel, f)) for f in curve.frequencies_hz]
+    assert curve.frequencies_hz.size == n_points
+    np.testing.assert_allclose(curve.efficiency, expected, rtol=1e-12, atol=0)
+    if len(channel.paths) == 1 and n_points % 2 == 1:
+        assert curve.efficiency[n_points // 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_argument_validation():

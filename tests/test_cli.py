@@ -103,6 +103,55 @@ def test_mu_above_an_eighth_rejected(tmp_path, monkeypatch, capsys):
     assert "mu_list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["squint", "--span-hz", "nan"], "span_hz"),
+        (["fresnel", "--freq-ghz", "nan"], "freq_ghz"),
+        (["capacity", "--ul-pilot-snr", "inf"], "ul_pilot_snr"),
+        (["fresnel", "--d1", "-inf"], "d1"),
+        (["squint", "--rows", "nan"], "rows"),
+        (["mobility", "--mu-list", "0.1,nan"], "mu_list"),
+    ],
+)
+def test_non_finite_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
+    code = run_cli(args + ["--output", "out.txt"], tmp_path, monkeypatch)
+    assert code == 3
+    assert field in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_squint_band_below_zero_hz_is_validation_error(tmp_path, monkeypatch, capsys):
+    code = run_cli(
+        ["squint", "--set", "center_frequency_hz=60e9", "--set", "span_hz=120e9"],
+        tmp_path,
+        monkeypatch,
+    )
+    assert code == 3
+    assert "span_hz" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_integer_seed_beyond_float_precision_is_exact(tmp_path, monkeypatch):
+    seed = 2**53 + 1
+    code = run_cli(["fresnel", "--seed", str(seed), "--output", "f.json"], tmp_path, monkeypatch)
+    assert code == 0
+    manifest = json.loads((tmp_path / "f.json.manifest.json").read_text())
+    assert manifest["seed"] == seed
+
+
+def test_integer_accepts_exponent_notation(tmp_path, monkeypatch):
+    code = run_cli(
+        ["hardening", "--n-draws", "1e3", "--seed", "1e1", "--output", "h.json"],
+        tmp_path,
+        monkeypatch,
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "h.json.manifest.json").read_text())
+    assert manifest["parameters"]["n_draws"] == 1000
+    assert manifest["seed"] == 10
+
+
 # ---------------------------------------------------------------------------
 # usage and listing
 # ---------------------------------------------------------------------------
