@@ -38,7 +38,6 @@ from .channels import (
     DriftBoundReport,
     DriftScenario,
     IidRayleigh,
-    LosPlusReflections,
     RandomChannelSpec,
     drift_bound_check,
     drift_gain,

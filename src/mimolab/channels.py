@@ -16,15 +16,14 @@ least M*cos^2(2*pi*mu) >= M/2, independent of M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Union
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import MultipathChannel, PlanarArray, channel_vector
 from .rng import RandomStream, derive_seed
 
 MAX_DRIFT_FRACTION = 0.125  # the gain bound chain only applies up to 1/8 wavelength
+_DRIFT_CHUNK_ELEMENTS = 65_536  # random drift phases held in memory at once
 
 
 @dataclass(frozen=True)
@@ -33,47 +32,19 @@ class IidRayleigh:
 
 
 @dataclass(frozen=True, eq=False)
-class LosPlusReflections:
-    """Deterministic multipath channel evaluated on a fixed array and frequency."""
-
-    array: PlanarArray
-    channel: MultipathChannel
-    frequency_hz: float
-
-    def __post_init__(self):
-        if self.frequency_hz <= 0:
-            raise ValueError(f"frequency_hz must be positive, got {self.frequency_hz}")
-
-
-ChannelModel = Union[IidRayleigh, LosPlusReflections]
-
-
-@dataclass(frozen=True, eq=False)
 class RandomChannelSpec:
-    model: ChannelModel
+    model: IidRayleigh
     m_antennas: int
     seed: int
 
     def __post_init__(self):
         if self.m_antennas < 1:
             raise ValueError(f"m_antennas must be at least 1, got {self.m_antennas}")
-        if isinstance(self.model, LosPlusReflections):
-            if self.model.array.num_elements != self.m_antennas:
-                raise ValueError(
-                    f"m_antennas {self.m_antennas} does not match the "
-                    f"{self.model.array.num_elements}-element array"
-                )
-
-
-def model_name(model: ChannelModel) -> str:
-    return "iid_rayleigh" if isinstance(model, IidRayleigh) else "los_plus_reflections"
 
 
 def sample_channel(spec: RandomChannelSpec) -> np.ndarray:
     """One channel vector; identical output for identical spec (seed included)."""
-    if isinstance(spec.model, IidRayleigh):
-        return RandomStream(spec.seed).complex_normal(spec.m_antennas)
-    return channel_vector(spec.model.array, spec.model.channel, spec.model.frequency_hz)
+    return RandomStream(spec.seed).complex_normal(spec.m_antennas)
 
 
 def hardening_metric(spec: RandomChannelSpec, n_draws: int) -> float:
@@ -82,8 +53,8 @@ def hardening_metric(spec: RandomChannelSpec, n_draws: int) -> float:
         raise ValueError(f"n_draws must be at least 2, got {n_draws}")
     powers = np.empty(n_draws)
     for i in range(n_draws):
-        h = sample_channel(replace(spec, seed=derive_seed(spec.seed, i)))
-        powers[i] = np.vdot(h, h).real
+        stream = RandomStream(derive_seed(spec.seed, i))
+        powers[i] = stream.complex_normal_power(spec.m_antennas)
     return float(powers.std(ddof=1) / powers.mean())
 
 
@@ -103,8 +74,8 @@ def favorable_propagation_metric(spec: RandomChannelSpec, n_pairs: int) -> float
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     vals = np.empty(n_pairs)
     for i in range(n_pairs):
-        h_i = sample_channel(replace(spec, seed=derive_seed(spec.seed, 2 * i)))
-        h_j = sample_channel(replace(spec, seed=derive_seed(spec.seed, 2 * i + 1)))
+        h_i = RandomStream(derive_seed(spec.seed, 2 * i)).complex_normal(spec.m_antennas)
+        h_j = RandomStream(derive_seed(spec.seed, 2 * i + 1)).complex_normal(spec.m_antennas)
         vals[i] = pair_correlation(h_i, h_j)
     return float(vals.mean())
 
@@ -114,7 +85,7 @@ def metric_record(
 ) -> dict:
     """JSON-ready record for one diagnostic evaluation."""
     return {
-        "model": model_name(spec.model),
+        "model": "iid_rayleigh",
         "m_antennas": spec.m_antennas,
         "n_draws": n_draws,
         "seed": spec.seed,
@@ -175,6 +146,23 @@ class DriftBoundReport:
         }
 
 
+def _random_drift_gains(m_antennas: int, mu: float, n_draws: int, seed: int):
+    """Gains of n_draws uniform drift patterns in [-mu, mu]^M, in bounded chunks.
+
+    Row r of the one-shot pattern matrix is uniforms r*M .. r*M+M-1 of the
+    seed's stream, and successive draws continue that stream, so the chunks
+    reproduce it exactly while holding at most _DRIFT_CHUNK_ELEMENTS phases.
+    |sum_m exp(j*theta_m)|^2 is evaluated as (sum cos)^2 + (sum sin)^2.
+    """
+    stream = RandomStream(seed)
+    rows = max(1, _DRIFT_CHUNK_ELEMENTS // m_antennas)
+    for start in range(0, n_draws, rows):
+        count = min(rows, n_draws - start)
+        theta = 2.0 * np.pi * stream.uniform(count * m_antennas, -mu, mu)
+        theta = theta.reshape(count, m_antennas)
+        yield (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / m_antennas
+
+
 def drift_bound_check(
     m_antennas: int, mu: float, n_random_draws: int, seed: int
 ) -> DriftBoundReport:
@@ -193,24 +181,17 @@ def drift_bound_check(
     if n_random_draws < 0:
         raise ValueError(f"n_random_draws must be nonnegative, got {n_random_draws}")
 
-    gains = []
-    if n_random_draws:
-        phi = RandomStream(seed).uniform(n_random_draws * m_antennas, -mu, mu)
-        phi = phi.reshape(n_random_draws, m_antennas)
-        z = np.exp(2j * np.pi * phi).sum(axis=1)
-        gains.append(np.abs(z) ** 2 / m_antennas)
+    min_observed = math.inf
+    for gains in _random_drift_gains(m_antennas, mu, n_random_draws, seed):
+        min_observed = min(min_observed, float(gains.min()))
 
     extremes = [np.full(m_antennas, mu), np.full(m_antennas, -mu)]
     alternating = np.where(np.arange(m_antennas) % 2 == 0, mu, -mu)
     extremes += [alternating, -alternating]
     for phi in extremes:
-        gains.append(
-            np.array([drift_gain(DriftScenario(m_antennas, mu, phi))])
-        )
+        min_observed = min(min_observed, drift_gain(DriftScenario(m_antennas, mu, phi)))
 
-    all_gains = np.concatenate(gains)
     bound = m_antennas * math.cos(2.0 * math.pi * mu) ** 2
-    min_observed = float(all_gains.min())
     holds = min_observed >= bound * (1.0 - 1e-12)
     if not holds:
         raise ArithmeticError(

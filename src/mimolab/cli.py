@@ -682,6 +682,9 @@ def run(config: dict[str, str], output_override: str | None = None,
     except (ValueError, ArithmeticError, ZeroDivisionError, OverflowError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError:
+        print(f"runtime failure: ran out of memory running {exp.name!r}", file=sys.stderr)
+        return EXIT_RUNTIME
 
     manifest = {
         "artifact_version": __version__,

@@ -67,9 +67,9 @@ class PlanarArray:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"array needs rows >= 1 and cols >= 1, got {self.rows}x{self.cols}")
-        if self.spacing_m <= 0:
+        if not self.spacing_m > 0:
             raise ValueError(f"spacing_m must be positive, got {self.spacing_m}")
-        if self.design_frequency_hz <= 0:
+        if not self.design_frequency_hz > 0:
             raise ValueError(
                 f"design_frequency_hz must be positive, got {self.design_frequency_hz}"
             )
@@ -81,7 +81,7 @@ class PlanarArray:
     @classmethod
     def half_wavelength_at(cls, rows: int, cols: int, frequency_hz: float) -> "PlanarArray":
         """Array spaced at c/(2f) for the given design frequency."""
-        if frequency_hz <= 0:
+        if not frequency_hz > 0:
             raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
         return cls(rows, cols, SPEED_OF_LIGHT_M_S / (2.0 * frequency_hz), frequency_hz)
 
@@ -95,9 +95,9 @@ class ArrayResponse:
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
-        if self.frequency_hz <= 0:
+        if not self.frequency_hz > 0:
             raise ValueError(f"frequency_hz must be positive, got {self.frequency_hz}")
-        if np.max(np.abs(np.abs(entries) - 1.0)) > 1e-12:
+        if not np.max(np.abs(np.abs(entries) - 1.0)) <= 1e-12:
             raise ValueError("array response entries must have unit magnitude")
         entries.setflags(write=False)
         object.__setattr__(self, "entries", entries)
@@ -142,7 +142,7 @@ def array_response(array: PlanarArray, direction: Direction, frequency_hz: float
     Entry for grid position (m, n) is exp(j*2*pi*(f/c)*spacing*(n*k_h + m*k_v))
     with the grid flattened row-major.  Purely deterministic.
     """
-    if frequency_hz <= 0:
+    if not frequency_hz > 0:
         raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
     k_h, k_v = direction.cosines()
     m = np.arange(array.rows)[:, None]

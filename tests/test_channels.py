@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 from mimolab.channels import (
     DriftScenario,
     IidRayleigh,
-    LosPlusReflections,
     RandomChannelSpec,
+    _random_drift_gains,
     drift_bound_check,
     drift_gain,
     favorable_propagation_metric,
@@ -18,9 +19,7 @@ from mimolab.channels import (
     pair_correlation,
     sample_channel,
 )
-from mimolab.geometry import channel_vector
 from mimolab.rng import RandomStream, derive_seed
-from mimolab.scenarios import sixpath_array, sixpath_channel
 
 
 def _iid(m, seed=42):
@@ -49,6 +48,14 @@ def test_stream_values_are_pinned():
     assert z[1] == complex(0.23401751214277133, 1.4900805312669558)
 
 
+@pytest.mark.parametrize("n", [1, 2, 100, 10_000])
+@pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
+def test_complex_normal_power_is_norm_of_complex_normal(seed, n):
+    h = RandomStream(seed).complex_normal(n)
+    power = RandomStream(seed).complex_normal_power(n)
+    assert power == pytest.approx(np.vdot(h, h).real, rel=1e-13, abs=0)
+
+
 def test_complex_normal_unit_variance():
     z = RandomStream(1).complex_normal(200_000)
     assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.01)
@@ -73,19 +80,6 @@ def test_mean_channel_power_matches_antenna_count():
     draws = [sample_channel(_iid(m, derive_seed(9, i))) for i in range(100)]
     ratio = np.mean([np.vdot(h, h).real / m for h in draws])
     assert 0.98 <= ratio <= 1.02
-
-
-def test_los_model_delegates_to_channel_vector():
-    arr = sixpath_array(32)
-    chan = sixpath_channel(42)
-    spec = RandomChannelSpec(LosPlusReflections(arr, chan, 60e9), arr.num_elements, 0)
-    assert np.array_equal(sample_channel(spec), channel_vector(arr, chan, 60e9))
-
-
-def test_los_model_antenna_count_must_match():
-    arr = sixpath_array(8)
-    with pytest.raises(ValueError):
-        RandomChannelSpec(LosPlusReflections(arr, sixpath_channel(42), 60e9), 999, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +209,30 @@ def test_drift_bound_check_sixteenth_wavelength():
     report = drift_bound_check(64, 0.0625, 10_000, 42)
     assert report.bound_gain == pytest.approx(64 * math.cos(math.pi / 8) ** 2, rel=1e-12)
     assert report.min_observed_gain >= report.bound_gain * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("m, n", [(64, 0), (64, 1), (64, 2500), (7, 30_000), (100_000, 3)])
+def test_chunked_drift_gains_equal_one_shot_formula(m, n):
+    mu, seed = 0.125, 42
+    chunks = list(_random_drift_gains(m, mu, n, seed))
+    assert all(c.size * m <= max(m, 65_536) for c in chunks)
+    chunked = np.concatenate(chunks) if chunks else np.empty(0)
+    theta = 2.0 * np.pi * RandomStream(seed).uniform(n * m, -mu, mu).reshape(n, m)
+    one_shot = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / m
+    assert np.array_equal(chunked, one_shot)
+    # the complex-exponential form rounds differently in the last digits only
+    z = np.exp(1j * theta).sum(axis=1)
+    np.testing.assert_allclose(chunked, np.abs(z) ** 2 / m, rtol=1e-13, atol=0)
+
+
+def test_drift_bound_check_memory_does_not_grow_with_draws():
+    tracemalloc.start()
+    try:
+        drift_bound_check(64, 0.125, 100_000, 42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_drift_bound_check_rejects_large_mu():

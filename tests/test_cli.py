@@ -97,6 +97,19 @@ def test_runtime_failure_exits_four(tmp_path, monkeypatch, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+def test_out_of_memory_exits_four(tmp_path, monkeypatch, capsys):
+    import mimolab.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(mimolab.cli, "hardening_metric", exhausted)
+    code = run_cli(["hardening", "--output", "h.json"], tmp_path, monkeypatch)
+    assert code == 4
+    assert "out of memory" in capsys.readouterr().err
+    assert not (tmp_path / "h.json").exists()
+
+
 def test_mu_above_an_eighth_rejected(tmp_path, monkeypatch, capsys):
     code = run_cli(["mobility", "--set", "mu_list=0.3"], tmp_path, monkeypatch)
     assert code == 3

@@ -199,6 +199,21 @@ def test_nonpositive_frequency_rejected():
         array_response(arr, Direction(0.0, 0.0), -1e9)
 
 
+def test_nan_frequency_rejected():
+    nan = float("nan")
+    arr = PlanarArray.half_wavelength_at(2, 2, 60e9)
+    with pytest.raises(ValueError):
+        array_response(arr, Direction(0.0, 0.0), nan)
+    with pytest.raises(ValueError):
+        ArrayResponse(np.ones(4, dtype=complex), nan)
+    with pytest.raises(ValueError):
+        PlanarArray(2, 2, 0.0025, nan)
+    with pytest.raises(ValueError):
+        PlanarArray(2, 2, nan, 60e9)
+    with pytest.raises(ValueError):
+        PlanarArray.half_wavelength_at(2, 2, nan)
+
+
 def test_empty_or_powerless_channel_rejected():
     with pytest.raises(ValueError):
         MultipathChannel(())
@@ -209,6 +224,8 @@ def test_empty_or_powerless_channel_rejected():
 def test_array_response_type_validates_unit_modulus():
     with pytest.raises(ValueError):
         ArrayResponse(np.array([1.0 + 0j, 0.5 + 0j]), 1e9)
+    with pytest.raises(ValueError):
+        ArrayResponse(np.array([1.0 + 0j, complex("nan+nanj")]), 1e9)
 
 
 def test_values_are_immutable():
