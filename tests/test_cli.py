@@ -98,12 +98,10 @@ def test_runtime_failure_exits_four(tmp_path, monkeypatch, capsys):
 
 
 def test_out_of_memory_exits_four(tmp_path, monkeypatch, capsys):
-    import mimolab.cli
-
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(mimolab.cli, "hardening_metric", exhausted)
+    monkeypatch.setattr("mimolab.cli.hardening_metric", exhausted)
     code = run_cli(["hardening", "--output", "h.json"], tmp_path, monkeypatch)
     assert code == 4
     assert "out of memory" in capsys.readouterr().err
