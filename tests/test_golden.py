@@ -1,11 +1,14 @@
-"""Bundled configs and Monte-Carlo defaults against checked-in golden outputs.
+"""Bundled configs and experiment defaults against checked-in golden outputs.
 
-Structure (CSV header, row count, frequency grid; JSON keys and non-float
-values) must match exactly; float values must agree to a relative 1e-12.
-A change that moves a value past that tolerance updates the golden file
-and declares the numerics change in CHANGES.md.
+Structure (CSV header, row count, frequency grid and integer columns; JSON
+keys and non-float values) must match exactly; float values must agree to a
+relative 1e-12.  Where a golden ``.manifest.json`` is checked in, the run's
+manifest must match it the same way, apart from the output path it echoes.
+A change that moves a value past that tolerance updates the golden file and
+declares the numerics change in CHANGES.md.
 """
 
+import gzip
 import json
 from pathlib import Path
 
@@ -17,21 +20,28 @@ from mimolab.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _read_csv(path):
-    header, *rows = path.read_text().strip().split("\n")
-    return header, [tuple(float(x) for x in row.split(",")) for row in rows]
+def _golden_text(name):
+    path = GOLDEN / name
+    if path.exists():
+        return path.read_text()
+    with gzip.open(GOLDEN / f"{name}.gz", "rt") as handle:
+        return handle.read()
 
 
-@pytest.mark.parametrize("name", ["fig4_32x32", "fig4_64x64", "fig4_128x128"])
-def test_squint_config_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["--config", name, "--output", "out.csv"]) == 0
-    header, rows = _read_csv(tmp_path / "out.csv")
-    golden_header, golden_rows = _read_csv(GOLDEN / f"{name}.csv")
+def _read_csv(text):
+    header, *rows = text.strip().split("\n")
+    return header, np.array([[float(x) for x in row.split(",")] for row in rows])
+
+
+def _assert_csv_close(text, golden_text, exact_columns):
+    """Same header and shape, given leading columns exact, the rest rel 1e-12."""
+    header, values = _read_csv(text)
+    golden_header, golden_values = _read_csv(golden_text)
     assert header == golden_header
-    assert [r[0] for r in rows] == [r[0] for r in golden_rows]
+    assert values.shape == golden_values.shape
+    np.testing.assert_array_equal(values[:, :exact_columns], golden_values[:, :exact_columns])
     np.testing.assert_allclose(
-        [r[1] for r in rows], [r[1] for r in golden_rows], rtol=1e-12, atol=0
+        values[:, exact_columns:], golden_values[:, exact_columns:], rtol=1e-12, atol=0
     )
 
 
@@ -52,6 +62,41 @@ def _assert_json_close(actual, golden, where="$"):
         assert actual == golden, where
 
 
+def _assert_manifest_close(output, golden_name):
+    actual = json.loads(Path(f"{output}.manifest.json").read_text())
+    golden = json.loads((GOLDEN / f"{golden_name}.manifest.json").read_text())
+    assert actual.pop("output") == output
+    golden.pop("output")
+    _assert_json_close(actual, golden)
+
+
+@pytest.mark.parametrize("name", ["fig4_32x32", "fig4_64x64", "fig4_128x128"])
+def test_squint_config_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", name, "--output", "out.csv"]) == 0
+    _assert_csv_close(
+        (tmp_path / "out.csv").read_text(), _golden_text(f"{name}.csv"), exact_columns=1
+    )
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("centralpark_3ghz", ["--config", "centralpark_3ghz"]),
+        ("centralpark_60ghz", ["--config", "centralpark_60ghz"]),
+        ("antenna_sweep", ["antenna-sweep"]),
+    ],
+)
+def test_rate_sweep_matches_golden(name, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--output", "out.csv"]) == 0
+    # m_antennas and k_users are integers and must match exactly
+    _assert_csv_close(
+        (tmp_path / "out.csv").read_text(), _golden_text(f"{name}.csv"), exact_columns=2
+    )
+    _assert_manifest_close("out.csv", f"{name}.csv")
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -66,3 +111,13 @@ def test_montecarlo_output_matches_golden(name, argv, tmp_path, monkeypatch):
     actual = json.loads((tmp_path / "out.json").read_text())
     golden = json.loads((GOLDEN / f"{name}.json").read_text())
     _assert_json_close(actual, golden)
+
+
+@pytest.mark.parametrize("name", ["estload_paper", "adc_128v8"])
+def test_small_json_config_matches_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["--config", name, "--output", "out.json"]) == 0
+    actual = json.loads((tmp_path / "out.json").read_text())
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    _assert_json_close(actual, golden)
+    _assert_manifest_close("out.json", f"{name}.json")
