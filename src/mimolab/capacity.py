@@ -10,8 +10,8 @@ split equally over users, each user sees
     SINR = M * gamma * (rho_dl / K) / (1 + rho_dl)
 
 where the denominator carries unit noise plus non-coherent interference
-from all K streams.  Everything is deterministic arithmetic, so Tbit/s
-scale sweeps run in milliseconds.
+from all K streams.  Everything is deterministic closed-form arithmetic;
+no Monte-Carlo is involved.
 """
 
 from __future__ import annotations
@@ -125,22 +125,37 @@ def sum_rate(scenario: CapacityScenario, k_users: int) -> RatePoint:
     )
 
 
-def optimize_users(scenario: CapacityScenario, k_grid: Sequence[int]) -> RatePoint:
-    """RatePoint maximizing the sum rate on the grid; ties go to smaller K."""
+def k_range(
+    tau_c: int, k_min: int = 1, k_max: int = 0, k_step: int = 0, fine: bool = False
+) -> range:
+    """User counts k_min..k_max (0 means tau_c) in steps of k_step.
+
+    k_step 0 picks the step: 1 when fine, else tau_c // 1000 but at least 1,
+    which keeps the full range under 2000 points however long the block.
+    """
+    k_max = k_max if k_max > 0 else tau_c
+    step = k_step if k_step > 0 else 1 if fine else max(1, tau_c // 1000)
+    if not 1 <= k_min <= k_max <= tau_c:
+        raise ValueError(
+            f"need 1 <= k_min <= k_max <= tau_c, got k_min={k_min}, k_max={k_max}, tau_c={tau_c}"
+        )
+    return range(k_min, k_max + 1, step)
+
+
+def user_sweep(
+    scenario: CapacityScenario, k_grid: Sequence[int]
+) -> tuple[list[RatePoint], RatePoint]:
+    """RatePoint for every K on the grid and the sum-rate maximum; ties go to smaller K."""
     if len(k_grid) == 0:
         raise ValueError("k_grid must be non-empty")
-    best: RatePoint | None = None
-    for k in k_grid:
-        point = sum_rate(scenario, int(k))
-        if best is None or point.sum_rate_bps > best.sum_rate_bps:
-            best = point
-    return best
+    points = [sum_rate(scenario, int(k)) for k in k_grid]
+    # max() keeps the first of equal values, so the smaller K wins a tie
+    return points, max(points, key=lambda point: point.sum_rate_bps)
 
 
-def default_k_grid(tau_c: int, fine: bool = False) -> range:
-    """1..tau_c with step max(1, tau_c // 1000); fine forces an exhaustive step of 1."""
-    step = 1 if fine else max(1, tau_c // 1000)
-    return range(1, tau_c + 1, step)
+def optimize_users(scenario: CapacityScenario, k_grid: Sequence[int]) -> RatePoint:
+    """RatePoint maximizing the sum rate on the grid; ties go to smaller K."""
+    return user_sweep(scenario, k_grid)[1]
 
 
 def antenna_sweep(

@@ -1,4 +1,4 @@
-"""Statistical channel models, mobility drift bounds, and array diagnostics.
+"""I.i.d. Rayleigh channel sampling, mobility drift bounds, and array diagnostics.
 
 The two diagnostics quantify what growing apertures buy:
 
@@ -26,35 +26,26 @@ MAX_DRIFT_FRACTION = 0.125  # the gain bound chain only applies up to 1/8 wavele
 _DRIFT_CHUNK_ELEMENTS = 65_536  # random drift phases held in memory at once
 
 
-@dataclass(frozen=True)
-class IidRayleigh:
-    """Independent CN(0, 1) entries, one per antenna."""
+def _check_antennas(m_antennas: int) -> None:
+    if m_antennas < 1:
+        raise ValueError(f"m_antennas must be at least 1, got {m_antennas}")
 
 
-@dataclass(frozen=True, eq=False)
-class RandomChannelSpec:
-    model: IidRayleigh
-    m_antennas: int
-    seed: int
-
-    def __post_init__(self):
-        if self.m_antennas < 1:
-            raise ValueError(f"m_antennas must be at least 1, got {self.m_antennas}")
+def sample_channel(m_antennas: int, seed: int) -> np.ndarray:
+    """One i.i.d. CN(0, 1) channel vector; identical output for identical arguments."""
+    _check_antennas(m_antennas)
+    return RandomStream(seed).complex_normal(m_antennas)
 
 
-def sample_channel(spec: RandomChannelSpec) -> np.ndarray:
-    """One channel vector; identical output for identical spec (seed included)."""
-    return RandomStream(spec.seed).complex_normal(spec.m_antennas)
-
-
-def hardening_metric(spec: RandomChannelSpec, n_draws: int) -> float:
-    """Sample std(||h||^2) / mean(||h||^2) over seed-derived Monte-Carlo draws."""
+def hardening_metric(m_antennas: int, n_draws: int, seed: int) -> float:
+    """Sample std(||h||^2) / mean(||h||^2) over seed-derived i.i.d. Rayleigh draws."""
+    _check_antennas(m_antennas)
     if n_draws < 2:
         raise ValueError(f"n_draws must be at least 2, got {n_draws}")
     powers = np.empty(n_draws)
     for i in range(n_draws):
-        stream = RandomStream(derive_seed(spec.seed, i))
-        powers[i] = stream.complex_normal_power(spec.m_antennas)
+        stream = RandomStream(derive_seed(seed, i))
+        powers[i] = stream.complex_normal_power(m_antennas)
     return float(powers.std(ddof=1) / powers.mean())
 
 
@@ -68,27 +59,29 @@ def pair_correlation(h_i: np.ndarray, h_j: np.ndarray) -> float:
     return float(abs(np.vdot(h_i, h_j)) / denom)
 
 
-def favorable_propagation_metric(spec: RandomChannelSpec, n_pairs: int) -> float:
-    """Mean pair correlation across independently drawn channel pairs."""
+def favorable_propagation_metric(m_antennas: int, n_pairs: int, seed: int) -> float:
+    """Mean pair correlation across independently drawn i.i.d. Rayleigh channel pairs."""
+    _check_antennas(m_antennas)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
     vals = np.empty(n_pairs)
     for i in range(n_pairs):
-        h_i = RandomStream(derive_seed(spec.seed, 2 * i)).complex_normal(spec.m_antennas)
-        h_j = RandomStream(derive_seed(spec.seed, 2 * i + 1)).complex_normal(spec.m_antennas)
+        h_i = RandomStream(derive_seed(seed, 2 * i)).complex_normal(m_antennas)
+        h_j = RandomStream(derive_seed(seed, 2 * i + 1)).complex_normal(m_antennas)
         vals[i] = pair_correlation(h_i, h_j)
     return float(vals.mean())
 
 
 def metric_record(
-    spec: RandomChannelSpec, n_draws: int, metric_name: str, value: float
+    m_antennas: int, n_draws: int, seed: int, metric_name: str, value: float
 ) -> dict:
     """JSON-ready record for one diagnostic evaluation."""
+    _check_antennas(m_antennas)
     return {
         "model": "iid_rayleigh",
-        "m_antennas": spec.m_antennas,
+        "m_antennas": m_antennas,
         "n_draws": n_draws,
-        "seed": spec.seed,
+        "seed": seed,
         "metric_name": metric_name,
         "value": value,
     }
@@ -103,8 +96,7 @@ class DriftScenario:
     phase_fractions: np.ndarray
 
     def __post_init__(self):
-        if self.m_antennas < 1:
-            raise ValueError(f"m_antennas must be at least 1, got {self.m_antennas}")
+        _check_antennas(self.m_antennas)
         if not 0.0 <= self.mu <= MAX_DRIFT_FRACTION:
             raise ValueError(f"mu must lie in [0, 1/8], got {self.mu}")
         phi = np.asarray(self.phase_fractions, dtype=float)
@@ -176,8 +168,7 @@ def drift_bound_check(
     """
     if not 0.0 <= mu <= MAX_DRIFT_FRACTION:
         raise ValueError(f"the bound chain needs mu in [0, 1/8], got {mu}")
-    if m_antennas < 1:
-        raise ValueError(f"m_antennas must be at least 1, got {m_antennas}")
+    _check_antennas(m_antennas)
     if n_random_draws < 0:
         raise ValueError(f"n_random_draws must be nonnegative, got {n_random_draws}")
 

@@ -30,10 +30,15 @@ from typing import Callable
 
 from . import __version__
 from .beamforming import squint_sweep
-from .capacity import CapacityScenario, CoherenceBlock, optimize_users, sum_rate, sweep_csv_text
+from .capacity import (
+    CapacityScenario,
+    CoherenceBlock,
+    antenna_sweep,
+    k_range,
+    sweep_csv_text,
+    user_sweep,
+)
 from .channels import (
-    IidRayleigh,
-    RandomChannelSpec,
     drift_bound_check,
     favorable_propagation_metric,
     hardening_metric,
@@ -203,7 +208,7 @@ def _run_squint(params: dict, seed: int):
     return curve.csv_text(), extras, lines
 
 
-def _capacity_scenario(params: dict) -> tuple[CapacityScenario, dict]:
+def _capacity_scenario(params: dict) -> tuple[CapacityScenario, range, dict]:
     ul_snr = params["ul_pilot_snr"]
     if params["snr_scaling"] == "bandwidth":
         ul_snr = ul_snr * params["reference_bandwidth_hz"] / params["bandwidth_hz"]
@@ -215,50 +220,30 @@ def _capacity_scenario(params: dict) -> tuple[CapacityScenario, dict]:
         dl_ul_power_ratio=params["dl_ul_power_ratio"],
         block=CoherenceBlock(params["coherence_time_s"], params["coherence_bandwidth_hz"]),
     )
+    tau_c = scenario.block.samples
+    grid = k_range(tau_c, params["k_min"], params["k_max"], params["k_step"], params["fine"])
     extras = {
         "snr_scaling": params["snr_scaling"],
         "ul_pilot_snr_effective": ul_snr,
-        "tau_c": scenario.block.samples,
+        "tau_c": tau_c,
     }
-    return scenario, extras
-
-
-def _k_grid(params: dict, tau_c: int) -> range:
-    k_max = params["k_max"] if params["k_max"] > 0 else tau_c
-    if params["k_step"] > 0:
-        step = params["k_step"]
-    elif params["fine"]:
-        step = 1
-    else:
-        step = max(1, tau_c // 1000)
-    if not 1 <= params["k_min"] <= k_max <= tau_c:
-        raise ValueError(
-            f"need 1 <= k_min <= k_max <= tau_c, got k_min={params['k_min']}, "
-            f"k_max={k_max}, tau_c={tau_c}"
-        )
-    return range(params["k_min"], k_max + 1, step)
+    return scenario, grid, extras
 
 
 def _run_capacity(params: dict, seed: int):
-    scenario, extras = _capacity_scenario(params)
-    grid = _k_grid(params, scenario.block.samples)
-    rows = [(scenario.m_antennas, sum_rate(scenario, k)) for k in grid]
-    best = max(rows, key=lambda item: item[1].sum_rate_bps)[1]
-    # ties resolved toward smaller K: max() keeps the first of equal values
+    scenario, grid, extras = _capacity_scenario(params)
+    points, best = user_sweep(scenario, grid)
     extras["optimum"] = best.to_record(scenario.m_antennas)
     lines = [
         f"optimum: K={best.k_users}, pilot fraction {best.pilot_fraction:.4f}, "
         f"sum rate {best.sum_rate_bps / 1e12:.4f} Tbit/s"
     ]
-    return sweep_csv_text(rows), extras, lines
+    return sweep_csv_text([(scenario.m_antennas, point) for point in points]), extras, lines
 
 
 def _run_antenna_sweep(params: dict, seed: int):
-    scenario, extras = _capacity_scenario(params)
-    grid = _k_grid(params, scenario.block.samples)
-    rows = []
-    for m in sorted(params["m_grid"]):
-        rows.append((m, optimize_users(replace(scenario, m_antennas=m), grid)))
+    scenario, grid, extras = _capacity_scenario(params)
+    rows = antenna_sweep(scenario, params["m_grid"], grid)
     lines = [
         f"M={m}: best sum rate {point.sum_rate_bps / 1e9:.3f} Gbit/s at K={point.k_users}"
         for m, point in rows
@@ -360,16 +345,16 @@ def _run_hwbudget(params: dict, seed: int):
 
 
 def _run_hardening(params: dict, seed: int):
-    spec = RandomChannelSpec(IidRayleigh(), params["m_antennas"], seed)
-    value = hardening_metric(spec, params["n_draws"])
-    record = metric_record(spec, params["n_draws"], "hardening", value)
+    value = hardening_metric(params["m_antennas"], params["n_draws"], seed)
+    record = metric_record(params["m_antennas"], params["n_draws"], seed, "hardening", value)
     return _json_text(record), {"value": value}, [f"hardening metric = {value:.6f}"]
 
 
 def _run_favorable(params: dict, seed: int):
-    spec = RandomChannelSpec(IidRayleigh(), params["m_antennas"], seed)
-    value = favorable_propagation_metric(spec, params["n_pairs"])
-    record = metric_record(spec, params["n_pairs"], "favorable_propagation", value)
+    value = favorable_propagation_metric(params["m_antennas"], params["n_pairs"], seed)
+    record = metric_record(
+        params["m_antennas"], params["n_pairs"], seed, "favorable_propagation", value
+    )
     return _json_text(record), {"value": value}, [f"favorable-propagation metric = {value:.6f}"]
 
 
@@ -510,9 +495,12 @@ EXPERIMENTS: dict[str, Experiment] = {
                       min_value=0, min_exclusive=True),
                 Param("overhead_factor", "float", 1.0,
                       "integrated-implementation overhead, 1 to 10", min_value=1, max_value=10),
-                Param("enob_a", "float", 5.0, "effective bits of array A converters", min_value=1),
+                # 2.0**enob overflows a double from 1024 bits on
+                Param("enob_a", "float", 5.0, "effective bits of array A converters",
+                      min_value=1, max_value=1023),
                 Param("n_converters_a", "int", 128, "converter count of array A", min_value=1),
-                Param("enob_b", "float", 10.0, "effective bits of array B converters", min_value=1),
+                Param("enob_b", "float", 10.0, "effective bits of array B converters",
+                      min_value=1, max_value=1023),
                 Param("n_converters_b", "int", 8, "converter count of array B", min_value=1),
                 Param("pa_total_radiated_w", "float", 1.0, "total radiated power in watts",
                       min_value=0, min_exclusive=True),
@@ -528,6 +516,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Monte-Carlo channel-hardening metric std/mean of ||h||^2 (JSON)",
             "json",
             (
+                # a single choice the runner ignores; perfbench/reference manifests echo it
                 Param("model", "choice", "iid_rayleigh", "channel model",
                       choices=("iid_rayleigh",)),
                 Param("m_antennas", "int", 100, "number of antennas", min_value=1),
@@ -540,6 +529,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Monte-Carlo favorable-propagation metric, mean |h_i^H h_j|/(|h_i||h_j|) (JSON)",
             "json",
             (
+                # a single choice the runner ignores; perfbench/reference manifests echo it
                 Param("model", "choice", "iid_rayleigh", "channel model",
                       choices=("iid_rayleigh",)),
                 Param("m_antennas", "int", 100, "number of antennas", min_value=1),
@@ -574,7 +564,8 @@ def bundled_config_text(name: str) -> str:
 # ----------------------------------------------------------------------------
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # allow_nan=False: a NaN or infinite result is a runtime failure, not output
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -679,6 +670,14 @@ def run(config: dict[str, str], output_override: str | None = None,
 
     try:
         text, extras, stdout_lines = exp.runner(params, seed)
+        manifest = _json_text({
+            "artifact_version": __version__,
+            "experiment": exp.name,
+            "seed": seed,
+            "parameters": params,
+            "results": extras,
+            "output": output,
+        })
     except (ValueError, ArithmeticError, ZeroDivisionError, OverflowError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -686,16 +685,8 @@ def run(config: dict[str, str], output_override: str | None = None,
         print(f"runtime failure: ran out of memory running {exp.name!r}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    manifest = {
-        "artifact_version": __version__,
-        "experiment": exp.name,
-        "seed": seed,
-        "parameters": params,
-        "results": extras,
-        "output": output,
-    }
     _atomic_write(output, text)
-    _atomic_write(output + ".manifest.json", _json_text(manifest))
+    _atomic_write(output + ".manifest.json", manifest)
     for line in stdout_lines:
         print(line)
     print(f"wrote {output}")

@@ -37,15 +37,12 @@ class AdcSpec:
 class PaSpec:
     avg_output_power_w: float
     pae_fraction: float
-    backoff_db: float = 0.0  # annotation only, not used in the arithmetic
 
     def __post_init__(self):
         if self.avg_output_power_w <= 0:
             raise ValueError(f"avg_output_power_w must be positive, got {self.avg_output_power_w}")
         if not 0.0 < self.pae_fraction < 1.0:
             raise ValueError(f"pae_fraction must lie in (0, 1), got {self.pae_fraction}")
-        if self.backoff_db < 0:
-            raise ValueError(f"backoff_db must be nonnegative, got {self.backoff_db}")
 
 
 def adc_power(spec: AdcSpec) -> float:

@@ -13,13 +13,8 @@ import numpy as np
 import pytest
 
 from mimolab.beamforming import analog_weights, efficiency, hybrid_weights, mrt_weights
-from mimolab.capacity import antenna_sweep, default_k_grid
-from mimolab.channels import (
-    IidRayleigh,
-    RandomChannelSpec,
-    favorable_propagation_metric,
-    hardening_metric,
-)
+from mimolab.capacity import antenna_sweep, k_range
+from mimolab.channels import favorable_propagation_metric, hardening_metric
 from mimolab.cli import BUNDLED_CONFIGS, main
 from mimolab.rng import RandomStream
 from mimolab.scenarios import centralpark_3ghz
@@ -161,7 +156,7 @@ def test_criterion_06_centralpark_60ghz_loose(tmp_path):
 def test_criterion_07_sum_rate_monotone_in_antennas():
     scenario = centralpark_3ghz()
     rows = antenna_sweep(scenario, [100, 1000, 10_000, 100_000],
-                         default_k_grid(scenario.block.samples))
+                         k_range(scenario.block.samples))
     rates = [p.sum_rate_bps for _, p in rows]
     ok = all(a < b for a, b in zip(rates, rates[1:]))
     detail = " < ".join(f"{r / 1e9:.2f}G" for r in rates)
@@ -208,13 +203,13 @@ def test_criterion_11_property_suite():
     checks = []
 
     for m in (100, 10_000):
-        value = hardening_metric(RandomChannelSpec(IidRayleigh(), m, 42), 10_000)
+        value = hardening_metric(m, 10_000, 42)
         target = 1.0 / math.sqrt(m)
         checks.append((f"hardening M={m}: {value:.5f} vs {target:.5f}",
                        abs(value - target) <= 0.1 * target))
 
-    fav100 = favorable_propagation_metric(RandomChannelSpec(IidRayleigh(), 100, 7), 1000)
-    fav10k = favorable_propagation_metric(RandomChannelSpec(IidRayleigh(), 10_000, 7), 1000)
+    fav100 = favorable_propagation_metric(100, 1000, 7)
+    fav10k = favorable_propagation_metric(10_000, 1000, 7)
     ratio = fav100 / fav10k
     checks.append((f"favorable ratio {ratio:.2f} vs 10 +/-20%", 8.0 <= ratio <= 12.0))
 

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from mimolab.capacity import (
     CapacityScenario,
     CoherenceBlock,
+    RatePoint,
     antenna_sweep,
-    default_k_grid,
     dl_se_mrt,
     dl_sinr_mrt,
     estimation_quality,
+    k_range,
     optimize_users,
     sum_rate,
     sweep_csv_text,
+    user_sweep,
 )
 from mimolab.scenarios import centralpark_3ghz, centralpark_60ghz
 
@@ -125,6 +127,36 @@ def test_optimize_singleton_grid():
     assert point.k_users == 1
 
 
+def test_k_range_step_rules():
+    assert k_range(40_000) == range(1, 40_001, 40)
+    assert k_range(40_000, fine=True) == range(1, 40_001)
+    assert k_range(999) == range(1, 1000)  # the automatic step never drops below 1
+    assert k_range(40_000, k_min=10, k_max=100, k_step=7, fine=True) == range(10, 101, 7)
+
+
+@pytest.mark.parametrize("k_min, k_max", [(0, 0), (50_000, 0), (10, 5), (1, 40_001)])
+def test_k_range_rejects_bad_bounds(k_min, k_max):
+    with pytest.raises(ValueError, match="k_min"):
+        k_range(40_000, k_min=k_min, k_max=k_max)
+
+
+def test_user_sweep_returns_every_point_and_the_optimum():
+    sc = centralpark_60ghz()
+    grid = k_range(sc.block.samples, k_step=7)
+    points, best = user_sweep(sc, grid)
+    assert points == [sum_rate(sc, k) for k in grid]
+    assert best == optimize_users(sc, grid)
+    assert best.sum_rate_bps == max(p.sum_rate_bps for p in points)
+
+
+def test_user_sweep_ties_go_to_smaller_k(monkeypatch):
+    def flat(scenario, k_users):
+        return RatePoint(k_users, k_users, 0.5, 1.0, 1.0, 1.0)
+
+    monkeypatch.setattr("mimolab.capacity.sum_rate", flat)
+    assert user_sweep(centralpark_3ghz(), [3, 5, 8])[1].k_users == 3
+
+
 def test_optimize_rejects_empty_grid():
     with pytest.raises(ValueError):
         optimize_users(centralpark_3ghz(), [])
@@ -132,14 +164,14 @@ def test_optimize_rejects_empty_grid():
 
 def test_optimum_user_count_near_fourteen_thousand():
     sc = centralpark_3ghz()
-    best = optimize_users(sc, default_k_grid(sc.block.samples, fine=True))
+    best = optimize_users(sc, k_range(sc.block.samples, fine=True))
     assert abs(best.k_users - 14_000) / 14_000 <= 0.10
     assert best.sum_rate_bps == pytest.approx(1.38e12, rel=0.05)
 
 
 def test_interior_maximum():
     sc = centralpark_3ghz()
-    best = optimize_users(sc, default_k_grid(sc.block.samples))
+    best = optimize_users(sc, k_range(sc.block.samples))
     assert best.sum_rate_bps > sum_rate(sc, 1).sum_rate_bps
     assert best.sum_rate_bps > sum_rate(sc, sc.block.samples).sum_rate_bps
     assert 1 < best.k_users < sc.block.samples
@@ -149,14 +181,14 @@ def test_60ghz_pilot_fraction_band():
     sc = centralpark_60ghz()
     assert sc.block.samples == 2_000
     assert sc.ul_pilot_snr_linear == pytest.approx(5.0, rel=1e-12)
-    best = optimize_users(sc, default_k_grid(sc.block.samples, fine=True))
+    best = optimize_users(sc, k_range(sc.block.samples, fine=True))
     assert 0.30 <= best.pilot_fraction <= 0.55
     assert 1 < best.k_users < sc.block.samples
 
 
 def test_antenna_sweep_monotone_and_ordered():
     sc = centralpark_3ghz()
-    grid = default_k_grid(sc.block.samples)
+    grid = k_range(sc.block.samples)
     rows = antenna_sweep(sc, [10_000, 100, 100_000, 1000], grid)
     ms = [m for m, _ in rows]
     assert ms == [100, 1000, 10_000, 100_000]

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from mimolab.channels import (
     DriftScenario,
-    IidRayleigh,
-    RandomChannelSpec,
     _random_drift_gains,
     drift_bound_check,
     drift_gain,
@@ -20,10 +18,6 @@ from mimolab.channels import (
     sample_channel,
 )
 from mimolab.rng import RandomStream, derive_seed
-
-
-def _iid(m, seed=42):
-    return RandomChannelSpec(IidRayleigh(), m, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -67,17 +61,16 @@ def test_complex_normal_unit_variance():
 # ---------------------------------------------------------------------------
 
 def test_same_spec_gives_identical_vectors():
-    spec = _iid(64)
-    assert np.array_equal(sample_channel(spec), sample_channel(spec))
+    assert np.array_equal(sample_channel(64, 42), sample_channel(64, 42))
 
 
 def test_distinct_seeds_give_distinct_vectors():
-    assert not np.array_equal(sample_channel(_iid(64, 1)), sample_channel(_iid(64, 2)))
+    assert not np.array_equal(sample_channel(64, 1), sample_channel(64, 2))
 
 
 def test_mean_channel_power_matches_antenna_count():
     m = 10_000
-    draws = [sample_channel(_iid(m, derive_seed(9, i))) for i in range(100)]
+    draws = [sample_channel(m, derive_seed(9, i)) for i in range(100)]
     ratio = np.mean([np.vdot(h, h).real / m for h in draws])
     assert 0.98 <= ratio <= 1.02
 
@@ -88,30 +81,30 @@ def test_mean_channel_power_matches_antenna_count():
 
 def test_hardening_single_antenna_is_exponential():
     # population std/mean of |h|^2 ~ Exp(1) is exactly 1
-    assert hardening_metric(_iid(1), 10_000) == pytest.approx(1.0, abs=0.05)
+    assert hardening_metric(1, 10_000, 42) == pytest.approx(1.0, abs=0.05)
 
 
 def test_hardening_hundred_antennas():
-    assert hardening_metric(_iid(100), 10_000) == pytest.approx(0.100, abs=0.01)
+    assert hardening_metric(100, 10_000, 42) == pytest.approx(0.100, abs=0.01)
 
 
 def test_hardening_ten_thousand_antennas():
-    assert hardening_metric(_iid(10_000), 10_000) == pytest.approx(0.010, abs=0.002)
+    assert hardening_metric(10_000, 10_000, 42) == pytest.approx(0.010, abs=0.002)
 
 
 def test_hardening_decreases_with_antennas():
-    values = [hardening_metric(_iid(m), 10_000) for m in (10, 100, 1000, 10_000)]
+    values = [hardening_metric(m, 10_000, 42) for m in (10, 100, 1000, 10_000)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_hardening_is_reproducible():
-    assert hardening_metric(_iid(50), 500) == hardening_metric(_iid(50), 500)
-    assert hardening_metric(_iid(50, 1), 500) != hardening_metric(_iid(50, 2), 500)
+    assert hardening_metric(50, 500, 42) == hardening_metric(50, 500, 42)
+    assert hardening_metric(50, 500, 1) != hardening_metric(50, 500, 2)
 
 
 def test_hardening_needs_two_draws():
     with pytest.raises(ValueError):
-        hardening_metric(_iid(4), 1)
+        hardening_metric(4, 1, 42)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +112,7 @@ def test_hardening_needs_two_draws():
 # ---------------------------------------------------------------------------
 
 def test_pair_correlation_identity_and_orthogonality():
-    h = sample_channel(_iid(32))
+    h = sample_channel(32, 42)
     assert pair_correlation(h, h) == pytest.approx(1.0, abs=1e-12)
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0j], dtype=complex)
@@ -127,19 +120,33 @@ def test_pair_correlation_identity_and_orthogonality():
 
 
 def test_favorable_metric_scales_as_inverse_sqrt_m():
-    small = favorable_propagation_metric(_iid(100), 1000)
-    large = favorable_propagation_metric(_iid(10_000), 1000)
+    small = favorable_propagation_metric(100, 1000, 42)
+    large = favorable_propagation_metric(10_000, 1000, 42)
     assert small / large == pytest.approx(10.0, rel=0.20)
 
 
 def test_favorable_metric_needs_one_pair():
     with pytest.raises(ValueError):
-        favorable_propagation_metric(_iid(4), 0)
+        favorable_propagation_metric(4, 0, 42)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sample_channel(0, 42),
+        lambda: hardening_metric(0, 10, 42),
+        lambda: favorable_propagation_metric(0, 10, 42),
+        lambda: metric_record(0, 10, 42, "hardening", 0.1),
+    ],
+    ids=["sample_channel", "hardening_metric", "favorable_propagation_metric", "metric_record"],
+)
+def test_random_channel_functions_need_an_antenna(call):
+    with pytest.raises(ValueError, match="m_antennas"):
+        call()
 
 
 def test_metric_record_shape():
-    spec = _iid(100, 7)
-    record = metric_record(spec, 1000, "hardening", 0.1)
+    record = metric_record(100, 1000, 7, "hardening", 0.1)
     assert record == {
         "model": "iid_rayleigh",
         "m_antennas": 100,

@@ -123,12 +123,29 @@ def test_mu_above_an_eighth_rejected(tmp_path, monkeypatch, capsys):
         (["fresnel", "--d1", "-inf"], "d1"),
         (["squint", "--rows", "nan"], "rows"),
         (["mobility", "--mu-list", "0.1,nan"], "mu_list"),
+        # finite, but 2**enob overflows a double
+        (["hwbudget", "--enob-a", "2000"], "enob_a"),
     ],
 )
 def test_non_finite_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
     code = run_cli(args + ["--output", "out.txt"], tmp_path, monkeypatch)
     assert code == 3
     assert field in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["fresnel", "--d1", "1e308", "--d2", "1e308"],
+        ["estload", "--m-antennas", "1000000000000000000000", "--coherence-time-s", "1e-320"],
+        ["capacity", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
+    ],
+)
+def test_non_finite_result_is_runtime_failure(args, tmp_path, monkeypatch, capsys):
+    code = run_cli(args + ["--output", "out.txt"], tmp_path, monkeypatch)
+    assert code == 4
+    assert "runtime failure" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

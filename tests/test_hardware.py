@@ -102,6 +102,4 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         PaSpec(0.25, 1.0)
     with pytest.raises(ValueError):
-        PaSpec(0.25, 0.18, backoff_db=-1.0)
-    with pytest.raises(ValueError):
         array_pa_budget(0, 1.0, 0.18)
