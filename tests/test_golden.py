@@ -2,8 +2,9 @@
 
 Structure (CSV header, row count, frequency grid and integer columns; JSON
 keys and non-float values) must match exactly; float values must agree to a
-relative 1e-12.  Where a golden ``.manifest.json`` is checked in, the run's
-manifest must match it the same way, apart from the output path it echoes.
+relative 1e-12.  Every run's manifest must match the golden
+``.manifest.json`` the same way, apart from the output path it echoes.  The
+``mimolab list`` output and the bare usage text must match byte for byte.
 A change that moves a value past that tolerance updates the golden file and
 declares the numerics change in CHANGES.md.
 """
@@ -70,13 +71,21 @@ def _assert_manifest_close(output, golden_name):
     _assert_json_close(actual, golden)
 
 
+def _assert_run_matches_golden(output, golden_name, exact_columns=0):
+    """The run's output and its manifest against the golden file and its manifest."""
+    text = Path(output).read_text()
+    if golden_name.endswith(".csv"):
+        _assert_csv_close(text, _golden_text(golden_name), exact_columns)
+    else:
+        _assert_json_close(json.loads(text), json.loads(_golden_text(golden_name)))
+    _assert_manifest_close(output, golden_name)
+
+
 @pytest.mark.parametrize("name", ["fig4_32x32", "fig4_64x64", "fig4_128x128"])
 def test_squint_config_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["--config", name, "--output", "out.csv"]) == 0
-    _assert_csv_close(
-        (tmp_path / "out.csv").read_text(), _golden_text(f"{name}.csv"), exact_columns=1
-    )
+    _assert_run_matches_golden("out.csv", f"{name}.csv", exact_columns=1)
 
 
 @pytest.mark.parametrize(
@@ -91,10 +100,7 @@ def test_rate_sweep_matches_golden(name, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--output", "out.csv"]) == 0
     # m_antennas and k_users are integers and must match exactly
-    _assert_csv_close(
-        (tmp_path / "out.csv").read_text(), _golden_text(f"{name}.csv"), exact_columns=2
-    )
-    _assert_manifest_close("out.csv", f"{name}.csv")
+    _assert_run_matches_golden("out.csv", f"{name}.csv", exact_columns=2)
 
 
 @pytest.mark.parametrize(
@@ -108,16 +114,32 @@ def test_rate_sweep_matches_golden(name, argv, tmp_path, monkeypatch):
 def test_montecarlo_output_matches_golden(name, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--output", "out.json"]) == 0
-    actual = json.loads((tmp_path / "out.json").read_text())
-    golden = json.loads((GOLDEN / f"{name}.json").read_text())
-    _assert_json_close(actual, golden)
+    _assert_run_matches_golden("out.json", f"{name}.json")
 
 
 @pytest.mark.parametrize("name", ["estload_paper", "adc_128v8"])
 def test_small_json_config_matches_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["--config", name, "--output", "out.json"]) == 0
-    actual = json.loads((tmp_path / "out.json").read_text())
-    golden = json.loads((GOLDEN / f"{name}.json").read_text())
-    _assert_json_close(actual, golden)
-    _assert_manifest_close("out.json", f"{name}.json")
+    _assert_run_matches_golden("out.json", f"{name}.json")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("fresnel", ["fresnel"]),
+        ("linkbudget", ["linkbudget", "--entry-window", "-40", "--entry-foliage", "-12.5"]),
+    ],
+)
+def test_propagation_experiment_matches_golden(name, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--output", "out.json"]) == 0
+    _assert_run_matches_golden("out.json", f"{name}.json")
+
+
+@pytest.mark.parametrize("name, argv", [("list", ["list"]), ("usage", [])])
+def test_listing_and_usage_match_golden(name, argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{name}.txt").read_text()
+    assert captured.err == ""
