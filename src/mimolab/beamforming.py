@@ -174,13 +174,6 @@ class SquintCurve:
         object.__setattr__(self, "frequencies_hz", freqs)
         object.__setattr__(self, "efficiency", effs)
 
-    def csv_text(self) -> str:
-        # repr() keeps the shortest decimal that round-trips the double
-        lines = ["frequency_hz,efficiency"]
-        for f, e in zip(self.frequencies_hz, self.efficiency):
-            lines.append(f"{float(f)!r},{float(e)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def squint_sweep(
     array: PlanarArray,

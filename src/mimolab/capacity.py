@@ -66,22 +66,11 @@ class CapacityScenario:
 class RatePoint:
     """Rates achieved with K users multiplexed in one scenario."""
 
-    k_users: int
-    tau_p: int
+    k_users: int  # also the pilot length tau_p
     pilot_fraction: float
-    se_per_ue_bps_hz: float
+    se_per_ue: float  # bit/s/Hz
     rate_per_ue_bps: float
     sum_rate_bps: float
-
-    def to_record(self, m_antennas: int) -> dict:
-        return {
-            "m_antennas": m_antennas,
-            "k_users": self.k_users,
-            "pilot_fraction": self.pilot_fraction,
-            "se_per_ue": self.se_per_ue_bps_hz,
-            "rate_per_ue_bps": self.rate_per_ue_bps,
-            "sum_rate_bps": self.sum_rate_bps,
-        }
 
 
 def estimation_quality(tau_p: int, rho_ul: float) -> float:
@@ -117,9 +106,8 @@ def sum_rate(scenario: CapacityScenario, k_users: int) -> RatePoint:
     rate_per_ue = se * scenario.bandwidth_hz
     return RatePoint(
         k_users=k_users,
-        tau_p=k_users,
         pilot_fraction=k_users / scenario.block.samples,
-        se_per_ue_bps_hz=se,
+        se_per_ue=se,
         rate_per_ue_bps=rate_per_ue,
         sum_rate_bps=k_users * rate_per_ue,
     )
@@ -169,24 +157,3 @@ def antenna_sweep(
         out.append((m, optimize_users(replace(scenario, m_antennas=m), k_grid)))
     return out
 
-
-SWEEP_CSV_HEADER = "m_antennas,k_users,pilot_fraction,se_per_ue,rate_per_ue_bps,sum_rate_bps"
-
-
-def sweep_csv_text(rows: Sequence[tuple[int, RatePoint]]) -> str:
-    """CSV with one row per (antenna count, rate point), full double precision."""
-    lines = [SWEEP_CSV_HEADER]
-    for m, point in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(m),
-                    str(point.k_users),
-                    repr(float(point.pilot_fraction)),
-                    repr(float(point.se_per_ue_bps_hz)),
-                    repr(float(point.rate_per_ue_bps)),
-                    repr(float(point.sum_rate_bps)),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"

@@ -126,17 +126,6 @@ class DriftBoundReport:
     bound_gain: float
     holds: bool
 
-    def to_record(self) -> dict:
-        return {
-            "m_antennas": self.m_antennas,
-            "mu": self.mu,
-            "n_random_draws": self.n_random_draws,
-            "seed": self.seed,
-            "min_observed_gain": self.min_observed_gain,
-            "bound_gain": self.bound_gain,
-            "holds": self.holds,
-        }
-
 
 def _random_drift_gains(m_antennas: int, mu: float, n_draws: int, seed: int):
     """Gains of n_draws uniform drift patterns in [-mu, mu]^M, in bounded chunks.

@@ -6,9 +6,12 @@ A config file is plain text, one ``key = value`` per line, with ``#`` or
 reserved keys ``experiment``, ``seed``, and ``output`` select the
 experiment, the random seed, and the output path; every other key must
 belong to the experiment's parameter schema, and unknown keys are a hard
-error so typos cannot silently fall back to defaults.
+error so typos cannot silently fall back to defaults.  On the command line
+``--KEY VALUE`` sets any key, the reserved ones included.
 
-Each run writes the experiment's CSV or JSON output atomically (temp file
+Each runner returns data, never text: a dict for a JSON experiment, a
+(header, rows) pair of Python numbers for a CSV one.  ``run`` alone checks
+that every number is finite and writes the output atomically (temp file
 plus rename) along with a ``<output>.manifest.json`` echoing the resolved
 parameters, the seed, and the artifact version.  Outputs contain no
 timestamps, so re-running a config reproduces its files byte for byte.
@@ -25,7 +28,9 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from . import __version__
@@ -33,9 +38,9 @@ from .beamforming import squint_sweep
 from .capacity import (
     CapacityScenario,
     CoherenceBlock,
+    RatePoint,
     antenna_sweep,
     k_range,
-    sweep_csv_text,
     user_sweep,
 )
 from .channels import (
@@ -177,7 +182,7 @@ def coerce_value(param: Param, field: str, text: str):
 
 
 # ----------------------------------------------------------------------------
-# experiment runners: (params, seed) -> (output_text, extras, stdout_lines)
+# experiment runners: (params, seed) -> (data, manifest results, stdout_lines)
 # ----------------------------------------------------------------------------
 
 def _run_squint(params: dict, seed: int):
@@ -205,7 +210,12 @@ def _run_squint(params: dict, seed: int):
         f"center efficiency {extras['center_efficiency']:.4f}, "
         f"band minimum {extras['min_efficiency']:.4f} over {params['n_points']} points"
     ]
-    return curve.csv_text(), extras, lines
+    rows = list(zip(curve.frequencies_hz.tolist(), curve.efficiency.tolist()))
+    return (("frequency_hz", "efficiency"), rows), extras, lines
+
+
+_RATE_COLUMNS = ("m_antennas", *(field.name for field in fields(RatePoint)))
+_rate_values = attrgetter(*_RATE_COLUMNS[1:])
 
 
 def _capacity_scenario(params: dict) -> tuple[CapacityScenario, range, dict]:
@@ -233,46 +243,42 @@ def _capacity_scenario(params: dict) -> tuple[CapacityScenario, range, dict]:
 def _run_capacity(params: dict, seed: int):
     scenario, grid, extras = _capacity_scenario(params)
     points, best = user_sweep(scenario, grid)
-    extras["optimum"] = best.to_record(scenario.m_antennas)
+    m = scenario.m_antennas
+    extras["optimum"] = dict(zip(_RATE_COLUMNS, (m, *_rate_values(best))))
     lines = [
         f"optimum: K={best.k_users}, pilot fraction {best.pilot_fraction:.4f}, "
         f"sum rate {best.sum_rate_bps / 1e12:.4f} Tbit/s"
     ]
-    return sweep_csv_text([(scenario.m_antennas, point) for point in points]), extras, lines
+    return (_RATE_COLUMNS, [(m, *_rate_values(point)) for point in points]), extras, lines
 
 
 def _run_antenna_sweep(params: dict, seed: int):
     scenario, grid, extras = _capacity_scenario(params)
-    rows = antenna_sweep(scenario, params["m_grid"], grid)
+    best = antenna_sweep(scenario, params["m_grid"], grid)
     lines = [
         f"M={m}: best sum rate {point.sum_rate_bps / 1e9:.3f} Gbit/s at K={point.k_users}"
-        for m, point in rows
+        for m, point in best
     ]
-    return sweep_csv_text(rows), extras, lines
+    return (_RATE_COLUMNS, [(m, *_rate_values(point)) for m, point in best]), extras, lines
 
 
 def _run_mobility(params: dict, seed: int):
-    reports = []
-    for mu in params["mu_list"]:
-        report = drift_bound_check(params["m_antennas"], mu, params["n_draws"], seed)
-        reports.append(report.to_record())
+    reports = [
+        asdict(drift_bound_check(params["m_antennas"], mu, params["n_draws"], seed))
+        for mu in params["mu_list"]
+    ]
     lines = [
         f"mu={r['mu']}: min gain {r['min_observed_gain']:.6f} vs bound {r['bound_gain']:.6f}"
         for r in reports
     ]
-    return _json_text({"reports": reports}), {"reports": reports}, lines
+    return {"reports": reports}, {"reports": reports}, lines
 
 
 def _run_fresnel(params: dict, seed: int):
     geometry = LinkGeometry(params["d1"], params["d2"], params["freq_ghz"] * 1e9)
     radius = fresnel_radius(geometry)
-    record = {
-        "frequency_hz": geometry.frequency_hz,
-        "d1_m": geometry.d1_m,
-        "d2_m": geometry.d2_m,
-        "radius_m": radius,
-    }
-    return _json_text(record), {"radius_m": radius}, [f"fresnel radius = {radius:.3f} m"]
+    record = {**asdict(geometry), "radius_m": radius}
+    return record, {"radius_m": radius}, [f"fresnel radius = {radius:.3f} m"]
 
 
 def _run_linkbudget(params: dict, seed: int):
@@ -282,45 +288,27 @@ def _run_linkbudget(params: dict, seed: int):
     entries += [(k.removeprefix("entry_"), v) for k, v in params.items() if k.startswith("entry_")]
     ledger = link_budget_ledger(entries)
     return (
-        _json_text(ledger),
+        ledger,
         {"total_db": ledger["total_db"]},
         [f"link budget total {ledger['total_db']:.2f} dB over {len(entries)} entries"],
     )
 
 
 def _run_estload(params: dict, seed: int):
-    spec = EstimationLoadSpec(
-        m_antennas=params["m_antennas"],
-        k_users=params["k_users"],
-        n_subcarriers=params["n_subcarriers"],
-        subcarriers_per_block=params["subcarriers_per_block"],
-        coherence_time_s=params["coherence_time_s"],
-    )
+    spec = EstimationLoadSpec(**params)  # the schema lists exactly the spec's fields
     report = estimation_load(spec)
-    record = {
-        "m_antennas": spec.m_antennas,
-        "k_users": spec.k_users,
-        "n_subcarriers": spec.n_subcarriers,
-        "subcarriers_per_block": spec.subcarriers_per_block,
-        "coherence_time_s": spec.coherence_time_s,
-        "n_coefficients": report.n_coefficients,
-        "estimates_per_second": report.estimates_per_second,
-    }
     lines = [
         f"{report.n_coefficients} coefficients, "
         f"{report.estimates_per_second:.3e} estimates/second"
     ]
-    return _json_text(record), {"n_coefficients": report.n_coefficients}, lines
+    record = {**asdict(spec), **asdict(report)}
+    return record, {"n_coefficients": report.n_coefficients}, lines
 
 
 def _run_hwbudget(params: dict, seed: int):
-    spec_a = AdcSpec(
-        params["fom_j_per_cs"], params["enob_a"], params["sample_rate_hz"],
-        params["overhead_factor"],
-    )
-    spec_b = AdcSpec(
-        params["fom_j_per_cs"], params["enob_b"], params["sample_rate_hz"],
-        params["overhead_factor"],
+    spec_a, spec_b = (
+        AdcSpec(params["fom_j_per_cs"], enob, params["sample_rate_hz"], params["overhead_factor"])
+        for enob in (params["enob_a"], params["enob_b"])
     )
     adc_a = budget_record("adc_array_a", params["n_converters_a"], adc_power(spec_a))
     adc_b = budget_record("adc_array_b", params["n_converters_b"], adc_power(spec_b))
@@ -341,21 +329,16 @@ def _run_hwbudget(params: dict, seed: int):
         f"ADC budget ratio (array A / array B) = {ratio}",
         f"PA DC total {pa['total_power_w']:.3f} W for {n_pa} antennas",
     ]
-    return _json_text(record), {"adc_power_ratio_a_over_b": ratio}, lines
+    return record, {"adc_power_ratio_a_over_b": ratio}, lines
 
 
-def _run_hardening(params: dict, seed: int):
-    value = hardening_metric(params["m_antennas"], params["n_draws"], seed)
-    record = metric_record(params["m_antennas"], params["n_draws"], seed, "hardening", value)
-    return _json_text(record), {"value": value}, [f"hardening metric = {value:.6f}"]
-
-
-def _run_favorable(params: dict, seed: int):
-    value = favorable_propagation_metric(params["m_antennas"], params["n_pairs"], seed)
-    record = metric_record(
-        params["m_antennas"], params["n_pairs"], seed, "favorable_propagation", value
-    )
-    return _json_text(record), {"value": value}, [f"favorable-propagation metric = {value:.6f}"]
+def _run_diagnostic(metric_name: str, count_key: str, params: dict, seed: int):
+    # looked up when called, so a rebound module global takes effect
+    metric = hardening_metric if metric_name == "hardening" else favorable_propagation_metric
+    value = metric(params["m_antennas"], params[count_key], seed)
+    record = metric_record(params["m_antennas"], params[count_key], seed, metric_name, value)
+    label = metric_name.replace("_", "-")
+    return record, {"value": value}, [f"{label} metric = {value:.6f}"]
 
 
 # ----------------------------------------------------------------------------
@@ -402,8 +385,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             "analog-beam efficiency across a band for the six-path 60 GHz scenario (CSV)",
             "csv",
             (
-                Param("rows", "int", 64, "vertical element count", min_value=1),
-                Param("cols", "int", 64, "horizontal element count", min_value=1),
+                # 4096 x 4096 elements already peak near 0.9 GB of memory
+                Param("rows", "int", 64, "vertical element count", min_value=1, max_value=4096),
+                Param("cols", "int", 64, "horizontal element count", min_value=1, max_value=4096),
                 Param("center_frequency_hz", "float", 60e9, "beam alignment frequency in Hz",
                       min_value=0, min_exclusive=True),
                 Param("span_hz", "float", 2e9, "total swept bandwidth in Hz",
@@ -522,7 +506,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 Param("m_antennas", "int", 100, "number of antennas", min_value=1),
                 Param("n_draws", "int", 10_000, "Monte-Carlo draws", min_value=2),
             ),
-            _run_hardening,
+            partial(_run_diagnostic, "hardening", "n_draws"),
         ),
         Experiment(
             "favorable",
@@ -535,7 +519,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 Param("m_antennas", "int", 100, "number of antennas", min_value=1),
                 Param("n_pairs", "int", 1000, "independent channel pairs", min_value=1),
             ),
-            _run_favorable,
+            partial(_run_diagnostic, "favorable_propagation", "n_pairs"),
         ),
     )
 }
@@ -563,9 +547,34 @@ def bundled_config_text(name: str) -> str:
 # output plumbing
 # ----------------------------------------------------------------------------
 
+def _check_finite(value, where: str) -> None:
+    """Raise ValueError naming the first NaN or infinite float in value by its place."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{where} is {value!r}, not a finite number")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{where}[{i}]")
+
+
 def _json_text(obj) -> str:
-    # allow_nan=False: a NaN or infinite result is a runtime failure, not output
+    _check_finite(obj, "")
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
+    lines = [",".join(header)]
+    # repr() keeps the shortest decimal that round-trips a double
+    lines += [",".join(map(repr, row)) for row in rows]
+    text = "\n".join(lines) + "\n"
+    # the repr of a finite int or float has no "n"; that of inf or nan has one
+    if text.find("n", len(lines[0])) >= 0:
+        for number, row in enumerate(rows, start=1):
+            for column, value in zip(header, row):
+                _check_finite(value, f"{column} in data row {number}")
+    return text
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -641,9 +650,8 @@ def _load_config(source: str) -> dict[str, str]:
     raise ValidationError("config", f"no such file or bundled config: {source!r}")
 
 
-def run(config: dict[str, str], output_override: str | None = None,
-        seed_override: int | None = None) -> int:
-    """Execute one resolved configuration; prints outcomes, returns exit code."""
+def run(config: dict[str, str]) -> int:
+    """Run one configuration, check and write its files; returns the exit code."""
     config = dict(config)
     experiment_name = config.pop("experiment", None)
     if experiment_name is None:
@@ -654,31 +662,25 @@ def run(config: dict[str, str], output_override: str | None = None,
         return EXIT_VALIDATION
 
     exp = EXPERIMENTS[experiment_name]
-    seed_text = config.pop("seed", None)
     seed = DEFAULT_SEED
-    if seed_text is not None:
-        seed = coerce_value(Param("seed", "int", DEFAULT_SEED, "seed"), "seed", seed_text)
-    if seed_override is not None:
-        seed = seed_override
-    output = config.pop("output", None)
-    if output_override is not None:
-        output = output_override
-    if output is None:
-        output = f"{exp.name}.{exp.output_ext}"
+    if "seed" in config:
+        seed = coerce_value(Param("seed", "int", DEFAULT_SEED, "seed"), "seed", config.pop("seed"))
+    output = config.pop("output", f"{exp.name}.{exp.output_ext}")
 
     params = _resolve_params(exp, config)
 
     try:
-        text, extras, stdout_lines = exp.runner(params, seed)
+        data, results, stdout_lines = exp.runner(params, seed)
+        text = _csv_text(*data) if exp.output_ext == "csv" else _json_text(data)
         manifest = _json_text({
             "artifact_version": __version__,
             "experiment": exp.name,
             "seed": seed,
             "parameters": params,
-            "results": extras,
+            "results": results,
             "output": output,
         })
-    except (ValueError, ArithmeticError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError:
@@ -700,10 +702,7 @@ def main(argv: list[str] | None = None) -> int:
         print(USAGE)
         return EXIT_OK
 
-    experiment = None
     config_source = None
-    output = None
-    seed = None
     overrides: list[tuple[str, str]] = []
     positionals: list[str] = []
 
@@ -725,16 +724,6 @@ def main(argv: list[str] | None = None) -> int:
             if arg == "--config":
                 config_source = take_value(arg, i)
                 i += 2
-            elif arg == "--experiment":
-                experiment = take_value(arg, i)
-                i += 2
-            elif arg == "--output":
-                output = take_value(arg, i)
-                i += 2
-            elif arg == "--seed":
-                seed_param = Param("seed", "int", DEFAULT_SEED, "seed")
-                seed = coerce_value(seed_param, "seed", take_value(arg, i))
-                i += 2
             elif arg == "--set":
                 pair = take_value(arg, i)
                 if "=" not in pair:
@@ -743,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
                 overrides.append((key.strip(), value.strip()))
                 i += 2
             elif arg.startswith("--"):
-                # convenience passthrough: --freq-ghz 38 == --set freq_ghz=38
+                # passthrough: --freq-ghz 38 == --set freq_ghz=38, --seed 7 == --set seed=7
                 key = arg[2:].replace("-", "_")
                 overrides.append((key, take_value(arg, i)))
                 i += 2
@@ -758,19 +747,17 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         if len(positionals) > 1:
             raise ConfigParseError(0, 0, f"unexpected arguments: {positionals[1:]}")
-        if positionals:
-            experiment = positionals[0]
 
         config = _load_config(config_source) if config_source else {}
-        if experiment is not None:
-            config["experiment"] = experiment
+        if positionals:
+            config["experiment"] = positionals[0]
         for key, value in overrides:
             config[key] = value
         if "experiment" not in config:
             print(USAGE)
             print("error: no experiment selected", file=sys.stderr)
             return EXIT_VALIDATION
-        return run(config, output_override=output, seed_override=seed)
+        return run(config)
     except ConfigParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

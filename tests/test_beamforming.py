@@ -290,17 +290,6 @@ def test_sweep_argument_validation():
         squint_sweep(arr, chan, 1e9, 4e9, 10)  # band reaches nonpositive frequencies
 
 
-def test_squint_curve_csv_roundtrip():
-    curve = squint_sweep(sixpath_array(32), sixpath_channel(42), SIXPATH_CENTER_HZ, 400e6, 5)
-    text = curve.csv_text()
-    lines = text.strip().split("\n")
-    assert lines[0] == "frequency_hz,efficiency"
-    assert len(lines) == 6
-    for row, f, e in zip(lines[1:], curve.frequencies_hz, curve.efficiency):
-        fs, es = row.split(",")
-        assert float(fs) == f and float(es) == e  # full double precision survives
-
-
 def test_squint_curve_validation():
     with pytest.raises(ValueError):
         SquintCurve(np.array([1.0, 1.0]), np.array([0.5, 0.5]))

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from mimolab import __version__
+from mimolab.beamforming import squint_sweep
+from mimolab.capacity import k_range, user_sweep
 from mimolab.cli import (
     BUNDLED_CONFIGS,
     EXPERIMENTS,
@@ -14,6 +16,7 @@ from mimolab.cli import (
     main,
     parse_config_text,
 )
+from mimolab.scenarios import SIXPATH_CENTER_HZ, centralpark_3ghz, sixpath_array, sixpath_channel
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -76,10 +79,19 @@ def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
     assert "freq_ghz" in capsys.readouterr().err
 
 
-def test_out_of_range_value_is_validation_error(tmp_path, monkeypatch, capsys):
-    code = run_cli(["squint", "--set", "n_points=1"], tmp_path, monkeypatch)
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["squint", "--set", "n_points=1"], "n_points"),
+        # past the bound that keeps the center channel vector within memory
+        (["squint", "--rows", "20000"], "rows"),
+    ],
+)
+def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
+    code = run_cli(args, tmp_path, monkeypatch)
     assert code == 3
-    assert "n_points" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_config_file(tmp_path, monkeypatch, capsys):
@@ -134,18 +146,32 @@ def test_non_finite_value_is_validation_error(args, field, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+# the first non-finite quantity each experiment's failure below must name
+NON_FINITE_QUANTITY = {
+    "fresnel": "radius_m",
+    "estload": "estimates_per_second",
+    "capacity": "rate_per_ue_bps",
+    "antenna-sweep": "rate_per_ue_bps",  # only in CSV rows; the manifest stays finite
+    "hwbudget": "adc_a.unit_power_w",
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
         ["fresnel", "--d1", "1e308", "--d2", "1e308"],
         ["estload", "--m-antennas", "1000000000000000000000", "--coherence-time-s", "1e-320"],
         ["capacity", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
+        ["antenna-sweep", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
+        ["hwbudget", "--fom-j-per-cs", "1e300", "--enob-a", "1000"],
     ],
 )
 def test_non_finite_result_is_runtime_failure(args, tmp_path, monkeypatch, capsys):
     code = run_cli(args + ["--output", "out.txt"], tmp_path, monkeypatch)
+    err = capsys.readouterr().err
     assert code == 4
-    assert "runtime failure" in capsys.readouterr().err
+    assert "runtime failure" in err
+    assert NON_FINITE_QUANTITY[args[0]] in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -316,6 +342,39 @@ def test_antenna_sweep_run(tmp_path, monkeypatch):
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "100"
     assert lines[2].split(",")[0] == "1000"
+
+
+def _squint_rows():
+    curve = squint_sweep(sixpath_array(32), sixpath_channel(42), SIXPATH_CENTER_HZ, 400e6, 5)
+    return [list(row) for row in zip(curve.frequencies_hz.tolist(), curve.efficiency.tolist())]
+
+
+def _capacity_rows():
+    sc = centralpark_3ghz()
+    points, _ = user_sweep(sc, k_range(sc.block.samples, k_step=1000))
+    return [
+        [sc.m_antennas, p.k_users, p.pilot_fraction, p.se_per_ue, p.rate_per_ue_bps,
+         p.sum_rate_bps]
+        for p in points
+    ]
+
+
+@pytest.mark.parametrize(
+    "args, expected_rows",
+    [
+        (["--config", "fig4_32x32", "--n-points", "5", "--span-hz", "400e6"], _squint_rows),
+        (["--config", "centralpark_3ghz", "--k-step", "1000"], _capacity_rows),
+    ],
+    ids=["squint", "capacity"],
+)
+def test_csv_values_round_trip_exactly(args, expected_rows, tmp_path, monkeypatch):
+    assert run_cli(args + ["--output", "out.csv"], tmp_path, monkeypatch) == 0
+    lines = (tmp_path / "out.csv").read_text().splitlines()
+    # ints stay ints and every float parses back to the very double computed
+    rows = [[int(x) if x.isdigit() else float(x) for x in line.split(",")] for line in lines[1:]]
+    expected = expected_rows()
+    assert rows == expected
+    assert [[type(x) for x in row] for row in rows] == [[type(x) for x in row] for row in expected]
 
 
 def test_squint_32_center_value_from_bundled_config(tmp_path, monkeypatch):
