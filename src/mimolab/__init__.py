@@ -2,7 +2,7 @@
 
 Covers frequency-dependent planar-array responses and beam squint, analog/
 hybrid/digital beamformer efficiency, statistical channel diagnostics and
-the mobility drift bound, Fresnel/Friis link arithmetic, coherence-block
+the mobility drift bound, Fresnel link arithmetic, coherence-block
 capacity with closed-form MRT rates, and ADC/PA power budgets.  Every
 randomized quantity is reproducible from an explicit 64-bit seed.
 """

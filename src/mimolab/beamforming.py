@@ -200,8 +200,7 @@ def squint_sweep(
     paths * rows * cols, and the working arrays are bounded by the batch
     size rather than n_points.  The result agrees with
     efficiency(w, channel_vector(array, channel, f)) to about 1e-14
-    relative: exp(a)*exp(b) and exp(a+b) round differently, and so does
-    the changed summation order.
+    relative, the rounding of the changed summation order.
     """
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")

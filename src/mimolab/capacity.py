@@ -29,7 +29,7 @@ class CoherenceBlock:
     coherence_bandwidth_hz: float
 
     def __post_init__(self):
-        if self.coherence_time_s <= 0 or self.coherence_bandwidth_hz <= 0:
+        if not (self.coherence_time_s > 0 and self.coherence_bandwidth_hz > 0):
             raise ValueError("coherence time and bandwidth must be positive")
         if self.samples < 1:
             raise ValueError("a coherence block must contain at least one sample")
@@ -50,11 +50,11 @@ class CapacityScenario:
     block: CoherenceBlock
 
     def __post_init__(self):
-        if self.carrier_hz <= 0 or self.bandwidth_hz <= 0:
+        if not (self.carrier_hz > 0 and self.bandwidth_hz > 0):
             raise ValueError("carrier and bandwidth must be positive")
-        if self.m_antennas < 1:
+        if not self.m_antennas >= 1:
             raise ValueError(f"m_antennas must be at least 1, got {self.m_antennas}")
-        if self.ul_pilot_snr_linear <= 0 or self.dl_ul_power_ratio <= 0:
+        if not (self.ul_pilot_snr_linear > 0 and self.dl_ul_power_ratio > 0):
             raise ValueError("SNR and power ratio must be positive")
 
     @property
@@ -75,9 +75,9 @@ class RatePoint:
 
 def estimation_quality(tau_p: int, rho_ul: float) -> float:
     """MMSE channel-estimate quality tau_p*rho / (1 + tau_p*rho), in [0, 1)."""
-    if tau_p < 1:
+    if not tau_p >= 1:
         raise ValueError(f"tau_p must be at least 1, got {tau_p}")
-    if rho_ul <= 0:
+    if not rho_ul > 0:
         raise ValueError(f"rho_ul must be positive, got {rho_ul}")
     x = tau_p * rho_ul
     return x / (1.0 + x)

@@ -31,12 +31,6 @@ def _check_antennas(m_antennas: int) -> None:
         raise ValueError(f"m_antennas must be at least 1, got {m_antennas}")
 
 
-def sample_channel(m_antennas: int, seed: int) -> np.ndarray:
-    """One i.i.d. CN(0, 1) channel vector; identical output for identical arguments."""
-    _check_antennas(m_antennas)
-    return RandomStream(seed).complex_normal(m_antennas)
-
-
 def hardening_metric(m_antennas: int, n_draws: int, seed: int) -> float:
     """Sample std(||h||^2) / mean(||h||^2) over seed-derived i.i.d. Rayleigh draws."""
     _check_antennas(m_antennas)
@@ -87,33 +81,13 @@ def metric_record(
     }
 
 
-@dataclass(frozen=True, eq=False)
-class DriftScenario:
-    """Per-antenna phase drifts phi_m (in wavelengths), all within +/- mu."""
+def drift_gain(phase_fractions: np.ndarray) -> float:
+    """Beamforming gain left after drift: |sum_m exp(j*2*pi*phi_m)|^2 / M.
 
-    m_antennas: int
-    mu: float
-    phase_fractions: np.ndarray
-
-    def __post_init__(self):
-        _check_antennas(self.m_antennas)
-        if not 0.0 <= self.mu <= MAX_DRIFT_FRACTION:
-            raise ValueError(f"mu must lie in [0, 1/8], got {self.mu}")
-        phi = np.asarray(self.phase_fractions, dtype=float)
-        if phi.size != self.m_antennas:
-            raise ValueError(
-                f"need one phase fraction per antenna ({self.m_antennas}), got {phi.size}"
-            )
-        if np.any(np.abs(phi) > self.mu):
-            raise ValueError("every |phase fraction| must be <= mu")
-        phi.setflags(write=False)
-        object.__setattr__(self, "phase_fractions", phi)
-
-
-def drift_gain(scenario: DriftScenario) -> float:
-    """Beamforming gain left after drift: |sum_m exp(j*2*pi*phi_m)|^2 / M."""
-    z = np.exp(2j * np.pi * scenario.phase_fractions).sum()
-    return float(abs(z) ** 2 / scenario.m_antennas)
+    ``phase_fractions`` holds the per-antenna drifts phi_m in wavelengths.
+    """
+    z = np.exp(2j * np.pi * phase_fractions).sum()
+    return float(abs(z) ** 2 / phase_fractions.size)
 
 
 @dataclass(frozen=True)
@@ -169,7 +143,7 @@ def drift_bound_check(
     alternating = np.where(np.arange(m_antennas) % 2 == 0, mu, -mu)
     extremes += [alternating, -alternating]
     for phi in extremes:
-        min_observed = min(min_observed, drift_gain(DriftScenario(m_antennas, mu, phi)))
+        min_observed = min(min_observed, drift_gain(phi))
 
     bound = m_antennas * math.cos(2.0 * math.pi * mu) ** 2
     holds = min_observed >= bound * (1.0 - 1e-12)

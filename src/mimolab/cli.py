@@ -385,7 +385,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "analog-beam efficiency across a band for the six-path 60 GHz scenario (CSV)",
             "csv",
             (
-                # 4096 x 4096 elements already peak near 0.9 GB of memory
+                # 4096 x 4096 elements already peak near 0.8 GB of memory
                 Param("rows", "int", 64, "vertical element count", min_value=1, max_value=4096),
                 Param("cols", "int", 64, "horizontal element count", min_value=1, max_value=4096),
                 Param("center_frequency_hz", "float", 60e9, "beam alignment frequency in Hz",

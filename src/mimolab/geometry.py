@@ -86,26 +86,6 @@ class PlanarArray:
         return cls(rows, cols, SPEED_OF_LIGHT_M_S / (2.0 * frequency_hz), frequency_hz)
 
 
-@dataclass(frozen=True, eq=False)
-class ArrayResponse:
-    """Unit-modulus response entries of one array at one frequency."""
-
-    entries: np.ndarray
-    frequency_hz: float
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if not self.frequency_hz > 0:
-            raise ValueError(f"frequency_hz must be positive, got {self.frequency_hz}")
-        if not np.max(np.abs(np.abs(entries) - 1.0)) <= 1e-12:
-            raise ValueError("array response entries must have unit magnitude")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    def __len__(self) -> int:
-        return self.entries.size
-
-
 @dataclass(frozen=True)
 class Path:
     """One propagation path: frequency-flat complex gain plus a direction."""
@@ -131,35 +111,6 @@ class MultipathChannel:
             raise ValueError("total path power must be positive")
         object.__setattr__(self, "paths", paths)
 
-    @property
-    def total_power(self) -> float:
-        return sum(abs(p.gain) ** 2 for p in self.paths)
-
-
-def array_response(array: PlanarArray, direction: Direction, frequency_hz: float) -> ArrayResponse:
-    """Response of ``array`` toward ``direction`` evaluated at ``frequency_hz``.
-
-    Entry for grid position (m, n) is exp(j*2*pi*(f/c)*spacing*(n*k_h + m*k_v))
-    with the grid flattened row-major.  Purely deterministic.
-    """
-    if not frequency_hz > 0:
-        raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
-    k_h, k_v = direction.cosines()
-    m = np.arange(array.rows)[:, None]
-    n = np.arange(array.cols)[None, :]
-    phase = 2.0 * np.pi * (frequency_hz / SPEED_OF_LIGHT_M_S) * array.spacing_m * (
-        n * k_h + m * k_v
-    )
-    return ArrayResponse(np.exp(1j * phase).ravel(), frequency_hz)
-
-
-def channel_vector(array: PlanarArray, channel: MultipathChannel, frequency_hz: float) -> np.ndarray:
-    """Channel vector h(f) = sum of gain_l * response(direction_l, f) over paths."""
-    h = np.zeros(array.num_elements, dtype=complex)
-    for path in channel.paths:
-        h += path.gain * array_response(array, path.direction, frequency_hz).entries
-    return h
-
 
 def steering_factors(
     array: PlanarArray, channel: MultipathChannel, frequencies_hz: np.ndarray
@@ -168,10 +119,9 @@ def steering_factors(
 
     The planar response is separable: with s = 2*pi*(f/c)*spacing, entry
     (m, n) is a_v[m] * a_h[n] for a_v[m] = exp(j*s*m*k_v) and
-    a_h[n] = exp(j*s*n*k_h), so the row-major response of ``array_response``
-    equals np.kron(a_v, a_h) up to last-ulp rounding (exp(a)*exp(b) against
-    exp(a+b)).  Returns a_v with shape (paths, frequencies, rows) and a_h
-    with shape (paths, frequencies, cols), both checked for unit modulus.
+    a_h[n] = exp(j*s*n*k_h), and the row-major response is np.kron(a_v, a_h).
+    Returns a_v with shape (paths, frequencies, rows) and a_h with shape
+    (paths, frequencies, cols), both checked for unit modulus.
     """
     freqs = np.asarray(frequencies_hz, dtype=float)
     if not np.all(freqs > 0):
@@ -181,6 +131,18 @@ def steering_factors(
     a_v = np.exp(1j * (scale * (np.arange(array.rows) * k_v[:, None, None])))
     a_h = np.exp(1j * (scale * (np.arange(array.cols) * k_h[:, None, None])))
     for factor in (a_v, a_h):
-        if np.max(np.abs(np.abs(factor) - 1.0)) > 1e-12:
+        if not np.max(np.abs(np.abs(factor) - 1.0)) <= 1e-12:
             raise ValueError("array response entries must have unit magnitude")
     return a_v, a_h
+
+
+def channel_vector(array: PlanarArray, channel: MultipathChannel, frequency_hz: float) -> np.ndarray:
+    """Channel vector h(f) = sum of gain_l * response(direction_l, f) over paths.
+
+    Entry (m, n) is sum_l g_l a_v,l[m] a_h,l[n] with the factors of
+    ``steering_factors`` at the single frequency: one (rows x paths) by
+    (paths x cols) product, flattened row-major.
+    """
+    a_v, a_h = steering_factors(array, channel, np.array([frequency_hz]))
+    gains = np.array([path.gain for path in channel.paths])
+    return ((gains[:, None] * a_v[:, 0]).T @ a_h[:, 0]).ravel()

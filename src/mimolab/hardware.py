@@ -23,26 +23,14 @@ class AdcSpec:
     overhead_factor: float = 1.0
 
     def __post_init__(self):
-        if self.fom_j_per_cs <= 0:
+        if not self.fom_j_per_cs > 0:
             raise ValueError(f"fom_j_per_cs must be positive, got {self.fom_j_per_cs}")
-        if self.enob < 1:
+        if not self.enob >= 1:
             raise ValueError(f"enob must be at least 1, got {self.enob}")
-        if self.sample_rate_hz <= 0:
+        if not self.sample_rate_hz > 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         if not 1.0 <= self.overhead_factor <= 10.0:
             raise ValueError(f"overhead_factor must lie in [1, 10], got {self.overhead_factor}")
-
-
-@dataclass(frozen=True)
-class PaSpec:
-    avg_output_power_w: float
-    pae_fraction: float
-
-    def __post_init__(self):
-        if self.avg_output_power_w <= 0:
-            raise ValueError(f"avg_output_power_w must be positive, got {self.avg_output_power_w}")
-        if not 0.0 < self.pae_fraction < 1.0:
-            raise ValueError(f"pae_fraction must lie in (0, 1), got {self.pae_fraction}")
 
 
 def adc_power(spec: AdcSpec) -> float:
@@ -51,14 +39,9 @@ def adc_power(spec: AdcSpec) -> float:
 
 
 def adc_array_budget(n_converters: int, spec: AdcSpec) -> float:
-    if n_converters < 1:
+    if not n_converters >= 1:
         raise ValueError(f"n_converters must be at least 1, got {n_converters}")
     return n_converters * adc_power(spec)
-
-
-def pa_dc_power(spec: PaSpec) -> float:
-    """DC power drawn for the average output level, output / PAE."""
-    return spec.avg_output_power_w / spec.pae_fraction
 
 
 def array_pa_budget(n_antennas: int, total_radiated_power_w: float, pae_fraction: float) -> float:
@@ -67,12 +50,13 @@ def array_pa_budget(n_antennas: int, total_radiated_power_w: float, pae_fraction
     Per-antenna output is total/n, so the total DC power total/pae is
     invariant in n while the per-antenna requirement falls as 1/n.
     """
-    if n_antennas < 1:
+    if not n_antennas >= 1:
         raise ValueError(f"n_antennas must be at least 1, got {n_antennas}")
-    if total_radiated_power_w <= 0:
+    if not total_radiated_power_w > 0:
         raise ValueError(f"total_radiated_power_w must be positive, got {total_radiated_power_w}")
-    per_antenna = PaSpec(total_radiated_power_w / n_antennas, pae_fraction)
-    return n_antennas * pa_dc_power(per_antenna)
+    if not 0.0 < pae_fraction < 1.0:
+        raise ValueError(f"pae_fraction must lie in (0, 1), got {pae_fraction}")
+    return n_antennas * (total_radiated_power_w / n_antennas / pae_fraction)
 
 
 def budget_record(component: str, count: int, unit_power_w: float) -> dict:

@@ -1,16 +1,15 @@
 """Closed-form propagation arithmetic and the channel-estimation load model.
 
-Nothing here is stochastic: Fresnel clearance, Friis received power under
-fixed-gain versus fixed-area antennas, the link-budget delta from widening
-the noise bandwidth, and the count of channel coefficients a base station
-must estimate per coherence interval.
+Nothing here is stochastic: Fresnel clearance, the link-budget delta from
+widening the noise bandwidth, and the count of channel coefficients a base
+station must estimate per coherence interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .geometry import SPEED_OF_LIGHT_M_S
 
@@ -26,39 +25,14 @@ class LinkGeometry:
     def __post_init__(self):
         if self.d1_m < 0 or self.d2_m < 0:
             raise ValueError(f"distances must be nonnegative, got {self.d1_m}, {self.d2_m}")
-        if self.d1_m + self.d2_m <= 0:
+        if not self.d1_m + self.d2_m > 0:
             raise ValueError("link length d1 + d2 must be positive")
-        if self.frequency_hz <= 0:
+        if not self.frequency_hz > 0:
             raise ValueError(f"frequency_hz must be positive, got {self.frequency_hz}")
 
 
-@dataclass(frozen=True)
-class FixedGain:
-    """Antenna with frequency-independent gain (effective area shrinks as lambda^2)."""
-
-    gain_linear: float
-
-    def __post_init__(self):
-        if self.gain_linear <= 0:
-            raise ValueError(f"gain_linear must be positive, got {self.gain_linear}")
-
-
-@dataclass(frozen=True)
-class FixedArea:
-    """Antenna with fixed effective area (gain grows as lambda^-2)."""
-
-    area_m2: float
-
-    def __post_init__(self):
-        if self.area_m2 <= 0:
-            raise ValueError(f"area_m2 must be positive, got {self.area_m2}")
-
-
-AntennaSpec = Union[FixedGain, FixedArea]
-
-
 def wavelength_m(frequency_hz: float) -> float:
-    if frequency_hz <= 0:
+    if not frequency_hz > 0:
         raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
     return SPEED_OF_LIGHT_M_S / frequency_hz
 
@@ -69,38 +43,13 @@ def fresnel_radius(geometry: LinkGeometry) -> float:
     return math.sqrt(lam * geometry.d1_m * geometry.d2_m / (geometry.d1_m + geometry.d2_m))
 
 
-def _gain(spec: AntennaSpec, lam: float) -> float:
-    if isinstance(spec, FixedGain):
-        return spec.gain_linear
-    return 4.0 * math.pi * spec.area_m2 / lam**2
-
-
-def friis_rx_power(
-    p_tx_w: float,
-    tx: AntennaSpec,
-    rx: AntennaSpec,
-    distance_m: float,
-    frequency_hz: float,
-) -> float:
-    """Free-space received power P_t * G_t * G_r * (lambda / (4*pi*d))^2.
-
-    Far field is assumed, not checked.  Fixed-area antennas contribute
-    G = 4*pi*A/lambda^2, so with fixed-area hardware at both ends the
-    received power grows as lambda^-2 instead of falling.
-    """
-    if distance_m <= 0:
-        raise ValueError(f"distance_m must be positive, got {distance_m}")
-    lam = wavelength_m(frequency_hz)
-    return p_tx_w * _gain(tx, lam) * _gain(rx, lam) * (lam / (4.0 * math.pi * distance_m)) ** 2
-
-
 def bandwidth_snr_delta(bandwidth_ratio: float) -> float:
     """Link-budget change in dB from widening the noise bandwidth by ``ratio``.
 
     Transmit power held fixed, thermal noise scales with bandwidth:
     -10*log10(ratio), so 10x bandwidth costs 10 dB.
     """
-    if bandwidth_ratio < 1:
+    if not bandwidth_ratio >= 1:
         raise ValueError(f"bandwidth_ratio must be >= 1, got {bandwidth_ratio}")
     return -10.0 * math.log10(bandwidth_ratio)
 
@@ -117,11 +66,11 @@ class EstimationLoadSpec:
 
     def __post_init__(self):
         for name in ("m_antennas", "k_users", "n_subcarriers", "subcarriers_per_block"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be a positive integer")
         if self.subcarriers_per_block > self.n_subcarriers:
             raise ValueError("subcarriers_per_block cannot exceed n_subcarriers")
-        if self.coherence_time_s <= 0:
+        if not self.coherence_time_s > 0:
             raise ValueError(f"coherence_time_s must be positive, got {self.coherence_time_s}")
 
 

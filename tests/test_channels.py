@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolab.channels import (
-    DriftScenario,
     _random_drift_gains,
     drift_bound_check,
     drift_gain,
@@ -15,7 +14,6 @@ from mimolab.channels import (
     hardening_metric,
     metric_record,
     pair_correlation,
-    sample_channel,
 )
 from mimolab.rng import RandomStream, derive_seed
 
@@ -61,16 +59,17 @@ def test_complex_normal_unit_variance():
 # ---------------------------------------------------------------------------
 
 def test_same_spec_gives_identical_vectors():
-    assert np.array_equal(sample_channel(64, 42), sample_channel(64, 42))
+    assert np.array_equal(RandomStream(42).complex_normal(64), RandomStream(42).complex_normal(64))
 
 
 def test_distinct_seeds_give_distinct_vectors():
-    assert not np.array_equal(sample_channel(64, 1), sample_channel(64, 2))
+    h_1, h_2 = RandomStream(1).complex_normal(64), RandomStream(2).complex_normal(64)
+    assert not np.array_equal(h_1, h_2)
 
 
 def test_mean_channel_power_matches_antenna_count():
     m = 10_000
-    draws = [sample_channel(m, derive_seed(9, i)) for i in range(100)]
+    draws = [RandomStream(derive_seed(9, i)).complex_normal(m) for i in range(100)]
     ratio = np.mean([np.vdot(h, h).real / m for h in draws])
     assert 0.98 <= ratio <= 1.02
 
@@ -112,7 +111,7 @@ def test_hardening_needs_two_draws():
 # ---------------------------------------------------------------------------
 
 def test_pair_correlation_identity_and_orthogonality():
-    h = sample_channel(32, 42)
+    h = RandomStream(42).complex_normal(32)
     assert pair_correlation(h, h) == pytest.approx(1.0, abs=1e-12)
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0j], dtype=complex)
@@ -133,12 +132,11 @@ def test_favorable_metric_needs_one_pair():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: sample_channel(0, 42),
         lambda: hardening_metric(0, 10, 42),
         lambda: favorable_propagation_metric(0, 10, 42),
         lambda: metric_record(0, 10, 42, "hardening", 0.1),
     ],
-    ids=["sample_channel", "hardening_metric", "favorable_propagation_metric", "metric_record"],
+    ids=["hardening_metric", "favorable_propagation_metric", "metric_record"],
 )
 def test_random_channel_functions_need_an_antenna(call):
     with pytest.raises(ValueError, match="m_antennas"):
@@ -162,19 +160,17 @@ def test_metric_record_shape():
 # ---------------------------------------------------------------------------
 
 def test_drift_gain_no_movement():
-    s = DriftScenario(16, 0.0, np.zeros(16))
-    assert drift_gain(s) == pytest.approx(16.0, rel=1e-12)
+    assert drift_gain(np.zeros(16)) == pytest.approx(16.0, rel=1e-12)
 
 
 def test_drift_gain_common_phase_is_invariant():
-    s = DriftScenario(16, 0.125, np.full(16, 0.125))
-    assert drift_gain(s) == pytest.approx(16.0, rel=1e-12)
+    assert drift_gain(np.full(16, 0.125)) == pytest.approx(16.0, rel=1e-12)
 
 
 def test_drift_gain_alternating_worst_case_is_half():
     m = 64
     phi = np.where(np.arange(m) % 2 == 0, 0.125, -0.125)
-    assert drift_gain(DriftScenario(m, 0.125, phi)) == pytest.approx(m / 2, rel=1e-12)
+    assert drift_gain(phi) == pytest.approx(m / 2, rel=1e-12)
 
 
 @settings(max_examples=200)
@@ -185,7 +181,7 @@ def test_drift_gain_alternating_worst_case_is_half():
 )
 def test_drift_gain_bounded_by_m_and_by_cos_bound(m, mu, seed):
     phi = RandomStream(seed).uniform(m, -mu, mu)
-    gain = drift_gain(DriftScenario(m, mu, phi))
+    gain = drift_gain(phi)
     assert gain <= m * (1 + 1e-12)
     assert gain >= m * math.cos(2 * math.pi * mu) ** 2 * (1 - 1e-12)
 
@@ -196,7 +192,7 @@ def test_drift_bound_exhaustive_sign_patterns(m):
     bound = m * math.cos(2 * math.pi * mu) ** 2
     for mask in range(2**m):
         phi = np.array([mu if (mask >> i) & 1 else -mu for i in range(m)])
-        assert drift_gain(DriftScenario(m, mu, phi)) >= bound * (1 - 1e-12)
+        assert drift_gain(phi) >= bound * (1 - 1e-12)
 
 
 def test_drift_bound_check_zero_mu():
@@ -246,11 +242,3 @@ def test_drift_bound_check_rejects_large_mu():
     with pytest.raises(ValueError):
         drift_bound_check(64, 0.2, 10, 42)
 
-
-def test_drift_scenario_validation():
-    with pytest.raises(ValueError):
-        DriftScenario(4, 0.2, np.zeros(4))
-    with pytest.raises(ValueError):
-        DriftScenario(4, 0.1, np.full(4, 0.2))
-    with pytest.raises(ValueError):
-        DriftScenario(4, 0.1, np.zeros(3))

@@ -4,12 +4,10 @@ from hypothesis import strategies as st
 
 from mimolab.hardware import (
     AdcSpec,
-    PaSpec,
     adc_array_budget,
     adc_power,
     array_pa_budget,
     budget_record,
-    pa_dc_power,
 )
 
 
@@ -55,19 +53,19 @@ def test_single_converter_budget():
 
 
 def test_pa_dc_power_values():
-    assert pa_dc_power(PaSpec(0.25, 0.18)) == pytest.approx(1.389, abs=1e-3)
-    assert pa_dc_power(PaSpec(0.25, 0.10)) == pytest.approx(2.5, rel=1e-12)
+    assert array_pa_budget(1, 0.25, 0.18) == pytest.approx(1.389, abs=1e-3)
+    assert array_pa_budget(1, 0.25, 0.10) == pytest.approx(2.5, rel=1e-12)
 
 
 def test_pa_ideal_efficiency_limit():
     # pae_fraction is open at 1; approach it instead
-    assert pa_dc_power(PaSpec(0.25, 1 - 1e-12)) == pytest.approx(0.25, rel=1e-9)
+    assert array_pa_budget(1, 0.25, 1 - 1e-12) == pytest.approx(0.25, rel=1e-9)
 
 
 @settings(max_examples=60)
-@given(p=st.floats(1e-3, 100.0), pae=st.floats(0.01, 0.99))
-def test_pa_dc_never_below_output(p, pae):
-    assert pa_dc_power(PaSpec(p, pae)) >= p
+@given(n=st.integers(1, 4096), p=st.floats(1e-3, 100.0), pae=st.floats(0.01, 0.99))
+def test_pa_dc_never_below_output(n, p, pae):
+    assert array_pa_budget(n, p, pae) >= p
 
 
 def test_array_pa_budget_invariant_in_antenna_count():
@@ -78,8 +76,10 @@ def test_array_pa_budget_invariant_in_antenna_count():
 
 
 def test_per_antenna_output_drops_with_array_size():
-    # the per-PA spec feeding the budget sees total/n watts at its output
-    assert PaSpec(1.0 / 100, 0.18).avg_output_power_w == pytest.approx(0.01)
+    # each of the n PAs radiates total/n watts and draws (total/n)/pae
+    assert array_pa_budget(100, 1.0, 0.18) / 100 == pytest.approx(
+        array_pa_budget(1, 0.01, 0.18), rel=1e-12
+    )
 
 
 def test_budget_record_shape():
@@ -100,6 +100,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         AdcSpec(30e-15, 5, 1e8, 11.0)
     with pytest.raises(ValueError):
-        PaSpec(0.25, 1.0)
+        array_pa_budget(4, 1.0, 1.0)
     with pytest.raises(ValueError):
         array_pa_budget(0, 1.0, 0.18)

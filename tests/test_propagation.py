@@ -1,21 +1,21 @@
-import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimolab.capacity import estimation_quality
+from mimolab.hardware import AdcSpec, array_pa_budget
 from mimolab.propagation import (
     EstimationLoadSpec,
-    FixedArea,
-    FixedGain,
     LinkGeometry,
     bandwidth_snr_delta,
     estimation_load,
     fresnel_radius,
-    friis_rx_power,
     link_budget_ledger,
     wavelength_m,
 )
+from mimolab.scenarios import centralpark_3ghz
 
 pos = st.floats(1.0, 1e4)
 
@@ -60,67 +60,6 @@ def test_link_geometry_validation():
         LinkGeometry(0.0, 0.0, 1e9)
     with pytest.raises(ValueError):
         LinkGeometry(10.0, 10.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Friis
-# ---------------------------------------------------------------------------
-
-def test_fixed_gain_power_falls_with_wavelength_squared():
-    tx, rx = FixedGain(10.0), FixedGain(10.0)
-    p1 = friis_rx_power(1.0, tx, rx, 100.0, 30e9)
-    p2 = friis_rx_power(1.0, tx, rx, 100.0, 60e9)  # lambda halved
-    assert p1 / p2 == pytest.approx(4.0, rel=1e-12)
-
-
-def test_mixed_antennas_cancel_wavelength():
-    tx, rx = FixedArea(0.01), FixedGain(10.0)
-    p1 = friis_rx_power(1.0, tx, rx, 100.0, 3e9)
-    p2 = friis_rx_power(1.0, tx, rx, 100.0, 60e9)
-    assert p1 == pytest.approx(p2, rel=1e-12)
-
-
-def test_fixed_area_power_grows_with_frequency_squared():
-    tx, rx = FixedArea(0.01), FixedArea(0.01)
-    p1 = friis_rx_power(1.0, tx, rx, 100.0, 30e9)
-    p2 = friis_rx_power(1.0, tx, rx, 100.0, 60e9)
-    assert p2 / p1 == pytest.approx(4.0, rel=1e-12)
-
-
-@settings(max_examples=60)
-@given(d=pos, f=st.floats(1e9, 1e11))
-def test_friis_exact_inverse_square_in_distance(d, f):
-    for tx, rx in [
-        (FixedGain(3.0), FixedGain(5.0)),
-        (FixedArea(0.02), FixedGain(5.0)),
-        (FixedArea(0.02), FixedArea(0.5)),
-    ]:
-        near = friis_rx_power(2.0, tx, rx, d, f)
-        far = friis_rx_power(2.0, tx, rx, 2 * d, f)
-        assert near / far == pytest.approx(4.0, rel=1e-12)
-
-
-def test_fixed_area_gain_value():
-    # G = 4*pi*A/lambda^2 checked through a ratio against a known fixed gain
-    f = 10e9
-    lam = wavelength_m(f)
-    area = 0.5
-    expected_gain = 4 * math.pi * area / lam**2
-    p_area = friis_rx_power(1.0, FixedArea(area), FixedGain(1.0), 100.0, f)
-    p_gain = friis_rx_power(1.0, FixedGain(expected_gain), FixedGain(1.0), 100.0, f)
-    assert p_area == pytest.approx(p_gain, rel=1e-12)
-
-
-def test_friis_rejects_bad_distance():
-    with pytest.raises(ValueError):
-        friis_rx_power(1.0, FixedGain(1.0), FixedGain(1.0), 0.0, 1e9)
-
-
-def test_antenna_spec_validation():
-    with pytest.raises(ValueError):
-        FixedGain(0.0)
-    with pytest.raises(ValueError):
-        FixedArea(-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -195,3 +134,40 @@ def test_ledger_sums_and_preserves_order():
 
 def test_ledger_empty():
     assert link_budget_ledger([]) == {"entries": [], "total_db": 0.0}
+
+
+# ---------------------------------------------------------------------------
+# NaN rejection in the closed-form validators
+# ---------------------------------------------------------------------------
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fresnel_radius(LinkGeometry(50.0, 50.0, NAN)),
+        lambda: fresnel_radius(LinkGeometry(NAN, 50.0, 38e9)),
+        lambda: wavelength_m(NAN),
+        lambda: bandwidth_snr_delta(NAN),
+        lambda: EstimationLoadSpec(200, 20, 1024, 12, coherence_time_s=NAN),
+        lambda: AdcSpec(NAN, 5, 1e8),
+        lambda: array_pa_budget(64, NAN, 0.18),
+        lambda: estimation_quality(4, NAN),
+        lambda: replace(centralpark_3ghz(), carrier_hz=NAN),
+    ],
+    ids=[
+        "fresnel_frequency",
+        "fresnel_distance",
+        "wavelength",
+        "bandwidth_ratio",
+        "coherence_time",
+        "adc_fom",
+        "pa_radiated_power",
+        "pilot_snr",
+        "carrier",
+    ],
+)
+def test_nan_is_rejected(call):
+    with pytest.raises(ValueError):
+        call()
