@@ -27,10 +27,11 @@ if __name__ == "__main__":
     print(f"{'array':>10} {'elements':>9} {'center':>8} {'min@400MHz':>11} {'min@2GHz':>9}")
     for side in (32, 64, 128):
         array = sixpath_array(side)
-        curve = squint_sweep(array, channel, SIXPATH_CENTER_HZ, 2e9, 201)
-        center = curve.efficiency[np.argmin(np.abs(curve.frequencies_hz - SIXPATH_CENTER_HZ))]
-        narrow = curve.efficiency[np.abs(curve.frequencies_hz - SIXPATH_CENTER_HZ) <= 200e6 + 1]
+        freqs, effs = squint_sweep(array, channel, SIXPATH_CENTER_HZ, 2e9, 201)
+        offset = np.abs(freqs - SIXPATH_CENTER_HZ)
+        center = effs[np.argmin(offset)]
+        narrow = effs[offset <= 200e6 + 1]
         print(
             f"{side:>7}x{side:<3} {array.num_elements:>8} {center:>8.4f} "
-            f"{narrow.min():>11.4f} {curve.efficiency.min():>9.4f}"
+            f"{narrow.min():>11.4f} {effs.min():>9.4f}"
         )

@@ -9,19 +9,11 @@ exactly when its per-element phases cancel the channel phases.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .geometry import MultipathChannel, PlanarArray, channel_vector, steering_factors
-
-ANALOG = "analog"
-DIGITAL = "digital"
-HYBRID = "hybrid"
-_KINDS = (ANALOG, DIGITAL, HYBRID)
-
-_NORM_TOL = 1e-12
 
 _SWEEP_CHUNK = 16
 """Frequencies per batch in squint_sweep; bounds its working arrays."""
@@ -31,49 +23,16 @@ class DegenerateEntryWarning(UserWarning):
     """A channel entry with zero magnitude was given phase zero."""
 
 
-@dataclass(frozen=True, eq=False)
-class Beamformer:
-    """Unit-norm complex weight vector with a structural class.
-
-    Analog weights are per-element phase shifts only (all magnitudes equal
-    1/sqrt(M)); hybrid weights live in the span of n_rf analog beams;
-    digital weights are unconstrained.
-    """
-
-    weights: np.ndarray
-    kind: str
-    n_rf: int | None = None
-
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=complex)
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        norm = np.linalg.norm(weights)
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"beamformer weights must have unit norm, got {norm}")
-        if self.kind == ANALOG:
-            target = 1.0 / np.sqrt(weights.size)
-            if np.max(np.abs(np.abs(weights) - target)) > _NORM_TOL:
-                raise ValueError("analog weights must all have magnitude 1/sqrt(M)")
-        if self.kind == HYBRID:
-            if self.n_rf is None or self.n_rf < 1:
-                raise ValueError("hybrid beamformers need n_rf >= 1")
-        elif self.n_rf is not None:
-            raise ValueError(f"n_rf only applies to hybrid beamformers, got kind {self.kind!r}")
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-
-
-def mrt_weights(h: np.ndarray) -> Beamformer:
+def mrt_weights(h: np.ndarray) -> np.ndarray:
     """Matched filter conj(h)/||h||; attains efficiency 1 on h."""
     h = np.asarray(h, dtype=complex)
     norm = np.linalg.norm(h)
     if norm == 0.0:
         raise ValueError("cannot match a zero channel vector")
-    return Beamformer(np.conj(h) / norm, DIGITAL)
+    return np.conj(h) / norm
 
 
-def analog_weights(h_center: np.ndarray) -> Beamformer:
+def analog_weights(h_center: np.ndarray) -> np.ndarray:
     """Per-element phase alignment exp(-j*angle(h))/sqrt(M).
 
     This is the exact maximizer of the transmit gain |sum w_m h_m| under the
@@ -89,10 +48,10 @@ def analog_weights(h_center: np.ndarray) -> Beamformer:
             DegenerateEntryWarning,
             stacklevel=2,
         )
-    return Beamformer(np.exp(-1j * np.angle(h)) / np.sqrt(h.size), ANALOG)
+    return np.exp(-1j * np.angle(h)) / np.sqrt(h.size)
 
 
-def hybrid_weights(channels: Sequence[np.ndarray], n_rf: int) -> list[Beamformer]:
+def hybrid_weights(channels: Sequence[np.ndarray], n_rf: int) -> np.ndarray:
     """Per-user hybrid precoders: analog beam bank plus a digital mix.
 
     The bank holds one phase-aligned analog beam per user (n_rf - K spare
@@ -102,8 +61,8 @@ def hybrid_weights(channels: Sequence[np.ndarray], n_rf: int) -> list[Beamformer
     The digital layer is regularized zero-forcing on the effective channel
     G[i, j] = h_i^T bank_j with regularizer eps*I, eps = 1e-9 * trace of the
     Gram matrix; near-collinear users are absorbed by the regularizer rather
-    than raising.  Each user's final vector is bank @ digital column,
-    normalized to unit norm.
+    than raising.  Row j of the K x M result is user j's vector
+    bank @ digital[:, j], normalized to unit norm.
     """
     channels = [np.asarray(h, dtype=complex) for h in channels]
     k_users = len(channels)
@@ -118,7 +77,7 @@ def hybrid_weights(channels: Sequence[np.ndarray], n_rf: int) -> list[Beamformer
     if n_rf == m:
         bank = np.eye(m, dtype=complex)
     else:
-        bank = np.stack([analog_weights(h).weights for h in channels], axis=1)
+        bank = np.stack([analog_weights(h) for h in channels], axis=1)
 
     h_mat = np.stack(channels, axis=1)  # M x K, one column per user
     g = h_mat.T @ bank  # K x n_used effective channel
@@ -126,24 +85,22 @@ def hybrid_weights(channels: Sequence[np.ndarray], n_rf: int) -> list[Beamformer
     eps = 1e-9 * np.trace(gram).real
     digital = np.linalg.solve(gram + eps * np.eye(k_users), g).conj().T
 
-    out = []
-    for j in range(k_users):
-        w = bank @ digital[:, j]
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            raise ValueError(f"hybrid weights collapsed to zero for user {j}")
-        out.append(Beamformer(w / norm, HYBRID, n_rf=n_rf))
-    return out
+    weights = (bank @ digital).T  # K x M, one row per user
+    norms = np.linalg.norm(weights, axis=1)
+    collapsed = np.flatnonzero(norms == 0.0)
+    if collapsed.size:
+        raise ValueError(f"hybrid weights collapsed to zero for user {collapsed[0]}")
+    return weights / norms[:, None]
 
 
-def efficiency(w: Beamformer | np.ndarray, h: np.ndarray) -> float:
+def efficiency(w: np.ndarray, h: np.ndarray) -> float:
     """Fraction of the matched-filter gain attained: |sum w_m h_m|^2 / (||w||^2 ||h||^2).
 
     Equals 1 exactly when w is collinear with conj(h); an efficiency of 1 on
     an M-element array corresponds to the full array gain M.  The result is
     clipped into [0, 1] to absorb last-bit rounding.
     """
-    weights = w.weights if isinstance(w, Beamformer) else np.asarray(w, dtype=complex)
+    weights = np.asarray(w, dtype=complex)
     h = np.asarray(h, dtype=complex)
     h_power = np.vdot(h, h).real
     if h_power == 0.0:
@@ -153,35 +110,13 @@ def efficiency(w: Beamformer | np.ndarray, h: np.ndarray) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class SquintCurve:
-    """Beamforming efficiency sampled on a strictly increasing frequency grid."""
-
-    frequencies_hz: np.ndarray
-    efficiency: np.ndarray
-
-    def __post_init__(self):
-        freqs = np.asarray(self.frequencies_hz, dtype=float)
-        effs = np.asarray(self.efficiency, dtype=float)
-        if freqs.size != effs.size:
-            raise ValueError("frequency and efficiency grids must have equal length")
-        if np.any(np.diff(freqs) <= 0):
-            raise ValueError("frequencies must be strictly increasing")
-        if np.any((effs < 0.0) | (effs > 1.0)):
-            raise ValueError("efficiencies must lie in [0, 1]")
-        freqs.setflags(write=False)
-        effs.setflags(write=False)
-        object.__setattr__(self, "frequencies_hz", freqs)
-        object.__setattr__(self, "efficiency", effs)
-
-
 def squint_sweep(
     array: PlanarArray,
     channel: MultipathChannel,
     f_center_hz: float,
     span_hz: float,
     n_points: int,
-) -> SquintCurve:
+) -> tuple[np.ndarray, np.ndarray]:
     """Efficiency of a center-frequency analog beam across the band.
 
     The analog weights w are aligned once at f_center and reused at n_points
@@ -189,6 +124,8 @@ def squint_sweep(
     Each point is independent of the others (evaluation order is
     irrelevant), and the curve is 1.0 at the center point by construction
     only for single-path channels; multipath keeps it below 1 everywhere.
+    Returns (frequencies, efficiencies).  A span too narrow for n_points
+    strictly increasing doubles is rejected.
 
     The band is evaluated in batches of _SWEEP_CHUNK frequencies from the
     separable row/column factors of ``steering_factors``, never forming
@@ -206,12 +143,14 @@ def squint_sweep(
         raise ValueError(f"n_points must be at least 2, got {n_points}")
     if not span_hz > 0:
         raise ValueError(f"span_hz must be positive, got {span_hz}")
-    w = analog_weights(channel_vector(array, channel, f_center_hz)).weights
+    freqs = np.linspace(f_center_hz - span_hz / 2.0, f_center_hz + span_hz / 2.0, n_points)
+    if not np.all(freqs[1:] > freqs[:-1]):
+        raise ValueError(f"span_hz {span_hz} is too narrow for {n_points} distinct frequencies")
+    w = analog_weights(channel_vector(array, channel, f_center_hz))
     w_grid = w.reshape(array.rows, array.cols)
     w_power = np.vdot(w, w).real
     gains = np.array([path.gain for path in channel.paths])
     gain_pairs = np.outer(gains, gains.conj())
-    freqs = np.linspace(f_center_hz - span_hz / 2.0, f_center_hz + span_hz / 2.0, n_points)
     effs = np.empty(n_points)
     for start in range(0, n_points, _SWEEP_CHUNK):
         chunk = slice(start, start + _SWEEP_CHUNK)
@@ -223,4 +162,4 @@ def squint_sweep(
         if np.any(h_power <= 0.0):
             raise ValueError("efficiency is undefined for a zero channel vector")
         effs[chunk] = np.clip(np.abs(beam) ** 2 / (w_power * h_power), 0.0, 1.0)
-    return SquintCurve(freqs, effs)
+    return freqs, effs

@@ -70,14 +70,11 @@ EXIT_RUNTIME = 4
 class ConfigParseError(Exception):
     def __init__(self, line: int, column: int, message: str):
         super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
 
 
 class ValidationError(Exception):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 # ----------------------------------------------------------------------------
@@ -116,7 +113,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 @dataclass(frozen=True)
 class Param:
     name: str
-    kind: str  # int | float | bool | str | choice | int_list | float_list
+    kind: str  # int | float | bool | choice | int_list | float_list
     default: object
     help: str
     choices: tuple[str, ...] = ()
@@ -147,11 +144,9 @@ def _coerce_scalar(param: Param, field: str, text: str):
         if text.lower() in ("true", "false"):
             return text.lower() == "true"
         raise ValidationError(field, f"expected true or false, got {text!r}")
-    if param.kind == "choice":
-        if text not in param.choices:
-            raise ValidationError(field, f"expected one of {param.choices}, got {text!r}")
-        return text
-    return text  # str
+    if text not in param.choices:
+        raise ValidationError(field, f"expected one of {param.choices}, got {text!r}")
+    return text
 
 
 def _check_range(param: Param, field: str, value) -> None:
@@ -196,21 +191,21 @@ def _run_squint(params: dict, seed: int):
         params["rows"], params["cols"], params["center_frequency_hz"]
     )
     channel = sixpath_channel(seed)
-    curve = squint_sweep(
+    freqs, effs = squint_sweep(
         array, channel, params["center_frequency_hz"], params["span_hz"], params["n_points"]
     )
-    center_idx = int(abs(curve.frequencies_hz - params["center_frequency_hz"]).argmin())
+    center_idx = int(abs(freqs - params["center_frequency_hz"]).argmin())
     extras = {
         "m_antennas": array.num_elements,
-        "center_efficiency": float(curve.efficiency[center_idx]),
-        "min_efficiency": float(curve.efficiency.min()),
-        "max_efficiency": float(curve.efficiency.max()),
+        "center_efficiency": float(effs[center_idx]),
+        "min_efficiency": float(effs.min()),
+        "max_efficiency": float(effs.max()),
     }
     lines = [
         f"center efficiency {extras['center_efficiency']:.4f}, "
         f"band minimum {extras['min_efficiency']:.4f} over {params['n_points']} points"
     ]
-    rows = list(zip(curve.frequencies_hz.tolist(), curve.efficiency.tolist()))
+    rows = list(zip(freqs.tolist(), effs.tolist()))
     return (("frequency_hz", "efficiency"), rows), extras, lines
 
 
@@ -392,7 +387,9 @@ EXPERIMENTS: dict[str, Experiment] = {
                       min_value=0, min_exclusive=True),
                 Param("span_hz", "float", 2e9, "total swept bandwidth in Hz",
                       min_value=0, min_exclusive=True),
-                Param("n_points", "int", 201, "number of frequency samples", min_value=2),
+                # 1,000,000 points on a 1 x 1 array already peak near 0.3 GB
+                Param("n_points", "int", 201, "number of frequency samples", min_value=2,
+                      max_value=1_000_000),
             ),
             _run_squint,
         ),

@@ -85,6 +85,8 @@ def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
         (["squint", "--set", "n_points=1"], "n_points"),
         # past the bound that keeps the center channel vector within memory
         (["squint", "--rows", "20000"], "rows"),
+        # past the bound that keeps the per-point CSV rows within memory
+        (["squint", "--n-points", "1000001"], "n_points"),
     ],
 )
 def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
@@ -182,6 +184,15 @@ def test_squint_band_below_zero_hz_is_validation_error(tmp_path, monkeypatch, ca
         monkeypatch,
     )
     assert code == 3
+    assert "span_hz" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_squint_band_too_narrow_to_sample_names_the_span(tmp_path, monkeypatch, capsys):
+    # 201 points within 1e-6 Hz of 60 GHz round onto a few distinct doubles
+    code = run_cli(["squint", "--rows", "4", "--cols", "4", "--span-hz", "1e-6"],
+                   tmp_path, monkeypatch)
+    assert code == 4
     assert "span_hz" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -345,8 +356,8 @@ def test_antenna_sweep_run(tmp_path, monkeypatch):
 
 
 def _squint_rows():
-    curve = squint_sweep(sixpath_array(32), sixpath_channel(42), SIXPATH_CENTER_HZ, 400e6, 5)
-    return [list(row) for row in zip(curve.frequencies_hz.tolist(), curve.efficiency.tolist())]
+    freqs, effs = squint_sweep(sixpath_array(32), sixpath_channel(42), SIXPATH_CENTER_HZ, 400e6, 5)
+    return [list(row) for row in zip(freqs.tolist(), effs.tolist())]
 
 
 def _capacity_rows():
