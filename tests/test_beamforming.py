@@ -296,5 +296,14 @@ def test_sweep_argument_validation():
         squint_sweep(arr, chan, 60e9, 0.0, 10)
     with pytest.raises(ValueError):
         squint_sweep(arr, chan, 1e9, 4e9, 10)  # band reaches nonpositive frequencies
+
+
+def test_squint_curve_validation():
+    arr = sixpath_array(32)
+    chan = sixpath_channel(42)
     with pytest.raises(ValueError, match="span_hz 1e-06 is too narrow for 201"):
         squint_sweep(arr, chan, 60e9, 1e-6, 201)  # adjacent points round to one double
+    freqs, effs = squint_sweep(arr, chan, 60e9, 2e9, 21)
+    assert freqs.shape == effs.shape == (21,)
+    assert np.all(freqs[1:] > freqs[:-1])
+    assert np.all((effs >= 0.0) & (effs <= 1.0))
