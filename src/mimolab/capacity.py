@@ -16,9 +16,10 @@ no Monte-Carlo is involved.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,9 @@ class CoherenceBlock:
             raise ValueError("coherence time and bandwidth must be positive")
         if self.samples < 1:
             raise ValueError("a coherence block must contain at least one sample")
+        # rate_table holds K <= tau_c as int64 and forms K/tau_c in doubles, exact to 2**53
+        if self.samples > 2**53:
+            raise ValueError(f"a coherence block of {self.samples} samples exceeds 2**53")
 
     @property
     def samples(self) -> int:
@@ -62,55 +66,51 @@ class CapacityScenario:
         return self.dl_ul_power_ratio * self.ul_pilot_snr_linear
 
 
-@dataclass(frozen=True)
-class RatePoint:
-    """Rates achieved with K users multiplexed in one scenario."""
-
-    k_users: int  # also the pilot length tau_p
-    pilot_fraction: float
-    se_per_ue: float  # bit/s/Hz
-    rate_per_ue_bps: float
-    sum_rate_bps: float
+RATE_COLUMNS = ("k_users", "pilot_fraction", "se_per_ue", "rate_per_ue_bps", "sum_rate_bps")
+"""Names of the rate_table columns; k_users is also the pilot length tau_p."""
 
 
-def estimation_quality(tau_p: int, rho_ul: float) -> float:
-    """MMSE channel-estimate quality tau_p*rho / (1 + tau_p*rho), in [0, 1)."""
-    if not tau_p >= 1:
-        raise ValueError(f"tau_p must be at least 1, got {tau_p}")
+def estimation_quality(tau_p: int | np.ndarray, rho_ul: float) -> float | np.ndarray:
+    """MMSE channel-estimate quality tau_p*rho / (1 + tau_p*rho), in [0, 1), per tau_p."""
+    if not np.min(tau_p) >= 1:
+        raise ValueError(f"tau_p must be at least 1, got {np.min(tau_p)}")
     if not rho_ul > 0:
         raise ValueError(f"rho_ul must be positive, got {rho_ul}")
     x = tau_p * rho_ul
     return x / (1.0 + x)
 
 
-def dl_sinr_mrt(scenario: CapacityScenario, k_users: int) -> float:
-    """Per-user downlink SINR M*gamma*(rho_dl/K) / (1 + rho_dl)."""
+def rate_table(scenario: CapacityScenario, k_users: Sequence[int]) -> dict[str, np.ndarray]:
+    """Rates for every user count K on the grid, one array per RATE_COLUMNS name.
+
+    Per user SE = (1 - K/tau_c) * log2(1 + SINR) in bit/s/Hz and rate SE*B;
+    the sum rate is K times that.
+    """
+    k = np.asarray(k_users, dtype=np.int64)
     tau_c = scenario.block.samples
-    if k_users < 1:
-        raise ValueError(f"k_users must be at least 1, got {k_users}")
-    if k_users > tau_c:
-        raise ValueError(f"k_users {k_users} exceeds the coherence block of {tau_c} samples")
-    gamma = estimation_quality(k_users, scenario.ul_pilot_snr_linear)
+    if k.size == 0:
+        raise ValueError("k_users must be non-empty")
+    if not (k.min() >= 1 and k.max() <= tau_c):
+        raise ValueError(
+            f"k_users must lie in 1..{tau_c} (the coherence block), "
+            f"got {k.min()}..{k.max()}"
+        )
     rho_dl = scenario.dl_snr_linear
-    return scenario.m_antennas * gamma * (rho_dl / k_users) / (1.0 + rho_dl)
+    # overflow yields inf/nan without a warning, as Python float arithmetic does;
+    # cli.run then names the first non-finite cell
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = estimation_quality(k, scenario.ul_pilot_snr_linear)
+        sinr = scenario.m_antennas * gamma * (rho_dl / k) / (1.0 + rho_dl)
+        pilot_fraction = k / tau_c
+        se = (1.0 - pilot_fraction) * np.log2(1.0 + sinr)
+        rate = se * scenario.bandwidth_hz
+        return dict(zip(RATE_COLUMNS, (k, pilot_fraction, se, rate, k * rate)))
 
 
-def dl_se_mrt(scenario: CapacityScenario, k_users: int) -> float:
-    """Downlink spectral efficiency per user in bit/s/Hz with K multiplexed users."""
-    sinr = dl_sinr_mrt(scenario, k_users)
-    return (1.0 - k_users / scenario.block.samples) * math.log2(1.0 + sinr)
-
-
-def sum_rate(scenario: CapacityScenario, k_users: int) -> RatePoint:
-    se = dl_se_mrt(scenario, k_users)
-    rate_per_ue = se * scenario.bandwidth_hz
-    return RatePoint(
-        k_users=k_users,
-        pilot_fraction=k_users / scenario.block.samples,
-        se_per_ue=se,
-        rate_per_ue_bps=rate_per_ue,
-        sum_rate_bps=k_users * rate_per_ue,
-    )
+def best_row(table: dict[str, np.ndarray]) -> dict:
+    """The row with the largest sum rate as Python numbers; ties go to the smaller K."""
+    i = int(np.argmax(table["sum_rate_bps"]))  # the first of equal maxima
+    return {name: column[i].item() for name, column in table.items()}
 
 
 def k_range(
@@ -130,30 +130,13 @@ def k_range(
     return range(k_min, k_max + 1, step)
 
 
-def user_sweep(
-    scenario: CapacityScenario, k_grid: Sequence[int]
-) -> tuple[list[RatePoint], RatePoint]:
-    """RatePoint for every K on the grid and the sum-rate maximum; ties go to smaller K."""
-    if len(k_grid) == 0:
-        raise ValueError("k_grid must be non-empty")
-    points = [sum_rate(scenario, int(k)) for k in k_grid]
-    # max() keeps the first of equal values, so the smaller K wins a tie
-    return points, max(points, key=lambda point: point.sum_rate_bps)
-
-
-def optimize_users(scenario: CapacityScenario, k_grid: Sequence[int]) -> RatePoint:
-    """RatePoint maximizing the sum rate on the grid; ties go to smaller K."""
-    return user_sweep(scenario, k_grid)[1]
-
-
 def antenna_sweep(
     scenario: CapacityScenario, m_grid: Sequence[int], k_grid: Sequence[int]
-) -> list[tuple[int, RatePoint]]:
-    """Best RatePoint over k_grid for each antenna count, ordered by M."""
+) -> list[dict]:
+    """best_row over k_grid for each antenna count, m_antennas first, ordered by M."""
     if len(m_grid) == 0 or len(k_grid) == 0:
         raise ValueError("m_grid and k_grid must be non-empty")
-    out = []
-    for m in sorted(int(m) for m in m_grid):
-        out.append((m, optimize_users(replace(scenario, m_antennas=m), k_grid)))
-    return out
-
+    return [
+        {"m_antennas": m, **best_row(rate_table(replace(scenario, m_antennas=m), k_grid))}
+        for m in sorted(int(m) for m in m_grid)
+    ]

@@ -17,7 +17,9 @@ parameters, the seed, and the artifact version.  Outputs contain no
 timestamps, so re-running a config reproduces its files byte for byte.
 
 Exit codes: 0 success, 2 config parse error (with line/column),
-3 validation error (naming the offending field), 4 runtime numeric failure.
+3 validation error (naming the offending field, or ``config`` for a config
+file that cannot be read), 4 runtime failure (a non-finite result, memory
+exhausted, or an output that cannot be written).
 """
 
 from __future__ import annotations
@@ -28,20 +30,20 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
-from operator import attrgetter
 from typing import Callable
 
 from . import __version__
 from .beamforming import squint_sweep
 from .capacity import (
+    RATE_COLUMNS,
     CapacityScenario,
     CoherenceBlock,
-    RatePoint,
     antenna_sweep,
+    best_row,
     k_range,
-    user_sweep,
+    rate_table,
 )
 from .channels import (
     drift_bound_check,
@@ -209,10 +211,6 @@ def _run_squint(params: dict, seed: int):
     return (("frequency_hz", "efficiency"), rows), extras, lines
 
 
-_RATE_COLUMNS = ("m_antennas", *(field.name for field in fields(RatePoint)))
-_rate_values = attrgetter(*_RATE_COLUMNS[1:])
-
-
 def _capacity_scenario(params: dict) -> tuple[CapacityScenario, range, dict]:
     ul_snr = params["ul_pilot_snr"]
     if params["snr_scaling"] == "bandwidth":
@@ -237,24 +235,27 @@ def _capacity_scenario(params: dict) -> tuple[CapacityScenario, range, dict]:
 
 def _run_capacity(params: dict, seed: int):
     scenario, grid, extras = _capacity_scenario(params)
-    points, best = user_sweep(scenario, grid)
+    table = rate_table(scenario, grid)
+    best = best_row(table)
     m = scenario.m_antennas
-    extras["optimum"] = dict(zip(_RATE_COLUMNS, (m, *_rate_values(best))))
+    extras["optimum"] = {"m_antennas": m, **best}
     lines = [
-        f"optimum: K={best.k_users}, pilot fraction {best.pilot_fraction:.4f}, "
-        f"sum rate {best.sum_rate_bps / 1e12:.4f} Tbit/s"
+        f"optimum: K={best['k_users']}, pilot fraction {best['pilot_fraction']:.4f}, "
+        f"sum rate {best['sum_rate_bps'] / 1e12:.4f} Tbit/s"
     ]
-    return (_RATE_COLUMNS, [(m, *_rate_values(point)) for point in points]), extras, lines
+    rows = list(zip([m] * len(grid), *(column.tolist() for column in table.values())))
+    return (("m_antennas", *RATE_COLUMNS), rows), extras, lines
 
 
 def _run_antenna_sweep(params: dict, seed: int):
     scenario, grid, extras = _capacity_scenario(params)
     best = antenna_sweep(scenario, params["m_grid"], grid)
     lines = [
-        f"M={m}: best sum rate {point.sum_rate_bps / 1e9:.3f} Gbit/s at K={point.k_users}"
-        for m, point in best
+        f"M={row['m_antennas']}: best sum rate {row['sum_rate_bps'] / 1e9:.3f} Gbit/s "
+        f"at K={row['k_users']}"
+        for row in best
     ]
-    return (_RATE_COLUMNS, [(m, *_rate_values(point)) for m, point in best]), extras, lines
+    return (("m_antennas", *RATE_COLUMNS), [tuple(row.values()) for row in best]), extras, lines
 
 
 def _run_mobility(params: dict, seed: int):
@@ -415,7 +416,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             "beamforming-gain lower bound under user drift (JSON)",
             "json",
             (
-                Param("m_antennas", "int", 64, "number of antennas", min_value=1),
+                # 10,000,000 antennas and one draw already peak near 0.65 GB
+                Param("m_antennas", "int", 64, "number of antennas", min_value=1,
+                      max_value=10_000_000),
                 Param("mu_list", "float_list", [0.125, 0.0625],
                       "drift amplitudes in wavelengths, each <= 1/8",
                       min_value=0, max_value=0.125),
@@ -500,7 +503,9 @@ EXPERIMENTS: dict[str, Experiment] = {
                 # a single choice the runner ignores; perfbench/reference manifests echo it
                 Param("model", "choice", "iid_rayleigh", "channel model",
                       choices=("iid_rayleigh",)),
-                Param("m_antennas", "int", 100, "number of antennas", min_value=1),
+                # 10,000,000 antennas and two draws already peak near 0.19 GB
+                Param("m_antennas", "int", 100, "number of antennas", min_value=1,
+                      max_value=10_000_000),
                 Param("n_draws", "int", 10_000, "Monte-Carlo draws", min_value=2),
             ),
             partial(_run_diagnostic, "hardening", "n_draws"),
@@ -513,7 +518,9 @@ EXPERIMENTS: dict[str, Experiment] = {
                 # a single choice the runner ignores; perfbench/reference manifests echo it
                 Param("model", "choice", "iid_rayleigh", "channel model",
                       choices=("iid_rayleigh",)),
-                Param("m_antennas", "int", 100, "number of antennas", min_value=1),
+                # 10,000,000 antennas and one pair already peak near 0.72 GB
+                Param("m_antennas", "int", 100, "number of antennas", min_value=1,
+                      max_value=10_000_000),
                 Param("n_pairs", "int", 1000, "independent channel pairs", min_value=1),
             ),
             partial(_run_diagnostic, "favorable_propagation", "n_pairs"),
@@ -639,8 +646,12 @@ def _resolve_params(exp: Experiment, raw: dict[str, str]) -> dict:
 
 def _load_config(source: str) -> dict[str, str]:
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as handle:
-            return parse_config_text(handle.read())
+        try:
+            with open(source, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError("config", f"cannot read {source!r}: {exc}") from None
+        return parse_config_text(text)
     name = source.removesuffix(".ini")
     if name in BUNDLED_CONFIGS:
         return parse_config_text(bundled_config_text(name))
@@ -684,8 +695,12 @@ def run(config: dict[str, str]) -> int:
         print(f"runtime failure: ran out of memory running {exp.name!r}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    _atomic_write(output, text)
-    _atomic_write(output + ".manifest.json", manifest)
+    for path, content in ((output, text), (output + ".manifest.json", manifest)):
+        try:
+            _atomic_write(path, content)
+        except OSError as exc:
+            print(f"runtime failure: cannot write {path!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_RUNTIME
     for line in stdout_lines:
         print(line)
     print(f"wrote {output}")

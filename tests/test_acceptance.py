@@ -157,7 +157,7 @@ def test_criterion_07_sum_rate_monotone_in_antennas():
     scenario = centralpark_3ghz()
     rows = antenna_sweep(scenario, [100, 1000, 10_000, 100_000],
                          k_range(scenario.block.samples))
-    rates = [p.sum_rate_bps for _, p in rows]
+    rates = [row["sum_rate_bps"] for row in rows]
     ok = all(a < b for a, b in zip(rates, rates[1:]))
     detail = " < ".join(f"{r / 1e9:.2f}G" for r in rates)
     _report(7, ok, f"best sum rates strictly increasing over M grid: {detail}")

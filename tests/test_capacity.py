@@ -1,22 +1,20 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolab.capacity import (
+    RATE_COLUMNS,
     CapacityScenario,
     CoherenceBlock,
-    RatePoint,
     antenna_sweep,
-    dl_se_mrt,
-    dl_sinr_mrt,
+    best_row,
     estimation_quality,
     k_range,
-    optimize_users,
-    sum_rate,
-    user_sweep,
+    rate_table,
 )
 from mimolab.scenarios import centralpark_3ghz, centralpark_60ghz
 
@@ -32,6 +30,11 @@ def test_quality_vanishes_without_pilot_energy():
 def test_quality_reference_value():
     gamma = estimation_quality(14_000, 100.0)
     assert gamma == pytest.approx(1_400_000 / 1_400_001, rel=1e-15)
+    # a grid of pilot lengths gives the scalar value at each
+    grid = estimation_quality(np.array([4, 14_000]), 100.0)
+    assert grid.tolist() == [estimation_quality(4, 100.0), gamma]
+    with pytest.raises(ValueError, match="tau_p"):
+        estimation_quality(np.array([4, 0]), 100.0)
 
 
 def test_quality_balance_point():
@@ -62,57 +65,102 @@ def test_block_validation():
         CoherenceBlock(0.0, 400e3)
     with pytest.raises(ValueError):
         CoherenceBlock(1e-9, 1e3)  # rounds to zero samples
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        CoherenceBlock(1e14, 400e3)  # 4e19 samples, past exact int64 and double counting
 
 
 # ---------------------------------------------------------------------------
 # closed-form rates: the 3 GHz anchor validates the whole formula chain
 # ---------------------------------------------------------------------------
 
+def row_at(scenario, k):
+    return best_row(rate_table(scenario, [k]))
+
+
+def sinr_of(row):
+    """The SINR a row's spectral efficiency implies: 2**(se/(1 - pilot)) - 1."""
+    return 2.0 ** (row["se_per_ue"] / (1.0 - row["pilot_fraction"])) - 1.0
+
+
 def test_anchor_spectral_efficiency():
     sc = centralpark_3ghz()
     assert sc.block.samples == 40_000
-    se = dl_se_mrt(sc, 14_000)
-    sinr = dl_sinr_mrt(sc, 14_000)
-    assert 1.0 - 14_000 / 40_000 == pytest.approx(0.65, rel=1e-12)
-    assert sinr == pytest.approx(7.142, abs=2e-3)
-    assert se == pytest.approx(1.966, abs=2e-3)
-    rate = se * sc.bandwidth_hz
+    row = row_at(sc, 14_000)
+    assert row["pilot_fraction"] == pytest.approx(0.35, rel=1e-12)
+    assert sinr_of(row) == pytest.approx(7.142, abs=2e-3)
+    assert row["se_per_ue"] == pytest.approx(1.966, abs=2e-3)
+    rate = row["se_per_ue"] * sc.bandwidth_hz
+    assert rate == row["rate_per_ue_bps"]
     assert rate == pytest.approx(98.3e6, rel=1e-3)
     assert abs(rate - 99e6) / 99e6 < 0.01  # within 1% of the quoted per-user rate
 
 
 def test_anchor_sum_rate_and_pilot_fraction():
     sc = centralpark_3ghz()
-    point = sum_rate(sc, 14_000)
-    assert point.sum_rate_bps == pytest.approx(1.376e12, rel=1e-3)
-    assert abs(point.sum_rate_bps - 1.38e12) / 1.38e12 < 0.005
-    assert point.pilot_fraction == pytest.approx(0.35, rel=1e-12)
-    assert point.sum_rate_bps == pytest.approx(point.k_users * point.rate_per_ue_bps, rel=1e-12)
+    row = row_at(sc, 14_000)
+    assert row["sum_rate_bps"] == pytest.approx(1.376e12, rel=1e-3)
+    assert abs(row["sum_rate_bps"] - 1.38e12) / 1.38e12 < 0.005
+    assert row["pilot_fraction"] == pytest.approx(0.35, rel=1e-12)
+    assert row["sum_rate_bps"] == pytest.approx(row["k_users"] * row["rate_per_ue_bps"], rel=1e-12)
 
 
 def test_se_zero_when_all_samples_are_pilots():
     sc = centralpark_3ghz()
-    assert dl_se_mrt(sc, 40_000) == 0.0
+    assert row_at(sc, 40_000)["se_per_ue"] == 0.0
 
 
 def test_sinr_linear_in_antennas():
     sc = centralpark_3ghz()
     doubled = replace(sc, m_antennas=2 * sc.m_antennas)
-    assert dl_sinr_mrt(doubled, 5000) == pytest.approx(2 * dl_sinr_mrt(sc, 5000), rel=1e-12)
+    assert sinr_of(row_at(doubled, 5000)) == pytest.approx(2 * sinr_of(row_at(sc, 5000)), rel=1e-12)
 
 
 def test_k_bounds_enforced():
     sc = centralpark_3ghz()
     with pytest.raises(ValueError):
-        dl_se_mrt(sc, 40_001)
+        rate_table(sc, [40_001])
     with pytest.raises(ValueError):
-        dl_se_mrt(sc, 0)
+        rate_table(sc, [0])
+    with pytest.raises(ValueError):
+        rate_table(sc, [1, 40_001])
 
 
 def test_single_user_sum_equals_per_user_rate():
-    sc = centralpark_3ghz()
-    point = sum_rate(sc, 1)
-    assert point.sum_rate_bps == point.rate_per_ue_bps
+    row = row_at(centralpark_3ghz(), 1)
+    assert row["sum_rate_bps"] == row["rate_per_ue_bps"]
+
+
+def scalar_rates(scenario, k):
+    """One row of the closed form in Python float arithmetic, in RATE_COLUMNS order."""
+    tau_c = scenario.block.samples
+    x = k * scenario.ul_pilot_snr_linear
+    gamma = x / (1.0 + x)
+    rho_dl = scenario.dl_snr_linear
+    sinr = scenario.m_antennas * gamma * (rho_dl / k) / (1.0 + rho_dl)
+    se = (1.0 - k / tau_c) * math.log2(1.0 + sinr)
+    rate = se * scenario.bandwidth_hz
+    return k, k / tau_c, se, rate, k * rate
+
+
+@pytest.mark.parametrize("scenario", [centralpark_3ghz, centralpark_60ghz], ids=["3ghz", "60ghz"])
+def test_rate_table_matches_scalar_closed_form(scenario):
+    sc = scenario()
+    grid = k_range(sc.block.samples, fine=True)
+    table = rate_table(sc, grid)
+    assert tuple(table) == RATE_COLUMNS
+    reference = np.array([scalar_rates(sc, k) for k in grid]).T
+    assert table["k_users"].tolist() == list(grid)
+    assert table["pilot_fraction"].tolist() == reference[1].tolist()
+    # np.log2 and math.log2 may round the last bit apart
+    for name, expected in zip(RATE_COLUMNS[2:], reference[2:]):
+        np.testing.assert_allclose(table[name], expected, rtol=1e-15, atol=0, err_msg=name)
+
+
+def test_rate_table_rows_do_not_depend_on_the_grid():
+    sc = centralpark_60ghz()
+    table = rate_table(sc, k_range(sc.block.samples, k_step=7))
+    for i, k in enumerate(table["k_users"].tolist()):
+        assert {name: column[i].item() for name, column in table.items()} == row_at(sc, k)
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +169,7 @@ def test_single_user_sum_equals_per_user_rate():
 
 def test_optimize_singleton_grid():
     sc = centralpark_3ghz()
-    point = optimize_users(sc, [1])
-    assert point.k_users == 1
+    assert best_row(rate_table(sc, [1]))["k_users"] == 1
 
 
 def test_k_range_step_rules():
@@ -138,67 +185,66 @@ def test_k_range_rejects_bad_bounds(k_min, k_max):
         k_range(40_000, k_min=k_min, k_max=k_max)
 
 
-def test_user_sweep_returns_every_point_and_the_optimum():
+def test_best_row_is_the_sum_rate_maximum():
     sc = centralpark_60ghz()
-    grid = k_range(sc.block.samples, k_step=7)
-    points, best = user_sweep(sc, grid)
-    assert points == [sum_rate(sc, k) for k in grid]
-    assert best == optimize_users(sc, grid)
-    assert best.sum_rate_bps == max(p.sum_rate_bps for p in points)
+    table = rate_table(sc, k_range(sc.block.samples, k_step=7))
+    best = best_row(table)
+    assert best["sum_rate_bps"] == table["sum_rate_bps"].max()
+    assert best == row_at(sc, best["k_users"])
+    # Python numbers, so ints stay ints in the manifest
+    assert [type(v) for v in best.values()] == [int, float, float, float, float]
 
 
-def test_user_sweep_ties_go_to_smaller_k(monkeypatch):
-    def flat(scenario, k_users):
-        return RatePoint(k_users, 0.5, 1.0, 1.0, 1.0)
-
-    monkeypatch.setattr("mimolab.capacity.sum_rate", flat)
-    assert user_sweep(centralpark_3ghz(), [3, 5, 8])[1].k_users == 3
+def test_best_row_ties_go_to_smaller_k():
+    flat = dict(zip(RATE_COLUMNS, (np.array([3, 5, 8]), *np.ones((4, 3)))))
+    assert best_row(flat)["k_users"] == 3
+    flat["sum_rate_bps"] = np.array([1.0, 2.0, 2.0])
+    assert best_row(flat)["k_users"] == 5
 
 
 def test_optimize_rejects_empty_grid():
     with pytest.raises(ValueError):
-        optimize_users(centralpark_3ghz(), [])
+        rate_table(centralpark_3ghz(), [])
 
 
 def test_optimum_user_count_near_fourteen_thousand():
     sc = centralpark_3ghz()
-    best = optimize_users(sc, k_range(sc.block.samples, fine=True))
-    assert abs(best.k_users - 14_000) / 14_000 <= 0.10
-    assert best.sum_rate_bps == pytest.approx(1.38e12, rel=0.05)
+    best = best_row(rate_table(sc, k_range(sc.block.samples, fine=True)))
+    assert abs(best["k_users"] - 14_000) / 14_000 <= 0.10
+    assert best["sum_rate_bps"] == pytest.approx(1.38e12, rel=0.05)
 
 
 def test_interior_maximum():
     sc = centralpark_3ghz()
-    best = optimize_users(sc, k_range(sc.block.samples))
-    assert best.sum_rate_bps > sum_rate(sc, 1).sum_rate_bps
-    assert best.sum_rate_bps > sum_rate(sc, sc.block.samples).sum_rate_bps
-    assert 1 < best.k_users < sc.block.samples
+    best = best_row(rate_table(sc, k_range(sc.block.samples)))
+    assert best["sum_rate_bps"] > row_at(sc, 1)["sum_rate_bps"]
+    assert best["sum_rate_bps"] > row_at(sc, sc.block.samples)["sum_rate_bps"]
+    assert 1 < best["k_users"] < sc.block.samples
 
 
 def test_60ghz_pilot_fraction_band():
     sc = centralpark_60ghz()
     assert sc.block.samples == 2_000
     assert sc.ul_pilot_snr_linear == pytest.approx(5.0, rel=1e-12)
-    best = optimize_users(sc, k_range(sc.block.samples, fine=True))
-    assert 0.30 <= best.pilot_fraction <= 0.55
-    assert 1 < best.k_users < sc.block.samples
+    best = best_row(rate_table(sc, k_range(sc.block.samples, fine=True)))
+    assert 0.30 <= best["pilot_fraction"] <= 0.55
+    assert 1 < best["k_users"] < sc.block.samples
 
 
 def test_antenna_sweep_monotone_and_ordered():
     sc = centralpark_3ghz()
     grid = k_range(sc.block.samples)
     rows = antenna_sweep(sc, [10_000, 100, 100_000, 1000], grid)
-    ms = [m for m, _ in rows]
-    assert ms == [100, 1000, 10_000, 100_000]
-    rates = [p.sum_rate_bps for _, p in rows]
+    assert [row["m_antennas"] for row in rows] == [100, 1000, 10_000, 100_000]
+    assert all(tuple(row) == ("m_antennas", *RATE_COLUMNS) for row in rows)
+    rates = [row["sum_rate_bps"] for row in rows]
     assert all(a < b for a, b in zip(rates, rates[1:]))
 
 
 def test_antenna_sweep_singleton_matches_sum_rate():
     sc = centralpark_3ghz()
-    [(m, point)] = antenna_sweep(sc, [sc.m_antennas], [500])
-    assert m == sc.m_antennas
-    assert point == sum_rate(sc, 500)
+    [row] = antenna_sweep(sc, [sc.m_antennas], [500])
+    assert row == {"m_antennas": sc.m_antennas, **row_at(sc, 500)}
 
 
 def test_antenna_sweep_rejects_empty_grids():
@@ -217,10 +263,10 @@ def test_antenna_sweep_rejects_empty_grids():
 @given(k=st.integers(1, 40_000))
 def test_se_nonnegative_and_pilot_accounting(k):
     sc = centralpark_3ghz()
-    point = sum_rate(sc, k)
-    assert point.se_per_ue >= 0.0
-    assert point.pilot_fraction * sc.block.samples == pytest.approx(k, rel=1e-12)
-    assert (point.se_per_ue == 0.0) == (k == sc.block.samples)
+    row = row_at(sc, k)
+    assert row["se_per_ue"] >= 0.0
+    assert row["pilot_fraction"] * sc.block.samples == pytest.approx(k, rel=1e-12)
+    assert (row["se_per_ue"] == 0.0) == (k == sc.block.samples)
 
 
 def test_scenario_validation():

@@ -7,7 +7,7 @@ import pytest
 
 from mimolab import __version__
 from mimolab.beamforming import squint_sweep
-from mimolab.capacity import k_range, user_sweep
+from mimolab.capacity import k_range, rate_table
 from mimolab.cli import (
     BUNDLED_CONFIGS,
     EXPERIMENTS,
@@ -87,6 +87,10 @@ def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
         (["squint", "--rows", "20000"], "rows"),
         # past the bound that keeps the per-point CSV rows within memory
         (["squint", "--n-points", "1000001"], "n_points"),
+        # past the bounds that keep the per-draw antenna samples within memory
+        (["hardening", "--m-antennas", "10000001"], "m_antennas"),
+        (["favorable", "--m-antennas", "10000001"], "m_antennas"),
+        (["mobility", "--m-antennas", "10000001"], "m_antennas"),
     ],
 )
 def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
@@ -100,6 +104,28 @@ def test_missing_config_file(tmp_path, monkeypatch, capsys):
     code = run_cli(["--config", "no_such_file.ini"], tmp_path, monkeypatch)
     assert code == 3
     assert "config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, name, code",
+    [
+        (["--config", "a_dir"], "config", 3),
+        (["--config", "latin1.ini"], "config", 3),
+        (["fresnel", "--output", "a_dir"], "cannot write 'a_dir'", 4),
+        (["fresnel", "--output", "a_file/f.json"], "cannot write 'a_file/f.json'", 4),
+    ],
+    ids=["config-dir", "config-not-utf8", "output-dir", "output-under-file"],
+)
+def test_unreadable_config_or_unwritable_output(args, name, code, tmp_path, monkeypatch, capsys):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    (tmp_path / "latin1.ini").write_bytes("experiment = fresnel\n# caf\xe9\n".encode("latin-1"))
+    assert run_cli(args, tmp_path, monkeypatch) == code
+    err = capsys.readouterr().err
+    assert name in err
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "a_file", "latin1.ini"]
+    assert list((tmp_path / "a_dir").iterdir()) == []
 
 
 def test_runtime_failure_exits_four(tmp_path, monkeypatch, capsys):
@@ -174,6 +200,18 @@ def test_non_finite_result_is_runtime_failure(args, tmp_path, monkeypatch, capsy
     assert code == 4
     assert "runtime failure" in err
     assert NON_FINITE_QUANTITY[args[0]] in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_invalid_rate_arithmetic_is_runtime_failure(tmp_path, monkeypatch, capsys):
+    # rho_dl overflows to inf, so the SINR is inf/inf: nan without a warning, then exit 4
+    args = ["capacity", "--ul-pilot-snr", "1e308", "--dl-ul-power-ratio", "1e308",
+            "--set", "k_step=1000", "--output", "out.csv"]
+    assert run_cli(args, tmp_path, monkeypatch) == 4
+    assert capsys.readouterr().err == (
+        "runtime failure: se_per_ue in data row 1 is nan, not a finite number\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 
@@ -362,12 +400,9 @@ def _squint_rows():
 
 def _capacity_rows():
     sc = centralpark_3ghz()
-    points, _ = user_sweep(sc, k_range(sc.block.samples, k_step=1000))
-    return [
-        [sc.m_antennas, p.k_users, p.pilot_fraction, p.se_per_ue, p.rate_per_ue_bps,
-         p.sum_rate_bps]
-        for p in points
-    ]
+    table = rate_table(sc, k_range(sc.block.samples, k_step=1000))
+    columns = [column.tolist() for column in table.values()]
+    return [[sc.m_antennas, *row] for row in zip(*columns)]
 
 
 @pytest.mark.parametrize(
