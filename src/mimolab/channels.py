@@ -16,7 +16,6 @@ least M*cos^2(2*pi*mu) >= M/2, independent of M.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,21 +65,6 @@ def favorable_propagation_metric(m_antennas: int, n_pairs: int, seed: int) -> fl
     return float(vals.mean())
 
 
-def metric_record(
-    m_antennas: int, n_draws: int, seed: int, metric_name: str, value: float
-) -> dict:
-    """JSON-ready record for one diagnostic evaluation."""
-    _check_antennas(m_antennas)
-    return {
-        "model": "iid_rayleigh",
-        "m_antennas": m_antennas,
-        "n_draws": n_draws,
-        "seed": seed,
-        "metric_name": metric_name,
-        "value": value,
-    }
-
-
 def drift_gain(phase_fractions: np.ndarray) -> float:
     """Beamforming gain left after drift: |sum_m exp(j*2*pi*phi_m)|^2 / M.
 
@@ -88,17 +72,6 @@ def drift_gain(phase_fractions: np.ndarray) -> float:
     """
     z = np.exp(2j * np.pi * phase_fractions).sum()
     return float(abs(z) ** 2 / phase_fractions.size)
-
-
-@dataclass(frozen=True)
-class DriftBoundReport:
-    m_antennas: int
-    mu: float
-    n_random_draws: int
-    seed: int
-    min_observed_gain: float
-    bound_gain: float
-    holds: bool
 
 
 def _random_drift_gains(m_antennas: int, mu: float, n_draws: int, seed: int):
@@ -120,14 +93,15 @@ def _random_drift_gains(m_antennas: int, mu: float, n_draws: int, seed: int):
 
 def drift_bound_check(
     m_antennas: int, mu: float, n_random_draws: int, seed: int
-) -> DriftBoundReport:
+) -> tuple[float, float]:
     """Stress the lower bound M*cos^2(2*pi*mu) against random and extreme drifts.
 
     Evaluates n_random_draws uniform drift patterns in [-mu, mu]^M plus the
     deterministic extremes (all +mu, all -mu, alternating +/-mu both ways)
-    and reports the minimum observed gain next to the analytic bound.  The
-    extremes sit exactly on the bound, so the internal check allows a
-    1e-12 relative rounding slack; a genuine violation raises.
+    and returns (minimum observed gain, analytic bound).  The extremes sit
+    exactly on the bound, so the check allows a 1e-12 relative rounding
+    slack; a genuine violation raises ArithmeticError, so a returned pair
+    always satisfies the bound.
     """
     if not 0.0 <= mu <= MAX_DRIFT_FRACTION:
         raise ValueError(f"the bound chain needs mu in [0, 1/8], got {mu}")
@@ -146,18 +120,9 @@ def drift_bound_check(
         min_observed = min(min_observed, drift_gain(phi))
 
     bound = m_antennas * math.cos(2.0 * math.pi * mu) ** 2
-    holds = min_observed >= bound * (1.0 - 1e-12)
-    if not holds:
+    if not min_observed >= bound * (1.0 - 1e-12):
         raise ArithmeticError(
             f"drift gain {min_observed} fell below the bound {bound}; "
             "this should be impossible for mu <= 1/8"
         )
-    return DriftBoundReport(
-        m_antennas=m_antennas,
-        mu=mu,
-        n_random_draws=n_random_draws,
-        seed=seed,
-        min_observed_gain=min_observed,
-        bound_gain=bound,
-        holds=holds,
-    )
+    return min_observed, bound

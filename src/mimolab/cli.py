@@ -9,8 +9,10 @@ belong to the experiment's parameter schema, and unknown keys are a hard
 error so typos cannot silently fall back to defaults.  On the command line
 ``--KEY VALUE`` sets any key, the reserved ones included.
 
-Each runner returns data, never text: a dict for a JSON experiment, a
-(header, rows) pair of Python numbers for a CSV one.  ``run`` alone checks
+The library modules take and return plain numbers and arrays; each runner
+here builds its experiment's record from them and returns data, never text:
+a dict for a JSON experiment, a (header, rows) pair of Python numbers for a
+CSV one.  So this module alone knows the output schemas.  ``run`` alone checks
 that every number is finite and writes the output atomically (temp file
 plus rename) along with a ``<output>.manifest.json`` echoing the resolved
 parameters, the seed, and the artifact version.  Outputs contain no
@@ -30,7 +32,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -45,22 +47,10 @@ from .capacity import (
     k_range,
     rate_table,
 )
-from .channels import (
-    drift_bound_check,
-    favorable_propagation_metric,
-    hardening_metric,
-    metric_record,
-)
+from .channels import drift_bound_check, favorable_propagation_metric, hardening_metric
 from .geometry import PlanarArray
-from .hardware import AdcSpec, adc_array_budget, adc_power, array_pa_budget, budget_record
-from .propagation import (
-    EstimationLoadSpec,
-    LinkGeometry,
-    bandwidth_snr_delta,
-    estimation_load,
-    fresnel_radius,
-    link_budget_ledger,
-)
+from .hardware import adc_power, array_pa_budget
+from .propagation import bandwidth_snr_delta, estimation_load, fresnel_radius
 from .scenarios import DEFAULT_SEED, sixpath_channel
 
 EXIT_OK = 0
@@ -225,6 +215,11 @@ def _capacity_scenario(params: dict) -> tuple[CapacityScenario, range, dict]:
     )
     tau_c = scenario.block.samples
     grid = k_range(tau_c, params["k_min"], params["k_max"], params["k_step"], params["fine"])
+    # a capacity sweep of 1,000,000 user counts (its CSV rows) already peaks near 0.58 GB
+    if len(grid) > 1_000_000:
+        raise ValidationError(
+            "k_step", f"the sweep would hold {len(grid)} user counts, more than 1000000"
+        )
     extras = {
         "snr_scaling": params["snr_scaling"],
         "ul_pilot_snr_effective": ul_snr,
@@ -259,10 +254,19 @@ def _run_antenna_sweep(params: dict, seed: int):
 
 
 def _run_mobility(params: dict, seed: int):
-    reports = [
-        asdict(drift_bound_check(params["m_antennas"], mu, params["n_draws"], seed))
-        for mu in params["mu_list"]
-    ]
+    m, n_draws = params["m_antennas"], params["n_draws"]
+    reports = []
+    for mu in params["mu_list"]:
+        min_gain, bound = drift_bound_check(m, mu, n_draws, seed)
+        reports.append({
+            "m_antennas": m,
+            "mu": mu,
+            "n_random_draws": n_draws,
+            "seed": seed,
+            "min_observed_gain": min_gain,
+            "bound_gain": bound,
+            "holds": True,  # drift_bound_check raises ArithmeticError otherwise
+        })
     lines = [
         f"mu={r['mu']}: min gain {r['min_observed_gain']:.6f} vs bound {r['bound_gain']:.6f}"
         for r in reports
@@ -271,9 +275,14 @@ def _run_mobility(params: dict, seed: int):
 
 
 def _run_fresnel(params: dict, seed: int):
-    geometry = LinkGeometry(params["d1"], params["d2"], params["freq_ghz"] * 1e9)
-    radius = fresnel_radius(geometry)
-    record = {**asdict(geometry), "radius_m": radius}
+    frequency_hz = params["freq_ghz"] * 1e9
+    radius = fresnel_radius(params["d1"], params["d2"], frequency_hz)
+    record = {
+        "d1_m": params["d1"],
+        "d2_m": params["d2"],
+        "frequency_hz": frequency_hz,
+        "radius_m": radius,
+    }
     return record, {"radius_m": radius}, [f"fresnel radius = {radius:.3f} m"]
 
 
@@ -282,38 +291,44 @@ def _run_linkbudget(params: dict, seed: int):
     if params["bandwidth_ratio"] > 1:
         entries.append(("wider_noise_bandwidth", bandwidth_snr_delta(params["bandwidth_ratio"])))
     entries += [(k.removeprefix("entry_"), v) for k, v in params.items() if k.startswith("entry_")]
-    ledger = link_budget_ledger(entries)
-    return (
-        ledger,
-        {"total_db": ledger["total_db"]},
-        [f"link budget total {ledger['total_db']:.2f} dB over {len(entries)} entries"],
-    )
+    try:
+        total_db = math.fsum(db for _, db in entries)
+    except OverflowError as exc:
+        raise OverflowError(f"total_db: {exc}") from None
+    ledger = {
+        "entries": [{"label": label, "db": db} for label, db in entries],
+        "total_db": total_db,
+    }
+    lines = [f"link budget total {total_db:.2f} dB over {len(entries)} entries"]
+    return ledger, {"total_db": total_db}, lines
 
 
 def _run_estload(params: dict, seed: int):
-    spec = EstimationLoadSpec(**params)  # the schema lists exactly the spec's fields
-    report = estimation_load(spec)
-    lines = [
-        f"{report.n_coefficients} coefficients, "
-        f"{report.estimates_per_second:.3e} estimates/second"
-    ]
-    record = {**asdict(spec), **asdict(report)}
-    return record, {"n_coefficients": report.n_coefficients}, lines
+    # the schema lists exactly estimation_load's parameters
+    n_coefficients, rate = estimation_load(**params)
+    lines = [f"{n_coefficients} coefficients, {rate:.3e} estimates/second"]
+    record = {**params, "n_coefficients": n_coefficients, "estimates_per_second": rate}
+    return record, {"n_coefficients": n_coefficients}, lines
 
 
 def _run_hwbudget(params: dict, seed: int):
-    spec_a, spec_b = (
-        AdcSpec(params["fom_j_per_cs"], enob, params["sample_rate_hz"], params["overhead_factor"])
-        for enob in (params["enob_a"], params["enob_b"])
-    )
-    adc_a = budget_record("adc_array_a", params["n_converters_a"], adc_power(spec_a))
-    adc_b = budget_record("adc_array_b", params["n_converters_b"], adc_power(spec_b))
-    ratio = adc_array_budget(params["n_converters_a"], spec_a) / adc_array_budget(
-        params["n_converters_b"], spec_b
-    )
+    def budget(component: str, count: int, unit_power_w: float) -> dict:
+        return {
+            "component": component,
+            "count": count,
+            "unit_power_w": unit_power_w,
+            "total_power_w": count * unit_power_w,
+        }
+
+    fom, rate = params["fom_j_per_cs"], params["sample_rate_hz"]
+    power_a = adc_power(fom, params["enob_a"], rate, params["overhead_factor"])
+    power_b = adc_power(fom, params["enob_b"], rate, params["overhead_factor"])
+    adc_a = budget("adc_array_a", params["n_converters_a"], power_a)
+    adc_b = budget("adc_array_b", params["n_converters_b"], power_b)
+    ratio = adc_a["total_power_w"] / adc_b["total_power_w"]
     n_pa = params["pa_n_antennas"]
     pa_total_dc = array_pa_budget(n_pa, params["pa_total_radiated_w"], params["pa_pae"])
-    pa = budget_record("pa_array", n_pa, pa_total_dc / n_pa)
+    pa = budget("pa_array", n_pa, pa_total_dc / n_pa)
     record = {
         "adc_a": adc_a,
         "adc_b": adc_b,
@@ -332,7 +347,14 @@ def _run_diagnostic(metric_name: str, count_key: str, params: dict, seed: int):
     # looked up when called, so a rebound module global takes effect
     metric = hardening_metric if metric_name == "hardening" else favorable_propagation_metric
     value = metric(params["m_antennas"], params[count_key], seed)
-    record = metric_record(params["m_antennas"], params[count_key], seed, metric_name, value)
+    record = {
+        "model": "iid_rayleigh",
+        "m_antennas": params["m_antennas"],
+        "n_draws": params[count_key],
+        "seed": seed,
+        "metric_name": metric_name,
+        "value": value,
+    }
     label = metric_name.replace("_", "-")
     return record, {"value": value}, [f"{label} metric = {value:.6f}"]
 
@@ -583,7 +605,9 @@ def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    # a regular file in the way is left to mkstemp, which reports Not a directory
+    if not os.path.exists(directory):
+        os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mimolab-")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:

@@ -12,36 +12,20 @@ power-added efficiency at back-off), ignoring drive power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class AdcSpec:
-    fom_j_per_cs: float
-    enob: float
-    sample_rate_hz: float
-    overhead_factor: float = 1.0
-
-    def __post_init__(self):
-        if not self.fom_j_per_cs > 0:
-            raise ValueError(f"fom_j_per_cs must be positive, got {self.fom_j_per_cs}")
-        if not self.enob >= 1:
-            raise ValueError(f"enob must be at least 1, got {self.enob}")
-        if not self.sample_rate_hz > 0:
-            raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if not 1.0 <= self.overhead_factor <= 10.0:
-            raise ValueError(f"overhead_factor must lie in [1, 10], got {self.overhead_factor}")
-
-
-def adc_power(spec: AdcSpec) -> float:
+def adc_power(
+    fom_j_per_cs: float, enob: float, sample_rate_hz: float, overhead_factor: float
+) -> float:
     """DC power of one converter: FoM * f_s * 2^ENOB * overhead."""
-    return spec.fom_j_per_cs * spec.sample_rate_hz * 2.0**spec.enob * spec.overhead_factor
-
-
-def adc_array_budget(n_converters: int, spec: AdcSpec) -> float:
-    if not n_converters >= 1:
-        raise ValueError(f"n_converters must be at least 1, got {n_converters}")
-    return n_converters * adc_power(spec)
+    if not fom_j_per_cs > 0:
+        raise ValueError(f"fom_j_per_cs must be positive, got {fom_j_per_cs}")
+    if not enob >= 1:
+        raise ValueError(f"enob must be at least 1, got {enob}")
+    if not sample_rate_hz > 0:
+        raise ValueError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
+    if not 1.0 <= overhead_factor <= 10.0:
+        raise ValueError(f"overhead_factor must lie in [1, 10], got {overhead_factor}")
+    return fom_j_per_cs * sample_rate_hz * 2.0**enob * overhead_factor
 
 
 def array_pa_budget(n_antennas: int, total_radiated_power_w: float, pae_fraction: float) -> float:
@@ -58,12 +42,3 @@ def array_pa_budget(n_antennas: int, total_radiated_power_w: float, pae_fraction
         raise ValueError(f"pae_fraction must lie in (0, 1), got {pae_fraction}")
     return n_antennas * (total_radiated_power_w / n_antennas / pae_fraction)
 
-
-def budget_record(component: str, count: int, unit_power_w: float) -> dict:
-    """JSON-ready budget line: {component, count, unit_power_w, total_power_w}."""
-    return {
-        "component": component,
-        "count": count,
-        "unit_power_w": unit_power_w,
-        "total_power_w": count * unit_power_w,
-    }

@@ -8,27 +8,8 @@ station must estimate per coherence interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 from .geometry import SPEED_OF_LIGHT_M_S
-
-
-@dataclass(frozen=True)
-class LinkGeometry:
-    """An evaluation point at distances d1 and d2 from the two link ends."""
-
-    d1_m: float
-    d2_m: float
-    frequency_hz: float
-
-    def __post_init__(self):
-        if self.d1_m < 0 or self.d2_m < 0:
-            raise ValueError(f"distances must be nonnegative, got {self.d1_m}, {self.d2_m}")
-        if not self.d1_m + self.d2_m > 0:
-            raise ValueError("link length d1 + d2 must be positive")
-        if not self.frequency_hz > 0:
-            raise ValueError(f"frequency_hz must be positive, got {self.frequency_hz}")
 
 
 def wavelength_m(frequency_hz: float) -> float:
@@ -37,10 +18,17 @@ def wavelength_m(frequency_hz: float) -> float:
     return SPEED_OF_LIGHT_M_S / frequency_hz
 
 
-def fresnel_radius(geometry: LinkGeometry) -> float:
-    """First Fresnel-zone radius sqrt(lambda * d1 * d2 / (d1 + d2)) in meters."""
-    lam = wavelength_m(geometry.frequency_hz)
-    return math.sqrt(lam * geometry.d1_m * geometry.d2_m / (geometry.d1_m + geometry.d2_m))
+def fresnel_radius(d1_m: float, d2_m: float, frequency_hz: float) -> float:
+    """First Fresnel-zone radius sqrt(lambda * d1 * d2 / (d1 + d2)) in meters.
+
+    d1 and d2 are the distances of the evaluation point from the two link ends.
+    """
+    if d1_m < 0 or d2_m < 0:
+        raise ValueError(f"distances must be nonnegative, got {d1_m}, {d2_m}")
+    if not d1_m + d2_m > 0:
+        raise ValueError("link length d1 + d2 must be positive")
+    lam = wavelength_m(frequency_hz)
+    return math.sqrt(lam * d1_m * d2_m / (d1_m + d2_m))
 
 
 def bandwidth_snr_delta(bandwidth_ratio: float) -> float:
@@ -54,52 +42,31 @@ def bandwidth_snr_delta(bandwidth_ratio: float) -> float:
     return -10.0 * math.log10(bandwidth_ratio)
 
 
-@dataclass(frozen=True)
-class EstimationLoadSpec:
-    """Dimensions of the per-coherence-time channel estimation task."""
-
-    m_antennas: int
-    k_users: int
-    n_subcarriers: int
-    subcarriers_per_block: int
-    coherence_time_s: float
-
-    def __post_init__(self):
-        for name in ("m_antennas", "k_users", "n_subcarriers", "subcarriers_per_block"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.subcarriers_per_block > self.n_subcarriers:
-            raise ValueError("subcarriers_per_block cannot exceed n_subcarriers")
-        if not self.coherence_time_s > 0:
-            raise ValueError(f"coherence_time_s must be positive, got {self.coherence_time_s}")
-
-
-@dataclass(frozen=True)
-class EstimationLoadReport:
-    n_coefficients: int
-    estimates_per_second: float
-
-
-def estimation_load(spec: EstimationLoadSpec) -> EstimationLoadReport:
+def estimation_load(
+    m_antennas: int,
+    k_users: int,
+    n_subcarriers: int,
+    subcarriers_per_block: int,
+    coherence_time_s: float,
+) -> tuple[int, float]:
     """Coefficient count M*K*ceil(subcarriers/block) and its rate per second.
 
     ceil, not floor: every subcarrier must be covered by some estimate even
     when the block size does not divide the grid evenly.
     """
-    blocks = -(-spec.n_subcarriers // spec.subcarriers_per_block)
-    n_coefficients = spec.m_antennas * spec.k_users * blocks
-    return EstimationLoadReport(
-        n_coefficients=n_coefficients,
-        estimates_per_second=n_coefficients / spec.coherence_time_s,
-    )
-
-
-def link_budget_ledger(entries: Sequence[tuple[str, float]]) -> dict:
-    """Sum labelled scalar dB contributions into a JSON-ready ledger.
-
-    Material and atmospheric effects (window penetration, foliage, oxygen
-    absorption, rain) enter as user-supplied dB numbers, not as physical
-    models.
-    """
-    items = [{"label": str(label), "db": float(db)} for label, db in entries]
-    return {"entries": items, "total_db": math.fsum(item["db"] for item in items)}
+    counts = {
+        "m_antennas": m_antennas,
+        "k_users": k_users,
+        "n_subcarriers": n_subcarriers,
+        "subcarriers_per_block": subcarriers_per_block,
+    }
+    for name, count in counts.items():
+        if not count >= 1:
+            raise ValueError(f"{name} must be a positive integer")
+    if subcarriers_per_block > n_subcarriers:
+        raise ValueError("subcarriers_per_block cannot exceed n_subcarriers")
+    if not coherence_time_s > 0:
+        raise ValueError(f"coherence_time_s must be positive, got {coherence_time_s}")
+    blocks = -(-n_subcarriers // subcarriers_per_block)
+    n_coefficients = m_antennas * k_users * blocks
+    return n_coefficients, n_coefficients / coherence_time_s

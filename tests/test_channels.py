@@ -12,7 +12,6 @@ from mimolab.channels import (
     drift_gain,
     favorable_propagation_metric,
     hardening_metric,
-    metric_record,
     pair_correlation,
 )
 from mimolab.rng import RandomStream, derive_seed
@@ -134,25 +133,12 @@ def test_favorable_metric_needs_one_pair():
     [
         lambda: hardening_metric(0, 10, 42),
         lambda: favorable_propagation_metric(0, 10, 42),
-        lambda: metric_record(0, 10, 42, "hardening", 0.1),
     ],
-    ids=["hardening_metric", "favorable_propagation_metric", "metric_record"],
+    ids=["hardening_metric", "favorable_propagation_metric"],
 )
 def test_random_channel_functions_need_an_antenna(call):
     with pytest.raises(ValueError, match="m_antennas"):
         call()
-
-
-def test_metric_record_shape():
-    record = metric_record(100, 1000, 7, "hardening", 0.1)
-    assert record == {
-        "model": "iid_rayleigh",
-        "m_antennas": 100,
-        "n_draws": 1000,
-        "seed": 7,
-        "metric_name": "hardening",
-        "value": 0.1,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +182,21 @@ def test_drift_bound_exhaustive_sign_patterns(m):
 
 
 def test_drift_bound_check_zero_mu():
-    report = drift_bound_check(16, 0.0, 100, 42)
-    assert report.min_observed_gain == pytest.approx(16.0, rel=1e-12)
-    assert report.bound_gain == pytest.approx(16.0, rel=1e-12)
+    min_gain, bound = drift_bound_check(16, 0.0, 100, 42)
+    assert min_gain == pytest.approx(16.0, rel=1e-12)
+    assert bound == pytest.approx(16.0, rel=1e-12)
 
 
 def test_drift_bound_check_eighth_wavelength():
-    report = drift_bound_check(64, 0.125, 10_000, 42)
-    assert report.bound_gain == pytest.approx(32.0, rel=1e-12)
-    assert report.min_observed_gain >= 32.0
-    assert report.holds
+    min_gain, bound = drift_bound_check(64, 0.125, 10_000, 42)
+    assert bound == pytest.approx(32.0, rel=1e-12)
+    assert min_gain >= 32.0
 
 
 def test_drift_bound_check_sixteenth_wavelength():
-    report = drift_bound_check(64, 0.0625, 10_000, 42)
-    assert report.bound_gain == pytest.approx(64 * math.cos(math.pi / 8) ** 2, rel=1e-12)
-    assert report.min_observed_gain >= report.bound_gain * (1 - 1e-12)
+    min_gain, bound = drift_bound_check(64, 0.0625, 10_000, 42)
+    assert bound == pytest.approx(64 * math.cos(math.pi / 8) ** 2, rel=1e-12)
+    assert min_gain >= bound * (1 - 1e-12)
 
 
 @pytest.mark.parametrize("m, n", [(64, 0), (64, 1), (64, 2500), (7, 30_000), (100_000, 3)])
@@ -242,3 +227,12 @@ def test_drift_bound_check_rejects_large_mu():
     with pytest.raises(ValueError):
         drift_bound_check(64, 0.2, 10, 42)
 
+
+def test_drift_bound_violation_raises(monkeypatch):
+    # the bound cannot fail for mu <= 1/8, so a patched draw stands in for a broken kernel
+    def below(m_antennas, mu, n_draws, seed):
+        yield np.array([m_antennas / 4])
+
+    monkeypatch.setattr("mimolab.channels._random_drift_gains", below)
+    with pytest.raises(ArithmeticError, match="fell below the bound"):
+        drift_bound_check(64, 0.125, 10, 42)

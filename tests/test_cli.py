@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from mimolab import __version__
@@ -91,6 +92,9 @@ def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
         (["hardening", "--m-antennas", "10000001"], "m_antennas"),
         (["favorable", "--m-antennas", "10000001"], "m_antennas"),
         (["mobility", "--m-antennas", "10000001"], "m_antennas"),
+        # past the bound that keeps the per-K CSV rows within memory: 1,040,000 user counts
+        (["capacity", "--fine", "true", "--coherence-time-s", "2.6"], "k_step"),
+        (["antenna-sweep", "--fine", "true", "--coherence-time-s", "2.6"], "k_step"),
     ],
 )
 def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
@@ -112,7 +116,8 @@ def test_missing_config_file(tmp_path, monkeypatch, capsys):
         (["--config", "a_dir"], "config", 3),
         (["--config", "latin1.ini"], "config", 3),
         (["fresnel", "--output", "a_dir"], "cannot write 'a_dir'", 4),
-        (["fresnel", "--output", "a_file/f.json"], "cannot write 'a_file/f.json'", 4),
+        (["fresnel", "--output", "a_file/f.json"],
+         "cannot write 'a_file/f.json': Not a directory", 4),
     ],
     ids=["config-dir", "config-not-utf8", "output-dir", "output-under-file"],
 )
@@ -148,6 +153,19 @@ def test_out_of_memory_exits_four(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "h.json").exists()
 
 
+def test_drift_bound_violation_is_runtime_failure(tmp_path, monkeypatch, capsys):
+    def below(m_antennas, mu, n_draws, seed):
+        yield np.array([m_antennas / 4])
+
+    monkeypatch.setattr("mimolab.channels._random_drift_gains", below)
+    code = run_cli(["mobility", "--output", "m.json"], tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("runtime failure: drift gain 16.0 fell below the bound")
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mu_above_an_eighth_rejected(tmp_path, monkeypatch, capsys):
     code = run_cli(["mobility", "--set", "mu_list=0.3"], tmp_path, monkeypatch)
     assert code == 3
@@ -181,6 +199,7 @@ NON_FINITE_QUANTITY = {
     "capacity": "rate_per_ue_bps",
     "antenna-sweep": "rate_per_ue_bps",  # only in CSV rows; the manifest stays finite
     "hwbudget": "adc_a.unit_power_w",
+    "linkbudget": "total_db",  # math.fsum raises on overflow instead of returning inf
 }
 
 
@@ -192,6 +211,7 @@ NON_FINITE_QUANTITY = {
         ["capacity", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
         ["antenna-sweep", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
         ["hwbudget", "--fom-j-per-cs", "1e300", "--enob-a", "1000"],
+        ["linkbudget", "--entry-a", "1e308", "--entry-b", "1e308"],
     ],
 )
 def test_non_finite_result_is_runtime_failure(args, tmp_path, monkeypatch, capsys):
@@ -351,6 +371,11 @@ def test_linkbudget_entries(tmp_path, monkeypatch):
     labels = [e["label"] for e in ledger["entries"]]
     assert labels == ["wider_noise_bandwidth", "window_loss", "foliage"]
     assert ledger["total_db"] == pytest.approx(-10 * 1.3010299956639813 - 50, rel=1e-9)
+    # no widening and no entries: an empty ledger
+    code = run_cli(["linkbudget", "--bandwidth-ratio", "1", "--output", "empty.json"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+    assert json.loads((tmp_path / "empty.json").read_text()) == {"entries": [], "total_db": 0.0}
 
 
 def test_hardening_record(tmp_path, monkeypatch):
