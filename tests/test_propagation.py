@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolab.capacity import estimation_quality
+from mimolab.cli import main
 from mimolab.hardware import adc_power, array_pa_budget
 from mimolab.propagation import bandwidth_snr_delta, estimation_load, fresnel_radius, wavelength_m
 from mimolab.scenarios import centralpark_3ghz
@@ -105,6 +107,17 @@ def test_estimation_spec_validation():
         estimation_load(1, 1, 10, 11, 1.0)  # block larger than the grid
     with pytest.raises(ValueError, match="coherence_time_s"):
         estimation_load(1, 1, 10, 1, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# ledger
+# ---------------------------------------------------------------------------
+
+def test_ledger_empty(tmp_path, monkeypatch):
+    # no noise-bandwidth widening and no extra entries sum to an empty ledger
+    monkeypatch.chdir(tmp_path)
+    assert main(["linkbudget", "--bandwidth-ratio", "1", "--output", "lb.json"]) == 0
+    assert json.loads((tmp_path / "lb.json").read_text()) == {"entries": [], "total_db": 0.0}
 
 
 # ---------------------------------------------------------------------------
