@@ -16,17 +16,17 @@ from mimolab.scenarios import centralpark_3ghz, centralpark_60ghz  # noqa: E402
 if __name__ == "__main__":
     for label, scenario in (("3 GHz / 50 MHz", centralpark_3ghz()),
                             ("60 GHz / 1 GHz", centralpark_60ghz())):
-        tau_c = scenario.block.samples
-        print(f"== {label}: tau_c = {tau_c}, uplink SNR {scenario.ul_pilot_snr_linear:g} ==")
+        tau_c = scenario["tau_c"]
+        print(f"== {label}: tau_c = {tau_c}, uplink SNR {scenario['ul_pilot_snr']:g} ==")
         coarse = k_range(tau_c)
-        for row in antenna_sweep(scenario, [100, 1000, 10_000, 100_000], coarse):
+        for row in antenna_sweep([100, 1000, 10_000, 100_000], coarse, **scenario):
             print(
                 f"  M={row['m_antennas']:>6}: K={row['k_users']:>6} "
                 f"pilot {row['pilot_fraction']:5.3f} sum {row['sum_rate_bps'] / 1e9:10.2f} Gbit/s"
             )
-        best = best_row(rate_table(scenario, k_range(tau_c, fine=True)))
+        best = best_row(rate_table(k_range(tau_c, fine=True), **scenario))
         print(
-            f"  fine optimum at M={scenario.m_antennas}: K={best['k_users']}, "
+            f"  fine optimum at M={scenario['m_antennas']}: K={best['k_users']}, "
             f"pilot fraction {best['pilot_fraction']:.4f}, "
             f"per-UE {best['rate_per_ue_bps'] / 1e6:.1f} Mbit/s, "
             f"sum {best['sum_rate_bps'] / 1e12:.3f} Tbit/s"

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import MultipathChannel, PlanarArray, channel_vector, steering_factors
+from .geometry import PlanarArray, channel_vector, steering_factors
 
 _SWEEP_CHUNK = 16
 """Frequencies per batch in squint_sweep; bounds its working arrays."""
@@ -112,13 +112,14 @@ def efficiency(w: np.ndarray, h: np.ndarray) -> float:
 
 def squint_sweep(
     array: PlanarArray,
-    channel: MultipathChannel,
+    channel: tuple[np.ndarray, np.ndarray],
     f_center_hz: float,
     span_hz: float,
     n_points: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Efficiency of a center-frequency analog beam across the band.
 
+    The channel is the (gains, cosines) pair of ``steering_factors``.
     The analog weights w are aligned once at f_center and reused at n_points
     equally spaced frequencies in [f_center - span/2, f_center + span/2].
     Each point is independent of the others (evaluation order is
@@ -149,7 +150,7 @@ def squint_sweep(
     w = analog_weights(channel_vector(array, channel, f_center_hz))
     w_grid = w.reshape(array.rows, array.cols)
     w_power = np.vdot(w, w).real
-    gains = np.array([path.gain for path in channel.paths])
+    gains = np.asarray(channel[0], dtype=complex)
     gain_pairs = np.outer(gains, gains.conj())
     effs = np.empty(n_points)
     for start in range(0, n_points, _SWEEP_CHUNK):

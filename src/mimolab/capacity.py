@@ -10,60 +10,29 @@ split equally over users, each user sees
     SINR = M * gamma * (rho_dl / K) / (1 + rho_dl)
 
 where the denominator carries unit noise plus non-coherent interference
-from all K streams.  Everything is deterministic closed-form arithmetic;
-no Monte-Carlo is involved.
+from all K streams.  Everything is deterministic closed-form arithmetic on
+plain numbers (a scenario is rate_table's keyword arguments); no
+Monte-Carlo is involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class CoherenceBlock:
-    """Time-frequency region over which the channel is treated as constant."""
-
-    coherence_time_s: float
-    coherence_bandwidth_hz: float
-
-    def __post_init__(self):
-        if not (self.coherence_time_s > 0 and self.coherence_bandwidth_hz > 0):
-            raise ValueError("coherence time and bandwidth must be positive")
-        if self.samples < 1:
-            raise ValueError("a coherence block must contain at least one sample")
-        # rate_table holds K <= tau_c as int64 and forms K/tau_c in doubles, exact to 2**53
-        if self.samples > 2**53:
-            raise ValueError(f"a coherence block of {self.samples} samples exceeds 2**53")
-
-    @property
-    def samples(self) -> int:
-        """Number of usable samples tau_c = round(time * bandwidth)."""
-        return round(self.coherence_time_s * self.coherence_bandwidth_hz)
-
-
-@dataclass(frozen=True)
-class CapacityScenario:
-    carrier_hz: float
-    bandwidth_hz: float
-    m_antennas: int
-    ul_pilot_snr_linear: float
-    dl_ul_power_ratio: float
-    block: CoherenceBlock
-
-    def __post_init__(self):
-        if not (self.carrier_hz > 0 and self.bandwidth_hz > 0):
-            raise ValueError("carrier and bandwidth must be positive")
-        if not self.m_antennas >= 1:
-            raise ValueError(f"m_antennas must be at least 1, got {self.m_antennas}")
-        if not (self.ul_pilot_snr_linear > 0 and self.dl_ul_power_ratio > 0):
-            raise ValueError("SNR and power ratio must be positive")
-
-    @property
-    def dl_snr_linear(self) -> float:
-        return self.dl_ul_power_ratio * self.ul_pilot_snr_linear
+def coherence_samples(coherence_time_s: float, coherence_bandwidth_hz: float) -> int:
+    """Usable samples tau_c = round(time * bandwidth) of a block of constant channel."""
+    if not (coherence_time_s > 0 and coherence_bandwidth_hz > 0):
+        raise ValueError("coherence time and bandwidth must be positive")
+    tau_c = round(coherence_time_s * coherence_bandwidth_hz)
+    if tau_c < 1:
+        raise ValueError("a coherence block must contain at least one sample")
+    # rate_table holds K <= tau_c as int64 and forms K/tau_c in doubles, exact to 2**53
+    if tau_c > 2**53:
+        raise ValueError(f"a coherence block of {tau_c} samples exceeds 2**53")
+    return tau_c
 
 
 RATE_COLUMNS = ("k_users", "pilot_fraction", "se_per_ue", "rate_per_ue_bps", "sum_rate_bps")
@@ -80,14 +49,22 @@ def estimation_quality(tau_p: int | np.ndarray, rho_ul: float) -> float | np.nda
     return x / (1.0 + x)
 
 
-def rate_table(scenario: CapacityScenario, k_users: Sequence[int]) -> dict[str, np.ndarray]:
+def rate_table(k_users: Sequence[int], *, m_antennas: int, tau_c: int, ul_pilot_snr: float,
+               dl_ul_power_ratio: float, bandwidth_hz: float) -> dict[str, np.ndarray]:
     """Rates for every user count K on the grid, one array per RATE_COLUMNS name.
 
-    Per user SE = (1 - K/tau_c) * log2(1 + SINR) in bit/s/Hz and rate SE*B;
-    the sum rate is K times that.
+    M antennas serve K users in blocks of tau_c samples (``coherence_samples``)
+    with linear uplink pilot SNR rho_ul and downlink SNR
+    rho_dl = dl_ul_power_ratio * rho_ul.  Per user SE = (1 - K/tau_c) *
+    log2(1 + SINR) in bit/s/Hz and rate SE*B; the sum rate is K times that.
     """
+    if not bandwidth_hz > 0:
+        raise ValueError(f"bandwidth_hz must be positive, got {bandwidth_hz}")
+    if not m_antennas >= 1:
+        raise ValueError(f"m_antennas must be at least 1, got {m_antennas}")
+    if not (ul_pilot_snr > 0 and dl_ul_power_ratio > 0):
+        raise ValueError("SNR and power ratio must be positive")
     k = np.asarray(k_users, dtype=np.int64)
-    tau_c = scenario.block.samples
     if k.size == 0:
         raise ValueError("k_users must be non-empty")
     if not (k.min() >= 1 and k.max() <= tau_c):
@@ -95,15 +72,15 @@ def rate_table(scenario: CapacityScenario, k_users: Sequence[int]) -> dict[str, 
             f"k_users must lie in 1..{tau_c} (the coherence block), "
             f"got {k.min()}..{k.max()}"
         )
-    rho_dl = scenario.dl_snr_linear
+    rho_dl = dl_ul_power_ratio * ul_pilot_snr
     # overflow yields inf/nan without a warning, as Python float arithmetic does;
     # cli.run then names the first non-finite cell
     with np.errstate(over="ignore", invalid="ignore"):
-        gamma = estimation_quality(k, scenario.ul_pilot_snr_linear)
-        sinr = scenario.m_antennas * gamma * (rho_dl / k) / (1.0 + rho_dl)
+        gamma = estimation_quality(k, ul_pilot_snr)
+        sinr = m_antennas * gamma * (rho_dl / k) / (1.0 + rho_dl)
         pilot_fraction = k / tau_c
         se = (1.0 - pilot_fraction) * np.log2(1.0 + sinr)
-        rate = se * scenario.bandwidth_hz
+        rate = se * bandwidth_hz
         return dict(zip(RATE_COLUMNS, (k, pilot_fraction, se, rate, k * rate)))
 
 
@@ -130,13 +107,11 @@ def k_range(
     return range(k_min, k_max + 1, step)
 
 
-def antenna_sweep(
-    scenario: CapacityScenario, m_grid: Sequence[int], k_grid: Sequence[int]
-) -> list[dict]:
-    """best_row over k_grid for each antenna count, m_antennas first, ordered by M."""
-    if len(m_grid) == 0 or len(k_grid) == 0:
-        raise ValueError("m_grid and k_grid must be non-empty")
+def antenna_sweep(m_grid: Sequence[int], k_users: Sequence[int], **rate_args) -> list[dict]:
+    """best_row over k_users for each M (replacing rate_args' m_antennas), M first, by M."""
+    if len(m_grid) == 0 or len(k_users) == 0:
+        raise ValueError("m_grid and k_users must be non-empty")
     return [
-        {"m_antennas": m, **best_row(rate_table(replace(scenario, m_antennas=m), k_grid))}
+        {"m_antennas": m, **best_row(rate_table(k_users, **{**rate_args, "m_antennas": m}))}
         for m in sorted(int(m) for m in m_grid)
     ]

@@ -40,10 +40,9 @@ from . import __version__
 from .beamforming import squint_sweep
 from .capacity import (
     RATE_COLUMNS,
-    CapacityScenario,
-    CoherenceBlock,
     antenna_sweep,
     best_row,
+    coherence_samples,
     k_range,
     rate_table,
 )
@@ -201,19 +200,14 @@ def _run_squint(params: dict, seed: int):
     return (("frequency_hz", "efficiency"), rows), extras, lines
 
 
-def _capacity_scenario(params: dict) -> tuple[CapacityScenario, range, dict]:
+def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
     ul_snr = params["ul_pilot_snr"]
     if params["snr_scaling"] == "bandwidth":
         ul_snr = ul_snr * params["reference_bandwidth_hz"] / params["bandwidth_hz"]
-    scenario = CapacityScenario(
-        carrier_hz=params["carrier_hz"],
-        bandwidth_hz=params["bandwidth_hz"],
-        m_antennas=params["m_antennas"],
-        ul_pilot_snr_linear=ul_snr,
-        dl_ul_power_ratio=params["dl_ul_power_ratio"],
-        block=CoherenceBlock(params["coherence_time_s"], params["coherence_bandwidth_hz"]),
-    )
-    tau_c = scenario.block.samples
+    try:
+        tau_c = coherence_samples(params["coherence_time_s"], params["coherence_bandwidth_hz"])
+    except ValueError as exc:
+        raise ValidationError("coherence_time_s", f"{exc} (tau_c = time * bandwidth)") from None
     grid = k_range(tau_c, params["k_min"], params["k_max"], params["k_step"], params["fine"])
     # a capacity sweep of 1,000,000 user counts (its CSV rows) already peaks near 0.58 GB
     if len(grid) > 1_000_000:
@@ -225,14 +219,17 @@ def _capacity_scenario(params: dict) -> tuple[CapacityScenario, range, dict]:
         "ul_pilot_snr_effective": ul_snr,
         "tau_c": tau_c,
     }
-    return scenario, grid, extras
+    rate_args = dict(m_antennas=params["m_antennas"], tau_c=tau_c, ul_pilot_snr=ul_snr,
+                     dl_ul_power_ratio=params["dl_ul_power_ratio"],
+                     bandwidth_hz=params["bandwidth_hz"])
+    return rate_args, grid, extras
 
 
 def _run_capacity(params: dict, seed: int):
-    scenario, grid, extras = _capacity_scenario(params)
-    table = rate_table(scenario, grid)
+    rate_args, grid, extras = _capacity_scenario(params)
+    table = rate_table(grid, **rate_args)
     best = best_row(table)
-    m = scenario.m_antennas
+    m = rate_args["m_antennas"]
     extras["optimum"] = {"m_antennas": m, **best}
     lines = [
         f"optimum: K={best['k_users']}, pilot fraction {best['pilot_fraction']:.4f}, "
@@ -243,8 +240,8 @@ def _run_capacity(params: dict, seed: int):
 
 
 def _run_antenna_sweep(params: dict, seed: int):
-    scenario, grid, extras = _capacity_scenario(params)
-    best = antenna_sweep(scenario, params["m_grid"], grid)
+    rate_args, grid, extras = _capacity_scenario(params)
+    best = antenna_sweep(params["m_grid"], grid, **rate_args)
     lines = [
         f"M={row['m_antennas']}: best sum rate {row['sum_rate_bps'] / 1e9:.3f} Gbit/s "
         f"at K={row['k_users']}"
@@ -325,6 +322,8 @@ def _run_hwbudget(params: dict, seed: int):
     power_b = adc_power(fom, params["enob_b"], rate, params["overhead_factor"])
     adc_a = budget("adc_array_a", params["n_converters_a"], power_a)
     adc_b = budget("adc_array_b", params["n_converters_b"], power_b)
+    if adc_b["total_power_w"] == 0.0:
+        raise ValueError("adc_power_ratio_a_over_b: array B's ADC power underflows to 0 W")
     ratio = adc_a["total_power_w"] / adc_b["total_power_w"]
     n_pa = params["pa_n_antennas"]
     pa_total_dc = array_pa_budget(n_pa, params["pa_total_radiated_w"], params["pa_pae"])

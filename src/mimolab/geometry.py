@@ -14,9 +14,10 @@ Conventions, fixed so outputs reproduce bit for bit:
   * the response entry for grid position (m, n) at frequency f is
     exp(j * 2*pi * (f/c) * spacing * (n*k_h + m*k_v)).
 
-Path gains are frequency-flat complex amplitudes: all frequency dependence
-of a multipath channel lives in the array response, with no per-path delay
-phase across the band.
+A multipath channel is a pair (gains, cosines) of L complex path gains and
+an L x 2 array of direction cosines (k_h, k_v).  The gains are frequency-
+flat: all frequency dependence of the channel lives in the array response,
+with no per-path delay phase across the band.
 """
 
 from __future__ import annotations
@@ -29,26 +30,13 @@ import numpy as np
 SPEED_OF_LIGHT_M_S = 299792458.0
 
 
-@dataclass(frozen=True)
-class Direction:
-    """Arrival/departure direction relative to array boresight, radians."""
-
-    azimuth_rad: float
-    elevation_rad: float
-
-    def __post_init__(self):
-        if not -math.pi < self.azimuth_rad <= math.pi:
-            raise ValueError(f"azimuth_rad must lie in (-pi, pi], got {self.azimuth_rad}")
-        if not -math.pi / 2 <= self.elevation_rad <= math.pi / 2:
-            raise ValueError(
-                f"elevation_rad must lie in [-pi/2, pi/2], got {self.elevation_rad}"
-            )
-
-    def cosines(self) -> tuple[float, float]:
-        """Horizontal and vertical direction cosines (k_h, k_v)."""
-        k_h = math.sin(self.azimuth_rad) * math.cos(self.elevation_rad)
-        k_v = math.sin(self.elevation_rad)
-        return k_h, k_v
+def direction_cosines(azimuth_rad: float, elevation_rad: float) -> tuple[float, float]:
+    """Direction cosines (k_h, k_v) of an azimuth and elevation, radians from boresight."""
+    if not -math.pi < azimuth_rad <= math.pi:
+        raise ValueError(f"azimuth_rad must lie in (-pi, pi], got {azimuth_rad}")
+    if not -math.pi / 2 <= elevation_rad <= math.pi / 2:
+        raise ValueError(f"elevation_rad must lie in [-pi/2, pi/2], got {elevation_rad}")
+    return math.sin(azimuth_rad) * math.cos(elevation_rad), math.sin(elevation_rad)
 
 
 @dataclass(frozen=True)
@@ -62,17 +50,12 @@ class PlanarArray:
     rows: int
     cols: int
     spacing_m: float
-    design_frequency_hz: float
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"array needs rows >= 1 and cols >= 1, got {self.rows}x{self.cols}")
         if not self.spacing_m > 0:
             raise ValueError(f"spacing_m must be positive, got {self.spacing_m}")
-        if not self.design_frequency_hz > 0:
-            raise ValueError(
-                f"design_frequency_hz must be positive, got {self.design_frequency_hz}"
-            )
 
     @property
     def num_elements(self) -> int:
@@ -83,50 +66,32 @@ class PlanarArray:
         """Array spaced at c/(2f) for the given design frequency."""
         if not frequency_hz > 0:
             raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
-        return cls(rows, cols, SPEED_OF_LIGHT_M_S / (2.0 * frequency_hz), frequency_hz)
-
-
-@dataclass(frozen=True)
-class Path:
-    """One propagation path: frequency-flat complex gain plus a direction."""
-
-    gain: complex
-    direction: Direction
-
-    def __post_init__(self):
-        object.__setattr__(self, "gain", complex(self.gain))
-
-
-@dataclass(frozen=True, eq=False)
-class MultipathChannel:
-    """Ordered, non-empty collection of paths with positive total power."""
-
-    paths: tuple[Path, ...]
-
-    def __post_init__(self):
-        paths = tuple(self.paths)
-        if not paths:
-            raise ValueError("a multipath channel needs at least one path")
-        if sum(abs(p.gain) ** 2 for p in paths) <= 0.0:
-            raise ValueError("total path power must be positive")
-        object.__setattr__(self, "paths", paths)
+        return cls(rows, cols, SPEED_OF_LIGHT_M_S / (2.0 * frequency_hz))
 
 
 def steering_factors(
-    array: PlanarArray, channel: MultipathChannel, frequencies_hz: np.ndarray
+    array: PlanarArray, channel: tuple[np.ndarray, np.ndarray], frequencies_hz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row and column factors of every path's response at every frequency.
 
-    The planar response is separable: with s = 2*pi*(f/c)*spacing, entry
-    (m, n) is a_v[m] * a_h[n] for a_v[m] = exp(j*s*m*k_v) and
+    The channel needs at least one path and positive total power.  The
+    planar response is separable: with s = 2*pi*(f/c)*spacing, entry (m, n)
+    is a_v[m] * a_h[n] for a_v[m] = exp(j*s*m*k_v) and
     a_h[n] = exp(j*s*n*k_h), and the row-major response is np.kron(a_v, a_h).
     Returns a_v with shape (paths, frequencies, rows) and a_h with shape
     (paths, frequencies, cols), both checked for unit modulus.
     """
+    gains, cosines = channel[0], np.asarray(channel[1], dtype=float)
+    if len(gains) == 0:
+        raise ValueError("a multipath channel needs at least one path")
+    if np.sum(np.abs(gains) ** 2) <= 0.0:
+        raise ValueError("total path power must be positive")
+    if cosines.shape != (len(gains), 2):
+        raise ValueError(f"need one (k_h, k_v) row per path gain, got {cosines.shape} cosines")
     freqs = np.asarray(frequencies_hz, dtype=float)
     if not np.all(freqs > 0):
         raise ValueError(f"frequency_hz must be positive, got {freqs[~(freqs > 0)][0]}")
-    k_h, k_v = np.array([path.direction.cosines() for path in channel.paths]).T
+    k_h, k_v = cosines.T
     scale = (2.0 * np.pi * (freqs / SPEED_OF_LIGHT_M_S) * array.spacing_m)[None, :, None]
     a_v = np.exp(1j * (scale * (np.arange(array.rows) * k_v[:, None, None])))
     a_h = np.exp(1j * (scale * (np.arange(array.cols) * k_h[:, None, None])))
@@ -136,7 +101,9 @@ def steering_factors(
     return a_v, a_h
 
 
-def channel_vector(array: PlanarArray, channel: MultipathChannel, frequency_hz: float) -> np.ndarray:
+def channel_vector(
+    array: PlanarArray, channel: tuple[np.ndarray, np.ndarray], frequency_hz: float
+) -> np.ndarray:
     """Channel vector h(f) = sum of gain_l * response(direction_l, f) over paths.
 
     Entry (m, n) is sum_l g_l a_v,l[m] a_h,l[n] with the factors of
@@ -144,5 +111,5 @@ def channel_vector(array: PlanarArray, channel: MultipathChannel, frequency_hz: 
     (paths x cols) product, flattened row-major.
     """
     a_v, a_h = steering_factors(array, channel, np.array([frequency_hz]))
-    gains = np.array([path.gain for path in channel.paths])
+    gains = np.asarray(channel[0], dtype=complex)
     return ((gains[:, None] * a_v[:, 0]).T @ a_h[:, 0]).ravel()

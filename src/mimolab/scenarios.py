@@ -1,23 +1,27 @@
-"""Reference scenarios shared by the bundled configs, scripts, and tests."""
+"""Reference scenarios shared by the bundled configs, scripts, and tests.
+
+The six-path channel is a geometry (gains, cosines) pair and each Central
+Park scenario a dict of capacity.rate_table keyword arguments.
+"""
 
 from __future__ import annotations
 
 import math
 
-from .capacity import CapacityScenario, CoherenceBlock
-from .geometry import Direction, MultipathChannel, Path, PlanarArray
+import numpy as np
+
+from .capacity import coherence_samples
+from .geometry import PlanarArray, direction_cosines
 from .rng import RandomStream
 
 DEFAULT_SEED = 42
 
 SIXPATH_CENTER_HZ = 60e9
-SIXPATH_LOS_DIRECTION = Direction(math.pi / 4, -math.pi / 4)
-SIXPATH_REFLECTION_DIRECTIONS = (
-    Direction(math.pi / 6, -math.pi / 5),
-    Direction(math.pi / 3, -math.pi / 5),
-    Direction(math.pi / 4, -math.pi / 6),
-    Direction(math.pi / 4, -math.pi / 12),
-    Direction(math.pi / 12, -math.pi / 6),
+# (azimuth, elevation) in radians: line of sight, then the five reflections
+SIXPATH_DIRECTIONS = (
+    (math.pi / 4, -math.pi / 4),
+    (math.pi / 6, -math.pi / 5), (math.pi / 3, -math.pi / 5), (math.pi / 4, -math.pi / 6),
+    (math.pi / 4, -math.pi / 12), (math.pi / 12, -math.pi / 6),
 )
 
 # LoS amplitude equal to the summed reflection amplitudes, total power 1:
@@ -26,22 +30,20 @@ SIXPATH_LOS_POWER = 5.0 / 6.0
 SIXPATH_REFLECTION_POWER = SIXPATH_LOS_POWER / 25.0
 
 
-def sixpath_channel(seed: int = DEFAULT_SEED) -> MultipathChannel:
+def sixpath_channel(seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
     """60 GHz line-of-sight channel with five single-bounce reflections.
 
+    Returns the (gains, cosines) pair of ``geometry.steering_factors``.
     Per-path phases are drawn once from the seeded stream, LoS first and the
     reflections in listed order, so the channel is reproducible from the
     seed alone.
     """
     phases = RandomStream(seed).phases(6)
-    paths = [
-        Path(math.sqrt(SIXPATH_LOS_POWER) * complex(math.cos(phases[0]), math.sin(phases[0])),
-             SIXPATH_LOS_DIRECTION)
-    ]
-    for phase, direction in zip(phases[1:], SIXPATH_REFLECTION_DIRECTIONS):
-        gain = math.sqrt(SIXPATH_REFLECTION_POWER) * complex(math.cos(phase), math.sin(phase))
-        paths.append(Path(gain, direction))
-    return MultipathChannel(tuple(paths))
+    powers = (SIXPATH_LOS_POWER,) + (SIXPATH_REFLECTION_POWER,) * 5
+    gains = np.array([math.sqrt(power) * complex(math.cos(phase), math.sin(phase))
+                      for power, phase in zip(powers, phases)])
+    cosines = np.array([direction_cosines(az, el) for az, el in SIXPATH_DIRECTIONS])
+    return gains, cosines
 
 
 def sixpath_array(side: int) -> PlanarArray:
@@ -49,40 +51,21 @@ def sixpath_array(side: int) -> PlanarArray:
     return PlanarArray.half_wavelength_at(side, side, SIXPATH_CENTER_HZ)
 
 
-# Extreme-multiplexing study: one large park served from surrounding rooftops.
-CENTRALPARK_M_ANTENNAS = 100_000
-CENTRALPARK_UL_SNR_REF = 100.0  # 20 dB per receive antenna at the 50 MHz reference
-CENTRALPARK_REFERENCE_BANDWIDTH_HZ = 50e6
-CENTRALPARK_DL_UL_RATIO = 100.0
-CENTRALPARK_COHERENCE_BANDWIDTH_HZ = 400e3
+# Extreme-multiplexing study: a park served from surrounding rooftops by 100,000 antennas,
+# 20 dB uplink pilot SNR at 50 MHz, 20 dB more on the downlink, 400 kHz coherence bandwidth.
 
 
-def centralpark_3ghz() -> CapacityScenario:
+def centralpark_3ghz() -> dict:
     """3 GHz carrier, 50 MHz bandwidth, 100 ms coherence time (tau_c = 40000)."""
-    return CapacityScenario(
-        carrier_hz=3e9,
-        bandwidth_hz=CENTRALPARK_REFERENCE_BANDWIDTH_HZ,
-        m_antennas=CENTRALPARK_M_ANTENNAS,
-        ul_pilot_snr_linear=CENTRALPARK_UL_SNR_REF,
-        dl_ul_power_ratio=CENTRALPARK_DL_UL_RATIO,
-        block=CoherenceBlock(0.1, CENTRALPARK_COHERENCE_BANDWIDTH_HZ),
-    )
+    return dict(m_antennas=100_000, tau_c=coherence_samples(0.1, 400e3), ul_pilot_snr=100.0,
+                dl_ul_power_ratio=100.0, bandwidth_hz=50e6)
 
 
-def centralpark_60ghz() -> CapacityScenario:
+def centralpark_60ghz() -> dict:
     """60 GHz carrier, 1 GHz bandwidth, 5 ms coherence time (tau_c = 2000).
 
     The uplink pilot SNR is scaled by the bandwidth ratio (100 -> 5) to keep
-    the transmit power fixed while the noise bandwidth widens twentyfold;
-    the coherence bandwidth is held at 400 kHz.
+    the transmit power fixed while the noise bandwidth widens twentyfold.
     """
-    bandwidth_hz = 1e9
-    scaling = CENTRALPARK_REFERENCE_BANDWIDTH_HZ / bandwidth_hz
-    return CapacityScenario(
-        carrier_hz=60e9,
-        bandwidth_hz=bandwidth_hz,
-        m_antennas=CENTRALPARK_M_ANTENNAS,
-        ul_pilot_snr_linear=CENTRALPARK_UL_SNR_REF * scaling,
-        dl_ul_power_ratio=CENTRALPARK_DL_UL_RATIO,
-        block=CoherenceBlock(0.005, CENTRALPARK_COHERENCE_BANDWIDTH_HZ),
-    )
+    return dict(m_antennas=100_000, tau_c=coherence_samples(0.005, 400e3),
+                ul_pilot_snr=100.0 * (50e6 / 1e9), dl_ul_power_ratio=100.0, bandwidth_hz=1e9)

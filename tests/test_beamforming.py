@@ -14,8 +14,13 @@ from mimolab.beamforming import (
     mrt_weights,
     squint_sweep,
 )
-from mimolab.geometry import Direction, MultipathChannel, Path, PlanarArray, channel_vector
+from mimolab.geometry import PlanarArray, channel_vector, direction_cosines
 from mimolab.scenarios import SIXPATH_CENTER_HZ, sixpath_array, sixpath_channel
+
+
+def _los_channel(azimuth_rad, elevation_rad):
+    """(gains, cosines) of a single unit-gain path toward the given direction."""
+    return np.array([1.0 + 0.0j]), np.array([direction_cosines(azimuth_rad, elevation_rad)])
 
 
 def _random_channel(seed, m=16):
@@ -75,7 +80,7 @@ def test_digital_gain_is_full_at_every_frequency():
 
 def test_analog_matches_pure_steering_vector():
     arr = PlanarArray.half_wavelength_at(8, 8, 60e9)
-    chan = MultipathChannel((Path(1.0 + 0.0j, Direction(0.6, -0.3)),))
+    chan = _los_channel(0.6, -0.3)
     h = channel_vector(arr, chan, 60e9)
     assert efficiency(analog_weights(h), h) == pytest.approx(1.0, abs=1e-12)
 
@@ -133,8 +138,8 @@ def test_hybrid_single_chain_equals_analog():
 
 def test_hybrid_two_separated_los_users():
     arr = PlanarArray.half_wavelength_at(16, 16, 60e9)
-    h1 = channel_vector(arr, MultipathChannel((Path(1, Direction(math.pi / 4, 0.0)),)), 60e9)
-    h2 = channel_vector(arr, MultipathChannel((Path(1, Direction(-math.pi / 4, 0.0)),)), 60e9)
+    h1 = channel_vector(arr, _los_channel(math.pi / 4, 0.0), 60e9)
+    h2 = channel_vector(arr, _los_channel(-math.pi / 4, 0.0), 60e9)
     w1, w2 = hybrid_weights([h1, h2], n_rf=2)
     assert efficiency(w1, h1) >= 0.95
     assert efficiency(w2, h2) >= 0.95
@@ -221,7 +226,7 @@ def test_sixpath_32_stays_above_three_quarters_at_band_edges():
 
 def test_sweep_center_is_exact_for_single_path():
     arr = PlanarArray.half_wavelength_at(16, 16, 60e9)
-    chan = MultipathChannel((Path(1.0, Direction(0.8, -0.5)),))
+    chan = _los_channel(0.8, -0.5)
     freqs, effs = squint_sweep(arr, chan, 60e9, 2e9, 41)
     center = np.argmin(np.abs(freqs - 60e9))
     assert effs[center] == pytest.approx(1.0, abs=1e-12)
@@ -260,18 +265,14 @@ def test_digital_dominates_hybrid_dominates_analog_across_band():
         assert hybrid_eff >= analog_eff - 1e-12
 
 
-def _single_path_channel():
-    return MultipathChannel((Path(1.0, Direction(0.8, -0.5)),))
-
-
 @pytest.mark.parametrize(
     "rows, cols, channel, n_points",
     [
         (32, 32, sixpath_channel(42), 201),
         (8, 24, sixpath_channel(7), 2 * _SWEEP_CHUNK + 3),
         (24, 8, sixpath_channel(7), 2 * _SWEEP_CHUNK + 3),
-        (8, 24, _single_path_channel(), _SWEEP_CHUNK - 1),
-        (24, 8, _single_path_channel(), 3),
+        (8, 24, _los_channel(0.8, -0.5), _SWEEP_CHUNK - 1),
+        (24, 8, _los_channel(0.8, -0.5), 3),
     ],
     ids=["sixpath-32x32", "sixpath-8x24", "sixpath-24x8", "los-8x24", "los-24x8"],
 )
@@ -283,7 +284,7 @@ def test_sweep_matches_per_frequency_reference(rows, cols, channel, n_points):
     expected = [efficiency(w, channel_vector(arr, channel, f)) for f in freqs]
     assert freqs.size == n_points
     np.testing.assert_allclose(effs, expected, rtol=1e-12, atol=0)
-    if len(channel.paths) == 1 and n_points % 2 == 1:
+    if len(channel[0]) == 1 and n_points % 2 == 1:
         assert effs[n_points // 2] == pytest.approx(1.0, abs=1e-12)
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +7,9 @@ from hypothesis import strategies as st
 
 from mimolab.capacity import (
     RATE_COLUMNS,
-    CapacityScenario,
-    CoherenceBlock,
     antenna_sweep,
     best_row,
+    coherence_samples,
     estimation_quality,
     k_range,
     rate_table,
@@ -55,18 +53,21 @@ def test_quality_is_bounded_and_monotone(tau, rho):
 # ---------------------------------------------------------------------------
 
 def test_block_samples_rounding():
-    assert CoherenceBlock(0.1, 400e3).samples == 40_000
-    assert CoherenceBlock(0.005, 400e3).samples == 2_000
-    assert CoherenceBlock(1.0, 1.4).samples == 1
+    assert coherence_samples(0.1, 400e3) == 40_000
+    assert coherence_samples(0.005, 400e3) == 2_000
+    assert coherence_samples(1.0, 1.4) == 1
+    assert type(coherence_samples(0.1, 400e3)) is int
 
 
 def test_block_validation():
-    with pytest.raises(ValueError):
-        CoherenceBlock(0.0, 400e3)
-    with pytest.raises(ValueError):
-        CoherenceBlock(1e-9, 1e3)  # rounds to zero samples
+    for time_s, bandwidth_hz in ((0.0, 400e3), (0.1, -1.0), (math.nan, 400e3), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="must be positive"):
+            coherence_samples(time_s, bandwidth_hz)
+    with pytest.raises(ValueError, match="at least one sample"):
+        coherence_samples(1e-9, 1e3)  # rounds to zero samples
     with pytest.raises(ValueError, match="2\\*\\*53"):
-        CoherenceBlock(1e14, 400e3)  # 4e19 samples, past exact int64 and double counting
+        coherence_samples(1e14, 400e3)  # 4e19 samples, past exact int64 and double counting
+    assert coherence_samples(2.0**53, 1.0) == 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +75,7 @@ def test_block_validation():
 # ---------------------------------------------------------------------------
 
 def row_at(scenario, k):
-    return best_row(rate_table(scenario, [k]))
+    return best_row(rate_table([k], **scenario))
 
 
 def sinr_of(row):
@@ -84,12 +85,12 @@ def sinr_of(row):
 
 def test_anchor_spectral_efficiency():
     sc = centralpark_3ghz()
-    assert sc.block.samples == 40_000
+    assert sc["tau_c"] == 40_000
     row = row_at(sc, 14_000)
     assert row["pilot_fraction"] == pytest.approx(0.35, rel=1e-12)
     assert sinr_of(row) == pytest.approx(7.142, abs=2e-3)
     assert row["se_per_ue"] == pytest.approx(1.966, abs=2e-3)
-    rate = row["se_per_ue"] * sc.bandwidth_hz
+    rate = row["se_per_ue"] * sc["bandwidth_hz"]
     assert rate == row["rate_per_ue_bps"]
     assert rate == pytest.approx(98.3e6, rel=1e-3)
     assert abs(rate - 99e6) / 99e6 < 0.01  # within 1% of the quoted per-user rate
@@ -111,18 +112,18 @@ def test_se_zero_when_all_samples_are_pilots():
 
 def test_sinr_linear_in_antennas():
     sc = centralpark_3ghz()
-    doubled = replace(sc, m_antennas=2 * sc.m_antennas)
+    doubled = {**sc, "m_antennas": 2 * sc["m_antennas"]}
     assert sinr_of(row_at(doubled, 5000)) == pytest.approx(2 * sinr_of(row_at(sc, 5000)), rel=1e-12)
 
 
 def test_k_bounds_enforced():
     sc = centralpark_3ghz()
     with pytest.raises(ValueError):
-        rate_table(sc, [40_001])
+        rate_table([40_001], **sc)
     with pytest.raises(ValueError):
-        rate_table(sc, [0])
+        rate_table([0], **sc)
     with pytest.raises(ValueError):
-        rate_table(sc, [1, 40_001])
+        rate_table([1, 40_001], **sc)
 
 
 def test_single_user_sum_equals_per_user_rate():
@@ -132,21 +133,21 @@ def test_single_user_sum_equals_per_user_rate():
 
 def scalar_rates(scenario, k):
     """One row of the closed form in Python float arithmetic, in RATE_COLUMNS order."""
-    tau_c = scenario.block.samples
-    x = k * scenario.ul_pilot_snr_linear
+    tau_c = scenario["tau_c"]
+    x = k * scenario["ul_pilot_snr"]
     gamma = x / (1.0 + x)
-    rho_dl = scenario.dl_snr_linear
-    sinr = scenario.m_antennas * gamma * (rho_dl / k) / (1.0 + rho_dl)
+    rho_dl = scenario["dl_ul_power_ratio"] * scenario["ul_pilot_snr"]
+    sinr = scenario["m_antennas"] * gamma * (rho_dl / k) / (1.0 + rho_dl)
     se = (1.0 - k / tau_c) * math.log2(1.0 + sinr)
-    rate = se * scenario.bandwidth_hz
+    rate = se * scenario["bandwidth_hz"]
     return k, k / tau_c, se, rate, k * rate
 
 
 @pytest.mark.parametrize("scenario", [centralpark_3ghz, centralpark_60ghz], ids=["3ghz", "60ghz"])
 def test_rate_table_matches_scalar_closed_form(scenario):
     sc = scenario()
-    grid = k_range(sc.block.samples, fine=True)
-    table = rate_table(sc, grid)
+    grid = k_range(sc["tau_c"], fine=True)
+    table = rate_table(grid, **sc)
     assert tuple(table) == RATE_COLUMNS
     reference = np.array([scalar_rates(sc, k) for k in grid]).T
     assert table["k_users"].tolist() == list(grid)
@@ -158,7 +159,7 @@ def test_rate_table_matches_scalar_closed_form(scenario):
 
 def test_rate_table_rows_do_not_depend_on_the_grid():
     sc = centralpark_60ghz()
-    table = rate_table(sc, k_range(sc.block.samples, k_step=7))
+    table = rate_table(k_range(sc["tau_c"], k_step=7), **sc)
     for i, k in enumerate(table["k_users"].tolist()):
         assert {name: column[i].item() for name, column in table.items()} == row_at(sc, k)
 
@@ -169,7 +170,7 @@ def test_rate_table_rows_do_not_depend_on_the_grid():
 
 def test_optimize_singleton_grid():
     sc = centralpark_3ghz()
-    assert best_row(rate_table(sc, [1]))["k_users"] == 1
+    assert best_row(rate_table([1], **sc))["k_users"] == 1
 
 
 def test_k_range_step_rules():
@@ -187,7 +188,7 @@ def test_k_range_rejects_bad_bounds(k_min, k_max):
 
 def test_best_row_is_the_sum_rate_maximum():
     sc = centralpark_60ghz()
-    table = rate_table(sc, k_range(sc.block.samples, k_step=7))
+    table = rate_table(k_range(sc["tau_c"], k_step=7), **sc)
     best = best_row(table)
     assert best["sum_rate_bps"] == table["sum_rate_bps"].max()
     assert best == row_at(sc, best["k_users"])
@@ -204,37 +205,37 @@ def test_best_row_ties_go_to_smaller_k():
 
 def test_optimize_rejects_empty_grid():
     with pytest.raises(ValueError):
-        rate_table(centralpark_3ghz(), [])
+        rate_table([], **centralpark_3ghz())
 
 
 def test_optimum_user_count_near_fourteen_thousand():
     sc = centralpark_3ghz()
-    best = best_row(rate_table(sc, k_range(sc.block.samples, fine=True)))
+    best = best_row(rate_table(k_range(sc["tau_c"], fine=True), **sc))
     assert abs(best["k_users"] - 14_000) / 14_000 <= 0.10
     assert best["sum_rate_bps"] == pytest.approx(1.38e12, rel=0.05)
 
 
 def test_interior_maximum():
     sc = centralpark_3ghz()
-    best = best_row(rate_table(sc, k_range(sc.block.samples)))
+    best = best_row(rate_table(k_range(sc["tau_c"]), **sc))
     assert best["sum_rate_bps"] > row_at(sc, 1)["sum_rate_bps"]
-    assert best["sum_rate_bps"] > row_at(sc, sc.block.samples)["sum_rate_bps"]
-    assert 1 < best["k_users"] < sc.block.samples
+    assert best["sum_rate_bps"] > row_at(sc, sc["tau_c"])["sum_rate_bps"]
+    assert 1 < best["k_users"] < sc["tau_c"]
 
 
 def test_60ghz_pilot_fraction_band():
     sc = centralpark_60ghz()
-    assert sc.block.samples == 2_000
-    assert sc.ul_pilot_snr_linear == pytest.approx(5.0, rel=1e-12)
-    best = best_row(rate_table(sc, k_range(sc.block.samples, fine=True)))
+    assert sc["tau_c"] == 2_000
+    assert sc["ul_pilot_snr"] == pytest.approx(5.0, rel=1e-12)
+    best = best_row(rate_table(k_range(sc["tau_c"], fine=True), **sc))
     assert 0.30 <= best["pilot_fraction"] <= 0.55
-    assert 1 < best["k_users"] < sc.block.samples
+    assert 1 < best["k_users"] < sc["tau_c"]
 
 
 def test_antenna_sweep_monotone_and_ordered():
     sc = centralpark_3ghz()
-    grid = k_range(sc.block.samples)
-    rows = antenna_sweep(sc, [10_000, 100, 100_000, 1000], grid)
+    grid = k_range(sc["tau_c"])
+    rows = antenna_sweep([10_000, 100, 100_000, 1000], grid, **sc)
     assert [row["m_antennas"] for row in rows] == [100, 1000, 10_000, 100_000]
     assert all(tuple(row) == ("m_antennas", *RATE_COLUMNS) for row in rows)
     rates = [row["sum_rate_bps"] for row in rows]
@@ -243,16 +244,16 @@ def test_antenna_sweep_monotone_and_ordered():
 
 def test_antenna_sweep_singleton_matches_sum_rate():
     sc = centralpark_3ghz()
-    [row] = antenna_sweep(sc, [sc.m_antennas], [500])
-    assert row == {"m_antennas": sc.m_antennas, **row_at(sc, 500)}
+    [row] = antenna_sweep([sc["m_antennas"]], [500], **sc)
+    assert row == {"m_antennas": sc["m_antennas"], **row_at(sc, 500)}
 
 
 def test_antenna_sweep_rejects_empty_grids():
     sc = centralpark_3ghz()
     with pytest.raises(ValueError):
-        antenna_sweep(sc, [], [1])
+        antenna_sweep([], [1], **sc)
     with pytest.raises(ValueError):
-        antenna_sweep(sc, [100], [])
+        antenna_sweep([100], [], **sc)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +266,15 @@ def test_se_nonnegative_and_pilot_accounting(k):
     sc = centralpark_3ghz()
     row = row_at(sc, k)
     assert row["se_per_ue"] >= 0.0
-    assert row["pilot_fraction"] * sc.block.samples == pytest.approx(k, rel=1e-12)
-    assert (row["se_per_ue"] == 0.0) == (k == sc.block.samples)
+    assert row["pilot_fraction"] * sc["tau_c"] == pytest.approx(k, rel=1e-12)
+    assert (row["se_per_ue"] == 0.0) == (k == sc["tau_c"])
 
 
 def test_scenario_validation():
-    with pytest.raises(ValueError):
-        CapacityScenario(3e9, 50e6, 0, 100.0, 100.0, CoherenceBlock(0.1, 400e3))
-    with pytest.raises(ValueError):
-        CapacityScenario(3e9, 50e6, 10, -1.0, 100.0, CoherenceBlock(0.1, 400e3))
+    # a valid K grid, so only the scenario value can be at fault
+    messages = {"m_antennas": "m_antennas", "ul_pilot_snr": "SNR",
+                "dl_ul_power_ratio": "power ratio", "bandwidth_hz": "bandwidth_hz"}
+    for name, message in messages.items():
+        for bad in (0, -1.0, math.nan):
+            with pytest.raises(ValueError, match=message):
+                rate_table([1, 500], **{**centralpark_3ghz(), name: bad})

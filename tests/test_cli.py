@@ -17,7 +17,13 @@ from mimolab.cli import (
     main,
     parse_config_text,
 )
-from mimolab.scenarios import SIXPATH_CENTER_HZ, centralpark_3ghz, sixpath_array, sixpath_channel
+from mimolab.scenarios import (
+    SIXPATH_CENTER_HZ,
+    centralpark_3ghz,
+    centralpark_60ghz,
+    sixpath_array,
+    sixpath_channel,
+)
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -95,6 +101,10 @@ def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
         # past the bound that keeps the per-K CSV rows within memory: 1,040,000 user counts
         (["capacity", "--fine", "true", "--coherence-time-s", "2.6"], "k_step"),
         (["antenna-sweep", "--fine", "true", "--coherence-time-s", "2.6"], "k_step"),
+        # coherence blocks of no sample and of more than 2**53 samples
+        (["capacity", "--coherence-time-s", "1e-9"], "coherence_time_s"),
+        (["capacity", "--coherence-time-s", "1e12"], "coherence_time_s"),
+        (["antenna-sweep", "--coherence-bandwidth-hz", "1"], "coherence_time_s"),
     ],
 )
 def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
@@ -183,6 +193,8 @@ def test_mu_above_an_eighth_rejected(tmp_path, monkeypatch, capsys):
         (["mobility", "--mu-list", "0.1,nan"], "mu_list"),
         # finite, but 2**enob overflows a double
         (["hwbudget", "--enob-a", "2000"], "enob_a"),
+        # no formula reads the carrier, so only the schema can reject it
+        (["capacity", "--carrier-hz", "nan"], "carrier_hz"),
     ],
 )
 def test_non_finite_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
@@ -220,6 +232,17 @@ def test_non_finite_result_is_runtime_failure(args, tmp_path, monkeypatch, capsy
     assert code == 4
     assert "runtime failure" in err
     assert NON_FINITE_QUANTITY[args[0]] in err
+    assert len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_adc_power_underflow_is_runtime_failure(tmp_path, monkeypatch, capsys):
+    # both converter powers underflow to 0 W, so the ratio has no value
+    args = ["hwbudget", "--fom-j-per-cs", "1e-320", "--sample-rate-hz", "1e-10",
+            "--enob-a", "1", "--enob-b", "1", "--output", "out.json"]
+    assert run_cli(args, tmp_path, monkeypatch) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: adc_power_ratio_a_over_b: ")
     assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
 
@@ -423,20 +446,24 @@ def _squint_rows():
     return [list(row) for row in zip(freqs.tolist(), effs.tolist())]
 
 
-def _capacity_rows():
-    sc = centralpark_3ghz()
-    table = rate_table(sc, k_range(sc.block.samples, k_step=1000))
+def _capacity_rows(scenario, k_step):
+    sc = scenario()
+    table = rate_table(k_range(sc["tau_c"], k_step=k_step), **sc)
     columns = [column.tolist() for column in table.values()]
-    return [[sc.m_antennas, *row] for row in zip(*columns)]
+    return [[sc["m_antennas"], *row] for row in zip(*columns)]
 
 
 @pytest.mark.parametrize(
     "args, expected_rows",
     [
         (["--config", "fig4_32x32", "--n-points", "5", "--span-hz", "400e6"], _squint_rows),
-        (["--config", "centralpark_3ghz", "--k-step", "1000"], _capacity_rows),
+        (["--config", "centralpark_3ghz", "--k-step", "1000"],
+         lambda: _capacity_rows(centralpark_3ghz, 1000)),
+        # the bandwidth-scaled uplink SNR: ul_pilot_snr * reference / bandwidth
+        (["--config", "centralpark_60ghz", "--k-step", "100"],
+         lambda: _capacity_rows(centralpark_60ghz, 100)),
     ],
-    ids=["squint", "capacity"],
+    ids=["squint", "capacity", "centralpark_60ghz"],
 )
 def test_csv_values_round_trip_exactly(args, expected_rows, tmp_path, monkeypatch):
     assert run_cli(args + ["--output", "out.csv"], tmp_path, monkeypatch) == 0

@@ -9,47 +9,45 @@ from hypothesis import strategies as st
 
 from mimolab.geometry import (
     SPEED_OF_LIGHT_M_S,
-    Direction,
-    MultipathChannel,
-    Path,
     PlanarArray,
     channel_vector,
+    direction_cosines,
     steering_factors,
 )
-from mimolab.scenarios import sixpath_array, sixpath_channel
+from mimolab.scenarios import SIXPATH_DIRECTIONS, sixpath_array, sixpath_channel
 
 C = SPEED_OF_LIGHT_M_S
 
-directions = st.builds(
-    Direction,
-    azimuth_rad=st.floats(-math.pi + 1e-9, math.pi),
-    elevation_rad=st.floats(-math.pi / 2, math.pi / 2),
-)
+directions = st.tuples(st.floats(-math.pi + 1e-9, math.pi), st.floats(-math.pi / 2, math.pi / 2))
 frequencies = st.floats(1e8, 1e12)
 
 
+def channel(gains, directions):
+    """(gains, cosines) pair of paths with the given gains toward (azimuth, elevation)s."""
+    return np.array(gains, dtype=complex), np.array([direction_cosines(*d) for d in directions])
+
+
 def response(array, direction, frequency_hz):
-    """Row-major response of a single unit-gain path toward ``direction``."""
-    return channel_vector(array, MultipathChannel((Path(1.0, direction),)), frequency_hz)
+    """Row-major response of a single unit-gain path toward (azimuth, elevation)."""
+    return channel_vector(array, channel([1.0], [direction]), frequency_hz)
 
 
 def test_half_wavelength_spacing():
     for f in (3e9, 38e9, 60e9):
         arr = PlanarArray.half_wavelength_at(4, 4, f)
         assert abs(arr.spacing_m - C / (2 * f)) <= 1e-9 * arr.spacing_m
-        assert arr.design_frequency_hz == f
 
 
 def test_boresight_response_is_all_ones():
     arr = PlanarArray.half_wavelength_at(3, 5, 28e9)
-    resp = response(arr, Direction(0.0, 0.0), 11e9)
+    resp = response(arr, (0.0, 0.0), 11e9)
     assert np.allclose(resp, 1.0 + 0.0j, atol=1e-15)
 
 
 def test_endfire_half_wavelength_pair():
     f = 10e9
     arr = PlanarArray.half_wavelength_at(1, 2, f)
-    resp = response(arr, Direction(math.pi / 2, 0.0), f)
+    resp = response(arr, (math.pi / 2, 0.0), f)
     assert resp[0] == pytest.approx(1.0 + 0.0j)
     # half-wavelength end-fire: second element sits exactly pi out of phase
     assert resp[1] == pytest.approx(-1.0 + 0.0j, abs=1e-12)
@@ -57,7 +55,7 @@ def test_endfire_half_wavelength_pair():
 
 def test_phase_scales_linearly_with_frequency():
     arr = PlanarArray.half_wavelength_at(4, 6, 60e9)
-    direction = Direction(0.7, -0.4)
+    direction = (0.7, -0.4)
     f = 20e9
     low = np.angle(response(arr, direction, f))
     high = np.angle(response(arr, direction, 2 * f))
@@ -69,7 +67,7 @@ def test_phase_scales_linearly_with_frequency():
 def test_positions_do_not_rescale_with_evaluation_frequency():
     # same spacing in meters regardless of where the response is evaluated
     arr = PlanarArray.half_wavelength_at(2, 2, 60e9)
-    direction = Direction(0.5, 0.1)
+    direction = (0.5, 0.1)
     r1 = response(arr, direction, 59e9)
     r2 = response(arr, direction, 61e9)
     assert arr.spacing_m == C / (2 * 60e9)
@@ -83,7 +81,7 @@ def test_unit_modulus_over_random_draws():
         az = rng.uniform(-math.pi + 1e-9, math.pi)
         el = rng.uniform(-math.pi / 2, math.pi / 2)
         f = rng.uniform(1e9, 200e9)
-        chan = MultipathChannel((Path(1.0, Direction(az, el)),))
+        chan = channel([1.0], [(az, el)])
         for factor in steering_factors(arr, chan, [f]):
             assert np.max(np.abs(np.abs(factor) - 1.0)) <= 1e-12
         assert np.max(np.abs(np.abs(channel_vector(arr, chan, f)) - 1.0)) <= 1e-12
@@ -93,18 +91,17 @@ def test_unit_modulus_over_random_draws():
 @given(direction=directions, f=frequencies)
 def test_conjugate_symmetry(direction, f):
     arr = PlanarArray.half_wavelength_at(3, 3, 60e9)
-    mirrored = Direction(-direction.azimuth_rad if direction.azimuth_rad != math.pi else math.pi,
-                         -direction.elevation_rad)
+    az, el = direction
+    mirrored = (-az if az != math.pi else math.pi, -el)
     forward = response(arr, direction, f)
     backward = response(arr, mirrored, f)
-    if direction.azimuth_rad != math.pi:
+    if az != math.pi:
         assert np.allclose(backward, np.conj(forward), atol=1e-12)
 
 
 def test_single_path_channel_equals_response():
     arr = PlanarArray.half_wavelength_at(4, 4, 60e9)
-    d = Direction(0.3, -0.2)
-    chan = MultipathChannel((Path(1.0 + 0.0j, d),))
+    chan = channel([1.0 + 0.0j], [(0.3, -0.2)])
     h = channel_vector(arr, chan, 58e9)
     a_v, a_h = steering_factors(arr, chan, [58e9])
     # a one-term matrix product may round the complex multiply differently
@@ -113,9 +110,9 @@ def test_single_path_channel_equals_response():
 
 def test_opposite_gains_cancel():
     arr = PlanarArray.half_wavelength_at(2, 3, 60e9)
-    d = Direction(0.3, -0.2)
+    d = (0.3, -0.2)
     g = 0.8 - 0.3j
-    chan = MultipathChannel((Path(g, d), Path(-g, d)))
+    chan = channel([g, -g], [d, d])
     assert np.allclose(channel_vector(arr, chan, 60e9), 0.0, atol=1e-15)
 
 
@@ -123,6 +120,7 @@ def test_sixpath_channel_against_bruteforce_accumulation():
     # independent oracle: per-element scalar accumulation with cmath
     arr = sixpath_array(32)
     chan = sixpath_channel(42)
+    gains, _ = chan
     f = 60e9
     h = channel_vector(arr, chan, f)
 
@@ -130,11 +128,11 @@ def test_sixpath_channel_against_bruteforce_accumulation():
     for m in range(arr.rows):
         for n in range(arr.cols):
             acc = 0.0 + 0.0j
-            for path in chan.paths:
-                k_h = math.sin(path.direction.azimuth_rad) * math.cos(path.direction.elevation_rad)
-                k_v = math.sin(path.direction.elevation_rad)
+            for gain, (az, el) in zip(gains, SIXPATH_DIRECTIONS):
+                k_h = math.sin(az) * math.cos(el)
+                k_v = math.sin(el)
                 phase = 2.0 * math.pi * (f / C) * arr.spacing_m * (n * k_h + m * k_v)
-                acc += path.gain * cmath.exp(1j * phase)
+                acc += gain * cmath.exp(1j * phase)
             brute[m * arr.cols + n] = acc
 
     assert np.allclose(h, brute, rtol=1e-12, atol=1e-12)
@@ -142,7 +140,7 @@ def test_sixpath_channel_against_bruteforce_accumulation():
     brute_power = sum(abs(x) ** 2 for x in brute)
     assert power == pytest.approx(brute_power, rel=1e-12)
     # distinct path directions: far from the co-directional coherent limit
-    coherent = (sum(abs(p.gain) for p in chan.paths)) ** 2 * arr.num_elements
+    coherent = (sum(abs(g) for g in gains)) ** 2 * arr.num_elements
     assert power < coherent
 
 
@@ -151,23 +149,20 @@ def test_sixpath_channel_against_bruteforce_accumulation():
 def test_channel_power_triangle_inequality(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     arr = PlanarArray.half_wavelength_at(3, 3, 60e9)
-    paths = []
+    gains, directions = [], []
     for _ in range(rng.integers(1, 5)):
-        gain = rng.normal() + 1j * rng.normal()
-        d = Direction(rng.uniform(-3, 3), rng.uniform(-1.5, 1.5))
-        paths.append(Path(gain, d))
-    chan = MultipathChannel(tuple(paths))
-    h = channel_vector(arr, chan, 60e9)
-    bound = (sum(abs(p.gain) for p in paths)) ** 2 * arr.num_elements
+        gains.append(rng.normal() + 1j * rng.normal())
+        directions.append((rng.uniform(-3, 3), rng.uniform(-1.5, 1.5)))
+    h = channel_vector(arr, channel(gains, directions), 60e9)
+    bound = (sum(abs(g) for g in gains)) ** 2 * arr.num_elements
     assert np.vdot(h, h).real <= bound * (1 + 1e-12)
 
 
 def test_triangle_equality_for_shared_direction():
     arr = PlanarArray.half_wavelength_at(3, 3, 60e9)
-    d = Direction(0.4, 0.2)
-    paths = tuple(Path(abs(g), d) for g in (0.5, 1.5, 0.25))
-    h = channel_vector(arr, MultipathChannel(paths), 60e9)
-    bound = (sum(abs(p.gain) for p in paths)) ** 2 * arr.num_elements
+    gains = (0.5, 1.5, 0.25)
+    h = channel_vector(arr, channel(gains, [(0.4, 0.2)] * 3), 60e9)
+    bound = sum(gains) ** 2 * arr.num_elements
     assert np.vdot(h, h).real == pytest.approx(bound, rel=1e-12)
 
 
@@ -195,26 +190,31 @@ def test_frequency_continuity():
     ],
 )
 def test_invalid_array_rejected(rows, cols, spacing, f):
+    # each case breaks one input: the shape, the spacing, or the frequency that sets it
     with pytest.raises(ValueError):
-        PlanarArray(rows, cols, spacing, f)
+        PlanarArray(rows, cols, spacing)
+        PlanarArray.half_wavelength_at(rows, cols, f)
 
 
 def test_invalid_direction_rejected():
-    with pytest.raises(ValueError):
-        Direction(-math.pi, 0.0)  # open at -pi
-    with pytest.raises(ValueError):
-        Direction(3.5, 0.0)
-    with pytest.raises(ValueError):
-        Direction(0.0, 2.0)
+    assert direction_cosines(math.pi, -math.pi / 2)[1] == -1.0  # both ends closed
+    with pytest.raises(ValueError, match="azimuth_rad"):
+        direction_cosines(-math.pi, 0.0)  # open at -pi
+    with pytest.raises(ValueError, match="azimuth_rad"):
+        direction_cosines(3.5, 0.0)
+    with pytest.raises(ValueError, match="elevation_rad"):
+        direction_cosines(0.0, 2.0)
+    with pytest.raises(ValueError, match="elevation_rad"):
+        direction_cosines(0.0, float("nan"))
 
 
 def test_nonpositive_frequency_rejected():
     arr = PlanarArray.half_wavelength_at(2, 2, 60e9)
     with pytest.raises(ValueError):
-        response(arr, Direction(0.0, 0.0), 0.0)
+        response(arr, (0.0, 0.0), 0.0)
     with pytest.raises(ValueError):
-        response(arr, Direction(0.0, 0.0), -1e9)
-    chan = MultipathChannel((Path(1.0, Direction(0.0, 0.0)),))
+        response(arr, (0.0, 0.0), -1e9)
+    chan = channel([1.0], [(0.0, 0.0)])
     with pytest.raises(ValueError):
         steering_factors(arr, chan, [60e9, 0.0])
 
@@ -223,8 +223,8 @@ def test_nan_frequency_rejected():
     nan = float("nan")
     arr = PlanarArray.half_wavelength_at(2, 2, 60e9)
     with pytest.raises(ValueError):
-        response(arr, Direction(0.0, 0.0), nan)
-    chan = MultipathChannel((Path(1.0, Direction(0.0, 0.0)),))
+        response(arr, (0.0, 0.0), nan)
+    chan = channel([1.0], [(0.0, 0.0)])
     with pytest.raises(ValueError):
         steering_factors(arr, chan, [60e9, nan])
     with pytest.raises(ValueError):
@@ -232,17 +232,23 @@ def test_nan_frequency_rejected():
 
 
 def test_empty_or_powerless_channel_rejected():
-    with pytest.raises(ValueError):
-        MultipathChannel(())
-    with pytest.raises(ValueError):
-        MultipathChannel((Path(0.0 + 0.0j, Direction(0.0, 0.0)),))
+    arr = PlanarArray.half_wavelength_at(2, 2, 60e9)
+    with pytest.raises(ValueError, match="at least one path"):
+        steering_factors(arr, (np.array([]), np.empty((0, 2))), [60e9])
+    with pytest.raises(ValueError, match="total path power"):
+        channel_vector(arr, channel([0.0, 0.0], [(0.0, 0.0), (0.1, 0.0)]), 60e9)
+    # one cosine row per gain
+    gains, cosines = channel([1.0, 0.5], [(0.0, 0.0), (0.1, 0.0)])
+    for bad in (cosines[:1], np.hstack([cosines, cosines]), cosines.ravel()):
+        with pytest.raises(ValueError, match="one \\(k_h, k_v\\) row per path gain"):
+            steering_factors(arr, (gains, bad), [60e9])
 
 
 def test_steering_factors_check_unit_modulus():
     # an infinite frequency passes the positivity check, but 0 * inf gives NaN phases
     arr = PlanarArray.half_wavelength_at(2, 2, 60e9)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit magnitude"):
-        response(arr, Direction(0.0, 0.0), float("inf"))
+        response(arr, (0.0, 0.0), float("inf"))
 
 
 def test_channel_vector_allocates_little_beyond_its_result():

@@ -1,11 +1,10 @@
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimolab.capacity import estimation_quality
+from mimolab.capacity import estimation_quality, rate_table
 from mimolab.cli import main
 from mimolab.hardware import adc_power, array_pa_budget
 from mimolab.propagation import bandwidth_snr_delta, estimation_load, fresnel_radius, wavelength_m
@@ -138,7 +137,7 @@ NAN = float("nan")
         lambda: adc_power(NAN, 5, 1e8, 1.0),
         lambda: array_pa_budget(64, NAN, 0.18),
         lambda: estimation_quality(4, NAN),
-        lambda: replace(centralpark_3ghz(), carrier_hz=NAN),
+        lambda: rate_table([1], **{**centralpark_3ghz(), "bandwidth_hz": NAN}),
     ],
     ids=[
         "fresnel_frequency",
@@ -149,7 +148,7 @@ NAN = float("nan")
         "adc_fom",
         "pa_radiated_power",
         "pilot_snr",
-        "carrier",
+        "bandwidth_hz",
     ],
 )
 def test_nan_is_rejected(call):
