@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Tabulate analog-beam gain retention across bandwidths for three apertures.
+"""Tabulate analog-beam gain retention of the bundled fig4 configs.
 
-Prints the center-frequency efficiency and the band minima over 400 MHz and
-2 GHz for 32x32, 64x64, and 128x128 arrays on the six-path 60 GHz channel.
+Runs fig4_32x32, fig4_64x64 and fig4_128x128 (the six-path 60 GHz channel)
+and prints each aperture's center-frequency efficiency and its band minima
+over the central 400 MHz and over the config's full span.  An optional
+argument replaces the configs' seed.
 """
 
 import pathlib
@@ -10,28 +12,23 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np  # noqa: E402
+from mimolab.cli import bundled_config_text, parse_config_text, resolve  # noqa: E402
 
-from mimolab.beamforming import squint_sweep  # noqa: E402
-from mimolab.scenarios import (  # noqa: E402
-    DEFAULT_SEED,
-    SIXPATH_CENTER_HZ,
-    sixpath_array,
-    sixpath_channel,
-)
+NARROW_BAND_HZ = 400e6
 
 if __name__ == "__main__":
-    seed = int(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_SEED
-    channel = sixpath_channel(seed)
+    overrides = {"seed": sys.argv[1]} if len(sys.argv) > 1 else {}
+    runs = [resolve({**parse_config_text(bundled_config_text(name)), **overrides})
+            for name in ("fig4_32x32", "fig4_64x64", "fig4_128x128")]
+    _, seed, _, first = runs[0]
+    full_band = f"min@{first['span_hz'] / 1e9:g}GHz"
     print(f"seed {seed}; efficiencies as fractions of the full array gain")
-    print(f"{'array':>10} {'elements':>9} {'center':>8} {'min@400MHz':>11} {'min@2GHz':>9}")
-    for side in (32, 64, 128):
-        array = sixpath_array(side)
-        freqs, effs = squint_sweep(array, channel, SIXPATH_CENTER_HZ, 2e9, 201)
-        offset = np.abs(freqs - SIXPATH_CENTER_HZ)
-        center = effs[np.argmin(offset)]
-        narrow = effs[offset <= 200e6 + 1]
+    print(f"{'array':>10} {'elements':>9} {'center':>8} {'min@400MHz':>11} {full_band:>9}")
+    for exp, seed, _, params in runs:
+        (_, rows), results, _ = exp.runner(params, seed)
+        center_hz = params["center_frequency_hz"]
+        narrow = min(eff for freq, eff in rows if abs(freq - center_hz) <= NARROW_BAND_HZ / 2 + 1)
         print(
-            f"{side:>7}x{side:<3} {array.num_elements:>8} {center:>8.4f} "
-            f"{narrow.min():>11.4f} {effs.min():>9.4f}"
+            f"{params['rows']:>7}x{params['cols']:<3} {results['m_antennas']:>8} "
+            f"{results['center_efficiency']:>8.4f} {narrow:>11.4f} {results['min_efficiency']:>9.4f}"
         )

@@ -178,9 +178,14 @@ def _run_squint(params: dict, seed: int):
             f"must be < 2 * center_frequency_hz = {2.0 * params['center_frequency_hz']} "
             f"so the band stays at positive frequencies, got {params['span_hz']}",
         )
-    array = PlanarArray.half_wavelength_at(
-        params["rows"], params["cols"], params["center_frequency_hz"]
-    )
+    try:
+        array = PlanarArray.half_wavelength_at(
+            params["rows"], params["cols"], params["center_frequency_hz"]
+        )
+    except ValueError as exc:
+        raise ValidationError(
+            "center_frequency_hz", f"the half-wavelength element spacing underflows ({exc})"
+        ) from None
     channel = sixpath_channel(seed)
     freqs, effs = squint_sweep(
         array, channel, params["center_frequency_hz"], params["span_hz"], params["n_points"]
@@ -204,9 +209,13 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
     ul_snr = params["ul_pilot_snr"]
     if params["snr_scaling"] == "bandwidth":
         ul_snr = ul_snr * params["reference_bandwidth_hz"] / params["bandwidth_hz"]
+        if ul_snr == 0.0:
+            raise ValidationError(
+                "ul_pilot_snr", "underflows to 0 when scaled by reference_bandwidth_hz/bandwidth_hz"
+            )
     try:
         tau_c = coherence_samples(params["coherence_time_s"], params["coherence_bandwidth_hz"])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValidationError("coherence_time_s", f"{exc} (tau_c = time * bandwidth)") from None
     grid = k_range(tau_c, params["k_min"], params["k_max"], params["k_step"], params["fine"])
     # a capacity sweep of 1,000,000 user counts (its CSV rows) already peaks near 0.58 GB
@@ -653,20 +662,6 @@ Exit codes: 0 ok, 2 parse error, 3 validation error, 4 runtime failure.
 # main
 # ----------------------------------------------------------------------------
 
-def _resolve_params(exp: Experiment, raw: dict[str, str]) -> dict:
-    schema = {param.name: param for param in exp.params}
-    resolved = {param.name: param.default for param in exp.params}
-    entry_param = Param("entry", "float", 0.0, "ledger entry in dB")
-    for key, text in raw.items():
-        if key in schema:
-            resolved[key] = coerce_value(schema[key], key, text)
-        elif exp.allow_prefix and key.startswith(exp.allow_prefix):
-            resolved[key] = coerce_value(entry_param, key, text)
-        else:
-            raise ValidationError(key, f"unknown parameter for experiment {exp.name!r}")
-    return resolved
-
-
 def _load_config(source: str) -> dict[str, str]:
     if os.path.exists(source):
         try:
@@ -681,25 +676,34 @@ def _load_config(source: str) -> dict[str, str]:
     raise ValidationError("config", f"no such file or bundled config: {source!r}")
 
 
-def run(config: dict[str, str]) -> int:
-    """Run one configuration, check and write its files; returns the exit code."""
-    config = dict(config)
-    experiment_name = config.pop("experiment", None)
-    if experiment_name is None:
-        raise ValidationError("experiment", "no experiment selected")
-    if experiment_name not in EXPERIMENTS:
-        print(f"unknown experiment {experiment_name!r}", file=sys.stderr)
-        print(list_experiments(), file=sys.stderr)
-        return EXIT_VALIDATION
+def resolve(config: dict[str, str]) -> tuple[Experiment, int, str, dict]:
+    """Experiment, seed, output path and checked parameters of a raw config.
 
-    exp = EXPERIMENTS[experiment_name]
+    The config names a registered experiment; schema defaults fill the keys
+    it omits, and ValidationError names the first bad field.
+    """
+    config = dict(config)
+    exp = EXPERIMENTS[config.pop("experiment")]
     seed = DEFAULT_SEED
     if "seed" in config:
         seed = coerce_value(Param("seed", "int", DEFAULT_SEED, "seed"), "seed", config.pop("seed"))
     output = config.pop("output", f"{exp.name}.{exp.output_ext}")
+    schema = {param.name: param for param in exp.params}
+    params = {param.name: param.default for param in exp.params}
+    entry_param = Param("entry", "float", 0.0, "ledger entry in dB")
+    for key, text in config.items():
+        if key in schema:
+            params[key] = coerce_value(schema[key], key, text)
+        elif exp.allow_prefix and key.startswith(exp.allow_prefix):
+            params[key] = coerce_value(entry_param, key, text)
+        else:
+            raise ValidationError(key, f"unknown parameter for experiment {exp.name!r}")
+    return exp, seed, output, params
 
-    params = _resolve_params(exp, config)
 
+def run(config: dict[str, str]) -> int:
+    """Run one configuration, check and write its files; returns the exit code."""
+    exp, seed, output, params = resolve(config)
     try:
         data, results, stdout_lines = exp.runner(params, seed)
         text = _csv_text(*data) if exp.output_ext == "csv" else _json_text(data)
@@ -791,6 +795,10 @@ def main(argv: list[str] | None = None) -> int:
         if "experiment" not in config:
             print(USAGE)
             print("error: no experiment selected", file=sys.stderr)
+            return EXIT_VALIDATION
+        if config["experiment"] not in EXPERIMENTS:
+            print(f"unknown experiment {config['experiment']!r}", file=sys.stderr)
+            print(list_experiments(), file=sys.stderr)
             return EXIT_VALIDATION
         return run(config)
     except ConfigParseError as exc:

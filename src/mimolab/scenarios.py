@@ -1,7 +1,8 @@
-"""Reference scenarios shared by the bundled configs, scripts, and tests.
+"""The six-path 60 GHz channel of the squint experiment, and the default seed.
 
-The six-path channel is a geometry (gains, cosines) pair and each Central
-Park scenario a dict of capacity.rate_table keyword arguments.
+Every other scenario number lives in the bundled configs
+(``mimolab/configs/*.ini``); scripts and tests read them through
+``cli.resolve``, so each value is written once.
 """
 
 from __future__ import annotations
@@ -10,13 +11,11 @@ import math
 
 import numpy as np
 
-from .capacity import coherence_samples
-from .geometry import PlanarArray, direction_cosines
+from .geometry import direction_cosines
 from .rng import RandomStream
 
 DEFAULT_SEED = 42
 
-SIXPATH_CENTER_HZ = 60e9
 # (azimuth, elevation) in radians: line of sight, then the five reflections
 SIXPATH_DIRECTIONS = (
     (math.pi / 4, -math.pi / 4),
@@ -44,28 +43,3 @@ def sixpath_channel(seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
                       for power, phase in zip(powers, phases)])
     cosines = np.array([direction_cosines(az, el) for az, el in SIXPATH_DIRECTIONS])
     return gains, cosines
-
-
-def sixpath_array(side: int) -> PlanarArray:
-    """side x side aperture spaced at half a wavelength of the 60 GHz center."""
-    return PlanarArray.half_wavelength_at(side, side, SIXPATH_CENTER_HZ)
-
-
-# Extreme-multiplexing study: a park served from surrounding rooftops by 100,000 antennas,
-# 20 dB uplink pilot SNR at 50 MHz, 20 dB more on the downlink, 400 kHz coherence bandwidth.
-
-
-def centralpark_3ghz() -> dict:
-    """3 GHz carrier, 50 MHz bandwidth, 100 ms coherence time (tau_c = 40000)."""
-    return dict(m_antennas=100_000, tau_c=coherence_samples(0.1, 400e3), ul_pilot_snr=100.0,
-                dl_ul_power_ratio=100.0, bandwidth_hz=50e6)
-
-
-def centralpark_60ghz() -> dict:
-    """60 GHz carrier, 1 GHz bandwidth, 5 ms coherence time (tau_c = 2000).
-
-    The uplink pilot SNR is scaled by the bandwidth ratio (100 -> 5) to keep
-    the transmit power fixed while the noise bandwidth widens twentyfold.
-    """
-    return dict(m_antennas=100_000, tau_c=coherence_samples(0.005, 400e3),
-                ul_pilot_snr=100.0 * (50e6 / 1e9), dl_ul_power_ratio=100.0, bandwidth_hz=1e9)

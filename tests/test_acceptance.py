@@ -17,7 +17,8 @@ from mimolab.capacity import antenna_sweep, k_range
 from mimolab.channels import favorable_propagation_metric, hardening_metric
 from mimolab.cli import BUNDLED_CONFIGS, main
 from mimolab.rng import RandomStream
-from mimolab.scenarios import centralpark_3ghz
+
+from conftest import bundled
 
 CENTER_HZ = 60e9
 
@@ -154,7 +155,7 @@ def test_criterion_06_centralpark_60ghz_loose(tmp_path):
 
 
 def test_criterion_07_sum_rate_monotone_in_antennas():
-    scenario = centralpark_3ghz()
+    scenario = bundled("centralpark_3ghz")
     rows = antenna_sweep([100, 1000, 10_000, 100_000], k_range(scenario["tau_c"]), **scenario)
     rates = [row["sum_rate_bps"] for row in rows]
     ok = all(a < b for a, b in zip(rates, rates[1:]))

@@ -15,7 +15,16 @@ from mimolab.beamforming import (
     squint_sweep,
 )
 from mimolab.geometry import PlanarArray, channel_vector, direction_cosines
-from mimolab.scenarios import SIXPATH_CENTER_HZ, sixpath_array, sixpath_channel
+from mimolab.scenarios import sixpath_channel
+
+from conftest import bundled
+
+CENTER_HZ = bundled("fig4_32x32")["center_frequency_hz"]
+
+
+def fig4_array(side):
+    """side x side aperture spaced at half a wavelength of the fig4 configs' center."""
+    return PlanarArray.half_wavelength_at(side, side, CENTER_HZ)
 
 
 def _los_channel(azimuth_rad, elevation_rad):
@@ -67,7 +76,7 @@ def test_mrt_rejects_zero_channel():
 
 
 def test_digital_gain_is_full_at_every_frequency():
-    arr = sixpath_array(32)
+    arr = fig4_array(32)
     chan = sixpath_channel(42)
     for f in np.linspace(59e9, 61e9, 7):
         h = channel_vector(arr, chan, f)
@@ -86,8 +95,8 @@ def test_analog_matches_pure_steering_vector():
 
 
 def test_analog_center_efficiency_on_sixpath_64():
-    arr = sixpath_array(64)
-    h = channel_vector(arr, sixpath_channel(42), SIXPATH_CENTER_HZ)
+    arr = fig4_array(64)
+    h = channel_vector(arr, sixpath_channel(42), CENTER_HZ)
     eff = efficiency(analog_weights(h), h)
     assert 0.85 <= eff <= 0.95  # about 90% with reflections present
 
@@ -213,10 +222,10 @@ def test_efficiency_one_iff_conjugate_collinear():
 
 
 def test_sixpath_32_stays_above_three_quarters_at_band_edges():
-    arr = sixpath_array(32)
+    arr = fig4_array(32)
     chan = sixpath_channel(42)
-    w = analog_weights(channel_vector(arr, chan, SIXPATH_CENTER_HZ))
-    for f in (SIXPATH_CENTER_HZ - 1e9, SIXPATH_CENTER_HZ + 1e9):
+    w = analog_weights(channel_vector(arr, chan, CENTER_HZ))
+    for f in (CENTER_HZ - 1e9, CENTER_HZ + 1e9):
         assert efficiency(w, channel_vector(arr, chan, f)) >= 0.75
 
 
@@ -236,23 +245,23 @@ def test_sweep_center_is_exact_for_single_path():
 
 @pytest.mark.parametrize("side", [32, 64, 128])
 def test_sweep_400mhz_band_for_all_apertures(side):
-    _, effs = squint_sweep(sixpath_array(side), sixpath_channel(42), SIXPATH_CENTER_HZ, 400e6, 41)
+    _, effs = squint_sweep(fig4_array(side), sixpath_channel(42), CENTER_HZ, 400e6, 41)
     assert np.all(effs >= 0.80)
     assert np.all(effs <= 0.95)
 
 
 def test_sweep_larger_aperture_squints_harder():
     chan = sixpath_channel(42)
-    _, small = squint_sweep(sixpath_array(32), chan, SIXPATH_CENTER_HZ, 2e9, 41)
-    _, large = squint_sweep(sixpath_array(128), chan, SIXPATH_CENTER_HZ, 2e9, 41)
+    _, small = squint_sweep(fig4_array(32), chan, CENTER_HZ, 2e9, 41)
+    _, large = squint_sweep(fig4_array(128), chan, CENTER_HZ, 2e9, 41)
     assert large.min() < small.min()
     assert small.min() >= 0.75
 
 
 def test_digital_dominates_hybrid_dominates_analog_across_band():
-    arr = sixpath_array(32)
+    arr = fig4_array(32)
     chan = sixpath_channel(42)
-    h_center = channel_vector(arr, chan, SIXPATH_CENTER_HZ)
+    h_center = channel_vector(arr, chan, CENTER_HZ)
     analog = analog_weights(h_center)
     for f in np.linspace(59e9, 61e9, 9):
         h = channel_vector(arr, chan, f)
@@ -278,9 +287,9 @@ def test_digital_dominates_hybrid_dominates_analog_across_band():
 )
 def test_sweep_matches_per_frequency_reference(rows, cols, channel, n_points):
     # the batched separable kernel against one full channel vector per frequency
-    arr = PlanarArray.half_wavelength_at(rows, cols, SIXPATH_CENTER_HZ)
-    freqs, effs = squint_sweep(arr, channel, SIXPATH_CENTER_HZ, 2e9, n_points)
-    w = analog_weights(channel_vector(arr, channel, SIXPATH_CENTER_HZ))
+    arr = PlanarArray.half_wavelength_at(rows, cols, CENTER_HZ)
+    freqs, effs = squint_sweep(arr, channel, CENTER_HZ, 2e9, n_points)
+    w = analog_weights(channel_vector(arr, channel, CENTER_HZ))
     expected = [efficiency(w, channel_vector(arr, channel, f)) for f in freqs]
     assert freqs.size == n_points
     np.testing.assert_allclose(effs, expected, rtol=1e-12, atol=0)
@@ -289,7 +298,7 @@ def test_sweep_matches_per_frequency_reference(rows, cols, channel, n_points):
 
 
 def test_sweep_argument_validation():
-    arr = sixpath_array(32)
+    arr = fig4_array(32)
     chan = sixpath_channel(42)
     with pytest.raises(ValueError):
         squint_sweep(arr, chan, 60e9, 2e9, 1)
@@ -300,7 +309,7 @@ def test_sweep_argument_validation():
 
 
 def test_squint_curve_validation():
-    arr = sixpath_array(32)
+    arr = fig4_array(32)
     chan = sixpath_channel(42)
     with pytest.raises(ValueError, match="span_hz 1e-06 is too narrow for 201"):
         squint_sweep(arr, chan, 60e9, 1e-6, 201)  # adjacent points round to one double

@@ -14,7 +14,8 @@ from mimolab.capacity import (
     k_range,
     rate_table,
 )
-from mimolab.scenarios import centralpark_3ghz, centralpark_60ghz
+
+from conftest import bundled
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +85,7 @@ def sinr_of(row):
 
 
 def test_anchor_spectral_efficiency():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     assert sc["tau_c"] == 40_000
     row = row_at(sc, 14_000)
     assert row["pilot_fraction"] == pytest.approx(0.35, rel=1e-12)
@@ -97,7 +98,7 @@ def test_anchor_spectral_efficiency():
 
 
 def test_anchor_sum_rate_and_pilot_fraction():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     row = row_at(sc, 14_000)
     assert row["sum_rate_bps"] == pytest.approx(1.376e12, rel=1e-3)
     assert abs(row["sum_rate_bps"] - 1.38e12) / 1.38e12 < 0.005
@@ -106,18 +107,18 @@ def test_anchor_sum_rate_and_pilot_fraction():
 
 
 def test_se_zero_when_all_samples_are_pilots():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     assert row_at(sc, 40_000)["se_per_ue"] == 0.0
 
 
 def test_sinr_linear_in_antennas():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     doubled = {**sc, "m_antennas": 2 * sc["m_antennas"]}
     assert sinr_of(row_at(doubled, 5000)) == pytest.approx(2 * sinr_of(row_at(sc, 5000)), rel=1e-12)
 
 
 def test_k_bounds_enforced():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     with pytest.raises(ValueError):
         rate_table([40_001], **sc)
     with pytest.raises(ValueError):
@@ -127,7 +128,7 @@ def test_k_bounds_enforced():
 
 
 def test_single_user_sum_equals_per_user_rate():
-    row = row_at(centralpark_3ghz(), 1)
+    row = row_at(bundled("centralpark_3ghz"), 1)
     assert row["sum_rate_bps"] == row["rate_per_ue_bps"]
 
 
@@ -143,9 +144,9 @@ def scalar_rates(scenario, k):
     return k, k / tau_c, se, rate, k * rate
 
 
-@pytest.mark.parametrize("scenario", [centralpark_3ghz, centralpark_60ghz], ids=["3ghz", "60ghz"])
-def test_rate_table_matches_scalar_closed_form(scenario):
-    sc = scenario()
+@pytest.mark.parametrize("name", ["centralpark_3ghz", "centralpark_60ghz"], ids=["3ghz", "60ghz"])
+def test_rate_table_matches_scalar_closed_form(name):
+    sc = bundled(name)
     grid = k_range(sc["tau_c"], fine=True)
     table = rate_table(grid, **sc)
     assert tuple(table) == RATE_COLUMNS
@@ -158,7 +159,7 @@ def test_rate_table_matches_scalar_closed_form(scenario):
 
 
 def test_rate_table_rows_do_not_depend_on_the_grid():
-    sc = centralpark_60ghz()
+    sc = bundled("centralpark_60ghz")
     table = rate_table(k_range(sc["tau_c"], k_step=7), **sc)
     for i, k in enumerate(table["k_users"].tolist()):
         assert {name: column[i].item() for name, column in table.items()} == row_at(sc, k)
@@ -169,7 +170,7 @@ def test_rate_table_rows_do_not_depend_on_the_grid():
 # ---------------------------------------------------------------------------
 
 def test_optimize_singleton_grid():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     assert best_row(rate_table([1], **sc))["k_users"] == 1
 
 
@@ -187,7 +188,7 @@ def test_k_range_rejects_bad_bounds(k_min, k_max):
 
 
 def test_best_row_is_the_sum_rate_maximum():
-    sc = centralpark_60ghz()
+    sc = bundled("centralpark_60ghz")
     table = rate_table(k_range(sc["tau_c"], k_step=7), **sc)
     best = best_row(table)
     assert best["sum_rate_bps"] == table["sum_rate_bps"].max()
@@ -205,18 +206,18 @@ def test_best_row_ties_go_to_smaller_k():
 
 def test_optimize_rejects_empty_grid():
     with pytest.raises(ValueError):
-        rate_table([], **centralpark_3ghz())
+        rate_table([], **bundled("centralpark_3ghz"))
 
 
 def test_optimum_user_count_near_fourteen_thousand():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     best = best_row(rate_table(k_range(sc["tau_c"], fine=True), **sc))
     assert abs(best["k_users"] - 14_000) / 14_000 <= 0.10
     assert best["sum_rate_bps"] == pytest.approx(1.38e12, rel=0.05)
 
 
 def test_interior_maximum():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     best = best_row(rate_table(k_range(sc["tau_c"]), **sc))
     assert best["sum_rate_bps"] > row_at(sc, 1)["sum_rate_bps"]
     assert best["sum_rate_bps"] > row_at(sc, sc["tau_c"])["sum_rate_bps"]
@@ -224,7 +225,7 @@ def test_interior_maximum():
 
 
 def test_60ghz_pilot_fraction_band():
-    sc = centralpark_60ghz()
+    sc = bundled("centralpark_60ghz")
     assert sc["tau_c"] == 2_000
     assert sc["ul_pilot_snr"] == pytest.approx(5.0, rel=1e-12)
     best = best_row(rate_table(k_range(sc["tau_c"], fine=True), **sc))
@@ -233,7 +234,7 @@ def test_60ghz_pilot_fraction_band():
 
 
 def test_antenna_sweep_monotone_and_ordered():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     grid = k_range(sc["tau_c"])
     rows = antenna_sweep([10_000, 100, 100_000, 1000], grid, **sc)
     assert [row["m_antennas"] for row in rows] == [100, 1000, 10_000, 100_000]
@@ -243,13 +244,13 @@ def test_antenna_sweep_monotone_and_ordered():
 
 
 def test_antenna_sweep_singleton_matches_sum_rate():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     [row] = antenna_sweep([sc["m_antennas"]], [500], **sc)
     assert row == {"m_antennas": sc["m_antennas"], **row_at(sc, 500)}
 
 
 def test_antenna_sweep_rejects_empty_grids():
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     with pytest.raises(ValueError):
         antenna_sweep([], [1], **sc)
     with pytest.raises(ValueError):
@@ -263,7 +264,7 @@ def test_antenna_sweep_rejects_empty_grids():
 @settings(max_examples=100)
 @given(k=st.integers(1, 40_000))
 def test_se_nonnegative_and_pilot_accounting(k):
-    sc = centralpark_3ghz()
+    sc = bundled("centralpark_3ghz")
     row = row_at(sc, k)
     assert row["se_per_ue"] >= 0.0
     assert row["pilot_fraction"] * sc["tau_c"] == pytest.approx(k, rel=1e-12)
@@ -277,4 +278,4 @@ def test_scenario_validation():
     for name, message in messages.items():
         for bad in (0, -1.0, math.nan):
             with pytest.raises(ValueError, match=message):
-                rate_table([1, 500], **{**centralpark_3ghz(), name: bad})
+                rate_table([1, 500], **{**bundled("centralpark_3ghz"), name: bad})

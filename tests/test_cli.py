@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -17,13 +18,10 @@ from mimolab.cli import (
     main,
     parse_config_text,
 )
-from mimolab.scenarios import (
-    SIXPATH_CENTER_HZ,
-    centralpark_3ghz,
-    centralpark_60ghz,
-    sixpath_array,
-    sixpath_channel,
-)
+from mimolab.geometry import PlanarArray
+from mimolab.scenarios import sixpath_channel
+
+from conftest import bundled
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -105,6 +103,14 @@ def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
         (["capacity", "--coherence-time-s", "1e-9"], "coherence_time_s"),
         (["capacity", "--coherence-time-s", "1e12"], "coherence_time_s"),
         (["antenna-sweep", "--coherence-bandwidth-hz", "1"], "coherence_time_s"),
+        # a coherence block of infinitely many samples
+        (["capacity", "--coherence-time-s", "1.7e308"], "coherence_time_s"),
+        (["antenna-sweep", "--coherence-time-s", "1.7e308"], "coherence_time_s"),
+        # half a wavelength at the center frequency underflows to 0 m
+        (["squint", "--center-frequency-hz", "1.7e308"], "center_frequency_hz"),
+        # the bandwidth-scaled uplink SNR underflows to 0
+        (["capacity", "--snr-scaling", "bandwidth", "--ul-pilot-snr", "1e-300",
+          "--reference-bandwidth-hz", "1e-300", "--bandwidth-hz", "1e300"], "ul_pilot_snr"),
     ],
 )
 def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
@@ -256,6 +262,78 @@ def test_invalid_rate_arithmetic_is_runtime_failure(tmp_path, monkeypatch, capsy
         "runtime failure: se_per_ue in data row 1 is nan, not a finite number\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+# the ints that size an array or a Monte-Carlo run stay at their defaults (their caps
+# have their own tests above), and mobility draws 1000 patterns, so the sweep stays fast
+_HELD_SIZES = {"rows", "cols", "n_points"}
+_HELD_MONTE_CARLO_SIZES = {"m_antennas", "n_draws", "n_pairs"}
+
+
+def _extreme_value_cases():
+    """(experiment, args) setting one numeric parameter to a bound or an extreme value."""
+    for exp in EXPERIMENTS.values():
+        base = ["--set", "n_draws=1000"] if exp.name == "mobility" else []
+        monte_carlo = exp.name in ("hardening", "favorable", "mobility")
+        for param in exp.params:
+            if param.kind not in ("int", "float", "int_list", "float_list"):
+                continue
+            if param.name in _HELD_SIZES or (monte_carlo and param.name in _HELD_MONTE_CARLO_SIZES):
+                continue
+            bounds = {b for b in (param.min_value, param.max_value) if b is not None}
+            if param.kind.startswith("int"):
+                extremes = {1, 2, 2**53 + 1}
+            else:
+                extremes = {5e-324, 1e-300, 1e300, 1.7e308}
+            for value in sorted(bounds | extremes):
+                yield exp, base + ["--set", f"{param.name}={value!r}"]
+
+
+def _output_key_names(exp, args, directory) -> set:
+    """Every key and CSV column of the experiment's output and manifest at args."""
+    out = directory / f"keys.{exp.output_ext}"
+    assert main([exp.name, *args, "--output", str(out)]) == 0
+    names = set()
+
+    def walk(node):
+        if isinstance(node, dict):
+            names.update(node)
+            node = list(node.values())
+        for item in node if isinstance(node, list) else ():
+            walk(item)
+
+    walk(json.loads((directory / f"{out.name}.manifest.json").read_text()))
+    text = out.read_text()
+    if exp.output_ext == "csv":
+        names.update(text.split("\n", 1)[0].split(","))
+    else:
+        walk(json.loads(text))
+    return names
+
+
+def test_extreme_values_exit_cleanly(tmp_path, capsys):
+    """Exit 0 with finite output, or exit 3/4 with one stderr line naming a field or key."""
+    known = {}
+    defects = []
+    for i, (exp, args) in enumerate(_extreme_value_cases()):
+        case_dir = tmp_path / str(i)
+        out = case_dir / f"out.{exp.output_ext}"
+        code = main([exp.name, *args, "--output", str(out)])
+        err = capsys.readouterr().err
+        case = f"{exp.name} {args[-1]}: exit {code}, {err!r}"
+        if code == 0:
+            if re.search(r"\b(nan|inf|NaN|Infinity)\b", out.read_text()):
+                defects.append(case + ", non-finite output")
+            continue
+        if code not in (3, 4) or len(err.splitlines()) != 1 or case_dir.exists():
+            defects.append(case)
+            continue
+        if exp.name not in known:
+            fields = {param.name for param in exp.params}
+            known[exp.name] = fields | _output_key_names(exp, args[:-2], tmp_path / exp.name)
+        if not known[exp.name] & set(re.findall(r"[A-Za-z_]\w*", err)):
+            defects.append(case + ", names no field or output key")
+    assert not defects, "\n".join(defects)
 
 
 def test_squint_band_below_zero_hz_is_validation_error(tmp_path, monkeypatch, capsys):
@@ -442,12 +520,16 @@ def test_antenna_sweep_run(tmp_path, monkeypatch):
 
 
 def _squint_rows():
-    freqs, effs = squint_sweep(sixpath_array(32), sixpath_channel(42), SIXPATH_CENTER_HZ, 400e6, 5)
+    p = bundled("fig4_32x32", n_points=5, span_hz=400e6)
+    array = PlanarArray.half_wavelength_at(p["rows"], p["cols"], p["center_frequency_hz"])
+    freqs, effs = squint_sweep(
+        array, sixpath_channel(42), p["center_frequency_hz"], p["span_hz"], p["n_points"]
+    )
     return [list(row) for row in zip(freqs.tolist(), effs.tolist())]
 
 
-def _capacity_rows(scenario, k_step):
-    sc = scenario()
+def _capacity_rows(name, k_step):
+    sc = bundled(name)
     table = rate_table(k_range(sc["tau_c"], k_step=k_step), **sc)
     columns = [column.tolist() for column in table.values()]
     return [[sc["m_antennas"], *row] for row in zip(*columns)]
@@ -458,10 +540,10 @@ def _capacity_rows(scenario, k_step):
     [
         (["--config", "fig4_32x32", "--n-points", "5", "--span-hz", "400e6"], _squint_rows),
         (["--config", "centralpark_3ghz", "--k-step", "1000"],
-         lambda: _capacity_rows(centralpark_3ghz, 1000)),
-        # the bandwidth-scaled uplink SNR: ul_pilot_snr * reference / bandwidth
+         lambda: _capacity_rows("centralpark_3ghz", 1000)),
+        # the bandwidth-scaled uplink SNR; the centralpark_60ghz golden pins its value
         (["--config", "centralpark_60ghz", "--k-step", "100"],
-         lambda: _capacity_rows(centralpark_60ghz, 100)),
+         lambda: _capacity_rows("centralpark_60ghz", 100)),
     ],
     ids=["squint", "capacity", "centralpark_60ghz"],
 )

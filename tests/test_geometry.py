@@ -14,7 +14,7 @@ from mimolab.geometry import (
     direction_cosines,
     steering_factors,
 )
-from mimolab.scenarios import SIXPATH_DIRECTIONS, sixpath_array, sixpath_channel
+from mimolab.scenarios import SIXPATH_DIRECTIONS, sixpath_channel
 
 C = SPEED_OF_LIGHT_M_S
 
@@ -118,7 +118,7 @@ def test_opposite_gains_cancel():
 
 def test_sixpath_channel_against_bruteforce_accumulation():
     # independent oracle: per-element scalar accumulation with cmath
-    arr = sixpath_array(32)
+    arr = PlanarArray.half_wavelength_at(32, 32, 60e9)
     chan = sixpath_channel(42)
     gains, _ = chan
     f = 60e9
@@ -167,7 +167,7 @@ def test_triangle_equality_for_shared_direction():
 
 
 def test_frequency_continuity():
-    arr = sixpath_array(32)
+    arr = PlanarArray.half_wavelength_at(32, 32, 60e9)
     chan = sixpath_channel(42)
     f = 60e9
     df = f * 1e-7  # well inside the df/f < 1e-6 regime
@@ -252,7 +252,7 @@ def test_steering_factors_check_unit_modulus():
 
 
 def test_channel_vector_allocates_little_beyond_its_result():
-    arr = sixpath_array(512)
+    arr = PlanarArray.half_wavelength_at(512, 512, 60e9)
     chan = sixpath_channel(42)
     tracemalloc.start()
     try:

@@ -8,7 +8,8 @@ from mimolab.capacity import estimation_quality, rate_table
 from mimolab.cli import main
 from mimolab.hardware import adc_power, array_pa_budget
 from mimolab.propagation import bandwidth_snr_delta, estimation_load, fresnel_radius, wavelength_m
-from mimolab.scenarios import centralpark_3ghz
+
+from conftest import bundled
 
 pos = st.floats(1.0, 1e4)
 
@@ -137,7 +138,7 @@ NAN = float("nan")
         lambda: adc_power(NAN, 5, 1e8, 1.0),
         lambda: array_pa_budget(64, NAN, 0.18),
         lambda: estimation_quality(4, NAN),
-        lambda: rate_table([1], **{**centralpark_3ghz(), "bandwidth_hz": NAN}),
+        lambda: rate_table([1], **{**bundled("centralpark_3ghz"), "bandwidth_hz": NAN}),
     ],
     ids=[
         "fresnel_frequency",
