@@ -17,6 +17,8 @@ that every number is finite and writes the output atomically (temp file
 plus rename) along with a ``<output>.manifest.json`` echoing the resolved
 parameters, the seed, and the artifact version.  Outputs contain no
 timestamps, so re-running a config reproduces its files byte for byte.
+The numpy-backed modules are imported inside the runners that use them, so
+the closed-form experiments, the listings and schema rejects never load numpy.
 
 Exit codes: 0 success, 2 config parse error (with line/column),
 3 validation error (naming the offending field, or ``config`` for a config
@@ -37,20 +39,10 @@ from functools import partial
 from typing import Callable
 
 from . import __version__
-from .beamforming import squint_sweep
-from .capacity import (
-    RATE_COLUMNS,
-    antenna_sweep,
-    best_row,
-    coherence_samples,
-    k_range,
-    rate_table,
-)
-from .channels import drift_bound_check, favorable_propagation_metric, hardening_metric
-from .geometry import PlanarArray
 from .hardware import adc_power, array_pa_budget
 from .propagation import bandwidth_snr_delta, estimation_load, fresnel_radius
-from .scenarios import DEFAULT_SEED, sixpath_channel
+
+DEFAULT_SEED = 42
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -178,6 +170,10 @@ def _run_squint(params: dict, seed: int):
             f"must be < 2 * center_frequency_hz = {2.0 * params['center_frequency_hz']} "
             f"so the band stays at positive frequencies, got {params['span_hz']}",
         )
+    from .beamforming import squint_sweep
+    from .geometry import PlanarArray
+    from .scenarios import sixpath_channel
+
     try:
         array = PlanarArray.half_wavelength_at(
             params["rows"], params["cols"], params["center_frequency_hz"]
@@ -206,6 +202,8 @@ def _run_squint(params: dict, seed: int):
 
 
 def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
+    from .capacity import coherence_samples, k_range
+
     ul_snr = params["ul_pilot_snr"]
     if params["snr_scaling"] == "bandwidth":
         ul_snr = ul_snr * params["reference_bandwidth_hz"] / params["bandwidth_hz"]
@@ -235,6 +233,8 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
 
 
 def _run_capacity(params: dict, seed: int):
+    from .capacity import RATE_COLUMNS, best_row, rate_table
+
     rate_args, grid, extras = _capacity_scenario(params)
     table = rate_table(grid, **rate_args)
     best = best_row(table)
@@ -249,6 +249,8 @@ def _run_capacity(params: dict, seed: int):
 
 
 def _run_antenna_sweep(params: dict, seed: int):
+    from .capacity import RATE_COLUMNS, antenna_sweep
+
     rate_args, grid, extras = _capacity_scenario(params)
     best = antenna_sweep(params["m_grid"], grid, **rate_args)
     lines = [
@@ -260,6 +262,8 @@ def _run_antenna_sweep(params: dict, seed: int):
 
 
 def _run_mobility(params: dict, seed: int):
+    from .channels import drift_bound_check
+
     m, n_draws = params["m_antennas"], params["n_draws"]
     reports = []
     for mu in params["mu_list"]:
@@ -352,7 +356,9 @@ def _run_hwbudget(params: dict, seed: int):
 
 
 def _run_diagnostic(metric_name: str, count_key: str, params: dict, seed: int):
-    # looked up when called, so a rebound module global takes effect
+    # imported when called, so a rebound mimolab.channels attribute takes effect
+    from .channels import favorable_propagation_metric, hardening_metric
+
     metric = hardening_metric if metric_name == "hardening" else favorable_propagation_metric
     value = metric(params["m_antennas"], params[count_key], seed)
     record = {
@@ -694,7 +700,7 @@ def resolve(config: dict[str, str]) -> tuple[Experiment, int, str, dict]:
     for key, text in config.items():
         if key in schema:
             params[key] = coerce_value(schema[key], key, text)
-        elif exp.allow_prefix and key.startswith(exp.allow_prefix):
+        elif exp.allow_prefix and key.startswith(exp.allow_prefix) and key != exp.allow_prefix:
             params[key] = coerce_value(entry_param, key, text)
         else:
             raise ValidationError(key, f"unknown parameter for experiment {exp.name!r}")
@@ -787,7 +793,7 @@ def main(argv: list[str] | None = None) -> int:
         if len(positionals) > 1:
             raise ConfigParseError(0, 0, f"unexpected arguments: {positionals[1:]}")
 
-        config = _load_config(config_source) if config_source else {}
+        config = _load_config(config_source) if config_source is not None else {}
         if positionals:
             config["experiment"] = positionals[0]
         for key, value in overrides:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SPEED_OF_LIGHT_M_S = 299792458.0
+from .propagation import SPEED_OF_LIGHT_M_S
 
 
 def direction_cosines(azimuth_rad: float, elevation_rad: float) -> tuple[float, float]:

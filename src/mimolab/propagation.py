@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .geometry import SPEED_OF_LIGHT_M_S
+SPEED_OF_LIGHT_M_S = 299792458.0
 
 
 def wavelength_m(frequency_hz: float) -> float:

@@ -1,4 +1,4 @@
-"""The six-path 60 GHz channel of the squint experiment, and the default seed.
+"""The six-path 60 GHz channel of the squint experiment.
 
 Every other scenario number lives in the bundled configs
 (``mimolab/configs/*.ini``); scripts and tests read them through
@@ -14,8 +14,6 @@ import numpy as np
 from .geometry import direction_cosines
 from .rng import RandomStream
 
-DEFAULT_SEED = 42
-
 # (azimuth, elevation) in radians: line of sight, then the five reflections
 SIXPATH_DIRECTIONS = (
     (math.pi / 4, -math.pi / 4),
@@ -29,7 +27,7 @@ SIXPATH_LOS_POWER = 5.0 / 6.0
 SIXPATH_REFLECTION_POWER = SIXPATH_LOS_POWER / 25.0
 
 
-def sixpath_channel(seed: int = DEFAULT_SEED) -> tuple[np.ndarray, np.ndarray]:
+def sixpath_channel(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """60 GHz line-of-sight channel with five single-bounce reflections.
 
     Returns the (gains, cosines) pair of ``geometry.steering_factors``.

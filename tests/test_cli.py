@@ -22,6 +22,7 @@ from mimolab.geometry import PlanarArray
 from mimolab.scenarios import sixpath_channel
 
 from conftest import bundled
+from test_golden import GOLDEN, _assert_run_matches_golden
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -68,6 +69,14 @@ def test_unknown_parameter_names_the_field(tmp_path, monkeypatch, capsys):
     code = run_cli(["fresnel", "--set", "freq_gz=38"], tmp_path, monkeypatch)
     assert code == 3
     assert "freq_gz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--set", "entry_=3"], ["--entry-", "3"]])
+def test_ledger_entry_without_label_is_unknown(args, tmp_path, monkeypatch, capsys):
+    code = run_cli(["linkbudget", *args, "--output", "lb.json"], tmp_path, monkeypatch)
+    assert code == 3
+    assert "invalid configuration: entry_: unknown parameter" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_experiment_prints_listing(tmp_path, monkeypatch, capsys):
@@ -131,11 +140,13 @@ def test_missing_config_file(tmp_path, monkeypatch, capsys):
     [
         (["--config", "a_dir"], "config", 3),
         (["--config", "latin1.ini"], "config", 3),
+        (["fresnel", "--config", "", "--output", "a.json"],
+         "config: no such file or bundled config: ''", 3),
         (["fresnel", "--output", "a_dir"], "cannot write 'a_dir'", 4),
         (["fresnel", "--output", "a_file/f.json"],
          "cannot write 'a_file/f.json': Not a directory", 4),
     ],
-    ids=["config-dir", "config-not-utf8", "output-dir", "output-under-file"],
+    ids=["config-dir", "config-not-utf8", "config-empty", "output-dir", "output-under-file"],
 )
 def test_unreadable_config_or_unwritable_output(args, name, code, tmp_path, monkeypatch, capsys):
     (tmp_path / "a_dir").mkdir()
@@ -162,7 +173,7 @@ def test_out_of_memory_exits_four(tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr("mimolab.cli.hardening_metric", exhausted)
+    monkeypatch.setattr("mimolab.channels.hardening_metric", exhausted)
     code = run_cli(["hardening", "--output", "h.json"], tmp_path, monkeypatch)
     assert code == 4
     assert "out of memory" in capsys.readouterr().err
@@ -617,3 +628,65 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "squint" in proc.stdout
+
+
+# (args, exit code, golden file of the JSON output or of stdout)
+_NUMPY_FREE_CASES = [
+    (["fresnel", "--output", "out.json"], 0, "fresnel.json"),
+    (["linkbudget", "--entry-window", "-40", "--entry-foliage", "-12.5", "--output", "out.json"],
+     0, "linkbudget.json"),
+    (["--config", "estload_paper", "--output", "out.json"], 0, "estload_paper.json"),
+    (["--config", "adc_128v8", "--output", "out.json"], 0, "adc_128v8.json"),
+    (["hwbudget", "--overhead-factor", "20"], 3, None),
+    (["--config", "../malformed.ini"], 2, None),
+    (["fresnel", "--freq-ghz", "nan"], 3, None),
+    (["list"], 0, "list.txt"),
+    ([], 0, "usage.txt"),
+    (["--help"], 0, "usage.txt"),
+    (["warp-drive"], 3, None),
+    (["fresnel", "--set", "freq_gz=38"], 3, None),
+    (["squint", "--center-frequency-hz", "60e9", "--span-hz", "120e9"], 3, None),
+]
+
+# runs each argument list through main in its own directory 0, 1, ...; any numpy import raises
+_NUMPY_FREE_SCRIPT = """
+import contextlib, io, json, os, sys
+sys.modules["numpy"] = None
+from mimolab.cli import main
+
+results = []
+for i, args in enumerate(json.loads(sys.argv[1])):
+    os.mkdir(str(i))
+    os.chdir(str(i))
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        results.append((main(args), stdout.getvalue()))
+    os.chdir("..")
+print(json.dumps([results, sorted(name for name in sys.modules if name.startswith("mimolab"))]))
+"""
+
+
+def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
+    (tmp_path / "malformed.ini").write_text("experiment = fresnel\nfreq_ghz 38\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_FREE_SCRIPT,
+         json.dumps([args for args, _, _ in _NUMPY_FREE_CASES])],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    results, modules = json.loads(proc.stdout)
+    assert modules == ["mimolab", "mimolab.cli", "mimolab.hardware", "mimolab.propagation"]
+    for i, ((args, code, golden), (exit_code, stdout)) in enumerate(
+        zip(_NUMPY_FREE_CASES, results, strict=True)
+    ):
+        assert exit_code == code, args
+        if golden is None:
+            assert list((tmp_path / str(i)).iterdir()) == [], args
+        elif golden.endswith(".txt"):
+            assert stdout == (GOLDEN / golden).read_text(), args
+        else:
+            monkeypatch.chdir(tmp_path / str(i))
+            _assert_run_matches_golden("out.json", golden)
