@@ -1,4 +1,4 @@
-"""Coherence-block accounting and closed-form downlink rates under MRT.
+"""Closed-form downlink rates under MRT, per coherence block.
 
 Single cell, i.i.d. Rayleigh fading, K single-antenna users served with
 maximum ratio transmission.  Channel knowledge comes from K orthogonal
@@ -12,7 +12,8 @@ split equally over users, each user sees
 where the denominator carries unit noise plus non-coherent interference
 from all K streams.  Everything is deterministic closed-form arithmetic on
 plain numbers (a scenario is rate_table's keyword arguments); no
-Monte-Carlo is involved.
+Monte-Carlo is involved.  The block length tau_c and the user-count grid
+come from ``coherence``, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -20,19 +21,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-
-def coherence_samples(coherence_time_s: float, coherence_bandwidth_hz: float) -> int:
-    """Usable samples tau_c = round(time * bandwidth) of a block of constant channel."""
-    if not (coherence_time_s > 0 and coherence_bandwidth_hz > 0):
-        raise ValueError("coherence time and bandwidth must be positive")
-    tau_c = round(coherence_time_s * coherence_bandwidth_hz)
-    if tau_c < 1:
-        raise ValueError("a coherence block must contain at least one sample")
-    # rate_table holds K <= tau_c as int64 and forms K/tau_c in doubles, exact to 2**53
-    if tau_c > 2**53:
-        raise ValueError(f"a coherence block of {tau_c} samples exceeds 2**53")
-    return tau_c
 
 
 RATE_COLUMNS = ("k_users", "pilot_fraction", "se_per_ue", "rate_per_ue_bps", "sum_rate_bps")
@@ -53,7 +41,7 @@ def rate_table(k_users: Sequence[int], *, m_antennas: int, tau_c: int, ul_pilot_
                dl_ul_power_ratio: float, bandwidth_hz: float) -> dict[str, np.ndarray]:
     """Rates for every user count K on the grid, one array per RATE_COLUMNS name.
 
-    M antennas serve K users in blocks of tau_c samples (``coherence_samples``)
+    M antennas serve K users in blocks of tau_c samples (``coherence.coherence_samples``)
     with linear uplink pilot SNR rho_ul and downlink SNR
     rho_dl = dl_ul_power_ratio * rho_ul.  Per user SE = (1 - K/tau_c) *
     log2(1 + SINR) in bit/s/Hz and rate SE*B; the sum rate is K times that.
@@ -88,23 +76,6 @@ def best_row(table: dict[str, np.ndarray]) -> dict:
     """The row with the largest sum rate as Python numbers; ties go to the smaller K."""
     i = int(np.argmax(table["sum_rate_bps"]))  # the first of equal maxima
     return {name: column[i].item() for name, column in table.items()}
-
-
-def k_range(
-    tau_c: int, k_min: int = 1, k_max: int = 0, k_step: int = 0, fine: bool = False
-) -> range:
-    """User counts k_min..k_max (0 means tau_c) in steps of k_step.
-
-    k_step 0 picks the step: 1 when fine, else tau_c // 1000 but at least 1,
-    which keeps the full range under 2000 points however long the block.
-    """
-    k_max = k_max if k_max > 0 else tau_c
-    step = k_step if k_step > 0 else 1 if fine else max(1, tau_c // 1000)
-    if not 1 <= k_min <= k_max <= tau_c:
-        raise ValueError(
-            f"need 1 <= k_min <= k_max <= tau_c, got k_min={k_min}, k_max={k_max}, tau_c={tau_c}"
-        )
-    return range(k_min, k_max + 1, step)
 
 
 def antenna_sweep(m_grid: Sequence[int], k_users: Sequence[int], **rate_args) -> list[dict]:

@@ -17,8 +17,9 @@ that every number is finite and writes the output atomically (temp file
 plus rename) along with a ``<output>.manifest.json`` echoing the resolved
 parameters, the seed, and the artifact version.  Outputs contain no
 timestamps, so re-running a config reproduces its files byte for byte.
-The numpy-backed modules are imported inside the runners that use them, so
-the closed-form experiments, the listings and schema rejects never load numpy.
+The numpy-backed modules are imported inside the runners that use them, after
+their own checks, so the closed-form experiments, the listings, schema rejects
+and capacity-scenario rejects never load numpy.
 
 Exit codes: 0 success, 2 config parse error (with line/column),
 3 validation error (naming the offending field, or ``config`` for a config
@@ -202,7 +203,7 @@ def _run_squint(params: dict, seed: int):
 
 
 def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
-    from .capacity import coherence_samples, k_range
+    from .coherence import coherence_samples, k_range
 
     ul_snr = params["ul_pilot_snr"]
     if params["snr_scaling"] == "bandwidth":
@@ -233,9 +234,9 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
 
 
 def _run_capacity(params: dict, seed: int):
+    rate_args, grid, extras = _capacity_scenario(params)
     from .capacity import RATE_COLUMNS, best_row, rate_table
 
-    rate_args, grid, extras = _capacity_scenario(params)
     table = rate_table(grid, **rate_args)
     best = best_row(table)
     m = rate_args["m_antennas"]
@@ -249,9 +250,9 @@ def _run_capacity(params: dict, seed: int):
 
 
 def _run_antenna_sweep(params: dict, seed: int):
+    rate_args, grid, extras = _capacity_scenario(params)
     from .capacity import RATE_COLUMNS, antenna_sweep
 
-    rate_args, grid, extras = _capacity_scenario(params)
     best = antenna_sweep(params["m_grid"], grid, **rate_args)
     lines = [
         f"M={row['m_antennas']}: best sum rate {row['sum_rate_bps'] / 1e9:.3f} Gbit/s "

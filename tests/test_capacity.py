@@ -9,11 +9,10 @@ from mimolab.capacity import (
     RATE_COLUMNS,
     antenna_sweep,
     best_row,
-    coherence_samples,
     estimation_quality,
-    k_range,
     rate_table,
 )
+from mimolab.coherence import coherence_samples, k_range
 
 from conftest import bundled
 

@@ -7,14 +7,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolab.channels import (
+    _SCREEN_MARGIN,
+    _drift_phases,
+    _exact_drift_gains,
     _random_drift_gains,
+    _screened_drift_gains,
     drift_bound_check,
     drift_gain,
     favorable_propagation_metric,
     hardening_metric,
     pair_correlation,
 )
-from mimolab.rng import RandomStream, derive_seed
+from mimolab.rng import (
+    _SEED_BLOCK,
+    RandomStream,
+    _pcg64_state,
+    _seed_sequence_states,
+    child_streams,
+    derive_seed,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +56,27 @@ def test_complex_normal_power_is_norm_of_complex_normal(seed, n):
     h = RandomStream(seed).complex_normal(n)
     power = RandomStream(seed).complex_normal_power(n)
     assert power == pytest.approx(np.vdot(h, h).real, rel=1e-13, abs=0)
+
+
+def test_block_seeding_matches_numpy_seed_sequence_and_pcg64():
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    seeds += [derive_seed(42, i) for i in range(10_000)]
+    states = _seed_sequence_states(seeds)
+    assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
+    for seed, words in zip(seeds, states.tolist()):
+        assert words == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        assert _pcg64_state(*words) == np.random.PCG64(seed).state
+
+
+def test_child_streams_draw_like_fresh_streams():
+    count = _SEED_BLOCK + 3  # crosses a seed block
+    n = 0
+    for i, stream in enumerate(child_streams(7, count)):
+        fresh = RandomStream(derive_seed(7, i))
+        assert stream.seed == fresh.seed
+        assert np.array_equal(stream.uniform(3), fresh.uniform(3))
+        n += 1
+    assert n == count
 
 
 def test_complex_normal_unit_variance():
@@ -98,6 +130,36 @@ def test_hardening_decreases_with_antennas():
 def test_hardening_is_reproducible():
     assert hardening_metric(50, 500, 42) == hardening_metric(50, 500, 42)
     assert hardening_metric(50, 500, 1) != hardening_metric(50, 500, 2)
+
+
+def _per_draw_hardening(m, n, seed):
+    powers = np.array(
+        [RandomStream(derive_seed(seed, i)).complex_normal_power(m) for i in range(n)]
+    )
+    return float(powers.std(ddof=1) / powers.mean())
+
+
+def _per_draw_favorable(m, n, seed):
+    vals = np.empty(n)
+    for i in range(n):
+        h_i = RandomStream(derive_seed(seed, 2 * i)).complex_normal(m)
+        h_j = RandomStream(derive_seed(seed, 2 * i + 1)).complex_normal(m)
+        vals[i] = pair_correlation(h_i, h_j)
+    return float(vals.mean())
+
+
+@pytest.mark.parametrize(
+    "m, n, seed", [(100, 2000, 42), (1000, 50, 7), (3, _SEED_BLOCK + 5, 2**64 - 1)]
+)
+def test_hardening_equals_per_draw_streams(m, n, seed):
+    assert hardening_metric(m, n, seed) == _per_draw_hardening(m, n, seed)
+
+
+@pytest.mark.parametrize(
+    "m, n, seed", [(100, 2000, 42), (1000, 50, 7), (8, _SEED_BLOCK // 2 + 5, 123)]
+)
+def test_favorable_equals_per_draw_streams(m, n, seed):
+    assert favorable_propagation_metric(m, n, seed) == _per_draw_favorable(m, n, seed)
 
 
 def test_hardening_needs_two_draws():
@@ -202,15 +264,52 @@ def test_drift_bound_check_sixteenth_wavelength():
 @pytest.mark.parametrize("m, n", [(64, 0), (64, 1), (64, 2500), (7, 30_000), (100_000, 3)])
 def test_chunked_drift_gains_equal_one_shot_formula(m, n):
     mu, seed = 0.125, 42
-    chunks = list(_random_drift_gains(m, mu, n, seed))
-    assert all(c.size * m <= max(m, 65_536) for c in chunks)
-    chunked = np.concatenate(chunks) if chunks else np.empty(0)
+    chunks = list(_drift_phases(m, mu, n, seed))
+    assert all(c.size <= max(m, 65_536) for c in chunks)
+    chunked = np.concatenate([_exact_drift_gains(c) for c in chunks]) if chunks else np.empty(0)
     theta = 2.0 * np.pi * RandomStream(seed).uniform(n * m, -mu, mu).reshape(n, m)
     one_shot = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / m
     assert np.array_equal(chunked, one_shot)
     # the complex-exponential form rounds differently in the last digits only
     z = np.exp(1j * theta).sum(axis=1)
     np.testing.assert_allclose(chunked, np.abs(z) ** 2 / m, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("mu", [0.125, 0.0625])
+def test_float32_drift_screen_is_within_margin(mu, seed):
+    for theta in _drift_phases(64, mu, 100_000, seed):
+        exact = _exact_drift_gains(theta)
+        assert np.all(np.abs(_screened_drift_gains(theta) - exact) <= _SCREEN_MARGIN * exact)
+
+
+def _full_float64_min_gain(m, mu, n, seed):
+    theta = 2.0 * np.pi * RandomStream(seed).uniform(n * m, -mu, mu).reshape(n, m)
+    gains = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / m
+    alternating = np.where(np.arange(m) % 2 == 0, mu, -mu)
+    extremes = (np.full(m, mu), np.full(m, -mu), alternating, -alternating)
+    return min([*gains.tolist(), *(drift_gain(phi) for phi in extremes)])
+
+
+@pytest.mark.parametrize(
+    "m, mu, n, seed", [(64, 0.125, 20_000, 42), (64, 0.0625, 20_000, 7), (7, 0.1, 9_000, 5)]
+)
+def test_forced_drift_recheck_equals_full_float64_path(m, mu, n, seed, monkeypatch):
+    screened_min, bound = drift_bound_check(m, mu, n, seed)
+    monkeypatch.setattr("mimolab.channels._SCREEN_MARGIN", math.inf)
+    assert sum(gains.size for gains in _random_drift_gains(m, mu, n, seed)) == n
+    rechecked_min, rechecked_bound = drift_bound_check(m, mu, n, seed)
+    assert rechecked_min == screened_min == _full_float64_min_gain(m, mu, n, seed)
+    assert rechecked_bound == bound
+
+
+def test_drift_screen_passes_rows_that_undercut_the_extremes():
+    # with one antenna every gain is 1 up to rounding, so random rows can sit an ulp
+    # below the extremes; the screen must hand them to the float64 recheck
+    m, mu, n, seed = 1, 0.125, 1000, 3
+    min_gain, _ = drift_bound_check(m, mu, n, seed)
+    assert min_gain == _full_float64_min_gain(m, mu, n, seed)
+    assert min_gain < drift_gain(np.full(1, mu))
 
 
 def test_drift_bound_check_memory_does_not_grow_with_draws():

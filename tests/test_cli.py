@@ -9,7 +9,7 @@ import pytest
 
 from mimolab import __version__
 from mimolab.beamforming import squint_sweep
-from mimolab.capacity import k_range, rate_table
+from mimolab.capacity import rate_table
 from mimolab.cli import (
     BUNDLED_CONFIGS,
     EXPERIMENTS,
@@ -18,6 +18,7 @@ from mimolab.cli import (
     main,
     parse_config_text,
 )
+from mimolab.coherence import k_range
 from mimolab.geometry import PlanarArray
 from mimolab.scenarios import sixpath_channel
 
@@ -646,6 +647,11 @@ _NUMPY_FREE_CASES = [
     (["warp-drive"], 3, None),
     (["fresnel", "--set", "freq_gz=38"], 3, None),
     (["squint", "--center-frequency-hz", "60e9", "--span-hz", "120e9"], 3, None),
+    (["capacity", "--coherence-time-s", "1e-300"], 3, None),
+    (["capacity", "--fine", "true", "--coherence-time-s", "100"], 3, None),
+    (["capacity", "--snr-scaling", "bandwidth", "--ul-pilot-snr", "1e-300",
+      "--reference-bandwidth-hz", "1e-300", "--bandwidth-hz", "1e300"], 3, None),
+    (["antenna-sweep", "--coherence-time-s", "1e-300"], 3, None),
 ]
 
 # runs each argument list through main in its own directory 0, 1, ...; any numpy import raises
@@ -678,7 +684,9 @@ def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
     )
     assert proc.returncode == 0, proc.stderr
     results, modules = json.loads(proc.stdout)
-    assert modules == ["mimolab", "mimolab.cli", "mimolab.hardware", "mimolab.propagation"]
+    assert modules == [
+        "mimolab", "mimolab.cli", "mimolab.coherence", "mimolab.hardware", "mimolab.propagation"
+    ]
     for i, ((args, code, golden), (exit_code, stdout)) in enumerate(
         zip(_NUMPY_FREE_CASES, results, strict=True)
     ):
