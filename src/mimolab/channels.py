@@ -11,13 +11,13 @@ The drift model captures how far a line-of-sight user may move before a
 frozen beam loses gain: each coefficient is rotated by exp(j*2*pi*phi_m)
 with |phi_m| <= mu wavelengths, and for mu <= 1/8 the remaining gain is at
 least M*cos^2(2*pi*mu) >= M/2, independent of M.  The bound check screens
-its random drift patterns in float32 and recomputes in float64 only those
-that could undercut the deterministic extremes, so its result is the
-all-float64 one, bit for bit.
+its random drift patterns from their uniforms with a trig-free lower bound
+and takes cos/sin in float64 only where that bound could undercut the
+deterministic extremes, so its result is the all-float64 one, bit for bit.
 
-Every Monte-Carlo draw i runs on its own child stream of the seed
-(``rng.child_streams``), exactly as a fresh ``RandomStream(derive_seed(seed,
-i))`` would.
+Hardening and favorable-propagation draw i reads child stream i of the
+seed (``rng.child_uniforms``), exactly as a fresh
+``RandomStream(derive_seed(seed, i))`` would.
 """
 
 from __future__ import annotations
@@ -26,20 +26,20 @@ import math
 
 import numpy as np
 
-from .rng import RandomStream, child_streams
+from .rng import RandomStream, child_uniforms, polar_complex_normal, polar_power
 
 MAX_DRIFT_FRACTION = 0.125  # the gain bound chain only applies up to 1/8 wavelength
-_DRIFT_CHUNK_ELEMENTS = 65_536  # random drift phases held in memory at once
+_DRIFT_CHUNK_ELEMENTS = 65_536  # random drift uniforms held in memory at once
 
-# Relative margin of the float32 drift screen.  Casting theta (|theta| <= pi/4)
-# to float32 moves it by at most 2**-24 * pi/4 < 5e-8, and numpy's float32
-# cos/sin are within a few ulp; allowing 4 ulp (2.4e-7) puts every term within
-# e = 3e-7 of its float64 value.  The row sums C, S are taken in float64, so
-# each is off by at most M*e, and the gain G = (C^2 + S^2)/M by at most
-# 2*sqrt(2)*e*sqrt(G*M) + 2*M*e^2.  That grows with G, so a row whose exact
-# gain is below the extremes' least gain g >= M*cos^2(2*pi*mu) >= M/2 screens
-# below g*(1 + 4*e + 4*e^2) < g*(1 + 1.3e-6).  1e-5 leaves a factor of 7; the
-# largest deviation seen at seeds 42 and 7 is 2.3e-8 relative.
+# Relative margin of the trig-free drift screen (eps = 2**-53, |theta| <= pi/4).
+# The float64 path's theta = 2*pi*(2*mu*u - mu), three roundings, is within
+# 10*pi*mu*eps < 4*eps of the screen's 4*pi*mu*(u - 1/2) (u - 1/2 is exact); as
+# M - sum(theta^2)/2 > 0.69*M, that moves the bound by < 10*eps relative.  The
+# screen's own arithmetic rounds it by < (M + 11)*eps, and the float64 gain is
+# within 4.1*(M + 9)*eps of the exact one (cos/sin within 4 ulp, sums within M*eps).
+# So a row whose float64 gain is below the extremes' least gain g bounds below
+# g*(1 + (5.1*M + 70)*eps) < g*(1 + 6e-9) for M <= 10**7, the CLI limit.  Near the
+# alternating extremes at small mu the bound tops the float64 gain by an ulp or two.
 _SCREEN_MARGIN = 1e-5
 
 
@@ -53,9 +53,7 @@ def hardening_metric(m_antennas: int, n_draws: int, seed: int) -> float:
     _check_antennas(m_antennas)
     if n_draws < 2:
         raise ValueError(f"n_draws must be at least 2, got {n_draws}")
-    powers = np.empty(n_draws)
-    for i, stream in enumerate(child_streams(seed, n_draws)):
-        powers[i] = stream.complex_normal_power(m_antennas)
+    powers = np.concatenate([polar_power(u) for u in child_uniforms(seed, n_draws, m_antennas)])
     return float(powers.std(ddof=1) / powers.mean())
 
 
@@ -74,13 +72,11 @@ def favorable_propagation_metric(m_antennas: int, n_pairs: int, seed: int) -> fl
     _check_antennas(m_antennas)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs}")
-    vals = np.empty(n_pairs)
-    streams = child_streams(seed, 2 * n_pairs)  # pair i draws children 2i and 2i+1
-    for i in range(n_pairs):
-        h_i = next(streams).complex_normal(m_antennas)
-        h_j = next(streams).complex_normal(m_antennas)
-        vals[i] = pair_correlation(h_i, h_j)
-    return float(vals.mean())
+    # pair i draws children 2i and 2i+1, each M radius then M angle uniforms
+    blocks = child_uniforms(seed, 2 * n_pairs, 2 * m_antennas)
+    channels = (h for u in blocks for h in polar_complex_normal(u.reshape(len(u), 2, m_antennas)))
+    vals = [pair_correlation(next(channels), next(channels)) for _ in range(n_pairs)]
+    return float(np.mean(vals))
 
 
 def drift_gain(phase_fractions: np.ndarray) -> float:
@@ -92,32 +88,34 @@ def drift_gain(phase_fractions: np.ndarray) -> float:
     return float(abs(z) ** 2 / phase_fractions.size)
 
 
-def _drift_phases(m_antennas: int, mu: float, n_draws: int, seed: int):
-    """Phases 2*pi*phi of n_draws uniform drift patterns in [-mu, mu]^M, in bounded chunks.
+def _drift_uniforms(m_antennas: int, n_draws: int, seed: int):
+    """Uniforms of n_draws drift patterns, one row per pattern, in bounded chunks.
 
-    Row r of the one-shot pattern matrix is uniforms r*M .. r*M+M-1 of the
-    seed's stream, and successive draws continue that stream, so the chunks
-    reproduce it exactly while holding at most _DRIFT_CHUNK_ELEMENTS phases.
+    Row r of the one-shot matrix is uniforms r*M .. r*M+M-1 of the seed's
+    stream, and successive draws continue that stream, so the chunks
+    reproduce it exactly while holding at most _DRIFT_CHUNK_ELEMENTS uniforms.
     """
     stream = RandomStream(seed)
     rows = max(1, _DRIFT_CHUNK_ELEMENTS // m_antennas)
     for start in range(0, n_draws, rows):
         count = min(rows, n_draws - start)
-        theta = 2.0 * np.pi * stream.uniform(count * m_antennas, -mu, mu)
-        yield theta.reshape(count, m_antennas)
+        yield stream.uniform(count * m_antennas).reshape(count, m_antennas)
 
 
-def _exact_drift_gains(theta: np.ndarray) -> np.ndarray:
-    """Per-row |sum_m exp(j*theta_m)|^2 / M, evaluated as ((sum cos)^2 + (sum sin)^2) / M."""
-    return (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / theta.shape[1]
+def _exact_drift_gains(u: np.ndarray, mu: float) -> np.ndarray:
+    """Per-row float64 gains of the drift patterns drawn as u, phased as RandomStream.uniform."""
+    theta = 2.0 * np.pi * (-mu + (mu - -mu) * u)
+    return (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / u.shape[1]
 
 
-def _screened_drift_gains(theta: np.ndarray) -> np.ndarray:
-    """``_exact_drift_gains`` with cos and sin taken in float32 and summed in float64."""
-    theta = theta.astype(np.float32)
-    cos_sum = np.cos(theta).sum(axis=1, dtype=np.float64)
-    sin_sum = np.sin(theta).sum(axis=1, dtype=np.float64)
-    return (cos_sum**2 + sin_sum**2) / theta.shape[1]
+def _drift_gain_bounds(u: np.ndarray, mu: float) -> np.ndarray:
+    """Per-row trig-free lower bounds on the drift gains of the patterns drawn as u.
+
+    With theta = 4*pi*mu*(u - 1/2), |sum exp(j*theta)| >= sum cos(theta) >=
+    M - sum(theta^2)/2 > 0 for mu <= 1/8; squared and over M, that bounds the gain.
+    """
+    m, d = u.shape[1], u - 0.5
+    return (m - 0.5 * (4.0 * np.pi * mu) ** 2 * np.einsum("ij,ij->i", d, d)) ** 2 / m
 
 
 def _extreme_drift_gain(m_antennas: int, mu: float) -> float:
@@ -130,17 +128,15 @@ def _extreme_drift_gain(m_antennas: int, mu: float) -> float:
 def _random_drift_gains(m_antennas: int, mu: float, n_draws: int, seed: int):
     """Exact gains of the random drift patterns that could undercut the extremes.
 
-    Screens each chunk of _drift_phases in float32 and yields, in stream
-    order, the float64 gains of the rows screened below the extremes' least
-    gain times 1 + _SCREEN_MARGIN.  A row left out has an exact gain no
-    smaller than the extremes', so the minimum over extremes and yielded
-    gains is the minimum over all draws, bit for bit.
+    Yields, in stream order, the float64 gains of the rows whose _drift_gain_bounds
+    is not above the extremes' least gain times 1 + _SCREEN_MARGIN.  Every other row
+    gains no less than the extremes, so the minimum over all draws is kept, bit for bit.
     """
     threshold = _extreme_drift_gain(m_antennas, mu) * (1.0 + _SCREEN_MARGIN)
-    for theta in _drift_phases(m_antennas, mu, n_draws, seed):
-        suspects = theta[_screened_drift_gains(theta) < threshold]
+    for u in _drift_uniforms(m_antennas, n_draws, seed):
+        suspects = u[_drift_gain_bounds(u, mu) <= threshold]
         if len(suspects):
-            yield _exact_drift_gains(suspects)
+            yield _exact_drift_gains(suspects, mu)
 
 
 def drift_bound_check(
@@ -150,8 +146,8 @@ def drift_bound_check(
 
     Evaluates the deterministic extremes (all +mu, all -mu, alternating +/-mu
     both ways) plus n_random_draws uniform drift patterns in [-mu, mu]^M and
-    returns (minimum observed gain, analytic bound).  Random patterns are
-    screened in float32 and only those that could undercut the extremes are
+    returns (minimum observed gain, analytic bound).  Random patterns are screened
+    with a trig-free bound and only those that could undercut the extremes are
     evaluated in float64, which yields the same minimum as evaluating all.
     The extremes sit exactly on the bound, so the check allows a 1e-12
     relative rounding slack; a genuine violation raises ArithmeticError, so

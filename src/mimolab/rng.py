@@ -7,21 +7,19 @@ seed-to-sample mapping is fixed by this code rather than by numpy internals:
   * phases: 2*pi*u
   * circularly-symmetric complex normals (unit variance): radius
     sqrt(-log(1 - u1)), angle 2*pi*u2, with u1 the first n uniforms of the
-    stream and u2 the next n
-  * the power ||z||^2 of those n complex normals: sum(-log(1 - u1)),
-    because |radius * exp(j*angle)|^2 = radius^2.  It reads only u1, and
-    PCG64 fills arrays in order, so it draws just the first n uniforms and
+    stream and u2 the next n (:func:`polar_complex_normal`)
+  * their power ||z||^2 = sum(-log(1 - u1)), as |radius * exp(j*angle)|^2 =
+    radius^2 (:func:`polar_power`); it needs only the first n uniforms and
     agrees with the full draw to rounding (~1e-15 relative)
 
 Parallel Monte-Carlo runs split work by deriving one child seed per draw
 index with :func:`derive_seed`, so results do not depend on how draws are
-distributed over workers.  :func:`child_streams` walks those children
-without numpy's per-seed setup: it runs numpy's SeedSequence hash (pool of
-four 32-bit words) over a block of child seeds at once in uint32 arrays,
-seeds PCG64's 128-bit state from the result in Python ints, and sets that
-state on one reused generator.  Both steps are written out below, so the
-seeding is fixed by this code as well; the tests pin them against
-``np.random.PCG64(seed)``.
+distributed over workers.  :func:`child_uniforms` skips numpy's per-seed
+setup: numpy's SeedSequence hash (pool of four 32-bit words) runs over a
+block of child seeds at once in uint32 arrays, PCG64's 128-bit state follows
+in Python ints, and one reused generator fills a row of a reused block per
+child, so the transforms above run once per block.  Both seeding steps are
+written out here; the tests pin them against ``np.random.PCG64(seed)``.
 """
 
 from __future__ import annotations
@@ -35,7 +33,8 @@ GENERATOR_ALGORITHM = "pcg64+polar-inverse-cdf"
 """Identifier of the uniform source and the normal transform in use."""
 
 _SEED_MASK = (1 << 64) - 1
-_SEED_BLOCK = 1024  # child seeds hashed at once by child_streams
+_SEED_BLOCK = 1024  # child seeds hashed at once by child_uniforms
+_UNIFORM_BLOCK = 8192  # uniforms per child_uniforms block; stays in L2, 65,536 was slower
 
 # numpy's SeedSequence constants (O'Neill's seed_seq_fe); Python ints, so
 # uint32 array arithmetic wraps without a numpy scalar overflow warning
@@ -61,12 +60,22 @@ def derive_seed(parent_seed: int, index: int) -> int:
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
 
 
+def polar_power(u: np.ndarray) -> np.ndarray:
+    """||z||^2 of the complex normals with radius uniforms u, summed over the last axis."""
+    x = np.negative(u)  # log1p in place, so a one-row block of large n needs one temporary
+    return -np.log1p(x, out=x).sum(axis=-1)  # 1 - u in (0, 1], no infinities
+
+
+def polar_complex_normal(u: np.ndarray) -> np.ndarray:
+    """CN(0, 1) samples from (..., 2, n) uniforms: radius u[..., 0, :], angle u[..., 1, :]."""
+    return np.sqrt(-np.log1p(-u[..., 0, :])) * np.exp(2j * np.pi * u[..., 1, :])
+
+
 class RandomStream:
     """A single seeded stream of uniforms, phases, and complex normals."""
 
     def __init__(self, seed: int):
-        self.seed = seed & _SEED_MASK
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+        self._gen = np.random.Generator(np.random.PCG64(seed & _SEED_MASK))
 
     def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         u = self._gen.random(n)
@@ -78,35 +87,28 @@ class RandomStream:
 
     def complex_normal(self, n: int) -> np.ndarray:
         """n i.i.d. CN(0, 1) samples: E|z|^2 = 1 per entry."""
-        u = self._gen.random((2, n))
-        radius = np.sqrt(-np.log1p(-u[0]))  # 1 - u in (0, 1], no infinities
-        return radius * np.exp(2j * np.pi * u[1])
-
-    def complex_normal_power(self, n: int) -> float:
-        """||z||^2 of ``complex_normal(n)`` drawn from this stream's current state.
-
-        Draws only the n radius uniforms, so afterwards the stream sits n
-        uniforms earlier than after ``complex_normal(n)``.
-        """
-        return float(-np.log1p(-self._gen.random(n)).sum())
+        return polar_complex_normal(self._gen.random((2, n)))
 
 
-def child_streams(parent_seed: int, count: int) -> Iterator[RandomStream]:
-    """Yield ``RandomStream(derive_seed(parent_seed, i))`` for i = 0 .. count-1.
+def child_uniforms(parent_seed: int, count: int, n: int) -> Iterator[np.ndarray]:
+    """Row i of the yielded blocks is ``RandomStream(derive_seed(parent_seed, i)).uniform(n)``.
 
-    Each stream draws exactly what the freshly constructed one would.  One
-    stream object is re-seeded in place for every child, so draw from a
-    child before taking the next.  Seeds are hashed _SEED_BLOCK at a time,
-    so memory does not grow with ``count``.
+    Blocks hold max(1, _UNIFORM_BLOCK // n) rows of one reused buffer: use each before the next.
     """
-    stream = RandomStream(0)
-    bit_generator = stream._gen.bit_generator
+    generator = np.random.Generator(np.random.PCG64(0))
+    block = np.empty((max(1, _UNIFORM_BLOCK // n), n))
+    filled = 0
     for start in range(0, count, _SEED_BLOCK):
         seeds = [derive_seed(parent_seed, i) for i in range(start, min(count, start + _SEED_BLOCK))]
-        for seed, words in zip(seeds, _seed_sequence_states(seeds).tolist()):
-            stream.seed = seed
-            bit_generator.state = _pcg64_state(*words)
-            yield stream
+        for words in _seed_sequence_states(seeds).tolist():
+            generator.bit_generator.state = _pcg64_state(*words)
+            generator.random(out=block[filled])
+            filled += 1
+            if filled == len(block):
+                yield block
+                filled = 0
+    if filled:
+        yield block[:filled]
 
 
 def _seed_sequence_states(seeds: list[int]) -> np.ndarray:

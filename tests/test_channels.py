@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from mimolab.channels import (
     _SCREEN_MARGIN,
-    _drift_phases,
+    _drift_gain_bounds,
+    _drift_uniforms,
     _exact_drift_gains,
     _random_drift_gains,
-    _screened_drift_gains,
     drift_bound_check,
     drift_gain,
     favorable_propagation_metric,
@@ -20,11 +20,13 @@ from mimolab.channels import (
 )
 from mimolab.rng import (
     _SEED_BLOCK,
+    _UNIFORM_BLOCK,
     RandomStream,
     _pcg64_state,
     _seed_sequence_states,
-    child_streams,
+    child_uniforms,
     derive_seed,
+    polar_power,
 )
 
 
@@ -54,7 +56,7 @@ def test_stream_values_are_pinned():
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
 def test_complex_normal_power_is_norm_of_complex_normal(seed, n):
     h = RandomStream(seed).complex_normal(n)
-    power = RandomStream(seed).complex_normal_power(n)
+    power = polar_power(RandomStream(seed).uniform(n))  # the first n uniforms only
     assert power == pytest.approx(np.vdot(h, h).real, rel=1e-13, abs=0)
 
 
@@ -69,14 +71,17 @@ def test_block_seeding_matches_numpy_seed_sequence_and_pcg64():
 
 
 def test_child_streams_draw_like_fresh_streams():
-    count = _SEED_BLOCK + 3  # crosses a seed block
-    n = 0
-    for i, stream in enumerate(child_streams(7, count)):
-        fresh = RandomStream(derive_seed(7, i))
-        assert stream.seed == fresh.seed
-        assert np.array_equal(stream.uniform(3), fresh.uniform(3))
-        n += 1
-    assert n == count
+    # n around one block, so some blocks hold a single row; counts of one row,
+    # a block's rows +/- 1, and past one seed-hash block
+    for n in (1, _UNIFORM_BLOCK - 1, _UNIFORM_BLOCK, _UNIFORM_BLOCK + 1):
+        rows = max(1, _UNIFORM_BLOCK // n)
+        for count in sorted({1, max(1, rows - 1), rows + 1, _SEED_BLOCK + 1}):
+            blocks = [block.copy() for block in child_uniforms(7, count, n)]
+            assert all(len(block) <= rows for block in blocks)
+            drawn = np.concatenate(blocks)
+            assert drawn.shape == (count, n)
+            for i, row in enumerate(drawn):
+                assert np.array_equal(row, RandomStream(derive_seed(7, i)).uniform(n))
 
 
 def test_complex_normal_unit_variance():
@@ -134,7 +139,7 @@ def test_hardening_is_reproducible():
 
 def _per_draw_hardening(m, n, seed):
     powers = np.array(
-        [RandomStream(derive_seed(seed, i)).complex_normal_power(m) for i in range(n)]
+        [-np.log1p(-RandomStream(derive_seed(seed, i)).uniform(m)).sum() for i in range(n)]
     )
     return float(powers.std(ddof=1) / powers.mean())
 
@@ -149,14 +154,22 @@ def _per_draw_favorable(m, n, seed):
 
 
 @pytest.mark.parametrize(
-    "m, n, seed", [(100, 2000, 42), (1000, 50, 7), (3, _SEED_BLOCK + 5, 2**64 - 1)]
+    "m, n, seed",
+    [(100, 2000, 42), (1000, 50, 7), (3, _SEED_BLOCK + 5, 2**64 - 1), (_UNIFORM_BLOCK + 1, 5, 1)],
 )
 def test_hardening_equals_per_draw_streams(m, n, seed):
     assert hardening_metric(m, n, seed) == _per_draw_hardening(m, n, seed)
 
 
 @pytest.mark.parametrize(
-    "m, n, seed", [(100, 2000, 42), (1000, 50, 7), (8, _SEED_BLOCK // 2 + 5, 123)]
+    "m, n, seed",
+    [
+        (100, 2000, 42),
+        (1000, 50, 7),
+        (8, _SEED_BLOCK // 2 + 5, 123),
+        (3, 700, 9),  # 1,365 children a block: pairs span blocks
+        (_UNIFORM_BLOCK // 2 + 1, 3, 5),  # one child a block
+    ],
 )
 def test_favorable_equals_per_draw_streams(m, n, seed):
     assert favorable_propagation_metric(m, n, seed) == _per_draw_favorable(m, n, seed)
@@ -264,9 +277,9 @@ def test_drift_bound_check_sixteenth_wavelength():
 @pytest.mark.parametrize("m, n", [(64, 0), (64, 1), (64, 2500), (7, 30_000), (100_000, 3)])
 def test_chunked_drift_gains_equal_one_shot_formula(m, n):
     mu, seed = 0.125, 42
-    chunks = list(_drift_phases(m, mu, n, seed))
+    chunks = list(_drift_uniforms(m, n, seed))
     assert all(c.size <= max(m, 65_536) for c in chunks)
-    chunked = np.concatenate([_exact_drift_gains(c) for c in chunks]) if chunks else np.empty(0)
+    chunked = np.concatenate([_exact_drift_gains(c, mu) for c in chunks]) if chunks else np.empty(0)
     theta = 2.0 * np.pi * RandomStream(seed).uniform(n * m, -mu, mu).reshape(n, m)
     one_shot = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / m
     assert np.array_equal(chunked, one_shot)
@@ -278,9 +291,27 @@ def test_chunked_drift_gains_equal_one_shot_formula(m, n):
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("mu", [0.125, 0.0625])
 def test_float32_drift_screen_is_within_margin(mu, seed):
-    for theta in _drift_phases(64, mu, 100_000, seed):
-        exact = _exact_drift_gains(theta)
-        assert np.all(np.abs(_screened_drift_gains(theta) - exact) <= _SCREEN_MARGIN * exact)
+    for u in _drift_uniforms(64, 100_000, seed):
+        exact = _exact_drift_gains(u, mu)
+        assert np.all(_drift_gain_bounds(u, mu) <= exact * (1.0 + _SCREEN_MARGIN))
+
+
+def test_drift_screen_margin_covers_tight_bounds():
+    # rows of antithetic uniforms (u, 1 - u) have sum(sin) = 0, and at small mu the
+    # dropped theta^4 terms are below an ulp, so bound and float64 gain meet up to rounding
+    half = RandomStream(42).uniform(20_000 * 32).reshape(20_000, 32)
+    u = np.concatenate([half, 1.0 - half], axis=1)
+    mu = 1e-5
+    bounds = _drift_gain_bounds(u, mu)
+    exact = _exact_drift_gains(u, mu)
+    assert np.any(bounds > exact)
+    assert np.all(bounds <= exact * (1.0 + _SCREEN_MARGIN))
+
+
+@pytest.mark.parametrize("mu", [0.125, 0.0625])
+def test_drift_screen_rechecks_no_row_of_the_bundled_config(mu):
+    # mobility_bound: 64 antennas, 100,000 draws, seed 42
+    assert list(_random_drift_gains(64, mu, 100_000, 42)) == []
 
 
 def _full_float64_min_gain(m, mu, n, seed):

@@ -4,7 +4,8 @@ Structure (CSV header, row count, frequency grid and integer columns; JSON
 keys and non-float values) must match exactly; float values must agree to a
 relative 1e-12.  Every run's manifest must match the golden
 ``.manifest.json`` the same way, apart from the output path it echoes.  The
-``mimolab list`` output and the bare usage text must match byte for byte.
+``mimolab list`` output, the bare usage text and the Monte-Carlo outputs
+must match byte for byte.
 A change that moves a value past that tolerance updates the golden file and
 declares the numerics change in CHANGES.md.
 """
@@ -103,18 +104,26 @@ def test_rate_sweep_matches_golden(name, argv, tmp_path, monkeypatch):
     _assert_run_matches_golden("out.csv", f"{name}.csv", exact_columns=2)
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("hardening", ["hardening"]),
-        ("favorable", ["favorable"]),
-        ("mobility_bound", ["--config", "mobility_bound"]),
-    ],
-)
+MONTECARLO_RUNS = [
+    ("hardening", ["hardening"]),
+    ("favorable", ["favorable"]),
+    ("mobility_bound", ["--config", "mobility_bound"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", MONTECARLO_RUNS)
 def test_montecarlo_output_matches_golden(name, argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv + ["--output", "out.json"]) == 0
     _assert_run_matches_golden("out.json", f"{name}.json")
+
+
+@pytest.mark.parametrize("name, argv", MONTECARLO_RUNS)
+def test_montecarlo_output_is_golden_byte_for_byte(name, argv, tmp_path, monkeypatch):
+    # the seeded kernels promise bit-identical results, so their outputs are pinned exactly
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--output", "out.json"]) == 0
+    assert Path("out.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
 @pytest.mark.parametrize("name", ["estload_paper", "adc_128v8"])
