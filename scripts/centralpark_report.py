@@ -22,11 +22,11 @@ if __name__ == "__main__":
     for name in ("centralpark_3ghz", "centralpark_60ghz"):
         config = parse_config_text(bundled_config_text(name))
         exp, seed, _, params = resolve({**config, "experiment": "antenna-sweep", "fine": "false"})
-        (_, rows), sweep, _ = exp.runner(params, seed)
+        (_, columns), sweep, _ = exp.runner(params, seed)
         print(f"== {hz(params['carrier_hz'])} / {hz(params['bandwidth_hz'])}: "
               f"tau_c = {sweep['tau_c']}, uplink SNR {sweep['ul_pilot_snr_effective']:g} ==")
-        # rows are (m_antennas, *capacity.RATE_COLUMNS)
-        for m, k, pilot, _, _, sum_rate in rows:
+        # the columns are m_antennas, *capacity.RATE_COLUMNS
+        for m, k, pilot, _, _, sum_rate in zip(*columns):
             print(f"  M={m:>6}: K={k:>6} pilot {pilot:5.3f} sum {sum_rate / 1e9:10.2f} Gbit/s")
         exp, seed, _, params = resolve(config)
         best = exp.runner(params, seed)[1]["optimum"]

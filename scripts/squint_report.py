@@ -25,9 +25,8 @@ if __name__ == "__main__":
     print(f"seed {seed}; efficiencies as fractions of the full array gain")
     print(f"{'array':>10} {'elements':>9} {'center':>8} {'min@400MHz':>11} {full_band:>9}")
     for exp, seed, _, params in runs:
-        (_, rows), results, _ = exp.runner(params, seed)
-        center_hz = params["center_frequency_hz"]
-        narrow = min(eff for freq, eff in rows if abs(freq - center_hz) <= NARROW_BAND_HZ / 2 + 1)
+        (_, (freqs, effs)), results, _ = exp.runner(params, seed)
+        narrow = effs[abs(freqs - params["center_frequency_hz"]) <= NARROW_BAND_HZ / 2 + 1].min()
         print(
             f"{params['rows']:>7}x{params['cols']:<3} {results['m_antennas']:>8} "
             f"{results['center_efficiency']:>8.4f} {narrow:>11.4f} {results['min_efficiency']:>9.4f}"

@@ -93,13 +93,16 @@ def _drift_uniforms(m_antennas: int, n_draws: int, seed: int):
 
     Row r of the one-shot matrix is uniforms r*M .. r*M+M-1 of the seed's
     stream, and successive draws continue that stream, so the chunks
-    reproduce it exactly while holding at most _DRIFT_CHUNK_ELEMENTS uniforms.
+    reproduce it exactly while holding at most max(M, _DRIFT_CHUNK_ELEMENTS)
+    uniforms.  Every chunk is a view of one reused buffer: use each before the next.
     """
     stream = RandomStream(seed)
     rows = max(1, _DRIFT_CHUNK_ELEMENTS // m_antennas)
+    buffer = np.empty(min(rows, n_draws) * m_antennas)
     for start in range(0, n_draws, rows):
         count = min(rows, n_draws - start)
-        yield stream.uniform(count * m_antennas).reshape(count, m_antennas)
+        u = stream.uniform(count * m_antennas, out=buffer[:count * m_antennas])
+        yield u.reshape(count, m_antennas)
 
 
 def _exact_drift_gains(u: np.ndarray, mu: float) -> np.ndarray:

@@ -11,10 +11,12 @@ error so typos cannot silently fall back to defaults.  On the command line
 
 The library modules take and return plain numbers and arrays; each runner
 here builds its experiment's record from them and returns data, never text:
-a dict for a JSON experiment, a (header, rows) pair of Python numbers for a
-CSV one.  So this module alone knows the output schemas.  ``run`` alone checks
-that every number is finite and writes the output atomically (temp file
-plus rename) along with a ``<output>.manifest.json`` echoing the resolved
+a dict for a JSON experiment, a (header, columns) pair for a CSV one, each
+column a numpy array or a sequence of Python numbers, all of one length.  So this
+module alone knows the output schemas.  ``run`` alone checks that every number
+is finite, before it creates any file, and writes the output atomically (temp
+file plus rename; a CSV streams in blocks of rows, so no copy of its whole text
+is held) along with a ``<output>.manifest.json`` echoing the resolved
 parameters, the seed, and the artifact version.  Outputs contain no
 timestamps, so re-running a config reproduces its files byte for byte.
 The numpy-backed modules are imported inside the runners that use them, after
@@ -44,6 +46,7 @@ from .hardware import adc_power, array_pa_budget
 from .propagation import bandwidth_snr_delta, estimation_load, fresnel_radius
 
 DEFAULT_SEED = 42
+_CSV_BLOCK_ROWS = 4096  # CSV rows formatted by one % operation
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -198,8 +201,7 @@ def _run_squint(params: dict, seed: int):
         f"center efficiency {extras['center_efficiency']:.4f}, "
         f"band minimum {extras['min_efficiency']:.4f} over {params['n_points']} points"
     ]
-    rows = list(zip(freqs.tolist(), effs.tolist()))
-    return (("frequency_hz", "efficiency"), rows), extras, lines
+    return (("frequency_hz", "efficiency"), (freqs, effs)), extras, lines
 
 
 def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
@@ -217,7 +219,7 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
     except (ValueError, OverflowError) as exc:
         raise ValidationError("coherence_time_s", f"{exc} (tau_c = time * bandwidth)") from None
     grid = k_range(tau_c, params["k_min"], params["k_max"], params["k_step"], params["fine"])
-    # a capacity sweep of 1,000,000 user counts (its CSV rows) already peaks near 0.58 GB
+    # the CSV streams, so a sweep of 1,000,000 user counts peaks near 83 MB of process memory
     if len(grid) > 1_000_000:
         raise ValidationError(
             "k_step", f"the sweep would hold {len(grid)} user counts, more than 1000000"
@@ -235,6 +237,8 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
 
 def _run_capacity(params: dict, seed: int):
     rate_args, grid, extras = _capacity_scenario(params)
+    import numpy as np
+
     from .capacity import RATE_COLUMNS, best_row, rate_table
 
     table = rate_table(grid, **rate_args)
@@ -245,8 +249,8 @@ def _run_capacity(params: dict, seed: int):
         f"optimum: K={best['k_users']}, pilot fraction {best['pilot_fraction']:.4f}, "
         f"sum rate {best['sum_rate_bps'] / 1e12:.4f} Tbit/s"
     ]
-    rows = list(zip([m] * len(grid), *(column.tolist() for column in table.values())))
-    return (("m_antennas", *RATE_COLUMNS), rows), extras, lines
+    columns = (np.full(len(grid), m), *table.values())
+    return (("m_antennas", *RATE_COLUMNS), columns), extras, lines
 
 
 def _run_antenna_sweep(params: dict, seed: int):
@@ -259,7 +263,8 @@ def _run_antenna_sweep(params: dict, seed: int):
         f"at K={row['k_users']}"
         for row in best
     ]
-    return (("m_antennas", *RATE_COLUMNS), [tuple(row.values()) for row in best]), extras, lines
+    columns = tuple(zip(*(row.values() for row in best)))
+    return (("m_antennas", *RATE_COLUMNS), columns), extras, lines
 
 
 def _run_mobility(params: dict, seed: int):
@@ -605,20 +610,43 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    # repr() keeps the shortest decimal that round-trips a double
-    lines += [",".join(map(repr, row)) for row in rows]
-    text = "\n".join(lines) + "\n"
-    # the repr of a finite int or float has no "n"; that of inf or nan has one
-    if text.find("n", len(lines[0])) >= 0:
-        for number, row in enumerate(rows, start=1):
-            for column, value in zip(header, row):
-                _check_finite(value, f"{column} in data row {number}")
-    return text
+def _column_is_finite(column) -> bool:
+    """False if a cell of the column (an array or a sequence of numbers) is NaN or infinite."""
+    kind = getattr(getattr(column, "dtype", None), "kind", None)
+    if kind in ("i", "u"):
+        return True
+    if kind == "f":  # min and max propagate NaN and reach +-inf
+        return math.isfinite(column.min()) and math.isfinite(column.max())
+    return all(not isinstance(value, float) or math.isfinite(value) for value in column)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _check_columns(header: tuple[str, ...], columns) -> None:
+    """Raise ValueError naming the first NaN or infinite cell in row order."""
+    if all(_column_is_finite(column) for column in columns):
+        return
+    cells = [column.tolist() if hasattr(column, "tolist") else column for column in columns]
+    for number, row in enumerate(zip(*cells), start=1):
+        for name, value in zip(header, row):
+            _check_finite(value, f"{name} in data row {number}")
+
+
+def _csv_blocks(header: tuple[str, ...], columns):
+    """The CSV text of a header and its columns, in blocks of at most _CSV_BLOCK_ROWS rows."""
+    yield ",".join(header) + "\n"
+    width = len(header)
+    # %r is repr, which keeps the shortest decimal that round-trips a double
+    row_format = ",".join(["%r"] * width) + "\n"
+    for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+        block = [column[start:start + _CSV_BLOCK_ROWS] for column in columns]
+        n = len(block[0])
+        flat = [None] * (n * width)  # row-major cells: column j at j, j + width, ...
+        for j, cells in enumerate(block):
+            flat[j::width] = cells.tolist() if hasattr(cells, "tolist") else cells
+        yield (row_format * n) % tuple(flat)
+
+
+def _atomic_write(path: str, pieces) -> None:
+    """Write the strings of pieces, in order, to a temp file renamed to path once complete."""
     directory = os.path.dirname(os.path.abspath(path))
     # a regular file in the way is left to mkstemp, which reports Not a directory
     if not os.path.exists(directory):
@@ -626,7 +654,7 @@ def _atomic_write(path: str, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mimolab-")
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -711,9 +739,14 @@ def resolve(config: dict[str, str]) -> tuple[Experiment, int, str, dict]:
 def run(config: dict[str, str]) -> int:
     """Run one configuration, check and write its files; returns the exit code."""
     exp, seed, output, params = resolve(config)
+    out_of_memory = f"runtime failure: ran out of memory running {exp.name!r}"
     try:
         data, results, stdout_lines = exp.runner(params, seed)
-        text = _csv_text(*data) if exp.output_ext == "csv" else _json_text(data)
+        if exp.output_ext == "csv":
+            _check_columns(*data)
+            pieces = _csv_blocks(*data)
+        else:
+            pieces = (_json_text(data),)
         manifest = _json_text({
             "artifact_version": __version__,
             "experiment": exp.name,
@@ -726,14 +759,17 @@ def run(config: dict[str, str]) -> int:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError:
-        print(f"runtime failure: ran out of memory running {exp.name!r}", file=sys.stderr)
+        print(out_of_memory, file=sys.stderr)
         return EXIT_RUNTIME
 
-    for path, content in ((output, text), (output + ".manifest.json", manifest)):
+    for path, content in ((output, pieces), (output + ".manifest.json", (manifest,))):
         try:
             _atomic_write(path, content)
         except OSError as exc:
             print(f"runtime failure: cannot write {path!r}: {exc.strerror}", file=sys.stderr)
+            return EXIT_RUNTIME
+        except MemoryError:
+            print(out_of_memory, file=sys.stderr)
             return EXIT_RUNTIME
     for line in stdout_lines:
         print(line)

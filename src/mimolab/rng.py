@@ -77,9 +77,15 @@ class RandomStream:
     def __init__(self, seed: int):
         self._gen = np.random.Generator(np.random.PCG64(seed & _SEED_MASK))
 
-    def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        u = self._gen.random(n)
-        return low + (high - low) * u
+    def uniform(
+        self, n: int, low: float = 0.0, high: float = 1.0, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """n uniforms on [low, high), low + (high - low) * u, drawn into out (n doubles) if given."""
+        u = self._gen.random(n, out=out)
+        if (low, high) != (0.0, 1.0):  # at the default bounds the map is the identity
+            u *= high - low
+            u += low
+        return u
 
     def phases(self, n: int) -> np.ndarray:
         """Uniform phases on [0, 2*pi)."""

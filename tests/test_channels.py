@@ -52,6 +52,14 @@ def test_stream_values_are_pinned():
     assert z[1] == complex(0.23401751214277133, 1.4900805312669558)
 
 
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (-0.125, 0.125), (1e9, 200e9)])
+def test_uniform_into_out_continues_the_stream(low, high):
+    stream, buffer = RandomStream(7), np.empty(5)
+    drawn = [stream.uniform(5, low, high, out=buffer).copy() for _ in range(3)]
+    u = np.random.Generator(np.random.PCG64(7)).random(15)
+    assert np.array_equal(np.concatenate(drawn), low + (high - low) * u)
+
+
 @pytest.mark.parametrize("n", [1, 2, 100, 10_000])
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
 def test_complex_normal_power_is_norm_of_complex_normal(seed, n):
@@ -277,7 +285,7 @@ def test_drift_bound_check_sixteenth_wavelength():
 @pytest.mark.parametrize("m, n", [(64, 0), (64, 1), (64, 2500), (7, 30_000), (100_000, 3)])
 def test_chunked_drift_gains_equal_one_shot_formula(m, n):
     mu, seed = 0.125, 42
-    chunks = list(_drift_uniforms(m, n, seed))
+    chunks = [c.copy() for c in _drift_uniforms(m, n, seed)]  # each chunk reuses one buffer
     assert all(c.size <= max(m, 65_536) for c in chunks)
     chunked = np.concatenate([_exact_drift_gains(c, mu) for c in chunks]) if chunks else np.empty(0)
     theta = 2.0 * np.pi * RandomStream(seed).uniform(n * m, -mu, mu).reshape(n, m)

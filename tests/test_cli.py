@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from mimolab import __version__
 from mimolab.beamforming import squint_sweep
 from mimolab.capacity import rate_table
 from mimolab.cli import (
+    _CSV_BLOCK_ROWS,
     BUNDLED_CONFIGS,
     EXPERIMENTS,
+    _csv_blocks,
     bundled_config_text,
     list_experiments,
     main,
@@ -567,6 +570,71 @@ def test_csv_values_round_trip_exactly(args, expected_rows, tmp_path, monkeypatc
     expected = expected_rows()
     assert rows == expected
     assert [[type(x) for x in row] for row in rows] == [[type(x) for x in row] for row in expected]
+
+
+CSV_SPECIALS = [-0.0, 5e-324, 1e16, 1e-5, 1.7976931348623157e308, 1 / 3, -2.5, 7.0]
+B = _CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1])
+def test_csv_blocks_match_row_repr(n):
+    ints = np.arange(n, dtype=np.int64) * 7 - 3
+    floats = np.resize(CSV_SPECIALS, n)
+    header = ("a", "b", "c", "d")
+    columns = (ints, floats, (-ints).tolist(), (np.arange(n) * 0.1 - 2.0).tolist())
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    expected = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert "".join(_csv_blocks(header, columns)) == "a,b,c,d\n" + expected
+
+
+def _nan_at(row):
+    def table_with_nan(*args, **kwargs):
+        table = rate_table(*args, **kwargs)
+        table["se_per_ue"][row - 1] = np.nan
+        return table
+
+    return table_with_nan
+
+
+def test_non_finite_cell_in_a_later_block_writes_nothing(tmp_path, monkeypatch, capsys):
+    row = _CSV_BLOCK_ROWS + 2
+    monkeypatch.setattr("mimolab.capacity.rate_table", _nan_at(row))
+    code = run_cli(["capacity", "--set", "k_step=1", "--output", "out/cap.csv"],
+                   tmp_path, monkeypatch)
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == f"runtime failure: se_per_ue in data row {row} is nan, not a finite number\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_of_memory_while_streaming_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def exhausted_after_a_block(header, columns):
+        blocks = _csv_blocks(header, columns)
+        yield next(blocks)
+        yield next(blocks)
+        raise MemoryError
+
+    monkeypatch.setattr("mimolab.cli._csv_blocks", exhausted_after_a_block)
+    code = run_cli(["capacity", "--set", "k_step=1", "--output", "cap.csv"], tmp_path, monkeypatch)
+    assert code == 4
+    assert capsys.readouterr().err == "runtime failure: ran out of memory running 'capacity'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_memory_grows_little_per_row(tmp_path, monkeypatch):
+    # centralpark_3ghz at k_step 4 and 1 writes 10,000 and 40,000 rows; the
+    # rate columns take 48 B/row, a writer holding the whole text about 500 B/row
+    base = ["--config", "centralpark_3ghz", "--set", "fine=false", "--output", "cap.csv"]
+    assert run_cli(base + ["--set", "k_step=1000"], tmp_path, monkeypatch) == 0  # imports
+    peaks = []
+    for k_step in (4, 1):
+        tracemalloc.start()
+        try:
+            assert run_cli(base + ["--set", f"k_step={k_step}"], tmp_path, monkeypatch) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 30_000 < 128
 
 
 def test_squint_32_center_value_from_bundled_config(tmp_path, monkeypatch):
