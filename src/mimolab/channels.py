@@ -128,14 +128,14 @@ def _extreme_drift_gain(m_antennas: int, mu: float) -> float:
     return min(drift_gain(phi) for phi in extremes)
 
 
-def _random_drift_gains(m_antennas: int, mu: float, n_draws: int, seed: int):
+def _random_drift_gains(m_antennas: int, mu: float, n_draws: int, seed: int, threshold: float):
     """Exact gains of the random drift patterns that could undercut the extremes.
 
     Yields, in stream order, the float64 gains of the rows whose _drift_gain_bounds
-    is not above the extremes' least gain times 1 + _SCREEN_MARGIN.  Every other row
-    gains no less than the extremes, so the minimum over all draws is kept, bit for bit.
+    is not above threshold, the extremes' least gain times 1 + _SCREEN_MARGIN.  Every
+    other row gains no less than the extremes, so the minimum over all draws is kept,
+    bit for bit.
     """
-    threshold = _extreme_drift_gain(m_antennas, mu) * (1.0 + _SCREEN_MARGIN)
     for u in _drift_uniforms(m_antennas, n_draws, seed):
         suspects = u[_drift_gain_bounds(u, mu) <= threshold]
         if len(suspects):
@@ -163,7 +163,8 @@ def drift_bound_check(
         raise ValueError(f"n_random_draws must be nonnegative, got {n_random_draws}")
 
     min_observed = _extreme_drift_gain(m_antennas, mu)
-    for gains in _random_drift_gains(m_antennas, mu, n_random_draws, seed):
+    threshold = min_observed * (1.0 + _SCREEN_MARGIN)
+    for gains in _random_drift_gains(m_antennas, mu, n_random_draws, seed, threshold):
         min_observed = min(min_observed, float(gains.min()))
 
     bound = m_antennas * math.cos(2.0 * math.pi * mu) ** 2

@@ -14,11 +14,15 @@ here builds its experiment's record from them and returns data, never text:
 a dict for a JSON experiment, a (header, columns) pair for a CSV one, each
 column a numpy array or a sequence of Python numbers, all of one length.  So this
 module alone knows the output schemas.  ``run`` alone checks that every number
-is finite, before it creates any file, and writes the output atomically (temp
-file plus rename; a CSV streams in blocks of rows, so no copy of its whole text
-is held) along with a ``<output>.manifest.json`` echoing the resolved
-parameters, the seed, and the artifact version.  Outputs contain no
+is finite, before it creates any file, and writes the output along with a
+``<output>.manifest.json`` echoing the resolved parameters, the seed, and the
+artifact version.  It writes both files or neither: each goes to a temp file
+beside its path (a CSV streams in blocks of rows, so no copy of its whole text
+is held), and both temps are complete before either is renamed into place.
+Files are created with mode 0o666 less the umask.  Outputs contain no
 timestamps, so re-running a config reproduces its files byte for byte.
+Integer parameters must lie within the double range, as the numeric code
+turns them into floats; the seed is exempt, as only its low 64 bits are used.
 The numpy-backed modules are imported inside the runners that use them, after
 their own checks, so the closed-form experiments, the listings, schema rejects
 and capacity-scenario rejects never load numpy.
@@ -36,10 +40,8 @@ import math
 import os
 import re
 import sys
-import tempfile
-from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .hardware import adc_power, array_pa_budget
@@ -97,8 +99,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 # parameter schemas
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     name: str
     kind: str  # int | float | bool | choice | int_list | float_list
     default: object
@@ -141,6 +142,10 @@ def _check_range(param: Param, field: str, value) -> None:
         return
     values = value if isinstance(value, list) else [value]
     for v in values:
+        if abs(v) > sys.float_info.max:  # an int the numeric code could not turn into a double
+            raise ValidationError(
+                field, f"must be within the double range, |value| <= {sys.float_info.max!r}"
+            )
         if param.min_value is not None:
             if param.min_exclusive and v <= param.min_value:
                 raise ValidationError(field, f"must be > {param.min_value}, got {v}")
@@ -155,7 +160,7 @@ def coerce_value(param: Param, field: str, text: str):
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
             raise ValidationError(field, "expected a comma-separated list")
-        element = replace(param, kind=param.kind.removesuffix("_list"))
+        element = param._replace(kind=param.kind.removesuffix("_list"))
         value = [_coerce_scalar(element, field, p) for p in parts]
     else:
         value = _coerce_scalar(param, field, text)
@@ -383,8 +388,7 @@ def _run_diagnostic(metric_name: str, count_key: str, params: dict, seed: int):
 # registry
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     name: str
     description: str
     output_ext: str
@@ -583,10 +587,9 @@ BUNDLED_CONFIGS = (
 
 
 def bundled_config_text(name: str) -> str:
-    from importlib.resources import files
-
-    resource = files("mimolab") / "configs" / f"{name}.ini"
-    return resource.read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "configs", f"{name}.ini")
+    with open(path, encoding="utf-8") as handle:
+        return handle.read()
 
 
 # ----------------------------------------------------------------------------
@@ -645,20 +648,43 @@ def _csv_blocks(header: tuple[str, ...], columns):
         yield (row_format * n) % tuple(flat)
 
 
-def _atomic_write(path: str, pieces) -> None:
-    """Write the strings of pieces, in order, to a temp file renamed to path once complete."""
+def _write_temp(path: str, pieces) -> str:
+    """Write the strings of pieces, in order, to a new temp file beside path; returns its name."""
     directory = os.path.dirname(os.path.abspath(path))
-    # a regular file in the way is left to mkstemp, which reports Not a directory
+    # a regular file in the way is left to open, which reports Not a directory
     if not os.path.exists(directory):
         os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mimolab-")
+    # created exclusively, so like any new file its mode is 0o666 less the umask
+    tmp = os.path.join(directory, ".mimolab-" + os.urandom(8).hex())
+    handle = open(tmp, "x", newline="\n")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
+        with handle:
             handle.writelines(pieces)
-        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
+        raise
+    return tmp
+
+
+def _atomic_write(files) -> None:
+    """Write every (path, pieces) pair or none: all temps are complete before any rename.
+
+    If a rename fails, the paths renamed before it are removed again.  An
+    OSError names the destination path it concerns as its filename.
+    """
+    temps: list[str] = []
+    published: list[str] = []
+    try:
+        for path, pieces in files:
+            temps.append(_write_temp(path, pieces))
+        for tmp, (path, _) in zip(temps, files):
+            os.replace(tmp, path)
+            published.append(path)
+    except BaseException as exc:
+        for leftover in temps[len(published):] + published:
+            os.unlink(leftover)
+        if isinstance(exc, OSError):
+            exc.filename = path
         raise
 
 
@@ -721,7 +747,9 @@ def resolve(config: dict[str, str]) -> tuple[Experiment, int, str, dict]:
     exp = EXPERIMENTS[config.pop("experiment")]
     seed = DEFAULT_SEED
     if "seed" in config:
-        seed = coerce_value(Param("seed", "int", DEFAULT_SEED, "seed"), "seed", config.pop("seed"))
+        # no range check: derive_seed and RandomStream keep the low 64 bits of any integer
+        seed_param = Param("seed", "int", DEFAULT_SEED, "seed")
+        seed = _coerce_scalar(seed_param, "seed", config.pop("seed"))
     output = config.pop("output", f"{exp.name}.{exp.output_ext}")
     schema = {param.name: param for param in exp.params}
     params = {param.name: param.default for param in exp.params}
@@ -762,15 +790,14 @@ def run(config: dict[str, str]) -> int:
         print(out_of_memory, file=sys.stderr)
         return EXIT_RUNTIME
 
-    for path, content in ((output, pieces), (output + ".manifest.json", (manifest,))):
-        try:
-            _atomic_write(path, content)
-        except OSError as exc:
-            print(f"runtime failure: cannot write {path!r}: {exc.strerror}", file=sys.stderr)
-            return EXIT_RUNTIME
-        except MemoryError:
-            print(out_of_memory, file=sys.stderr)
-            return EXIT_RUNTIME
+    try:
+        _atomic_write(((output, pieces), (output + ".manifest.json", (manifest,))))
+    except OSError as exc:
+        print(f"runtime failure: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError:
+        print(out_of_memory, file=sys.stderr)
+        return EXIT_RUNTIME
     for line in stdout_lines:
         print(line)
     print(f"wrote {output}")

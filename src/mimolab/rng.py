@@ -4,7 +4,6 @@ Uniform doubles come from numpy's PCG64 bit generator.  Everything else is
 an explicit transform of those uniforms written out in this file, so the
 seed-to-sample mapping is fixed by this code rather than by numpy internals:
 
-  * phases: 2*pi*u
   * circularly-symmetric complex normals (unit variance): radius
     sqrt(-log(1 - u1)), angle 2*pi*u2, with u1 the first n uniforms of the
     stream and u2 the next n (:func:`polar_complex_normal`)
@@ -72,7 +71,7 @@ def polar_complex_normal(u: np.ndarray) -> np.ndarray:
 
 
 class RandomStream:
-    """A single seeded stream of uniforms, phases, and complex normals."""
+    """A single seeded stream of uniforms."""
 
     def __init__(self, seed: int):
         self._gen = np.random.Generator(np.random.PCG64(seed & _SEED_MASK))
@@ -86,14 +85,6 @@ class RandomStream:
             u *= high - low
             u += low
         return u
-
-    def phases(self, n: int) -> np.ndarray:
-        """Uniform phases on [0, 2*pi)."""
-        return 2.0 * np.pi * self._gen.random(n)
-
-    def complex_normal(self, n: int) -> np.ndarray:
-        """n i.i.d. CN(0, 1) samples: E|z|^2 = 1 per entry."""
-        return polar_complex_normal(self._gen.random((2, n)))
 
 
 def child_uniforms(parent_seed: int, count: int, n: int) -> Iterator[np.ndarray]:

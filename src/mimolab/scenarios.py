@@ -35,7 +35,7 @@ def sixpath_channel(seed: int) -> tuple[np.ndarray, np.ndarray]:
     reflections in listed order, so the channel is reproducible from the
     seed alone.
     """
-    phases = RandomStream(seed).phases(6)
+    phases = 2.0 * math.pi * RandomStream(seed).uniform(6)
     powers = (SIXPATH_LOS_POWER,) + (SIXPATH_REFLECTION_POWER,) * 5
     gains = np.array([math.sqrt(power) * complex(math.cos(phase), math.sin(phase))
                       for power, phase in zip(powers, phases)])

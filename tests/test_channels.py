@@ -11,6 +11,7 @@ from mimolab.channels import (
     _drift_gain_bounds,
     _drift_uniforms,
     _exact_drift_gains,
+    _extreme_drift_gain,
     _random_drift_gains,
     drift_bound_check,
     drift_gain,
@@ -26,8 +27,14 @@ from mimolab.rng import (
     _seed_sequence_states,
     child_uniforms,
     derive_seed,
+    polar_complex_normal,
     polar_power,
 )
+
+
+def _complex_normal(seed, n):
+    """n CN(0, 1) samples of the seed's stream: n radius uniforms, then n angle uniforms."""
+    return polar_complex_normal(RandomStream(seed).uniform(2 * n).reshape(2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -42,12 +49,13 @@ def test_derive_seed_is_stable_and_distinct():
 
 
 def test_stream_values_are_pinned():
-    assert RandomStream(42).phases(3).tolist() == [
+    # the six-path channel's phases are 2*pi*u
+    assert (2.0 * np.pi * RandomStream(42).uniform(3)).tolist() == [
         4.862909272689599,
         2.757554564287996,
         5.3947298351621535,
     ]
-    z = RandomStream(7).complex_normal(2)
+    z = _complex_normal(7, 2)
     assert z[0] == complex(0.15916121965654081, -0.9776254749094845)
     assert z[1] == complex(0.23401751214277133, 1.4900805312669558)
 
@@ -63,7 +71,7 @@ def test_uniform_into_out_continues_the_stream(low, high):
 @pytest.mark.parametrize("n", [1, 2, 100, 10_000])
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
 def test_complex_normal_power_is_norm_of_complex_normal(seed, n):
-    h = RandomStream(seed).complex_normal(n)
+    h = _complex_normal(seed, n)
     power = polar_power(RandomStream(seed).uniform(n))  # the first n uniforms only
     assert power == pytest.approx(np.vdot(h, h).real, rel=1e-13, abs=0)
 
@@ -93,7 +101,7 @@ def test_child_streams_draw_like_fresh_streams():
 
 
 def test_complex_normal_unit_variance():
-    z = RandomStream(1).complex_normal(200_000)
+    z = _complex_normal(1, 200_000)
     assert np.mean(np.abs(z) ** 2) == pytest.approx(1.0, abs=0.01)
     assert abs(np.mean(z)) < 0.01
 
@@ -103,17 +111,17 @@ def test_complex_normal_unit_variance():
 # ---------------------------------------------------------------------------
 
 def test_same_spec_gives_identical_vectors():
-    assert np.array_equal(RandomStream(42).complex_normal(64), RandomStream(42).complex_normal(64))
+    assert np.array_equal(_complex_normal(42, 64), _complex_normal(42, 64))
 
 
 def test_distinct_seeds_give_distinct_vectors():
-    h_1, h_2 = RandomStream(1).complex_normal(64), RandomStream(2).complex_normal(64)
+    h_1, h_2 = _complex_normal(1, 64), _complex_normal(2, 64)
     assert not np.array_equal(h_1, h_2)
 
 
 def test_mean_channel_power_matches_antenna_count():
     m = 10_000
-    draws = [RandomStream(derive_seed(9, i)).complex_normal(m) for i in range(100)]
+    draws = [_complex_normal(derive_seed(9, i), m) for i in range(100)]
     ratio = np.mean([np.vdot(h, h).real / m for h in draws])
     assert 0.98 <= ratio <= 1.02
 
@@ -155,8 +163,8 @@ def _per_draw_hardening(m, n, seed):
 def _per_draw_favorable(m, n, seed):
     vals = np.empty(n)
     for i in range(n):
-        h_i = RandomStream(derive_seed(seed, 2 * i)).complex_normal(m)
-        h_j = RandomStream(derive_seed(seed, 2 * i + 1)).complex_normal(m)
+        h_i = _complex_normal(derive_seed(seed, 2 * i), m)
+        h_j = _complex_normal(derive_seed(seed, 2 * i + 1), m)
         vals[i] = pair_correlation(h_i, h_j)
     return float(vals.mean())
 
@@ -193,7 +201,7 @@ def test_hardening_needs_two_draws():
 # ---------------------------------------------------------------------------
 
 def test_pair_correlation_identity_and_orthogonality():
-    h = RandomStream(42).complex_normal(32)
+    h = _complex_normal(42, 32)
     assert pair_correlation(h, h) == pytest.approx(1.0, abs=1e-12)
     e1 = np.array([1.0, 0.0], dtype=complex)
     e2 = np.array([0.0, 1.0j], dtype=complex)
@@ -319,7 +327,8 @@ def test_drift_screen_margin_covers_tight_bounds():
 @pytest.mark.parametrize("mu", [0.125, 0.0625])
 def test_drift_screen_rechecks_no_row_of_the_bundled_config(mu):
     # mobility_bound: 64 antennas, 100,000 draws, seed 42
-    assert list(_random_drift_gains(64, mu, 100_000, 42)) == []
+    threshold = _extreme_drift_gain(64, mu) * (1.0 + _SCREEN_MARGIN)
+    assert list(_random_drift_gains(64, mu, 100_000, 42, threshold)) == []
 
 
 def _full_float64_min_gain(m, mu, n, seed):
@@ -336,7 +345,7 @@ def _full_float64_min_gain(m, mu, n, seed):
 def test_forced_drift_recheck_equals_full_float64_path(m, mu, n, seed, monkeypatch):
     screened_min, bound = drift_bound_check(m, mu, n, seed)
     monkeypatch.setattr("mimolab.channels._SCREEN_MARGIN", math.inf)
-    assert sum(gains.size for gains in _random_drift_gains(m, mu, n, seed)) == n
+    assert sum(gains.size for gains in _random_drift_gains(m, mu, n, seed, math.inf)) == n
     rechecked_min, rechecked_bound = drift_bound_check(m, mu, n, seed)
     assert rechecked_min == screened_min == _full_float64_min_gain(m, mu, n, seed)
     assert rechecked_bound == bound
@@ -368,9 +377,25 @@ def test_drift_bound_check_rejects_large_mu():
 
 def test_drift_bound_violation_raises(monkeypatch):
     # the bound cannot fail for mu <= 1/8, so a patched draw stands in for a broken kernel
-    def below(m_antennas, mu, n_draws, seed):
+    thresholds = []
+
+    def below(m_antennas, mu, n_draws, seed, threshold):
+        thresholds.append(threshold)
         yield np.array([m_antennas / 4])
 
     monkeypatch.setattr("mimolab.channels._random_drift_gains", below)
     with pytest.raises(ArithmeticError, match="fell below the bound"):
         drift_bound_check(64, 0.125, 10, 42)
+    assert thresholds == [_extreme_drift_gain(64, 0.125) * (1.0 + _SCREEN_MARGIN)]
+
+
+def test_drift_bound_check_evaluates_the_extremes_once(monkeypatch):
+    calls = []
+
+    def counted(m_antennas, mu):
+        calls.append(mu)
+        return _extreme_drift_gain(m_antennas, mu)
+
+    monkeypatch.setattr("mimolab.channels._extreme_drift_gain", counted)
+    drift_bound_check(64, 0.125, 1000, 42)
+    assert calls == [0.125]

@@ -185,7 +185,7 @@ def test_out_of_memory_exits_four(tmp_path, monkeypatch, capsys):
 
 
 def test_drift_bound_violation_is_runtime_failure(tmp_path, monkeypatch, capsys):
-    def below(m_antennas, mu, n_draws, seed):
+    def below(m_antennas, mu, n_draws, seed, threshold):
         yield np.array([m_antennas / 4])
 
     monkeypatch.setattr("mimolab.channels._random_drift_gains", below)
@@ -297,7 +297,7 @@ def _extreme_value_cases():
                 continue
             bounds = {b for b in (param.min_value, param.max_value) if b is not None}
             if param.kind.startswith("int"):
-                extremes = {1, 2, 2**53 + 1}
+                extremes = {1, 2, 2**53 + 1, 2**1024}
             else:
                 extremes = {5e-324, 1e-300, 1e300, 1.7e308}
             for value in sorted(bounds | extremes):
@@ -675,6 +675,26 @@ def test_no_temp_files_left_behind(tmp_path, monkeypatch):
     assert names == {"f.json", "f.json.manifest.json"}
 
 
+@pytest.mark.parametrize("blocked", ["f.json", "f.json.manifest.json"])
+def test_unwritable_output_or_manifest_writes_neither(blocked, tmp_path, monkeypatch, capsys):
+    (tmp_path / blocked).mkdir()
+    assert run_cli(["fresnel", "--output", "f.json"], tmp_path, monkeypatch) == 4
+    err = capsys.readouterr().err
+    assert err == f"runtime failure: cannot write {blocked!r}: Is a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+    assert list((tmp_path / blocked).iterdir()) == []
+
+
+def test_outputs_are_created_with_the_umask_mode(tmp_path, monkeypatch):
+    umask = os.umask(0o022)
+    try:
+        assert run_cli(["fresnel", "--output", "f.json"], tmp_path, monkeypatch) == 0
+    finally:
+        os.umask(umask)
+    for name in ("f.json", "f.json.manifest.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~0o022
+
+
 def test_config_file_from_path(tmp_path, monkeypatch):
     cfg = tmp_path / "my.ini"
     cfg.write_text("experiment = fresnel\nfreq_ghz = 38\nd1 = 50\nd2 = 50\n")
@@ -736,14 +756,15 @@ for i, args in enumerate(json.loads(sys.argv[1])):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         results.append((main(args), stdout.getvalue()))
     os.chdir("..")
-print(json.dumps([results, sorted(name for name in sys.modules if name.startswith("mimolab"))]))
+print(json.dumps([results, sorted(sys.modules)]))
 """
 
 
 def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
     (tmp_path / "malformed.ini").write_text("experiment = fresnel\nfreq_ghz 38\n")
+    # -S skips site, whose .pth files may preload modules the CLI itself avoids
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_FREE_SCRIPT,
+        [sys.executable, "-S", "-c", _NUMPY_FREE_SCRIPT,
          json.dumps([args for args, _, _ in _NUMPY_FREE_CASES])],
         capture_output=True,
         text=True,
@@ -752,9 +773,11 @@ def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
     )
     assert proc.returncode == 0, proc.stderr
     results, modules = json.loads(proc.stdout)
-    assert modules == [
+    assert [name for name in modules if name.startswith("mimolab")] == [
         "mimolab", "mimolab.cli", "mimolab.coherence", "mimolab.hardware", "mimolab.propagation"
     ]
+    # heavy standard-library imports the CLI does without
+    assert not {"dataclasses", "importlib.resources", "inspect", "tempfile"} & set(modules)
     for i, ((args, code, golden), (exit_code, stdout)) in enumerate(
         zip(_NUMPY_FREE_CASES, results, strict=True)
     ):
