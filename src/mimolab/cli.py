@@ -27,10 +27,15 @@ The numpy-backed modules are imported inside the runners that use them, after
 their own checks, so the closed-form experiments, the listings, schema rejects
 and capacity-scenario rejects never load numpy.
 
-Exit codes: 0 success, 2 config parse error (with line/column),
-3 validation error (naming the offending field, or ``config`` for a config
-file that cannot be read), 4 runtime failure (a non-finite result, memory
-exhausted, or an output that cannot be written).
+Exit codes, all chosen by one ``except`` table in ``main``: 0 success, 2 config
+parse error (with line/column), 3 invalid input naming the offending field,
+4 runtime failure (a non-finite result, memory exhausted, or an output that
+cannot be written).  Invalid input is a value outside its schema, a library
+check that relates several parameters (``k_min <= k_max <= tau_c``,
+``d1 + d2 > 0``, ``subcarriers_per_block <= n_subcarriers``, a coherence
+block or half-wavelength spacing that the values cannot form), an ``output``
+that names no file ('', a path ending in a separator, or one holding NUL),
+or ``config`` for a config file that cannot be read.
 """
 
 from __future__ import annotations
@@ -168,6 +173,17 @@ def coerce_value(param: Param, field: str, text: str):
     return value
 
 
+def _blame(field: str, call: Callable, *args, note: str = "", **kwargs):
+    """call(*args, **kwargs); a ValueError or OverflowError it raises names field as bad input.
+
+    For the library checks that relate several parameters, which no schema bound expresses.
+    """
+    try:
+        return call(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(field, f"{exc}{note}") from None
+
+
 # ----------------------------------------------------------------------------
 # experiment runners: (params, seed) -> (data, manifest results, stdout_lines)
 # ----------------------------------------------------------------------------
@@ -183,14 +199,8 @@ def _run_squint(params: dict, seed: int):
     from .geometry import PlanarArray
     from .scenarios import sixpath_channel
 
-    try:
-        array = PlanarArray.half_wavelength_at(
-            params["rows"], params["cols"], params["center_frequency_hz"]
-        )
-    except ValueError as exc:
-        raise ValidationError(
-            "center_frequency_hz", f"the half-wavelength element spacing underflows ({exc})"
-        ) from None
+    array = _blame("center_frequency_hz", PlanarArray.half_wavelength_at, params["rows"],
+                   params["cols"], params["center_frequency_hz"], note=" (spacing c/2f underflows)")
     channel = sixpath_channel(seed)
     freqs, effs = squint_sweep(
         array, channel, params["center_frequency_hz"], params["span_hz"], params["n_points"]
@@ -219,11 +229,10 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
             raise ValidationError(
                 "ul_pilot_snr", "underflows to 0 when scaled by reference_bandwidth_hz/bandwidth_hz"
             )
-    try:
-        tau_c = coherence_samples(params["coherence_time_s"], params["coherence_bandwidth_hz"])
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError("coherence_time_s", f"{exc} (tau_c = time * bandwidth)") from None
-    grid = k_range(tau_c, params["k_min"], params["k_max"], params["k_step"], params["fine"])
+    tau_c = _blame("coherence_time_s", coherence_samples, params["coherence_time_s"],
+                   params["coherence_bandwidth_hz"], note=" (tau_c = time * bandwidth)")
+    grid = _blame("k_max" if params["k_max"] > tau_c else "k_min", k_range, tau_c,
+                  params["k_min"], params["k_max"], params["k_step"], params["fine"])
     # the CSV streams, so a sweep of 1,000,000 user counts peaks near 83 MB of process memory
     if len(grid) > 1_000_000:
         raise ValidationError(
@@ -297,7 +306,7 @@ def _run_mobility(params: dict, seed: int):
 
 def _run_fresnel(params: dict, seed: int):
     frequency_hz = params["freq_ghz"] * 1e9
-    radius = fresnel_radius(params["d1"], params["d2"], frequency_hz)
+    radius = _blame("d1", fresnel_radius, params["d1"], params["d2"], frequency_hz)
     record = {
         "d1_m": params["d1"],
         "d2_m": params["d2"],
@@ -326,7 +335,7 @@ def _run_linkbudget(params: dict, seed: int):
 
 def _run_estload(params: dict, seed: int):
     # the schema lists exactly estimation_load's parameters
-    n_coefficients, rate = estimation_load(**params)
+    n_coefficients, rate = _blame("subcarriers_per_block", estimation_load, **params)
     lines = [f"{n_coefficients} coefficients, {rate:.3e} estimates/second"]
     record = {**params, "n_coefficients": n_coefficients, "estimates_per_second": rate}
     return record, {"n_coefficients": n_coefficients}, lines
@@ -751,6 +760,9 @@ def resolve(config: dict[str, str]) -> tuple[Experiment, int, str, dict]:
         seed_param = Param("seed", "int", DEFAULT_SEED, "seed")
         seed = _coerce_scalar(seed_param, "seed", config.pop("seed"))
     output = config.pop("output", f"{exp.name}.{exp.output_ext}")
+    # checked before any file or directory is made: '', 'sub/' and NUL cannot name a file
+    if not os.path.basename(output) or "\0" in output:
+        raise ValidationError("output", f"must name a file, got {output!r}")
     schema = {param.name: param for param in exp.params}
     params = {param.name: param.default for param in exp.params}
     entry_param = Param("entry", "float", 0.0, "ledger entry in dB")
@@ -765,39 +777,23 @@ def resolve(config: dict[str, str]) -> tuple[Experiment, int, str, dict]:
 
 
 def run(config: dict[str, str]) -> int:
-    """Run one configuration, check and write its files; returns the exit code."""
+    """Run one configuration, check and write its files; main maps what it raises to exit codes."""
     exp, seed, output, params = resolve(config)
-    out_of_memory = f"runtime failure: ran out of memory running {exp.name!r}"
-    try:
-        data, results, stdout_lines = exp.runner(params, seed)
-        if exp.output_ext == "csv":
-            _check_columns(*data)
-            pieces = _csv_blocks(*data)
-        else:
-            pieces = (_json_text(data),)
-        manifest = _json_text({
-            "artifact_version": __version__,
-            "experiment": exp.name,
-            "seed": seed,
-            "parameters": params,
-            "results": results,
-            "output": output,
-        })
-    except (ValueError, ArithmeticError) as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except MemoryError:
-        print(out_of_memory, file=sys.stderr)
-        return EXIT_RUNTIME
-
-    try:
-        _atomic_write(((output, pieces), (output + ".manifest.json", (manifest,))))
-    except OSError as exc:
-        print(f"runtime failure: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except MemoryError:
-        print(out_of_memory, file=sys.stderr)
-        return EXIT_RUNTIME
+    data, results, stdout_lines = exp.runner(params, seed)
+    if exp.output_ext == "csv":
+        _check_columns(*data)
+        pieces = _csv_blocks(*data)
+    else:
+        pieces = (_json_text(data),)
+    manifest = _json_text({
+        "artifact_version": __version__,
+        "experiment": exp.name,
+        "seed": seed,
+        "parameters": params,
+        "results": results,
+        "output": output,
+    })
+    _atomic_write(((output, pieces), (output + ".manifest.json", (manifest,))))
     for line in stdout_lines:
         print(line)
     print(f"wrote {output}")
@@ -811,6 +807,7 @@ def main(argv: list[str] | None = None) -> int:
         print(USAGE)
         return EXIT_OK
 
+    config: dict[str, str] = {}
     config_source = None
     overrides: list[tuple[str, str]] = []
     positionals: list[str] = []
@@ -877,6 +874,16 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:  # _atomic_write sets the path as the filename
+        print(f"runtime failure: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except (ValueError, ArithmeticError) as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError:
+        print(f"runtime failure: ran out of memory running {config.get('experiment')!r}",
+              file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

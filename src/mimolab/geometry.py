@@ -23,7 +23,6 @@ with no per-path delay phase across the band.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ def direction_cosines(azimuth_rad: float, elevation_rad: float) -> tuple[float, 
     return math.sin(azimuth_rad) * math.cos(elevation_rad), math.sin(elevation_rad)
 
 
-@dataclass(frozen=True)
 class PlanarArray:
     """Rectangular grid of rows x cols isotropic elements, spacing in meters.
 
@@ -47,15 +45,12 @@ class PlanarArray:
     frequency) and never rescales with the evaluation frequency.
     """
 
-    rows: int
-    cols: int
-    spacing_m: float
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"array needs rows >= 1 and cols >= 1, got {self.rows}x{self.cols}")
-        if not self.spacing_m > 0:
-            raise ValueError(f"spacing_m must be positive, got {self.spacing_m}")
+    def __init__(self, rows: int, cols: int, spacing_m: float):
+        if rows < 1 or cols < 1:
+            raise ValueError(f"array needs rows >= 1 and cols >= 1, got {rows}x{cols}")
+        if not spacing_m > 0:
+            raise ValueError(f"spacing_m must be positive, got {spacing_m}")
+        self.rows, self.cols, self.spacing_m = rows, cols, spacing_m
 
     @property
     def num_elements(self) -> int:

@@ -69,4 +69,7 @@ def estimation_load(
         raise ValueError(f"coherence_time_s must be positive, got {coherence_time_s}")
     blocks = -(-n_subcarriers // subcarriers_per_block)
     n_coefficients = m_antennas * k_users * blocks
-    return n_coefficients, n_coefficients / coherence_time_s
+    try:
+        return n_coefficients, n_coefficients / coherence_time_s
+    except OverflowError:  # a count beyond the double range: the rate overflows as a float would
+        return n_coefficients, math.inf

@@ -124,6 +124,13 @@ def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
         # the bandwidth-scaled uplink SNR underflows to 0
         (["capacity", "--snr-scaling", "bandwidth", "--ul-pilot-snr", "1e-300",
           "--reference-bandwidth-hz", "1e-300", "--bandwidth-hz", "1e300"], "ul_pilot_snr"),
+        # library checks across fields: the K grid against the coherence block of 40,000 samples
+        (["capacity", "--k-max", "50000"], "k_max"),
+        (["capacity", "--k-min", "50000"], "k_min"),
+        (["antenna-sweep", "--k-min", "9", "--k-max", "2"], "k_min"),
+        # a link of zero length, and a channel block wider than the subcarrier grid
+        (["fresnel", "--d1", "0", "--d2", "0"], "d1"),
+        (["estload", "--subcarriers-per-block", "2000"], "subcarriers_per_block"),
     ],
 )
 def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
@@ -165,12 +172,30 @@ def test_unreadable_config_or_unwritable_output(args, name, code, tmp_path, monk
 
 
 def test_runtime_failure_exits_four(tmp_path, monkeypatch, capsys):
-    # k_min beyond tau_c only surfaces once the scenario is assembled
+    # valid input whose result is not a number: d1*d2/(d1 + d2) is inf/inf
     code = run_cli(
-        ["capacity", "--set", "k_min=50000", "--output", "cap.csv"], tmp_path, monkeypatch
+        ["fresnel", "--d1", "1e308", "--d2", "1e308", "--output", "f.json"], tmp_path, monkeypatch
     )
     assert code == 4
-    assert "runtime failure" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("runtime failure: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["fresnel", "--output", "sub/"], ["fresnel", "--output", ""], ["--config", "../nul.ini"]],
+    ids=["directory-path", "empty", "nul-byte"],
+)
+def test_output_that_names_no_file_is_validation_error(args, tmp_path, monkeypatch, capsys):
+    (tmp_path / "nul.ini").write_text("experiment = fresnel\noutput = a\0b.json\n")
+    (tmp_path / "work").mkdir()
+    assert run_cli(args, tmp_path / "work", monkeypatch) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration: output: ")
+    assert len(err.splitlines()) == 1
+    # '' resolves to the working directory, so its temp file would land in the parent
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nul.ini", "work"]
+    assert list((tmp_path / "work").iterdir()) == []
 
 
 def test_out_of_memory_exits_four(tmp_path, monkeypatch, capsys):
@@ -245,6 +270,8 @@ NON_FINITE_QUANTITY = {
         ["antenna-sweep", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
         ["hwbudget", "--fom-j-per-cs", "1e300", "--enob-a", "1000"],
         ["linkbudget", "--entry-a", "1e308", "--entry-b", "1e308"],
+        # M*K*blocks is an integer past the double range
+        ["estload", "--m-antennas", "1e200", "--k-users", "1e200"],
     ],
 )
 def test_non_finite_result_is_runtime_failure(args, tmp_path, monkeypatch, capsys):
@@ -740,6 +767,11 @@ _NUMPY_FREE_CASES = [
     (["capacity", "--snr-scaling", "bandwidth", "--ul-pilot-snr", "1e-300",
       "--reference-bandwidth-hz", "1e-300", "--bandwidth-hz", "1e300"], 3, None),
     (["antenna-sweep", "--coherence-time-s", "1e-300"], 3, None),
+    (["capacity", "--k-max", "50000"], 3, None),
+    (["capacity", "--k-min", "50000"], 3, None),
+    (["antenna-sweep", "--k-min", "9", "--k-max", "2"], 3, None),
+    (["fresnel", "--d1", "0", "--d2", "0"], 3, None),
+    (["estload", "--subcarriers-per-block", "2000"], 3, None),
 ]
 
 # runs each argument list through main in its own directory 0, 1, ...; any numpy import raises
@@ -789,3 +821,30 @@ def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
         else:
             monkeypatch.chdir(tmp_path / str(i))
             _assert_run_matches_golden("out.json", golden)
+
+
+# runs every bundled config and the Monte-Carlo and antenna-sweep defaults through main
+_NO_DATACLASSES_SCRIPT = """
+import contextlib, io, json, sys
+from mimolab.cli import BUNDLED_CONFIGS, main
+
+runs = [["--config", name] for name in BUNDLED_CONFIGS]
+runs += [["hardening"], ["favorable"], ["antenna-sweep"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(args) for args in runs]
+print(json.dumps([codes, "dataclasses" in sys.modules]))
+"""
+
+
+def test_experiments_never_import_dataclasses(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _NO_DATACLASSES_SCRIPT],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0] * (len(BUNDLED_CONFIGS) + 3)
+    assert not loaded
