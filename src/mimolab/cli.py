@@ -29,11 +29,13 @@ and capacity-scenario rejects never load numpy.
 
 Exit codes, all chosen by one ``except`` table in ``main``: 0 success, 2 config
 parse error (with line/column), 3 invalid input naming the offending field,
-4 runtime failure (a non-finite result, memory exhausted, or an output that
-cannot be written).  Invalid input is a value outside its schema, a library
-check that relates several parameters (``k_min <= k_max <= tau_c``,
-``d1 + d2 > 0``, ``subcarriers_per_block <= n_subcarriers``, a coherence
-block or half-wavelength spacing that the values cannot form), an ``output``
+4 runtime failure (a non-finite result, memory exhausted, or an output or
+stdout that cannot be written; files already published stay).  Invalid input
+is a value outside its schema, a library check that relates several
+parameters (``k_min <= k_max <= tau_c``, ``d1 + d2 > 0``,
+``subcarriers_per_block <= n_subcarriers``, a coherence block or
+half-wavelength spacing that the values cannot form, a squint span too narrow
+for ``n_points`` distinct frequencies), an ``output``
 that names no file ('', a path ending in a separator, or one holding NUL),
 or ``config`` for a config file that cannot be read.
 """
@@ -195,12 +197,14 @@ def _run_squint(params: dict, seed: int):
             f"must be < 2 * center_frequency_hz = {2.0 * params['center_frequency_hz']} "
             f"so the band stays at positive frequencies, got {params['span_hz']}",
         )
-    from .beamforming import squint_sweep
+    from .beamforming import squint_sweep, sweep_frequencies
     from .geometry import PlanarArray
     from .scenarios import sixpath_channel
 
     array = _blame("center_frequency_hz", PlanarArray.half_wavelength_at, params["rows"],
                    params["cols"], params["center_frequency_hz"], note=" (spacing c/2f underflows)")
+    _blame("span_hz", sweep_frequencies, params["center_frequency_hz"], params["span_hz"],
+           params["n_points"])
     channel = sixpath_channel(seed)
     freqs, effs = squint_sweep(
         array, channel, params["center_frequency_hz"], params["span_hz"], params["n_points"]
@@ -798,7 +802,23 @@ def run(config: dict[str, str]) -> int:
         print(line)
     print(f"wrote {output}")
     print(f"wrote {output}.manifest.json")
+    sys.stdout.flush()  # a stdout that cannot be written fails here, not at interpreter exit
     return EXIT_OK
+
+
+def _detach_stdout() -> None:
+    """Point stdout's descriptor at the null device, so its exit-time flush cannot fail again.
+
+    The recipe of the Python docs' note on SIGPIPE; a stdout without a
+    descriptor (a captured one) is left as it is.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -874,8 +894,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:  # _atomic_write sets the path as the filename
-        print(f"runtime failure: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # _atomic_write sets the path as the filename; stdout has none
+        if exc.filename is None:
+            print(f"runtime failure: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            _detach_stdout()
+        else:
+            print(f"runtime failure: cannot write {exc.filename!r}: {exc.strerror}",
+                  file=sys.stderr)
         return EXIT_RUNTIME
     except (ValueError, ArithmeticError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)

@@ -64,6 +64,22 @@ class PlanarArray:
         return cls(rows, cols, SPEED_OF_LIGHT_M_S / (2.0 * frequency_hz))
 
 
+def _phase_ramps(scale: np.ndarray, cosine: np.ndarray, n: int) -> np.ndarray:
+    """exp(j*scale*m*cosine) for m = 0 .. n-1 along a new last axis.
+
+    Each ramp is a geometric progression in m, so with a block length
+    B = ceil(sqrt(n)) and m = q*B + r it is the outer product of a coarse
+    table exp(j*scale*(q*B)*cosine) and a fine table exp(j*scale*r*cosine):
+    about 2*sqrt(n) exponentials per ramp instead of n.  The ragged tail of
+    the last block is sliced off.
+    """
+    block = math.isqrt(n - 1) + 1
+    coarse = np.exp(1j * (scale * (np.arange(0, n, block) * cosine)))
+    fine = np.exp(1j * (scale * (np.arange(block) * cosine)))
+    ramps = coarse[..., :, None] * fine[..., None, :]
+    return ramps.reshape(*ramps.shape[:-2], -1)[..., :n]
+
+
 def steering_factors(
     array: PlanarArray, channel: tuple[np.ndarray, np.ndarray], frequencies_hz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -73,6 +89,10 @@ def steering_factors(
     planar response is separable: with s = 2*pi*(f/c)*spacing, entry (m, n)
     is a_v[m] * a_h[n] for a_v[m] = exp(j*s*m*k_v) and
     a_h[n] = exp(j*s*n*k_h), and the row-major response is np.kron(a_v, a_h).
+    Each factor is built from about 2*sqrt(rows) (or 2*sqrt(cols))
+    exponentials per path and frequency, as the product of a coarse and a
+    fine phase step (``_phase_ramps``); the phase is thus rounded as two
+    terms, which moves an entry by a few ulp of the largest phase s*m*k.
     Returns a_v with shape (paths, frequencies, rows) and a_h with shape
     (paths, frequencies, cols), both checked for unit modulus.
     """
@@ -88,8 +108,8 @@ def steering_factors(
         raise ValueError(f"frequency_hz must be positive, got {freqs[~(freqs > 0)][0]}")
     k_h, k_v = cosines.T
     scale = (2.0 * np.pi * (freqs / SPEED_OF_LIGHT_M_S) * array.spacing_m)[None, :, None]
-    a_v = np.exp(1j * (scale * (np.arange(array.rows) * k_v[:, None, None])))
-    a_h = np.exp(1j * (scale * (np.arange(array.cols) * k_h[:, None, None])))
+    a_v = _phase_ramps(scale, k_v[:, None, None], array.rows)
+    a_h = _phase_ramps(scale, k_h[:, None, None], array.cols)
     for factor in (a_v, a_h):
         if not np.max(np.abs(np.abs(factor) - 1.0)) <= 1e-12:
             raise ValueError("array response entries must have unit magnitude")

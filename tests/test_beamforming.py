@@ -282,8 +282,11 @@ def test_digital_dominates_hybrid_dominates_analog_across_band():
         (24, 8, sixpath_channel(7), 2 * _SWEEP_CHUNK + 3),
         (8, 24, _los_channel(0.8, -0.5), _SWEEP_CHUNK - 1),
         (24, 8, _los_channel(0.8, -0.5), 3),
+        # prime sides: every block of the row factors' sqrt(n) split is ragged or single
+        (127, 3, sixpath_channel(42), 2 * _SWEEP_CHUNK + 5),
     ],
-    ids=["sixpath-32x32", "sixpath-8x24", "sixpath-24x8", "los-8x24", "los-24x8"],
+    ids=["sixpath-32x32", "sixpath-8x24", "sixpath-24x8", "los-8x24", "los-24x8",
+         "sixpath-127x3"],
 )
 def test_sweep_matches_per_frequency_reference(rows, cols, channel, n_points):
     # the batched separable kernel against one full channel vector per frequency

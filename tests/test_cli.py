@@ -393,9 +393,44 @@ def test_squint_band_too_narrow_to_sample_names_the_span(tmp_path, monkeypatch, 
     # 201 points within 1e-6 Hz of 60 GHz round onto a few distinct doubles
     code = run_cli(["squint", "--rows", "4", "--cols", "4", "--span-hz", "1e-6"],
                    tmp_path, monkeypatch)
-    assert code == 4
-    assert "span_hz" in capsys.readouterr().err
+    assert code == 3
+    assert capsys.readouterr().err.startswith("invalid configuration: span_hz: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_other_squint_sweep_failures_stay_runtime_failures(tmp_path, monkeypatch, capsys):
+    # only the narrow-span check is invalid input; a channel without power is not the user's
+    monkeypatch.setattr(
+        "mimolab.scenarios.sixpath_channel", lambda seed: (np.zeros(1), np.zeros((1, 2)))
+    )
+    code = run_cli(["squint", "--rows", "4", "--cols", "4"], tmp_path, monkeypatch)
+    assert code == 4
+    assert capsys.readouterr().err == "runtime failure: total path power must be positive\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_four_and_keeps_the_files(unbuffered, tmp_path, monkeypatch):
+    # stdout is a pipe whose read end is closed: writing to it fails after both files are out
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mimolab.cli", "fresnel", "--output", "out.json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    # one line naming stdout, and no "Exception ignored" from the flush at interpreter exit
+    assert proc.stderr == "runtime failure: cannot write stdout: Broken pipe\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "out.json.manifest.json"]
+    monkeypatch.chdir(tmp_path)
+    _assert_run_matches_golden("out.json", "fresnel.json")
 
 
 def test_integer_seed_beyond_float_precision_is_exact(tmp_path, monkeypatch):

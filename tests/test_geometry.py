@@ -244,6 +244,26 @@ def test_empty_or_powerless_channel_rejected():
             steering_factors(arr, (gains, bad), [60e9])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 127, 128, 4096])
+def test_steering_factors_match_one_exponential_per_element(n):
+    # Direct: phi = fl(s * fl(m * k)) is within 2u|phi| of the exact phase s*m*k, u = eps/2.
+    # Factored: the coarse phase s*(q*B)*k and the fine phase s*r*k are each within 2u of
+    # their size, both at most P = max |s*m*k|.  As |exp(ja) - exp(jb)| <= |a - b|, the two
+    # entries differ by at most 6u*P = 3*eps*P, plus a few eps for the exponentials
+    # and the product of the coarse and fine factors.
+    arr = PlanarArray.half_wavelength_at(n, n, 60e9)
+    chan = sixpath_channel(42)
+    freqs = np.array([59e9, 60e9, 61e9])
+    a_v, a_h = steering_factors(arr, chan, freqs)
+    scale = (2.0 * np.pi * (freqs / C) * arr.spacing_m)[None, :, None]
+    eps = np.finfo(float).eps
+    for factor, k in ((a_v, chan[1][:, 1]), (a_h, chan[1][:, 0])):
+        phase = scale * (np.arange(n) * k[:, None, None])
+        assert factor.shape == phase.shape == (6, 3, n)
+        bound = eps * (3.0 * np.max(np.abs(phase)) + 8.0)
+        assert np.max(np.abs(factor - np.exp(1j * phase))) <= bound
+
+
 def test_steering_factors_check_unit_modulus():
     # an infinite frequency passes the positivity check, but 0 * inf gives NaN phases
     arr = PlanarArray.half_wavelength_at(2, 2, 60e9)
