@@ -111,10 +111,12 @@ def efficiency(w: np.ndarray, h: np.ndarray) -> float:
 
 
 def sweep_frequencies(f_center_hz: float, span_hz: float, n_points: int) -> np.ndarray:
-    """n_points equally spaced frequencies in [f_center - span/2, f_center + span/2].
+    """n_points >= 2 equally spaced frequencies in [f_center - span/2, f_center + span/2].
 
     A span too narrow for n_points strictly increasing doubles is rejected.
     """
+    if n_points < 2:
+        raise ValueError(f"n_points must be at least 2, got {n_points}")
     freqs = np.linspace(f_center_hz - span_hz / 2.0, f_center_hz + span_hz / 2.0, n_points)
     if not np.all(freqs[1:] > freqs[:-1]):
         raise ValueError(f"span_hz {span_hz} is too narrow for {n_points} distinct frequencies")
@@ -125,19 +127,16 @@ def squint_sweep(
     array: PlanarArray,
     channel: tuple[np.ndarray, np.ndarray],
     f_center_hz: float,
-    span_hz: float,
-    n_points: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Efficiency of a center-frequency analog beam across the band.
+    freqs: np.ndarray,
+) -> np.ndarray:
+    """Efficiency of a center-frequency analog beam at each of freqs.
 
     The channel is the (gains, cosines) pair of ``steering_factors``.
-    The analog weights w are aligned once at f_center and reused at n_points
-    equally spaced frequencies in [f_center - span/2, f_center + span/2].
-    Each point is independent of the others (evaluation order is
-    irrelevant), and the curve is 1.0 at the center point by construction
+    The analog weights w are aligned once at f_center and reused at every
+    frequency, say the band of ``sweep_frequencies``, each of which must be
+    positive.  Each point is independent of the others (evaluation order is
+    irrelevant), and the curve is 1.0 at the center frequency by construction
     only for single-path channels; multipath keeps it below 1 everywhere.
-    Returns (frequencies, efficiencies).  The frequencies are those of
-    ``sweep_frequencies``, which rejects a span too narrow for n_points.
 
     The band is evaluated in batches of _SWEEP_CHUNK frequencies from the
     separable row/column factors of ``steering_factors``, never forming
@@ -148,23 +147,18 @@ def squint_sweep(
     per frequency as batched (paths x rows) by (rows x paths) products.
     This costs about 2 * paths * (sqrt(rows) + sqrt(cols)) exponentials per
     frequency instead of paths * rows * cols, and the working arrays are
-    bounded by the batch size rather than n_points.  The result agrees with
-    efficiency(w, channel_vector(array, channel, f)), which takes its
-    factors from ``steering_factors`` too, to about 1e-14 relative, the
-    rounding of the changed summation order.
+    bounded by the batch size rather than the number of frequencies.  The
+    result agrees with efficiency(w, channel_vector(array, channel, f)),
+    which takes its factors from ``steering_factors`` too, to about 1e-14
+    relative, the rounding of the changed summation order.
     """
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points}")
-    if not span_hz > 0:
-        raise ValueError(f"span_hz must be positive, got {span_hz}")
-    freqs = sweep_frequencies(f_center_hz, span_hz, n_points)
     w = analog_weights(channel_vector(array, channel, f_center_hz))
     w_grid = w.reshape(array.rows, array.cols)
     w_power = np.vdot(w, w).real
     gains = np.asarray(channel[0], dtype=complex)
     gain_pairs = np.outer(gains, gains.conj())
-    effs = np.empty(n_points)
-    for start in range(0, n_points, _SWEEP_CHUNK):
+    effs = np.empty(len(freqs))
+    for start in range(0, len(freqs), _SWEEP_CHUNK):
         chunk = slice(start, start + _SWEEP_CHUNK)
         a_v, a_h = steering_factors(array, channel, freqs[chunk])
         beam = np.einsum("l,lfm,lfm->f", gains, a_v, a_h @ w_grid.T)
@@ -174,4 +168,4 @@ def squint_sweep(
         if np.any(h_power <= 0.0):
             raise ValueError("efficiency is undefined for a zero channel vector")
         effs[chunk] = np.clip(np.abs(beam) ** 2 / (w_power * h_power), 0.0, 1.0)
-    return freqs, effs
+    return effs

@@ -27,17 +27,18 @@ The numpy-backed modules are imported inside the runners that use them, after
 their own checks, so the closed-form experiments, the listings, schema rejects
 and capacity-scenario rejects never load numpy.
 
-Exit codes, all chosen by one ``except`` table in ``main``: 0 success, 2 config
-parse error (with line/column), 3 invalid input naming the offending field,
-4 runtime failure (a non-finite result, memory exhausted, or an output or
-stdout that cannot be written; files already published stay).  Invalid input
-is a value outside its schema, a library check that relates several
-parameters (``k_min <= k_max <= tau_c``, ``d1 + d2 > 0``,
-``subcarriers_per_block <= n_subcarriers``, a coherence block or
-half-wavelength spacing that the values cannot form, a squint span too narrow
-for ``n_points`` distinct frequencies), an ``output``
-that names no file ('', a path ending in a separator, or one holding NUL),
-or ``config`` for a config file that cannot be read.
+Exit codes, all chosen by one ``except`` table in ``main``: 0 success, 2 parse
+error (with line/column in a config file), 3 invalid input naming the offending
+field, 4 runtime failure (a non-finite result, memory exhausted, or an output
+or stdout that cannot be written; files already published stay).  Every stdout
+text, usage and listings too, is flushed inside that table; with no stdout at
+all nothing is printed.  Invalid input is a missing or unknown ``experiment``,
+a value outside its schema, a library check that relates several parameters
+(``k_min <= k_max <= tau_c``, ``d1 + d2 > 0``, ``subcarriers_per_block <=
+n_subcarriers``, a coherence block or half-wavelength spacing that the values
+cannot form, a squint span too narrow for ``n_points`` distinct frequencies),
+an ``output`` that names no file ('', a path ending in a separator, or one
+holding NUL), or ``config`` for a config file that cannot be read.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ EXIT_RUNTIME = 4
 
 
 class ConfigParseError(Exception):
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"line {line}, column {column}: {message}")
+    """A config text's errors lead with their line and column; a command line's have none."""
 
 
 class ValidationError(Exception):
@@ -89,15 +89,15 @@ def parse_config_text(text: str) -> dict[str, str]:
             continue
         if line.startswith("[") and line.endswith("]"):
             continue  # section headers carry no data in this flat format
-        column = 1 + len(raw) - len(raw.lstrip())
+        where = f"line {lineno}, column {1 + len(raw) - len(raw.lstrip())}"
         if "=" not in line:
-            raise ConfigParseError(lineno, column, "expected 'key = value'")
+            raise ConfigParseError(f"{where}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if not _KEY_RE.match(key):
-            raise ConfigParseError(lineno, column, f"invalid key {key!r}")
+            raise ConfigParseError(f"{where}: invalid key {key!r}")
         if key in values:
-            raise ConfigParseError(lineno, column, f"duplicate key {key!r}")
+            raise ConfigParseError(f"{where}: duplicate key {key!r}")
         values[key] = value.strip()
     return values
 
@@ -203,12 +203,9 @@ def _run_squint(params: dict, seed: int):
 
     array = _blame("center_frequency_hz", PlanarArray.half_wavelength_at, params["rows"],
                    params["cols"], params["center_frequency_hz"], note=" (spacing c/2f underflows)")
-    _blame("span_hz", sweep_frequencies, params["center_frequency_hz"], params["span_hz"],
-           params["n_points"])
-    channel = sixpath_channel(seed)
-    freqs, effs = squint_sweep(
-        array, channel, params["center_frequency_hz"], params["span_hz"], params["n_points"]
-    )
+    freqs = _blame("span_hz", sweep_frequencies, params["center_frequency_hz"],
+                   params["span_hz"], params["n_points"])
+    effs = squint_sweep(array, sixpath_channel(seed), params["center_frequency_hz"], freqs)
     center_idx = int(abs(freqs - params["center_frequency_hz"]).argmin())
     extras = {
         "m_antennas": array.num_elements,
@@ -753,11 +750,12 @@ def _load_config(source: str) -> dict[str, str]:
 def resolve(config: dict[str, str]) -> tuple[Experiment, int, str, dict]:
     """Experiment, seed, output path and checked parameters of a raw config.
 
-    The config names a registered experiment; schema defaults fill the keys
-    it omits, and ValidationError names the first bad field.
+    Schema defaults fill the keys the config omits, and ValidationError
+    names the first bad field, ``experiment`` if it is missing or unknown.
     """
     config = dict(config)
-    exp = EXPERIMENTS[config.pop("experiment")]
+    exp_param = Param("experiment", "choice", None, "experiment", choices=tuple(EXPERIMENTS))
+    exp = EXPERIMENTS[_coerce_scalar(exp_param, "experiment", config.pop("experiment", ""))]
     seed = DEFAULT_SEED
     if "seed" in config:
         # no range check: derive_seed and RandomStream keep the low 64 bits of any integer
@@ -798,12 +796,15 @@ def run(config: dict[str, str]) -> int:
         "output": output,
     })
     _atomic_write(((output, pieces), (output + ".manifest.json", (manifest,))))
-    for line in stdout_lines:
-        print(line)
-    print(f"wrote {output}")
-    print(f"wrote {output}.manifest.json")
-    sys.stdout.flush()  # a stdout that cannot be written fails here, not at interpreter exit
+    _say("\n".join([*stdout_lines, f"wrote {output}", f"wrote {output}.manifest.json"]))
     return EXIT_OK
+
+
+def _say(text: str) -> None:
+    """Print text and flush it, so a stdout that cannot be written fails here, not at exit."""
+    print(text)
+    if sys.stdout is not None:  # None when fd 1 was closed at start; print wrote nothing
+        sys.stdout.flush()
 
 
 def _detach_stdout() -> None:
@@ -822,11 +823,7 @@ def _detach_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    if not args:
-        print(USAGE)
-        return EXIT_OK
-
+    args = list(sys.argv[1:] if argv is None else argv) or ["--help"]
     config: dict[str, str] = {}
     config_source = None
     overrides: list[tuple[str, str]] = []
@@ -834,7 +831,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def take_value(flag: str, i: int) -> str:
         if i + 1 >= len(args):
-            raise ConfigParseError(0, 0, f"flag {flag} needs a value")
+            raise ConfigParseError(f"flag {flag} needs a value")
         return args[i + 1]
 
     try:
@@ -842,10 +839,10 @@ def main(argv: list[str] | None = None) -> int:
         while i < len(args):
             arg = args[i]
             if arg in ("-h", "--help"):
-                print(USAGE)
+                _say(USAGE)
                 return EXIT_OK
             if arg == "--list":
-                print(list_experiments())
+                _say(list_experiments())
                 return EXIT_OK
             if arg == "--config":
                 config_source = take_value(arg, i)
@@ -853,7 +850,7 @@ def main(argv: list[str] | None = None) -> int:
             elif arg == "--set":
                 pair = take_value(arg, i)
                 if "=" not in pair:
-                    raise ConfigParseError(0, 0, f"--set expects key=value, got {pair!r}")
+                    raise ConfigParseError(f"--set expects key=value, got {pair!r}")
                 key, _, value = pair.partition("=")
                 overrides.append((key.strip(), value.strip()))
                 i += 2
@@ -863,30 +860,22 @@ def main(argv: list[str] | None = None) -> int:
                 overrides.append((key, take_value(arg, i)))
                 i += 2
             elif arg.startswith("-"):
-                raise ConfigParseError(0, 0, f"unknown flag {arg!r}")
+                raise ConfigParseError(f"unknown flag {arg!r}")
             else:
                 positionals.append(arg)
                 i += 1
 
         if positionals and positionals[0] == "list":
-            print(list_experiments())
+            _say(list_experiments())
             return EXIT_OK
         if len(positionals) > 1:
-            raise ConfigParseError(0, 0, f"unexpected arguments: {positionals[1:]}")
+            raise ConfigParseError(f"unexpected arguments: {positionals[1:]}")
 
         config = _load_config(config_source) if config_source is not None else {}
         if positionals:
             config["experiment"] = positionals[0]
         for key, value in overrides:
             config[key] = value
-        if "experiment" not in config:
-            print(USAGE)
-            print("error: no experiment selected", file=sys.stderr)
-            return EXIT_VALIDATION
-        if config["experiment"] not in EXPERIMENTS:
-            print(f"unknown experiment {config['experiment']!r}", file=sys.stderr)
-            print(list_experiments(), file=sys.stderr)
-            return EXIT_VALIDATION
         return run(config)
     except ConfigParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

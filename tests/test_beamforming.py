@@ -13,6 +13,7 @@ from mimolab.beamforming import (
     hybrid_weights,
     mrt_weights,
     squint_sweep,
+    sweep_frequencies,
 )
 from mimolab.geometry import PlanarArray, channel_vector, direction_cosines
 from mimolab.scenarios import sixpath_channel
@@ -30,6 +31,12 @@ def fig4_array(side):
 def _los_channel(azimuth_rad, elevation_rad):
     """(gains, cosines) of a single unit-gain path toward the given direction."""
     return np.array([1.0 + 0.0j]), np.array([direction_cosines(azimuth_rad, elevation_rad)])
+
+
+def _band_sweep(array, channel, center_hz, span_hz, n_points):
+    """(frequencies, efficiencies) of squint_sweep over the band of sweep_frequencies."""
+    freqs = sweep_frequencies(center_hz, span_hz, n_points)
+    return freqs, squint_sweep(array, channel, center_hz, freqs)
 
 
 def _random_channel(seed, m=16):
@@ -236,7 +243,7 @@ def test_sixpath_32_stays_above_three_quarters_at_band_edges():
 def test_sweep_center_is_exact_for_single_path():
     arr = PlanarArray.half_wavelength_at(16, 16, 60e9)
     chan = _los_channel(0.8, -0.5)
-    freqs, effs = squint_sweep(arr, chan, 60e9, 2e9, 41)
+    freqs, effs = _band_sweep(arr, chan, 60e9, 2e9, 41)
     center = np.argmin(np.abs(freqs - 60e9))
     assert effs[center] == pytest.approx(1.0, abs=1e-12)
     # squint persists even in LoS: the band edges fall below the center
@@ -245,15 +252,15 @@ def test_sweep_center_is_exact_for_single_path():
 
 @pytest.mark.parametrize("side", [32, 64, 128])
 def test_sweep_400mhz_band_for_all_apertures(side):
-    _, effs = squint_sweep(fig4_array(side), sixpath_channel(42), CENTER_HZ, 400e6, 41)
+    _, effs = _band_sweep(fig4_array(side), sixpath_channel(42), CENTER_HZ, 400e6, 41)
     assert np.all(effs >= 0.80)
     assert np.all(effs <= 0.95)
 
 
 def test_sweep_larger_aperture_squints_harder():
     chan = sixpath_channel(42)
-    _, small = squint_sweep(fig4_array(32), chan, CENTER_HZ, 2e9, 41)
-    _, large = squint_sweep(fig4_array(128), chan, CENTER_HZ, 2e9, 41)
+    _, small = _band_sweep(fig4_array(32), chan, CENTER_HZ, 2e9, 41)
+    _, large = _band_sweep(fig4_array(128), chan, CENTER_HZ, 2e9, 41)
     assert large.min() < small.min()
     assert small.min() >= 0.75
 
@@ -291,7 +298,7 @@ def test_digital_dominates_hybrid_dominates_analog_across_band():
 def test_sweep_matches_per_frequency_reference(rows, cols, channel, n_points):
     # the batched separable kernel against one full channel vector per frequency
     arr = PlanarArray.half_wavelength_at(rows, cols, CENTER_HZ)
-    freqs, effs = squint_sweep(arr, channel, CENTER_HZ, 2e9, n_points)
+    freqs, effs = _band_sweep(arr, channel, CENTER_HZ, 2e9, n_points)
     w = analog_weights(channel_vector(arr, channel, CENTER_HZ))
     expected = [efficiency(w, channel_vector(arr, channel, f)) for f in freqs]
     assert freqs.size == n_points
@@ -301,22 +308,21 @@ def test_sweep_matches_per_frequency_reference(rows, cols, channel, n_points):
 
 
 def test_sweep_argument_validation():
-    arr = fig4_array(32)
-    chan = sixpath_channel(42)
-    with pytest.raises(ValueError):
-        squint_sweep(arr, chan, 60e9, 2e9, 1)
-    with pytest.raises(ValueError):
-        squint_sweep(arr, chan, 60e9, 0.0, 10)
-    with pytest.raises(ValueError):
-        squint_sweep(arr, chan, 1e9, 4e9, 10)  # band reaches nonpositive frequencies
+    with pytest.raises(ValueError, match="n_points must be at least 2, got 1"):
+        sweep_frequencies(60e9, 2e9, 1)
+    with pytest.raises(ValueError, match="span_hz 0.0 is too narrow for 10"):
+        sweep_frequencies(60e9, 0.0, 10)
+    freqs = sweep_frequencies(1e9, 4e9, 10)  # the band reaches nonpositive frequencies
+    with pytest.raises(ValueError, match="frequency_hz must be positive"):
+        squint_sweep(fig4_array(32), sixpath_channel(42), 1e9, freqs)
 
 
 def test_squint_curve_validation():
     arr = fig4_array(32)
     chan = sixpath_channel(42)
     with pytest.raises(ValueError, match="span_hz 1e-06 is too narrow for 201"):
-        squint_sweep(arr, chan, 60e9, 1e-6, 201)  # adjacent points round to one double
-    freqs, effs = squint_sweep(arr, chan, 60e9, 2e9, 21)
+        sweep_frequencies(60e9, 1e-6, 201)  # adjacent points round to one double
+    freqs, effs = _band_sweep(arr, chan, 60e9, 2e9, 21)
     assert freqs.shape == effs.shape == (21,)
     assert np.all(freqs[1:] > freqs[:-1])
     assert np.all((effs >= 0.0) & (effs <= 1.0))

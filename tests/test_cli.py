@@ -9,17 +9,19 @@ import numpy as np
 import pytest
 
 from mimolab import __version__
-from mimolab.beamforming import squint_sweep
+from mimolab.beamforming import squint_sweep, sweep_frequencies
 from mimolab.capacity import rate_table
 from mimolab.cli import (
     _CSV_BLOCK_ROWS,
     BUNDLED_CONFIGS,
     EXPERIMENTS,
+    ValidationError,
     _csv_blocks,
     bundled_config_text,
     list_experiments,
     main,
     parse_config_text,
+    resolve,
 )
 from mimolab.coherence import k_range
 from mimolab.geometry import PlanarArray
@@ -65,6 +67,25 @@ def test_duplicate_key_is_a_parse_error(tmp_path, monkeypatch, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["fresnel", "--seed"], "flag --seed needs a value"),
+        (["fresnel", "--set", "d1"], "--set expects key=value, got 'd1'"),
+        (["fresnel", "-x"], "unknown flag '-x'"),
+        (["fresnel", "squint"], "unexpected arguments: ['squint']"),
+    ],
+    ids=["flag-without-value", "set-without-equals", "unknown-short-flag", "second-positional"],
+)
+def test_command_line_error_has_no_position(args, message, tmp_path, monkeypatch, capsys):
+    code = run_cli(args, tmp_path, monkeypatch)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"parse error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -87,8 +108,28 @@ def test_unknown_experiment_prints_listing(tmp_path, monkeypatch, capsys):
     code = run_cli(["warp-drive"], tmp_path, monkeypatch)
     captured = capsys.readouterr()
     assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration: experiment: ")
+    assert len(captured.err.splitlines()) == 1
     assert "warp-drive" in captured.err
-    assert "available experiments" in captured.err
+    for name in EXPERIMENTS:
+        assert repr(name) in captured.err
+
+
+def test_missing_experiment_names_the_field(tmp_path, monkeypatch, capsys):
+    code = run_cli(["--seed", "3"], tmp_path, monkeypatch)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("invalid configuration: experiment: ")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config", [{}, {"experiment": "nope"}], ids=["missing", "unknown"])
+def test_resolve_rejects_missing_or_unknown_experiment(config):
+    with pytest.raises(ValidationError, match=r"^experiment: expected one of \('squint', "):
+        resolve(config)
 
 
 def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
@@ -409,26 +450,56 @@ def test_other_squint_sweep_failures_stay_runtime_failures(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_four_and_keeps_the_files(unbuffered, tmp_path, monkeypatch):
-    # stdout is a pipe whose read end is closed: writing to it fails after both files are out
+def _cli_env(unbuffered=False):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _run_into_closed_pipe(args, unbuffered, cwd):
+    """The CLI in a subprocess whose stdout is a pipe with its read end closed."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "mimolab.cli", "fresnel", "--output", "out.json"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=env,
+        return subprocess.run(
+            [sys.executable, "-m", "mimolab.cli", *args], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, cwd=cwd, env=_cli_env(unbuffered),
         )
     finally:
         os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_four_and_keeps_the_files(unbuffered, tmp_path, monkeypatch):
+    # writing to stdout fails after both files are out
+    proc = _run_into_closed_pipe(["fresnel", "--output", "out.json"], unbuffered, tmp_path)
     assert proc.returncode == 4
     # one line naming stdout, and no "Exception ignored" from the flush at interpreter exit
     assert proc.stderr == "runtime failure: cannot write stdout: Broken pipe\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "out.json.manifest.json"]
+    monkeypatch.chdir(tmp_path)
+    _assert_run_matches_golden("out.json", "fresnel.json")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("args", [["list"], ["--help"], []], ids=["list", "help", "bare"])
+def test_closed_stdout_listings_exit_four_and_write_nothing(args, unbuffered, tmp_path):
+    proc = _run_into_closed_pipe(args, unbuffered, tmp_path)
+    assert proc.returncode == 4
+    assert proc.stderr == "runtime failure: cannot write stdout: Broken pipe\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_no_stdout_at_all_still_writes_the_files(tmp_path, monkeypatch):
+    # fd 1 closed before the interpreter starts, so sys.stdout is None
+    proc = subprocess.run(
+        ["sh", "-c", '"$0" -m mimolab.cli fresnel --output out.json >&-', sys.executable],
+        stderr=subprocess.PIPE, text=True, cwd=tmp_path, env=_cli_env(),
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
     monkeypatch.chdir(tmp_path)
     _assert_run_matches_golden("out.json", "fresnel.json")
 
@@ -599,9 +670,8 @@ def test_antenna_sweep_run(tmp_path, monkeypatch):
 def _squint_rows():
     p = bundled("fig4_32x32", n_points=5, span_hz=400e6)
     array = PlanarArray.half_wavelength_at(p["rows"], p["cols"], p["center_frequency_hz"])
-    freqs, effs = squint_sweep(
-        array, sixpath_channel(42), p["center_frequency_hz"], p["span_hz"], p["n_points"]
-    )
+    freqs = sweep_frequencies(p["center_frequency_hz"], p["span_hz"], p["n_points"])
+    effs = squint_sweep(array, sixpath_channel(42), p["center_frequency_hz"], freqs)
     return [list(row) for row in zip(freqs.tolist(), effs.tolist())]
 
 
