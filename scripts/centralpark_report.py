@@ -11,7 +11,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from mimolab.cli import bundled_config_text, parse_config_text, resolve  # noqa: E402
+from mimolab.cli import resolve  # noqa: E402
 
 
 def hz(value: float) -> str:
@@ -20,15 +20,15 @@ def hz(value: float) -> str:
 
 if __name__ == "__main__":
     for name in ("centralpark_3ghz", "centralpark_60ghz"):
-        config = parse_config_text(bundled_config_text(name))
-        exp, seed, _, params = resolve({**config, "experiment": "antenna-sweep", "fine": "false"})
+        exp, seed, _, params = resolve({"config": name, "experiment": "antenna-sweep",
+                                        "fine": "false"})
         (_, columns), sweep, _ = exp.runner(params, seed)
         print(f"== {hz(params['carrier_hz'])} / {hz(params['bandwidth_hz'])}: "
               f"tau_c = {sweep['tau_c']}, uplink SNR {sweep['ul_pilot_snr_effective']:g} ==")
         # the columns are m_antennas, *capacity.RATE_COLUMNS
         for m, k, pilot, _, _, sum_rate in zip(*columns):
             print(f"  M={m:>6}: K={k:>6} pilot {pilot:5.3f} sum {sum_rate / 1e9:10.2f} Gbit/s")
-        exp, seed, _, params = resolve(config)
+        exp, seed, _, params = resolve({"config": name})
         best = exp.runner(params, seed)[1]["optimum"]
         print(
             f"  fine optimum at M={best['m_antennas']}: K={best['k_users']}, "

@@ -12,13 +12,13 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from mimolab.cli import bundled_config_text, parse_config_text, resolve  # noqa: E402
+from mimolab.cli import resolve  # noqa: E402
 
 NARROW_BAND_HZ = 400e6
 
 if __name__ == "__main__":
     overrides = {"seed": sys.argv[1]} if len(sys.argv) > 1 else {}
-    runs = [resolve({**parse_config_text(bundled_config_text(name)), **overrides})
+    runs = [resolve({"config": name, **overrides})
             for name in ("fig4_32x32", "fig4_64x64", "fig4_128x128")]
     _, seed, _, first = runs[0]
     full_band = f"min@{first['span_hz'] / 1e9:g}GHz"

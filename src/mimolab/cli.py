@@ -4,10 +4,13 @@ A config file is plain text, one ``key = value`` per line, with ``#`` or
 ``;`` comments and optional cosmetic ``[section]`` headers.  Keys are flat
 (no nesting) so any small hand-written reader can parse the format.  The
 reserved keys ``experiment``, ``seed``, and ``output`` select the
-experiment, the random seed, and the output path; every other key must
-belong to the experiment's parameter schema, and unknown keys are a hard
-error so typos cannot silently fall back to defaults.  On the command line
-``--KEY VALUE`` sets any key, the reserved ones included.
+experiment, the random seed, and the output path, and ``config`` names a
+config file or bundled config whose values the other keys override; every
+other key must belong to the experiment's parameter schema, and unknown keys
+are a hard error so typos cannot silently fall back to defaults.  The command
+line is one flat mapping of the same keys, checked against the same key
+grammar: ``--KEY VALUE`` or ``--set KEY=VALUE`` sets any key, the reserved
+ones included, and a positional experiment name sits below both.
 
 The library modules take and return plain numbers and arrays; each runner
 here builds its experiment's record from them and returns data, never text:
@@ -596,12 +599,6 @@ BUNDLED_CONFIGS = (
 )
 
 
-def bundled_config_text(name: str) -> str:
-    path = os.path.join(os.path.dirname(__file__), "configs", f"{name}.ini")
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
-
-
 # ----------------------------------------------------------------------------
 # output plumbing
 # ----------------------------------------------------------------------------
@@ -734,26 +731,37 @@ Exit codes: 0 ok, 2 parse error, 3 validation error, 4 runtime failure.
 # ----------------------------------------------------------------------------
 
 def _load_config(source: str) -> dict[str, str]:
-    if os.path.exists(source):
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError("config", f"cannot read {source!r}: {exc}") from None
-        return parse_config_text(text)
-    name = source.removesuffix(".ini")
-    if name in BUNDLED_CONFIGS:
-        return parse_config_text(bundled_config_text(name))
-    raise ValidationError("config", f"no such file or bundled config: {source!r}")
+    """Raw values of the config file at path source, else of the bundled config so named.
+
+    A bundled name may carry its ``.ini`` suffix.  A byte-order mark before
+    the first key is skipped; a file that is missing, unreadable or not UTF-8
+    text is a ValidationError naming ``config``.
+    """
+    path = source
+    if not os.path.exists(source):
+        name = source.removesuffix(".ini")
+        if name not in BUNDLED_CONFIGS:
+            raise ValidationError("config", f"no such file or bundled config: {source!r}")
+        path = os.path.join(os.path.dirname(__file__), "configs", f"{name}.ini")
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError("config", f"cannot read {source!r}: {exc}") from None
+    return parse_config_text(text)
 
 
 def resolve(config: dict[str, str]) -> tuple[Experiment, int, str, dict]:
     """Experiment, seed, output path and checked parameters of a raw config.
 
-    Schema defaults fill the keys the config omits, and ValidationError
-    names the first bad field, ``experiment`` if it is missing or unknown.
+    The reserved key ``config`` names a config file or bundled config
+    (``_load_config``), whose values lie under the other keys.  Schema
+    defaults fill the keys that are still missing, and ValidationError names
+    the first bad field, ``experiment`` if it is missing or unknown.
     """
     config = dict(config)
+    if "config" in config:
+        config = {**_load_config(config.pop("config")), **config}
     exp_param = Param("experiment", "choice", None, "experiment", choices=tuple(EXPERIMENTS))
     exp = EXPERIMENTS[_coerce_scalar(exp_param, "experiment", config.pop("experiment", ""))]
     seed = DEFAULT_SEED
@@ -823,59 +831,44 @@ def _detach_stdout() -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv) or ["--help"]
+    args = iter(list(sys.argv[1:] if argv is None else argv) or ["--help"])
     config: dict[str, str] = {}
-    config_source = None
-    overrides: list[tuple[str, str]] = []
     positionals: list[str] = []
-
-    def take_value(flag: str, i: int) -> str:
-        if i + 1 >= len(args):
-            raise ConfigParseError(f"flag {flag} needs a value")
-        return args[i + 1]
-
     try:
-        i = 0
-        while i < len(args):
-            arg = args[i]
+        for arg in args:
             if arg in ("-h", "--help"):
                 _say(USAGE)
                 return EXIT_OK
             if arg == "--list":
                 _say(list_experiments())
                 return EXIT_OK
-            if arg == "--config":
-                config_source = take_value(arg, i)
-                i += 2
-            elif arg == "--set":
-                pair = take_value(arg, i)
-                if "=" not in pair:
-                    raise ConfigParseError(f"--set expects key=value, got {pair!r}")
-                key, _, value = pair.partition("=")
-                overrides.append((key.strip(), value.strip()))
-                i += 2
-            elif arg.startswith("--"):
-                # passthrough: --freq-ghz 38 == --set freq_ghz=38, --seed 7 == --set seed=7
-                key = arg[2:].replace("-", "_")
-                overrides.append((key, take_value(arg, i)))
-                i += 2
+            if arg.startswith("--"):
+                value = next(args, None)
+                if value is None:
+                    raise ConfigParseError(f"flag {arg} needs a value")
+                if arg == "--set":
+                    key, equals, value = value.partition("=")
+                    if not equals:
+                        raise ConfigParseError(f"--set expects key=value, got {key!r}")
+                    key, value = key.strip(), value.strip()
+                else:
+                    # --freq-ghz 38 == --set freq_ghz=38, --config NAME == --set config=NAME
+                    key = arg[2:].replace("-", "_")
+                if not _KEY_RE.match(key):
+                    raise ConfigParseError(f"invalid key {key!r}")
+                config[key] = value
             elif arg.startswith("-"):
                 raise ConfigParseError(f"unknown flag {arg!r}")
             else:
                 positionals.append(arg)
-                i += 1
 
         if positionals and positionals[0] == "list":
             _say(list_experiments())
             return EXIT_OK
         if len(positionals) > 1:
             raise ConfigParseError(f"unexpected arguments: {positionals[1:]}")
-
-        config = _load_config(config_source) if config_source is not None else {}
         if positionals:
-            config["experiment"] = positionals[0]
-        for key, value in overrides:
-            config[key] = value
+            config = {"experiment": positionals[0], **config}
         return run(config)
     except ConfigParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
@@ -894,8 +887,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except MemoryError:
-        print(f"runtime failure: ran out of memory running {config.get('experiment')!r}",
+    except MemoryError as exc:  # numpy's message says what it could not allocate
+        print("runtime failure: out of memory" + (f": {exc}" if str(exc) else ""),
               file=sys.stderr)
         return EXIT_RUNTIME
 

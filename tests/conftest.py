@@ -13,6 +13,5 @@ def bundled(name: str, **overrides) -> dict:
     A capacity config yields capacity.rate_table's keyword arguments, with tau_c
     and the (possibly bandwidth-scaled) uplink SNR derived as the CLI derives them.
     """
-    config = cli.parse_config_text(cli.bundled_config_text(name))
-    exp, _, _, params = cli.resolve({**config, **{k: str(v) for k, v in overrides.items()}})
+    exp, _, _, params = cli.resolve({"config": name, **{k: str(v) for k, v in overrides.items()}})
     return cli._capacity_scenario(params)[0] if exp.name == "capacity" else params

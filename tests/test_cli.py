@@ -4,11 +4,12 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mimolab import __version__
+from mimolab import __version__, cli
 from mimolab.beamforming import squint_sweep, sweep_frequencies
 from mimolab.capacity import rate_table
 from mimolab.cli import (
@@ -17,7 +18,6 @@ from mimolab.cli import (
     EXPERIMENTS,
     ValidationError,
     _csv_blocks,
-    bundled_config_text,
     list_experiments,
     main,
     parse_config_text,
@@ -74,8 +74,14 @@ def test_duplicate_key_is_a_parse_error(tmp_path, monkeypatch, capsys):
         (["fresnel", "--set", "d1"], "--set expects key=value, got 'd1'"),
         (["fresnel", "-x"], "unknown flag '-x'"),
         (["fresnel", "squint"], "unexpected arguments: ['squint']"),
+        # command-line keys follow a config file's key grammar
+        (["fresnel", "--", "3"], "invalid key ''"),
+        (["fresnel", "--set", "=3"], "invalid key ''"),
+        (["fresnel", "--Seed", "3"], "invalid key 'Seed'"),
+        (["linkbudget", "--set", "entry_X=3"], "invalid key 'entry_X'"),
     ],
-    ids=["flag-without-value", "set-without-equals", "unknown-short-flag", "second-positional"],
+    ids=["flag-without-value", "set-without-equals", "unknown-short-flag", "second-positional",
+         "empty-flag-key", "empty-set-key", "uppercase-key", "uppercase-ledger-label"],
 )
 def test_command_line_error_has_no_position(args, message, tmp_path, monkeypatch, capsys):
     code = run_cli(args, tmp_path, monkeypatch)
@@ -246,7 +252,7 @@ def test_out_of_memory_exits_four(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("mimolab.channels.hardening_metric", exhausted)
     code = run_cli(["hardening", "--output", "h.json"], tmp_path, monkeypatch)
     assert code == 4
-    assert "out of memory" in capsys.readouterr().err
+    assert capsys.readouterr().err == "runtime failure: out of memory\n"
     assert not (tmp_path / "h.json").exists()
 
 
@@ -740,16 +746,18 @@ def test_non_finite_cell_in_a_later_block_writes_nothing(tmp_path, monkeypatch, 
 
 
 def test_out_of_memory_while_streaming_leaves_no_file(tmp_path, monkeypatch, capsys):
+    message = "Unable to allocate 312. KiB for an array with shape (40000,) and data type float64"
+
     def exhausted_after_a_block(header, columns):
         blocks = _csv_blocks(header, columns)
         yield next(blocks)
         yield next(blocks)
-        raise MemoryError
+        raise MemoryError(message)  # numpy's message names the allocation
 
     monkeypatch.setattr("mimolab.cli._csv_blocks", exhausted_after_a_block)
     code = run_cli(["capacity", "--set", "k_step=1", "--output", "cap.csv"], tmp_path, monkeypatch)
     assert code == 4
-    assert capsys.readouterr().err == "runtime failure: ran out of memory running 'capacity'\n"
+    assert capsys.readouterr().err == f"runtime failure: out of memory: {message}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -834,10 +842,51 @@ def test_config_file_from_path(tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--set", "m_antennas=400", "--config", "estload_paper"],
+     ["--config", "estload_paper", "--set", "m_antennas=400"],
+     ["--m-antennas", "400", "--set", "config=estload_paper"]],
+    ids=["set-first", "config-first", "config-through-set"],
+)
+def test_command_line_keys_override_the_config_file(args, tmp_path, monkeypatch):
+    assert run_cli([*args, "--output", "e.json"], tmp_path, monkeypatch) == 0
+    record = json.loads((tmp_path / "e.json").read_text())
+    assert (record["m_antennas"], record["k_users"]) == (400, 20)  # 200 and 20 in the file
+
+
+def test_config_through_set_writes_the_same_bytes(tmp_path, monkeypatch):
+    for flags, directory in ((["--config", "estload_paper"], tmp_path / "a"),
+                             (["--set", "config=estload_paper"], tmp_path / "b")):
+        directory.mkdir()
+        assert run_cli([*flags, "--output", "e.json"], directory, monkeypatch) == 0
+    for name in ("e.json", "e.json.manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_positional_experiment_beats_the_config_file(tmp_path, monkeypatch, capsys):
+    code = run_cli(["fresnel", "--config", "estload_paper"], tmp_path, monkeypatch)
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "invalid configuration: m_antennas: unknown parameter for experiment 'fresnel'\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_config_with_byte_order_mark_reads_like_the_plain_file(tmp_path, monkeypatch):
+    plain = Path(cli.__file__).parent / "configs" / "estload_paper.ini"
+    (tmp_path / "bom.ini").write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for source, directory in (("../bom.ini", tmp_path / "a"), (str(plain), tmp_path / "b")):
+        directory.mkdir()
+        assert run_cli(["--config", source, "--output", "e.json"], directory, monkeypatch) == 0
+    for name in ("e.json", "e.json.manifest.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_bundled_configs_all_load():
     for name in BUNDLED_CONFIGS:
-        values = parse_config_text(bundled_config_text(name))
-        assert values["experiment"] in EXPERIMENTS
+        # resolve raises unless the file names an experiment and only keys of its schema
+        assert resolve({"config": f"{name}.ini"}) == resolve({"config": name})
 
 
 def test_console_entry_point():
