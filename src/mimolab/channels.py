@@ -10,10 +10,12 @@ The two diagnostics quantify what growing apertures buy:
 The drift model captures how far a line-of-sight user may move before a
 frozen beam loses gain: each coefficient is rotated by exp(j*2*pi*phi_m)
 with |phi_m| <= mu wavelengths, and for mu <= 1/8 the remaining gain is at
-least M*cos^2(2*pi*mu) >= M/2, independent of M.  The bound check screens
-its random drift patterns from their uniforms with a trig-free lower bound
-and takes cos/sin in float64 only where that bound could undercut the
-deterministic extremes, so its result is the all-float64 one, bit for bit.
+least M*cos^2(2*pi*mu) >= M/2, independent of M.  The bound check takes a
+whole list of amplitudes and walks its random drift patterns once: per chunk
+it forms each row's sum((u - 1/2)^2), which no mu changes, then screens every
+mu with a trig-free lower bound built from it and takes cos/sin in float64
+only where that bound could undercut the mu's deterministic extremes, so each
+result is the all-float64 one, bit for bit.
 
 Hardening and favorable-propagation draw i reads child stream i of the
 seed (``rng.child_uniforms``), exactly as a fresh
@@ -111,14 +113,22 @@ def _exact_drift_gains(u: np.ndarray, mu: float) -> np.ndarray:
     return (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / u.shape[1]
 
 
-def _drift_gain_bounds(u: np.ndarray, mu: float) -> np.ndarray:
-    """Per-row trig-free lower bounds on the drift gains of the patterns drawn as u.
+def _drift_spread(u: np.ndarray) -> np.ndarray:
+    """Per-row sum((u - 1/2)^2) of the drift patterns drawn as u; the same for every mu.
+
+    A helper of its own, so the u - 1/2 temporary is freed before the next chunk is drawn.
+    """
+    d = u - 0.5
+    return np.einsum("ij,ij->i", d, d)
+
+
+def _drift_gain_bounds(spread: np.ndarray, m_antennas: int, mu: float) -> np.ndarray:
+    """Per-row trig-free lower bounds on the drift gains of rows with _drift_spread spread.
 
     With theta = 4*pi*mu*(u - 1/2), |sum exp(j*theta)| >= sum cos(theta) >=
     M - sum(theta^2)/2 > 0 for mu <= 1/8; squared and over M, that bounds the gain.
     """
-    m, d = u.shape[1], u - 0.5
-    return (m - 0.5 * (4.0 * np.pi * mu) ** 2 * np.einsum("ij,ij->i", d, d)) ** 2 / m
+    return (m_antennas - 0.5 * (4.0 * np.pi * mu) ** 2 * spread) ** 2 / m_antennas
 
 
 def _extreme_drift_gain(m_antennas: int, mu: float) -> float:
@@ -128,49 +138,59 @@ def _extreme_drift_gain(m_antennas: int, mu: float) -> float:
     return min(drift_gain(phi) for phi in extremes)
 
 
-def _random_drift_gains(m_antennas: int, mu: float, n_draws: int, seed: int, threshold: float):
-    """Exact gains of the random drift patterns that could undercut the extremes.
+def _random_drift_gains(
+    m_antennas: int, mus: list[float], n_draws: int, seed: int, thresholds: list[float]
+):
+    """Exact gains of the random drift patterns that could undercut each mu's extremes.
 
-    Yields, in stream order, the float64 gains of the rows whose _drift_gain_bounds
-    is not above threshold, the extremes' least gain times 1 + _SCREEN_MARGIN.  Every
-    other row gains no less than the extremes, so the minimum over all draws is kept,
-    bit for bit.
+    Walks the drift stream once and yields, in stream order, (i, gains): the float64
+    gains under mus[i] of the rows whose _drift_gain_bounds under mus[i] is not above
+    thresholds[i], that mu's extremes' least gain times 1 + _SCREEN_MARGIN.  Every
+    other row gains no less than those extremes, so each mu's minimum over all draws
+    is kept, bit for bit.
     """
     for u in _drift_uniforms(m_antennas, n_draws, seed):
-        suspects = u[_drift_gain_bounds(u, mu) <= threshold]
-        if len(suspects):
-            yield _exact_drift_gains(suspects, mu)
+        spread = _drift_spread(u)
+        for i, (mu, threshold) in enumerate(zip(mus, thresholds)):
+            suspects = u[_drift_gain_bounds(spread, m_antennas, mu) <= threshold]
+            if len(suspects):
+                yield i, _exact_drift_gains(suspects, mu)
 
 
 def drift_bound_check(
-    m_antennas: int, mu: float, n_random_draws: int, seed: int
-) -> tuple[float, float]:
-    """Stress the lower bound M*cos^2(2*pi*mu) against random and extreme drifts.
+    m_antennas: int, mus: list[float], n_random_draws: int, seed: int
+) -> list[tuple[float, float]]:
+    """Stress the lower bound M*cos^2(2*pi*mu) against random and extreme drifts, per mu.
 
-    Evaluates the deterministic extremes (all +mu, all -mu, alternating +/-mu
-    both ways) plus n_random_draws uniform drift patterns in [-mu, mu]^M and
-    returns (minimum observed gain, analytic bound).  Random patterns are screened
-    with a trig-free bound and only those that could undercut the extremes are
-    evaluated in float64, which yields the same minimum as evaluating all.
-    The extremes sit exactly on the bound, so the check allows a 1e-12
-    relative rounding slack; a genuine violation raises ArithmeticError, so
-    a returned pair always satisfies the bound.
+    For each mu of mus, evaluates the deterministic extremes (all +mu, all -mu,
+    alternating +/-mu both ways) plus n_random_draws uniform drift patterns in
+    [-mu, mu]^M, and returns one (minimum observed gain, analytic bound) per mu, in
+    order.  Every mu reads the same uniforms of the seed's stream, drawn once.  Random
+    patterns are screened with a trig-free bound and only those that could undercut
+    a mu's extremes are evaluated in float64, which yields the same minimum as
+    evaluating all.  The extremes sit exactly on the bound, so the check allows a
+    1e-12 relative rounding slack; a genuine violation raises ArithmeticError for the
+    first mu that shows one, so returned pairs always satisfy the bound.
     """
-    if not 0.0 <= mu <= MAX_DRIFT_FRACTION:
-        raise ValueError(f"the bound chain needs mu in [0, 1/8], got {mu}")
+    for mu in mus:
+        if not 0.0 <= mu <= MAX_DRIFT_FRACTION:
+            raise ValueError(f"the bound chain needs mu in [0, 1/8], got {mu}")
     _check_antennas(m_antennas)
     if n_random_draws < 0:
         raise ValueError(f"n_random_draws must be nonnegative, got {n_random_draws}")
 
-    min_observed = _extreme_drift_gain(m_antennas, mu)
-    threshold = min_observed * (1.0 + _SCREEN_MARGIN)
-    for gains in _random_drift_gains(m_antennas, mu, n_random_draws, seed, threshold):
-        min_observed = min(min_observed, float(gains.min()))
+    min_observed = [_extreme_drift_gain(m_antennas, mu) for mu in mus]
+    thresholds = [gain * (1.0 + _SCREEN_MARGIN) for gain in min_observed]
+    for i, gains in _random_drift_gains(m_antennas, mus, n_random_draws, seed, thresholds):
+        min_observed[i] = min(min_observed[i], float(gains.min()))
 
-    bound = m_antennas * math.cos(2.0 * math.pi * mu) ** 2
-    if not min_observed >= bound * (1.0 - 1e-12):
-        raise ArithmeticError(
-            f"drift gain {min_observed} fell below the bound {bound}; "
-            "this should be impossible for mu <= 1/8"
-        )
-    return min_observed, bound
+    results = []
+    for mu, gain in zip(mus, min_observed):
+        bound = m_antennas * math.cos(2.0 * math.pi * mu) ** 2
+        if not gain >= bound * (1.0 - 1e-12):
+            raise ArithmeticError(
+                f"drift gain {gain} fell below the bound {bound}; "
+                "this should be impossible for mu <= 1/8"
+            )
+        results.append((gain, bound))
+    return results

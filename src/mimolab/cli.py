@@ -288,11 +288,9 @@ def _run_antenna_sweep(params: dict, seed: int):
 def _run_mobility(params: dict, seed: int):
     from .channels import drift_bound_check
 
-    m, n_draws = params["m_antennas"], params["n_draws"]
-    reports = []
-    for mu in params["mu_list"]:
-        min_gain, bound = drift_bound_check(m, mu, n_draws, seed)
-        reports.append({
+    m, mus, n_draws = params["m_antennas"], params["mu_list"], params["n_draws"]
+    reports = [
+        {
             "m_antennas": m,
             "mu": mu,
             "n_random_draws": n_draws,
@@ -300,7 +298,9 @@ def _run_mobility(params: dict, seed: int):
             "min_observed_gain": min_gain,
             "bound_gain": bound,
             "holds": True,  # drift_bound_check raises ArithmeticError otherwise
-        })
+        }
+        for mu, (min_gain, bound) in zip(mus, drift_bound_check(m, mus, n_draws, seed))
+    ]
     lines = [
         f"mu={r['mu']}: min gain {r['min_observed_gain']:.6f} vs bound {r['bound_gain']:.6f}"
         for r in reports

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mimolab.channels import (
     _SCREEN_MARGIN,
     _drift_gain_bounds,
+    _drift_spread,
     _drift_uniforms,
     _exact_drift_gains,
     _extreme_drift_gain,
@@ -273,19 +274,19 @@ def test_drift_bound_exhaustive_sign_patterns(m):
 
 
 def test_drift_bound_check_zero_mu():
-    min_gain, bound = drift_bound_check(16, 0.0, 100, 42)
+    [(min_gain, bound)] = drift_bound_check(16, [0.0], 100, 42)
     assert min_gain == pytest.approx(16.0, rel=1e-12)
     assert bound == pytest.approx(16.0, rel=1e-12)
 
 
 def test_drift_bound_check_eighth_wavelength():
-    min_gain, bound = drift_bound_check(64, 0.125, 10_000, 42)
+    [(min_gain, bound)] = drift_bound_check(64, [0.125], 10_000, 42)
     assert bound == pytest.approx(32.0, rel=1e-12)
     assert min_gain >= 32.0
 
 
 def test_drift_bound_check_sixteenth_wavelength():
-    min_gain, bound = drift_bound_check(64, 0.0625, 10_000, 42)
+    [(min_gain, bound)] = drift_bound_check(64, [0.0625], 10_000, 42)
     assert bound == pytest.approx(64 * math.cos(math.pi / 8) ** 2, rel=1e-12)
     assert min_gain >= bound * (1 - 1e-12)
 
@@ -306,10 +307,11 @@ def test_chunked_drift_gains_equal_one_shot_formula(m, n):
 
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("mu", [0.125, 0.0625])
-def test_float32_drift_screen_is_within_margin(mu, seed):
+def test_drift_screen_is_within_margin(mu, seed):
     for u in _drift_uniforms(64, 100_000, seed):
         exact = _exact_drift_gains(u, mu)
-        assert np.all(_drift_gain_bounds(u, mu) <= exact * (1.0 + _SCREEN_MARGIN))
+        bounds = _drift_gain_bounds(_drift_spread(u), 64, mu)
+        assert np.all(bounds <= exact * (1.0 + _SCREEN_MARGIN))
 
 
 def test_drift_screen_margin_covers_tight_bounds():
@@ -318,7 +320,7 @@ def test_drift_screen_margin_covers_tight_bounds():
     half = RandomStream(42).uniform(20_000 * 32).reshape(20_000, 32)
     u = np.concatenate([half, 1.0 - half], axis=1)
     mu = 1e-5
-    bounds = _drift_gain_bounds(u, mu)
+    bounds = _drift_gain_bounds(_drift_spread(u), 64, mu)
     exact = _exact_drift_gains(u, mu)
     assert np.any(bounds > exact)
     assert np.all(bounds <= exact * (1.0 + _SCREEN_MARGIN))
@@ -328,7 +330,7 @@ def test_drift_screen_margin_covers_tight_bounds():
 def test_drift_screen_rechecks_no_row_of_the_bundled_config(mu):
     # mobility_bound: 64 antennas, 100,000 draws, seed 42
     threshold = _extreme_drift_gain(64, mu) * (1.0 + _SCREEN_MARGIN)
-    assert list(_random_drift_gains(64, mu, 100_000, 42, threshold)) == []
+    assert list(_random_drift_gains(64, [mu], 100_000, 42, [threshold])) == []
 
 
 def _full_float64_min_gain(m, mu, n, seed):
@@ -343,10 +345,10 @@ def _full_float64_min_gain(m, mu, n, seed):
     "m, mu, n, seed", [(64, 0.125, 20_000, 42), (64, 0.0625, 20_000, 7), (7, 0.1, 9_000, 5)]
 )
 def test_forced_drift_recheck_equals_full_float64_path(m, mu, n, seed, monkeypatch):
-    screened_min, bound = drift_bound_check(m, mu, n, seed)
+    [(screened_min, bound)] = drift_bound_check(m, [mu], n, seed)
     monkeypatch.setattr("mimolab.channels._SCREEN_MARGIN", math.inf)
-    assert sum(gains.size for gains in _random_drift_gains(m, mu, n, seed, math.inf)) == n
-    rechecked_min, rechecked_bound = drift_bound_check(m, mu, n, seed)
+    assert sum(gains.size for _, gains in _random_drift_gains(m, [mu], n, seed, [math.inf])) == n
+    [(rechecked_min, rechecked_bound)] = drift_bound_check(m, [mu], n, seed)
     assert rechecked_min == screened_min == _full_float64_min_gain(m, mu, n, seed)
     assert rechecked_bound == bound
 
@@ -355,38 +357,59 @@ def test_drift_screen_passes_rows_that_undercut_the_extremes():
     # with one antenna every gain is 1 up to rounding, so random rows can sit an ulp
     # below the extremes; the screen must hand them to the float64 recheck
     m, mu, n, seed = 1, 0.125, 1000, 3
-    min_gain, _ = drift_bound_check(m, mu, n, seed)
+    [(min_gain, _)] = drift_bound_check(m, [mu], n, seed)
     assert min_gain == _full_float64_min_gain(m, mu, n, seed)
     assert min_gain < drift_gain(np.full(1, mu))
 
 
-def test_drift_bound_check_memory_does_not_grow_with_draws():
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        drift_bound_check(64, 0.125, 100_000, 42)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+
+
+def test_drift_bound_check_memory_does_not_grow_with_draws():
+    assert _traced_peak(lambda: drift_bound_check(64, [0.125], 100_000, 42)) < 16 * 2**20
+
+
+def test_drift_bound_check_memory_does_not_grow_with_amplitudes():
+    # mu = 0 puts every row through the float64 recheck
+    mus = [k / 56 for k in range(7, -1, -1)]
+    assert _traced_peak(lambda: drift_bound_check(64, mus, 100_000, 42)) < 16 * 2**20
 
 
 def test_drift_bound_check_rejects_large_mu():
     with pytest.raises(ValueError):
-        drift_bound_check(64, 0.2, 10, 42)
+        drift_bound_check(64, [0.2], 10, 42)
+
+
+def test_drift_bound_check_validates_every_mu_before_drawing(monkeypatch):
+    def undrawable(m_antennas, n_draws, seed):
+        raise AssertionError("drew uniforms before every mu was checked")
+
+    monkeypatch.setattr("mimolab.channels._drift_uniforms", undrawable)
+    with pytest.raises(ValueError, match="got 0.2"):
+        drift_bound_check(64, [0.125, 0.0625, 0.2], 10, 42)
 
 
 def test_drift_bound_violation_raises(monkeypatch):
     # the bound cannot fail for mu <= 1/8, so a patched draw stands in for a broken kernel
     thresholds = []
 
-    def below(m_antennas, mu, n_draws, seed, threshold):
-        thresholds.append(threshold)
-        yield np.array([m_antennas / 4])
+    def below(m_antennas, mus, n_draws, seed, mu_thresholds):
+        thresholds.append(mu_thresholds)
+        yield 1, np.array([m_antennas / 4])
 
     monkeypatch.setattr("mimolab.channels._random_drift_gains", below)
-    with pytest.raises(ArithmeticError, match="fell below the bound"):
-        drift_bound_check(64, 0.125, 10, 42)
-    assert thresholds == [_extreme_drift_gain(64, 0.125) * (1.0 + _SCREEN_MARGIN)]
+    bound = 64 * math.cos(2.0 * math.pi * 0.0625) ** 2
+    with pytest.raises(ArithmeticError, match=f"drift gain 16.0 fell below the bound {bound}"):
+        drift_bound_check(64, [0.125, 0.0625], 10, 42)
+    assert thresholds == [
+        [_extreme_drift_gain(64, mu) * (1.0 + _SCREEN_MARGIN) for mu in (0.125, 0.0625)]
+    ]
 
 
 def test_drift_bound_check_evaluates_the_extremes_once(monkeypatch):
@@ -397,5 +420,49 @@ def test_drift_bound_check_evaluates_the_extremes_once(monkeypatch):
         return _extreme_drift_gain(m_antennas, mu)
 
     monkeypatch.setattr("mimolab.channels._extreme_drift_gain", counted)
-    drift_bound_check(64, 0.125, 1000, 42)
-    assert calls == [0.125]
+    drift_bound_check(64, [0.125, 0.0625, 0.125], 1000, 42)
+    assert calls == [0.125, 0.0625, 0.125]
+
+
+@pytest.mark.parametrize("n_mus", [1, 2, 5])
+def test_drift_bound_check_draws_the_stream_once(n_mus, monkeypatch):
+    entered = []
+
+    def counted(m_antennas, n_draws, seed):
+        entered.append(seed)
+        yield from _drift_uniforms(m_antennas, n_draws, seed)
+
+    monkeypatch.setattr("mimolab.channels._drift_uniforms", counted)
+    assert len(drift_bound_check(64, [0.125 / (k + 1) for k in range(n_mus)], 5000, 42)) == n_mus
+    assert entered == [42]
+
+
+def test_one_pass_drift_screen_rechecks_the_rows_a_pass_per_mu_would():
+    # thresholds at each mu's median gain, so every nonzero mu rechecks its own half of the rows
+    m, n, seed = 8, 5000, 11
+    mus = [0.02, 0.125, 0.0, 0.0625]
+    u = RandomStream(seed).uniform(n * m).reshape(n, m)
+    thresholds = [float(np.median(_exact_drift_gains(u, mu))) for mu in mus]
+    one_pass = {i: [] for i in range(len(mus))}
+    for i, gains in _random_drift_gains(m, mus, n, seed, thresholds):
+        one_pass[i].append(gains)
+    for i, (mu, threshold) in enumerate(zip(mus, thresholds)):
+        alone = [gains for _, gains in _random_drift_gains(m, [mu], n, seed, [threshold])]
+        assert np.array_equal(np.concatenate(one_pass[i]), np.concatenate(alone))
+        assert 0 < sum(g.size for g in alone) < n or mu == 0.0
+
+
+@pytest.mark.parametrize(
+    "m, mus, n, seed",
+    [
+        (64, [0.125, 0.0, 0.0625, 0.125], 20_000, 42),
+        (7, [0.1, 0.03, 0.0, 0.1], 9_000, 7),
+        (1, [0.125, 0.0, 0.05, 0.125], 1000, 5),
+    ],
+)
+def test_one_pass_drift_check_equals_full_float64_path_per_mu(m, mus, n, seed):
+    results = drift_bound_check(m, mus, n, seed)
+    assert len(results) == len(mus)
+    for mu, (min_gain, bound) in zip(mus, results):
+        assert min_gain == _full_float64_min_gain(m, mu, n, seed)
+        assert bound == m * math.cos(2.0 * math.pi * mu) ** 2

@@ -257,8 +257,8 @@ def test_out_of_memory_exits_four(tmp_path, monkeypatch, capsys):
 
 
 def test_drift_bound_violation_is_runtime_failure(tmp_path, monkeypatch, capsys):
-    def below(m_antennas, mu, n_draws, seed, threshold):
-        yield np.array([m_antennas / 4])
+    def below(m_antennas, mus, n_draws, seed, thresholds):
+        yield 0, np.array([m_antennas / 4])
 
     monkeypatch.setattr("mimolab.channels._random_drift_gains", below)
     code = run_cli(["mobility", "--output", "m.json"], tmp_path, monkeypatch)
