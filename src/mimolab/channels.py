@@ -13,9 +13,9 @@ with |phi_m| <= mu wavelengths, and for mu <= 1/8 the remaining gain is at
 least M*cos^2(2*pi*mu) >= M/2, independent of M.  The bound check takes a
 whole list of amplitudes and walks its random drift patterns once: per chunk
 it forms each row's sum((u - 1/2)^2), which no mu changes, then screens every
-mu with a trig-free lower bound built from it and takes cos/sin in float64
-only where that bound could undercut the mu's deterministic extremes, so each
-result is the all-float64 one, bit for bit.
+mu with a trig-free lower bound built from it and calls ``drift_gain`` only on
+rows where that bound could undercut the mu's deterministic extremes (on none
+at mu = 0), so each result is the one all rows give, bit for bit.
 
 Hardening and favorable-propagation draw i reads child stream i of the
 seed (``rng.child_uniforms``), exactly as a fresh
@@ -34,11 +34,12 @@ MAX_DRIFT_FRACTION = 0.125  # the gain bound chain only applies up to 1/8 wavele
 _DRIFT_CHUNK_ELEMENTS = 65_536  # random drift uniforms held in memory at once
 
 # Relative margin of the trig-free drift screen (eps = 2**-53, |theta| <= pi/4).
-# The float64 path's theta = 2*pi*(2*mu*u - mu), three roundings, is within
+# drift_gain's theta = 2*pi*(2*mu*u - mu), three roundings, is within
 # 10*pi*mu*eps < 4*eps of the screen's 4*pi*mu*(u - 1/2) (u - 1/2 is exact); as
 # M - sum(theta^2)/2 > 0.69*M, that moves the bound by < 10*eps relative.  The
 # screen's own arithmetic rounds it by < (M + 11)*eps, and the float64 gain is
-# within 4.1*(M + 9)*eps of the exact one (cos/sin within 4 ulp, sums within M*eps).
+# within 4.1*(M + 9)*eps of the exact one (exp's cos/sin parts within 4 ulp, each
+# part's pairwise sum within M*eps, abs (hypot) and the square at most 2 roundings).
 # So a row whose float64 gain is below the extremes' least gain g bounds below
 # g*(1 + (5.1*M + 70)*eps) < g*(1 + 6e-9) for M <= 10**7, the CLI limit.  Near the
 # alternating extremes at small mu the bound tops the float64 gain by an ulp or two.
@@ -77,17 +78,19 @@ def favorable_propagation_metric(m_antennas: int, n_pairs: int, seed: int) -> fl
     # pair i draws children 2i and 2i+1, each M radius then M angle uniforms
     blocks = child_uniforms(seed, 2 * n_pairs, 2 * m_antennas)
     channels = (h for u in blocks for h in polar_complex_normal(u.reshape(len(u), 2, m_antennas)))
-    vals = [pair_correlation(next(channels), next(channels)) for _ in range(n_pairs)]
+    vals = [pair_correlation(h_i, h_j) for h_i, h_j in zip(channels, channels)]
     return float(np.mean(vals))
 
 
-def drift_gain(phase_fractions: np.ndarray) -> float:
+def drift_gain(phase_fractions: np.ndarray) -> float | np.ndarray:
     """Beamforming gain left after drift: |sum_m exp(j*2*pi*phi_m)|^2 / M.
 
-    ``phase_fractions`` holds the per-antenna drifts phi_m in wavelengths.
+    ``phase_fractions`` holds the drifts phi_m in wavelengths on its last axis: one
+    pattern gives a float, a stack one gain per row (last bits may differ from 1-D).
     """
-    z = np.exp(2j * np.pi * phase_fractions).sum()
-    return float(abs(z) ** 2 / phase_fractions.size)
+    z = np.exp(2j * np.pi * phase_fractions).sum(axis=-1)
+    gains = abs(z) ** 2 / phase_fractions.shape[-1]
+    return gains if gains.ndim else float(gains)
 
 
 def _drift_uniforms(m_antennas: int, n_draws: int, seed: int):
@@ -105,12 +108,6 @@ def _drift_uniforms(m_antennas: int, n_draws: int, seed: int):
         count = min(rows, n_draws - start)
         u = stream.uniform(count * m_antennas, out=buffer[:count * m_antennas])
         yield u.reshape(count, m_antennas)
-
-
-def _exact_drift_gains(u: np.ndarray, mu: float) -> np.ndarray:
-    """Per-row float64 gains of the drift patterns drawn as u, phased as RandomStream.uniform."""
-    theta = 2.0 * np.pi * (-mu + (mu - -mu) * u)
-    return (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / u.shape[1]
 
 
 def _drift_spread(u: np.ndarray) -> np.ndarray:
@@ -141,10 +138,10 @@ def _extreme_drift_gain(m_antennas: int, mu: float) -> float:
 def _random_drift_gains(
     m_antennas: int, mus: list[float], n_draws: int, seed: int, thresholds: list[float]
 ):
-    """Exact gains of the random drift patterns that could undercut each mu's extremes.
+    """Gains of the random drift patterns that could undercut each mu's extremes.
 
-    Walks the drift stream once and yields, in stream order, (i, gains): the float64
-    gains under mus[i] of the rows whose _drift_gain_bounds under mus[i] is not above
+    Walks the drift stream once and yields, in stream order, (i, gains): the drift_gain
+    under mus[i] of the rows whose _drift_gain_bounds under mus[i] is not above
     thresholds[i], that mu's extremes' least gain times 1 + _SCREEN_MARGIN.  Every
     other row gains no less than those extremes, so each mu's minimum over all draws
     is kept, bit for bit.
@@ -154,7 +151,7 @@ def _random_drift_gains(
         for i, (mu, threshold) in enumerate(zip(mus, thresholds)):
             suspects = u[_drift_gain_bounds(spread, m_antennas, mu) <= threshold]
             if len(suspects):
-                yield i, _exact_drift_gains(suspects, mu)
+                yield i, drift_gain(-mu + (mu - -mu) * suspects)
 
 
 def drift_bound_check(
@@ -167,7 +164,7 @@ def drift_bound_check(
     [-mu, mu]^M, and returns one (minimum observed gain, analytic bound) per mu, in
     order.  Every mu reads the same uniforms of the seed's stream, drawn once.  Random
     patterns are screened with a trig-free bound and only those that could undercut
-    a mu's extremes are evaluated in float64, which yields the same minimum as
+    a mu's extremes are evaluated (none at mu = 0), which yields the same minimum as
     evaluating all.  The extremes sit exactly on the bound, so the check allows a
     1e-12 relative rounding slack; a genuine violation raises ArithmeticError for the
     first mu that shows one, so returned pairs always satisfy the bound.
@@ -180,9 +177,11 @@ def drift_bound_check(
         raise ValueError(f"n_random_draws must be nonnegative, got {n_random_draws}")
 
     min_observed = [_extreme_drift_gain(m_antennas, mu) for mu in mus]
-    thresholds = [gain * (1.0 + _SCREEN_MARGIN) for gain in min_observed]
-    for i, gains in _random_drift_gains(m_antennas, mus, n_random_draws, seed, thresholds):
-        min_observed[i] = min(min_observed[i], float(gains.min()))
+    # every mu = 0 pattern is the zero drift, one of its extremes: none can undercut it
+    thresholds = [g * (1 + _SCREEN_MARGIN) if mu else -math.inf for mu, g in zip(mus, min_observed)]
+    if any(mus):
+        for i, gains in _random_drift_gains(m_antennas, mus, n_random_draws, seed, thresholds):
+            min_observed[i] = min(min_observed[i], float(gains.min()))
 
     results = []
     for mu, gain in zip(mus, min_observed):

@@ -11,7 +11,6 @@ from mimolab.channels import (
     _drift_gain_bounds,
     _drift_spread,
     _drift_uniforms,
-    _exact_drift_gains,
     _extreme_drift_gain,
     _random_drift_gains,
     drift_bound_check,
@@ -291,25 +290,39 @@ def test_drift_bound_check_sixteenth_wavelength():
     assert min_gain >= bound * (1 - 1e-12)
 
 
+def _row_gains(u, mu):
+    """drift_gain of each row of uniforms u, phased as RandomStream.uniform(n, -mu, mu)."""
+    return drift_gain(-mu + (mu - -mu) * u)
+
+
+def test_drift_gain_of_a_stack_is_one_gain_per_row():
+    phi = RandomStream(3).uniform(5 * 16, -0.1, 0.1).reshape(5, 16)
+    gains = drift_gain(phi)
+    assert gains.shape == (5,)
+    np.testing.assert_allclose(gains, [drift_gain(row) for row in phi], rtol=1e-14, atol=0)
+    assert type(drift_gain(phi[0])) is float
+
+
 @pytest.mark.parametrize("m, n", [(64, 0), (64, 1), (64, 2500), (7, 30_000), (100_000, 3)])
 def test_chunked_drift_gains_equal_one_shot_formula(m, n):
     mu, seed = 0.125, 42
     chunks = [c.copy() for c in _drift_uniforms(m, n, seed)]  # each chunk reuses one buffer
     assert all(c.size <= max(m, 65_536) for c in chunks)
-    chunked = np.concatenate([_exact_drift_gains(c, mu) for c in chunks]) if chunks else np.empty(0)
-    theta = 2.0 * np.pi * RandomStream(seed).uniform(n * m, -mu, mu).reshape(n, m)
-    one_shot = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / m
-    assert np.array_equal(chunked, one_shot)
-    # the complex-exponential form rounds differently in the last digits only
-    z = np.exp(1j * theta).sum(axis=1)
-    np.testing.assert_allclose(chunked, np.abs(z) ** 2 / m, rtol=1e-13, atol=0)
+    rechecked = [gains for _, gains in _random_drift_gains(m, [mu], n, seed, [math.inf])]
+    chunked = np.concatenate(rechecked) if rechecked else np.empty(0)
+    phi = RandomStream(seed).uniform(n * m, -mu, mu).reshape(n, m)
+    assert np.array_equal(chunked, drift_gain(phi))
+    # an independent cos/sin form rounds differently in the last digits only
+    theta = 2.0 * np.pi * phi
+    cos_sin = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / m
+    np.testing.assert_allclose(chunked, cos_sin, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("mu", [0.125, 0.0625])
 def test_drift_screen_is_within_margin(mu, seed):
     for u in _drift_uniforms(64, 100_000, seed):
-        exact = _exact_drift_gains(u, mu)
+        exact = _row_gains(u, mu)
         bounds = _drift_gain_bounds(_drift_spread(u), 64, mu)
         assert np.all(bounds <= exact * (1.0 + _SCREEN_MARGIN))
 
@@ -321,7 +334,7 @@ def test_drift_screen_margin_covers_tight_bounds():
     u = np.concatenate([half, 1.0 - half], axis=1)
     mu = 1e-5
     bounds = _drift_gain_bounds(_drift_spread(u), 64, mu)
-    exact = _exact_drift_gains(u, mu)
+    exact = _row_gains(u, mu)
     assert np.any(bounds > exact)
     assert np.all(bounds <= exact * (1.0 + _SCREEN_MARGIN))
 
@@ -334,8 +347,8 @@ def test_drift_screen_rechecks_no_row_of_the_bundled_config(mu):
 
 
 def _full_float64_min_gain(m, mu, n, seed):
-    theta = 2.0 * np.pi * RandomStream(seed).uniform(n * m, -mu, mu).reshape(n, m)
-    gains = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / m
+    """Least gain of every random row, in one 2-D drift_gain call, and of the four extremes."""
+    gains = drift_gain(RandomStream(seed).uniform(n * m, -mu, mu).reshape(n, m))
     alternating = np.where(np.arange(m) % 2 == 0, mu, -mu)
     extremes = (np.full(m, mu), np.full(m, -mu), alternating, -alternating)
     return min([*gains.tolist(), *(drift_gain(phi) for phi in extremes)])
@@ -375,8 +388,8 @@ def test_drift_bound_check_memory_does_not_grow_with_draws():
     assert _traced_peak(lambda: drift_bound_check(64, [0.125], 100_000, 42)) < 16 * 2**20
 
 
-def test_drift_bound_check_memory_does_not_grow_with_amplitudes():
-    # mu = 0 puts every row through the float64 recheck
+def test_drift_bound_check_memory_does_not_grow_with_amplitudes(monkeypatch):
+    monkeypatch.setattr("mimolab.channels._SCREEN_MARGIN", math.inf)  # recheck every row
     mus = [k / 56 for k in range(7, -1, -1)]
     assert _traced_peak(lambda: drift_bound_check(64, mus, 100_000, 42)) < 16 * 2**20
 
@@ -437,12 +450,42 @@ def test_drift_bound_check_draws_the_stream_once(n_mus, monkeypatch):
     assert entered == [42]
 
 
+def test_zero_mu_reads_no_drift_rows(monkeypatch):
+    def undrawable(m_antennas, n_draws, seed):
+        raise AssertionError("drew uniforms although every mu is 0")
+
+    monkeypatch.setattr("mimolab.channels._drift_uniforms", undrawable)
+    assert drift_bound_check(64, [0.0], 100_000, 42) == [(64.0, 64.0)]
+    assert drift_bound_check(7, [0.0, 0.0], 1000, 3) == [(7.0, 7.0), (7.0, 7.0)]
+
+
+def test_zero_mu_beside_a_nonzero_mu_rechecks_none_of_its_rows(monkeypatch):
+    entered, rechecked = [], []
+
+    def counted(m_antennas, n_draws, seed):
+        entered.append(seed)
+        yield from _drift_uniforms(m_antennas, n_draws, seed)
+
+    def recorded(*args):
+        for i, gains in _random_drift_gains(*args):
+            rechecked.append(i)
+            yield i, gains
+
+    monkeypatch.setattr("mimolab.channels._drift_uniforms", counted)
+    monkeypatch.setattr("mimolab.channels._SCREEN_MARGIN", math.inf)  # recheck every row
+    monkeypatch.setattr("mimolab.channels._random_drift_gains", recorded)
+    [(zero_min, zero_bound), _] = drift_bound_check(64, [0.0, 0.125], 5000, 42)
+    assert (zero_min, zero_bound) == (64.0, 64.0)
+    assert entered == [42]
+    assert rechecked and set(rechecked) == {1}
+
+
 def test_one_pass_drift_screen_rechecks_the_rows_a_pass_per_mu_would():
     # thresholds at each mu's median gain, so every nonzero mu rechecks its own half of the rows
     m, n, seed = 8, 5000, 11
     mus = [0.02, 0.125, 0.0, 0.0625]
     u = RandomStream(seed).uniform(n * m).reshape(n, m)
-    thresholds = [float(np.median(_exact_drift_gains(u, mu))) for mu in mus]
+    thresholds = [float(np.median(_row_gains(u, mu))) for mu in mus]
     one_pass = {i: [] for i in range(len(mus))}
     for i, gains in _random_drift_gains(m, mus, n, seed, thresholds):
         one_pass[i].append(gains)
@@ -458,6 +501,7 @@ def test_one_pass_drift_screen_rechecks_the_rows_a_pass_per_mu_would():
         (64, [0.125, 0.0, 0.0625, 0.125], 20_000, 42),
         (7, [0.1, 0.03, 0.0, 0.1], 9_000, 7),
         (1, [0.125, 0.0, 0.05, 0.125], 1000, 5),
+        (3, [0.0, 0.07, 0.0, 0.07], 4000, 3),
     ],
 )
 def test_one_pass_drift_check_equals_full_float64_path_per_mu(m, mus, n, seed):
