@@ -17,9 +17,9 @@ mu with a trig-free lower bound built from it and calls ``drift_gain`` only on
 rows where that bound could undercut the mu's deterministic extremes (on none
 at mu = 0), so each result is the one all rows give, bit for bit.
 
-Hardening and favorable-propagation draw i reads child stream i of the
-seed (``rng.child_uniforms``), exactly as a fresh
-``RandomStream(derive_seed(seed, i))`` would.
+Hardening draw i reads child stream i of the seed (``rng.child_uniforms``),
+and favorable-propagation pair i reads children 2i and 2i+1, exactly as a
+fresh ``RandomStream(derive_seed(seed, i))`` would.
 """
 
 from __future__ import annotations

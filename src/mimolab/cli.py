@@ -682,6 +682,9 @@ def _atomic_write(files) -> None:
     temps: list[str] = []
     published: list[str] = []
     try:
+        for path, _ in files:  # a rename would replace a FIFO or device with a regular file
+            if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+                raise OSError(None, "not a regular file")
         for path, pieces in files:
             temps.append(_write_temp(path, pieces))
         for tmp, (path, _) in zip(temps, files):

@@ -14,11 +14,12 @@ seed-to-sample mapping is fixed by this code rather than by numpy internals:
 Parallel Monte-Carlo runs split work by deriving one child seed per draw
 index with :func:`derive_seed`, so results do not depend on how draws are
 distributed over workers.  :func:`child_uniforms` skips numpy's per-seed
-setup: numpy's SeedSequence hash (pool of four 32-bit words) runs over a
-block of child seeds at once in uint32 arrays, PCG64's 128-bit state follows
-in Python ints, and one reused generator fills a row of a reused block per
-child, so the transforms above run once per block.  Both seeding steps are
-written out here; the tests pin them against ``np.random.PCG64(seed)``.
+hash: numpy's SeedSequence hash (pool of four 32-bit words) runs over a
+block of child seeds at once in uint32 arrays, and each child's four words
+go to ``np.random.PCG64`` through the public ``ISeedSequence`` interface, so
+numpy seeds PCG64 itself.  Each child fills a row of a reused block, so the
+transforms above run once per block.  The hash is written out here; the
+tests pin it against ``np.random.SeedSequence(seed)``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import hashlib
 from collections.abc import Iterator
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 GENERATOR_ALGORITHM = "pcg64+polar-inverse-cdf"
 """Identifier of the uniform source and the normal transform in use."""
@@ -42,9 +44,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
-
-_MASK128 = (1 << 128) - 1
-_PCG64_MULTIPLIER = (2549297995355413924 << 64) + 4865540595714422341
 
 
 def derive_seed(parent_seed: int, index: int) -> int:
@@ -76,15 +75,9 @@ class RandomStream:
     def __init__(self, seed: int):
         self._gen = np.random.Generator(np.random.PCG64(seed & _SEED_MASK))
 
-    def uniform(
-        self, n: int, low: float = 0.0, high: float = 1.0, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """n uniforms on [low, high), low + (high - low) * u, drawn into out (n doubles) if given."""
-        u = self._gen.random(n, out=out)
-        if (low, high) != (0.0, 1.0):  # at the default bounds the map is the identity
-            u *= high - low
-            u += low
-        return u
+    def uniform(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """n uniforms on [0, 1), drawn into out (n doubles) if given."""
+        return self._gen.random(n, out=out)
 
 
 def child_uniforms(parent_seed: int, count: int, n: int) -> Iterator[np.ndarray]:
@@ -92,14 +85,12 @@ def child_uniforms(parent_seed: int, count: int, n: int) -> Iterator[np.ndarray]
 
     Blocks hold max(1, _UNIFORM_BLOCK // n) rows of one reused buffer: use each before the next.
     """
-    generator = np.random.Generator(np.random.PCG64(0))
     block = np.empty((max(1, _UNIFORM_BLOCK // n), n))
     filled = 0
     for start in range(0, count, _SEED_BLOCK):
         seeds = [derive_seed(parent_seed, i) for i in range(start, min(count, start + _SEED_BLOCK))]
-        for words in _seed_sequence_states(seeds).tolist():
-            generator.bit_generator.state = _pcg64_state(*words)
-            generator.random(out=block[filled])
+        for row in _seed_sequence_states(seeds):
+            np.random.Generator(np.random.PCG64(_SeedWords(row))).random(out=block[filled])
             filled += 1
             if filled == len(block):
                 yield block
@@ -111,9 +102,9 @@ def child_uniforms(parent_seed: int, count: int, n: int) -> Iterator[np.ndarray]
 def _seed_sequence_states(seeds: list[int]) -> np.ndarray:
     """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for each 64-bit seed s.
 
-    Returns a (len(seeds), 4) uint64 array.  SeedSequence splits s into
-    32-bit words, low first, and hashes missing words as 0, so every seed is
-    the entropy [low, high, 0, 0] of the four-word pool.  The hash constant
+    Returns a C-contiguous (len(seeds), 4) uint64 array.  SeedSequence splits
+    s into 32-bit words, low first, and hashes missing words as 0, so every
+    seed is the entropy [low, high, 0, 0] of the four-word pool.  The hash constant
     advances the same way for every seed, so it stays a Python int.
     """
     seeds = np.array(seeds, dtype=np.uint64)
@@ -146,18 +137,15 @@ def _seed_sequence_states(seeds: list[int]) -> np.ndarray:
     return words[:, 0::2] | (words[:, 1::2] << 32)  # little-endian word pairs
 
 
-def _pcg64_state(state_high: int, state_low: int, seq_high: int, seq_low: int) -> dict:
-    """The ``PCG64.state`` that numpy's PCG64 seeds from a SeedSequence's 4 words.
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state is one row of :func:`_seed_sequence_states`.
 
-    pcg_setseq_128_srandom_r: state = 0, inc = 2*initseq + 1, step,
-    state += initstate, step; a step is state = state * multiplier + inc.
+    PCG64 reads the returned array's buffer as its four uint64 words without
+    a copy, so the row must be C-contiguous, as a row view of that array is.
     """
-    inc = ((((seq_high << 64) | seq_low) << 1) | 1) & _MASK128
-    initstate = (state_high << 64) | state_low
-    state = ((inc + initstate) * _PCG64_MULTIPLIER + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self._words  # PCG64 asks for exactly its four uint64 words

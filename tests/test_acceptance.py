@@ -215,7 +215,7 @@ def test_criterion_11_property_suite():
     checks.append((f"favorable ratio {ratio:.2f} vs 10 +/-20%", 8.0 <= ratio <= 12.0))
 
     m, mu = 64, 0.125
-    phi = RandomStream(11).uniform(100_000 * m, -mu, mu).reshape(100_000, m)
+    phi = (-mu + (mu - -mu) * RandomStream(11).uniform(100_000 * m)).reshape(100_000, m)
     gains = np.abs(np.exp(2j * np.pi * phi).sum(axis=1)) ** 2 / m
     checks.append((f"drift gain max {gains.max():.4f} <= M={m}",
                    bool(gains.max() <= m * (1 + 1e-12))))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -815,14 +816,26 @@ def test_no_temp_files_left_behind(tmp_path, monkeypatch):
     assert names == {"f.json", "f.json.manifest.json"}
 
 
-@pytest.mark.parametrize("blocked", ["f.json", "f.json.manifest.json"])
-def test_unwritable_output_or_manifest_writes_neither(blocked, tmp_path, monkeypatch, capsys):
-    (tmp_path / blocked).mkdir()
+@pytest.mark.parametrize(
+    "blocked, make, reason",
+    [("f.json", os.mkdir, "Is a directory"),
+     ("f.json.manifest.json", os.mkdir, "Is a directory"),
+     ("f.json", os.mkfifo, "not a regular file"),
+     ("f.json.manifest.json", os.mkfifo, "not a regular file")],
+    ids=["f.json", "f.json.manifest.json", "fifo-f.json", "fifo-f.json.manifest.json"],
+)
+def test_unwritable_output_or_manifest_writes_neither(
+    blocked, make, reason, tmp_path, monkeypatch, capsys
+):
+    make(tmp_path / blocked)
+    kind = stat.S_IFMT((tmp_path / blocked).stat().st_mode)
     assert run_cli(["fresnel", "--output", "f.json"], tmp_path, monkeypatch) == 4
     err = capsys.readouterr().err
-    assert err == f"runtime failure: cannot write {blocked!r}: Is a directory\n"
+    assert err == f"runtime failure: cannot write {blocked!r}: {reason}\n"
     assert [p.name for p in tmp_path.iterdir()] == [blocked]
-    assert list((tmp_path / blocked).iterdir()) == []
+    assert stat.S_IFMT((tmp_path / blocked).stat().st_mode) == kind  # still a directory or FIFO
+    if make is os.mkdir:
+        assert list((tmp_path / blocked).iterdir()) == []
 
 
 def test_outputs_are_created_with_the_umask_mode(tmp_path, monkeypatch):
