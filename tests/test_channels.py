@@ -60,11 +60,17 @@ def test_stream_values_are_pinned():
     assert z[1] == complex(0.23401751214277133, 1.4900805312669558)
 
 
-def test_uniform_into_out_continues_the_stream():
-    stream, buffer = RandomStream(7), np.empty(5)
-    drawn = [stream.uniform(5, out=buffer).copy() for _ in range(3)]
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (-0.125, 0.125), (1e9, 200e9)])
+def test_uniform_into_out_continues_the_stream(low, high):
+    # a caller may map each draw onto [low, high) in place; the next draw overwrites it
+    stream, buffer, drawn = RandomStream(7), np.empty(5), []
+    for _ in range(3):
+        u = stream.uniform(5, out=buffer)
+        u *= high - low
+        u += low
+        drawn.append(u.copy())
     u = np.random.Generator(np.random.PCG64(7)).random(15)
-    assert np.array_equal(np.concatenate(drawn), u)
+    assert np.array_equal(np.concatenate(drawn), low + (high - low) * u)
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, 10_000])
