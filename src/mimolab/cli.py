@@ -21,7 +21,8 @@ is finite, before it creates any file, and writes the output along with a
 ``<output>.manifest.json`` echoing the resolved parameters, the seed, and the
 artifact version.  It writes both files or neither: each goes to a temp file
 beside its path (a CSV streams in blocks of rows, so no copy of its whole text
-is held), and both temps are complete before either is renamed into place.
+is held), and both temps are complete before either is renamed into place; an
+existing path that is not a regular file is refused before any temp is written.
 Files are created with mode 0o666 less the umask.  Outputs contain no
 timestamps, so re-running a config reproduces its files byte for byte.
 Integer parameters must lie within the double range, as the numeric code
@@ -205,7 +206,7 @@ def _run_squint(params: dict, seed: int):
     from .scenarios import sixpath_channel
 
     array = _blame("center_frequency_hz", PlanarArray.half_wavelength_at, params["rows"],
-                   params["cols"], params["center_frequency_hz"], note=" (spacing c/2f underflows)")
+                   params["cols"], params["center_frequency_hz"], note=" (spacing_m = c/2f)")
     freqs = _blame("span_hz", sweep_frequencies, params["center_frequency_hz"],
                    params["span_hz"], params["n_points"])
     effs = squint_sweep(array, sixpath_channel(seed), params["center_frequency_hz"], freqs)
@@ -655,38 +656,31 @@ def _csv_blocks(header: tuple[str, ...], columns):
         yield (row_format * n) % tuple(flat)
 
 
-def _write_temp(path: str, pieces) -> str:
-    """Write the strings of pieces, in order, to a new temp file beside path; returns its name."""
-    directory = os.path.dirname(os.path.abspath(path))
-    # a regular file in the way is left to open, which reports Not a directory
-    if not os.path.exists(directory):
-        os.makedirs(directory, exist_ok=True)
-    # created exclusively, so like any new file its mode is 0o666 less the umask
-    tmp = os.path.join(directory, ".mimolab-" + os.urandom(8).hex())
-    handle = open(tmp, "x", newline="\n")
-    try:
-        with handle:
-            handle.writelines(pieces)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-    return tmp
-
-
 def _atomic_write(files) -> None:
     """Write every (path, pieces) pair or none: all temps are complete before any rename.
 
-    If a rename fails, the paths renamed before it are removed again.  An
-    OSError names the destination path it concerns as its filename.
+    An existing path that is not a regular file (a directory, FIFO or device)
+    is refused before any temp is written, so a previous output stays.  Each
+    temp is written beside its path; if a write or a rename (only a race fails
+    one) raises, every temp and every path renamed so far is removed again.
+    An OSError names the destination path it concerns as its filename.
     """
     temps: list[str] = []
     published: list[str] = []
     try:
-        for path, _ in files:  # a rename would replace a FIFO or device with a regular file
-            if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+        for path, _ in files:
+            if os.path.exists(path) and not os.path.isfile(path):
                 raise OSError(None, "not a regular file")
         for path, pieces in files:
-            temps.append(_write_temp(path, pieces))
+            directory = os.path.dirname(os.path.abspath(path))
+            # a regular file in the way is left to open, which reports Not a directory
+            if not os.path.exists(directory):
+                os.makedirs(directory, exist_ok=True)
+            # created exclusively, so like any new file its mode is 0o666 less the umask
+            tmp = os.path.join(directory, ".mimolab-" + os.urandom(8).hex())
+            with open(tmp, "x", newline="\n") as handle:
+                temps.append(tmp)
+                handle.writelines(pieces)
         for tmp, (path, _) in zip(temps, files):
             os.replace(tmp, path)
             published.append(path)

@@ -48,8 +48,8 @@ class PlanarArray:
     def __init__(self, rows: int, cols: int, spacing_m: float):
         if rows < 1 or cols < 1:
             raise ValueError(f"array needs rows >= 1 and cols >= 1, got {rows}x{cols}")
-        if not spacing_m > 0:
-            raise ValueError(f"spacing_m must be positive, got {spacing_m}")
+        if not 0 < spacing_m < math.inf:
+            raise ValueError(f"spacing_m must be positive and finite, got {spacing_m}")
         self.rows, self.cols, self.spacing_m = rows, cols, spacing_m
 
     @property

@@ -179,6 +179,9 @@ def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
         # a link of zero length, and a channel block wider than the subcarrier grid
         (["fresnel", "--d1", "0", "--d2", "0"], "d1"),
         (["estload", "--subcarriers-per-block", "2000"], "subcarriers_per_block"),
+        # half a wavelength at the center frequency overflows to inf m
+        (["squint", "--center-frequency-hz", "5e-301", "--span-hz", "1e-301",
+          "--rows", "1", "--cols", "1"], "center_frequency_hz"),
     ],
 )
 def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
@@ -817,25 +820,32 @@ def test_no_temp_files_left_behind(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "blocked, make, reason",
-    [("f.json", os.mkdir, "Is a directory"),
-     ("f.json.manifest.json", os.mkdir, "Is a directory"),
-     ("f.json", os.mkfifo, "not a regular file"),
-     ("f.json.manifest.json", os.mkfifo, "not a regular file")],
-    ids=["f.json", "f.json.manifest.json", "fifo-f.json", "fifo-f.json.manifest.json"],
+    "blocked, make, previous",
+    [("f.json", os.mkdir, None),
+     ("f.json.manifest.json", os.mkdir, None),
+     ("f.json", os.mkfifo, None),
+     ("f.json.manifest.json", os.mkfifo, None),
+     ("f.json.manifest.json", os.mkdir, b"previous output\n")],
+    ids=["f.json", "f.json.manifest.json", "fifo-f.json", "fifo-f.json.manifest.json",
+         "f.json.manifest.json-beside-previous-output"],
 )
 def test_unwritable_output_or_manifest_writes_neither(
-    blocked, make, reason, tmp_path, monkeypatch, capsys
+    blocked, make, previous, tmp_path, monkeypatch, capsys
 ):
     make(tmp_path / blocked)
     kind = stat.S_IFMT((tmp_path / blocked).stat().st_mode)
+    if previous is not None:
+        (tmp_path / "f.json").write_bytes(previous)
     assert run_cli(["fresnel", "--output", "f.json"], tmp_path, monkeypatch) == 4
     err = capsys.readouterr().err
-    assert err == f"runtime failure: cannot write {blocked!r}: {reason}\n"
-    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+    assert err == f"runtime failure: cannot write {blocked!r}: not a regular file\n"
+    kept = {blocked} if previous is None else {blocked, "f.json"}
+    assert {p.name for p in tmp_path.iterdir()} == kept  # no temp, no new file
     assert stat.S_IFMT((tmp_path / blocked).stat().st_mode) == kind  # still a directory or FIFO
     if make is os.mkdir:
         assert list((tmp_path / blocked).iterdir()) == []
+    if previous is not None:  # refused before any temp, so nothing was renamed over it
+        assert (tmp_path / "f.json").read_bytes() == previous
 
 
 def test_outputs_are_created_with_the_umask_mode(tmp_path, monkeypatch):

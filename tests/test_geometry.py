@@ -185,8 +185,11 @@ def test_frequency_continuity():
         (4, 4, 0.0, 1e9),
         (4, 4, -0.1, 1e9),
         (4, 4, float("nan"), 1e9),
+        (4, 4, math.inf, 1e9),
         (4, 4, 0.01, 0.0),
         (4, 4, 0.01, float("nan")),
+        # c/2f overflows to an infinite spacing
+        (4, 4, 0.01, 5e-301),
     ],
 )
 def test_invalid_array_rejected(rows, cols, spacing, f):

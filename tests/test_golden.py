@@ -108,6 +108,7 @@ MONTECARLO_RUNS = [
     ("hardening", ["hardening"]),
     ("favorable", ["favorable"]),
     ("mobility_bound", ["--config", "mobility_bound"]),
+    ("hardening_m10000", ["hardening", "--m-antennas", "10000", "--n-draws", "1000"]),
 ]
 
 
