@@ -22,11 +22,12 @@ if __name__ == "__main__":
     for name in ("centralpark_3ghz", "centralpark_60ghz"):
         exp, seed, _, params = resolve({"config": name, "experiment": "antenna-sweep",
                                         "fine": "false"})
-        (_, columns), sweep, _ = exp.runner(params, seed)
+        table, sweep, _ = exp.runner(params, seed)
         print(f"== {hz(params['carrier_hz'])} / {hz(params['bandwidth_hz'])}: "
               f"tau_c = {sweep['tau_c']}, uplink SNR {sweep['ul_pilot_snr_effective']:g} ==")
-        # the columns are m_antennas, *capacity.RATE_COLUMNS
-        for m, k, pilot, _, _, sum_rate in zip(*columns):
+        # the table maps each capacity.RATE_COLUMNS name to its column, one row per M
+        names = ("m_antennas", "k_users", "pilot_fraction", "sum_rate_bps")
+        for m, k, pilot, sum_rate in zip(*(table[name].tolist() for name in names)):
             print(f"  M={m:>6}: K={k:>6} pilot {pilot:5.3f} sum {sum_rate / 1e9:10.2f} Gbit/s")
         exp, seed, _, params = resolve({"config": name})
         best = exp.runner(params, seed)[1]["optimum"]

@@ -25,7 +25,8 @@ if __name__ == "__main__":
     print(f"seed {seed}; efficiencies as fractions of the full array gain")
     print(f"{'array':>10} {'elements':>9} {'center':>8} {'min@400MHz':>11} {full_band:>9}")
     for exp, seed, _, params in runs:
-        (_, (freqs, effs)), results, _ = exp.runner(params, seed)
+        table, results, _ = exp.runner(params, seed)
+        freqs, effs = table["frequency_hz"], table["efficiency"]
         narrow = effs[abs(freqs - params["center_frequency_hz"]) <= NARROW_BAND_HZ / 2 + 1].min()
         print(
             f"{params['rows']:>7}x{params['cols']:<3} {results['m_antennas']:>8} "

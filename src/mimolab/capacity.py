@@ -23,8 +23,9 @@ from typing import Sequence
 import numpy as np
 
 
-RATE_COLUMNS = ("k_users", "pilot_fraction", "se_per_ue", "rate_per_ue_bps", "sum_rate_bps")
-"""Names of the rate_table columns; k_users is also the pilot length tau_p."""
+RATE_COLUMNS = ("m_antennas", "k_users", "pilot_fraction", "se_per_ue", "rate_per_ue_bps",
+                "sum_rate_bps")
+"""The rate_table columns, and so the rate CSVs' header; k_users is also the pilot length tau_p."""
 
 
 def estimation_quality(tau_p: int | np.ndarray, rho_ul: float) -> float | np.ndarray:
@@ -39,7 +40,7 @@ def estimation_quality(tau_p: int | np.ndarray, rho_ul: float) -> float | np.nda
 
 def rate_table(k_users: Sequence[int], *, m_antennas: int, tau_c: int, ul_pilot_snr: float,
                dl_ul_power_ratio: float, bandwidth_hz: float) -> dict[str, np.ndarray]:
-    """Rates for every user count K on the grid, one array per RATE_COLUMNS name.
+    """Rates for every user count K on the grid, one array per RATE_COLUMNS name, M repeated.
 
     M antennas serve K users in blocks of tau_c samples (``coherence.coherence_samples``)
     with linear uplink pilot SNR rho_ul and downlink SNR
@@ -69,20 +70,19 @@ def rate_table(k_users: Sequence[int], *, m_antennas: int, tau_c: int, ul_pilot_
         pilot_fraction = k / tau_c
         se = (1.0 - pilot_fraction) * np.log2(1.0 + sinr)
         rate = se * bandwidth_hz
-        return dict(zip(RATE_COLUMNS, (k, pilot_fraction, se, rate, k * rate)))
+        m = np.full(k.shape, m_antennas)
+        return dict(zip(RATE_COLUMNS, (m, k, pilot_fraction, se, rate, k * rate)))
 
 
 def best_row(table: dict[str, np.ndarray]) -> dict:
     """The row with the largest sum rate as Python numbers; ties go to the smaller K."""
     i = int(np.argmax(table["sum_rate_bps"]))  # the first of equal maxima
-    return {name: column[i].item() for name, column in table.items()}
+    return {name: column.item(i) for name, column in table.items()}  # also an object column
 
 
 def antenna_sweep(m_grid: Sequence[int], k_users: Sequence[int], **rate_args) -> list[dict]:
-    """best_row over k_users for each M (replacing rate_args' m_antennas), M first, by M."""
+    """best_row over k_users for each M (replacing rate_args' m_antennas), by M."""
     if len(m_grid) == 0 or len(k_users) == 0:
         raise ValueError("m_grid and k_users must be non-empty")
-    return [
-        {"m_antennas": m, **best_row(rate_table(k_users, **{**rate_args, "m_antennas": m}))}
-        for m in sorted(int(m) for m in m_grid)
-    ]
+    return [best_row(rate_table(k_users, **{**rate_args, "m_antennas": m}))
+            for m in sorted(int(m) for m in m_grid)]

@@ -14,9 +14,9 @@ ones included, and a positional experiment name sits below both.
 
 The library modules take and return plain numbers and arrays; each runner
 here builds its experiment's record from them and returns data, never text:
-a dict for a JSON experiment, a (header, columns) pair for a CSV one, each
-column a numpy array or a sequence of Python numbers, all of one length.  So this
-module alone knows the output schemas.  ``run`` alone checks that every number
+a dict for a JSON experiment, and for a CSV one a dict from column name to
+numpy column, all of one length, whose keys are the header.  So this module
+alone knows the output schemas.  ``run`` alone checks that every number
 is finite, before it creates any file, and writes the output along with a
 ``<output>.manifest.json`` echoing the resolved parameters, the seed, and the
 artifact version.  It writes both files or neither: each goes to a temp file
@@ -221,7 +221,7 @@ def _run_squint(params: dict, seed: int):
         f"center efficiency {extras['center_efficiency']:.4f}, "
         f"band minimum {extras['min_efficiency']:.4f} over {params['n_points']} points"
     ]
-    return (("frequency_hz", "efficiency"), (freqs, effs)), extras, lines
+    return {"frequency_hz": freqs, "efficiency": effs}, extras, lines
 
 
 def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
@@ -256,24 +256,21 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
 
 def _run_capacity(params: dict, seed: int):
     rate_args, grid, extras = _capacity_scenario(params)
-    import numpy as np
-
-    from .capacity import RATE_COLUMNS, best_row, rate_table
+    from .capacity import best_row, rate_table
 
     table = rate_table(grid, **rate_args)
-    best = best_row(table)
-    m = rate_args["m_antennas"]
-    extras["optimum"] = {"m_antennas": m, **best}
+    best = extras["optimum"] = best_row(table)
     lines = [
         f"optimum: K={best['k_users']}, pilot fraction {best['pilot_fraction']:.4f}, "
         f"sum rate {best['sum_rate_bps'] / 1e12:.4f} Tbit/s"
     ]
-    columns = (np.full(len(grid), m), *table.values())
-    return (("m_antennas", *RATE_COLUMNS), columns), extras, lines
+    return table, extras, lines
 
 
 def _run_antenna_sweep(params: dict, seed: int):
     rate_args, grid, extras = _capacity_scenario(params)
+    import numpy as np
+
     from .capacity import RATE_COLUMNS, antenna_sweep
 
     best = antenna_sweep(params["m_grid"], grid, **rate_args)
@@ -282,8 +279,9 @@ def _run_antenna_sweep(params: dict, seed: int):
         f"at K={row['k_users']}"
         for row in best
     ]
-    columns = tuple(zip(*(row.values() for row in best)))
-    return (("m_antennas", *RATE_COLUMNS), columns), extras, lines
+    # object arrays keep best_row's numbers; an int64 M beside a uint64 one would become float
+    table = {name: np.array([row[name] for row in best], dtype=object) for name in RATE_COLUMNS}
+    return table, extras, lines
 
 
 def _run_mobility(params: dict, seed: int):
@@ -622,8 +620,8 @@ def _json_text(obj) -> str:
 
 
 def _column_is_finite(column) -> bool:
-    """False if a cell of the column (an array or a sequence of numbers) is NaN or infinite."""
-    kind = getattr(getattr(column, "dtype", None), "kind", None)
+    """False if a cell of the numpy column is NaN or infinite."""
+    kind = column.dtype.kind
     if kind in ("i", "u"):
         return True
     if kind == "f":  # min and max propagate NaN and reach +-inf
@@ -631,20 +629,20 @@ def _column_is_finite(column) -> bool:
     return all(not isinstance(value, float) or math.isfinite(value) for value in column)
 
 
-def _check_columns(header: tuple[str, ...], columns) -> None:
-    """Raise ValueError naming the first NaN or infinite cell in row order."""
-    if all(_column_is_finite(column) for column in columns):
+def _check_columns(table: dict) -> None:
+    """Raise ValueError naming the first NaN or infinite cell of a name -> column table."""
+    if all(_column_is_finite(column) for column in table.values()):
         return
-    cells = [column.tolist() if hasattr(column, "tolist") else column for column in columns]
-    for number, row in enumerate(zip(*cells), start=1):
-        for name, value in zip(header, row):
+    for number, row in enumerate(zip(*(c.tolist() for c in table.values())), start=1):
+        for name, value in zip(table, row):
             _check_finite(value, f"{name} in data row {number}")
 
 
-def _csv_blocks(header: tuple[str, ...], columns):
-    """The CSV text of a header and its columns, in blocks of at most _CSV_BLOCK_ROWS rows."""
-    yield ",".join(header) + "\n"
-    width = len(header)
+def _csv_blocks(table: dict):
+    """The CSV text of a name -> column table, in blocks of at most _CSV_BLOCK_ROWS rows."""
+    yield ",".join(table) + "\n"
+    columns = list(table.values())
+    width = len(columns)
     # %r is repr, which keeps the shortest decimal that round-trips a double
     row_format = ",".join(["%r"] * width) + "\n"
     for start in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
@@ -652,7 +650,7 @@ def _csv_blocks(header: tuple[str, ...], columns):
         n = len(block[0])
         flat = [None] * (n * width)  # row-major cells: column j at j, j + width, ...
         for j, cells in enumerate(block):
-            flat[j::width] = cells.tolist() if hasattr(cells, "tolist") else cells
+            flat[j::width] = cells.tolist()
         yield (row_format * n) % tuple(flat)
 
 
@@ -730,16 +728,16 @@ Exit codes: 0 ok, 2 parse error, 3 validation error, 4 runtime failure.
 def _load_config(source: str) -> dict[str, str]:
     """Raw values of the config file at path source, else of the bundled config so named.
 
-    A bundled name may carry its ``.ini`` suffix.  A byte-order mark before
-    the first key is skipped; a file that is missing, unreadable or not UTF-8
-    text is a ValidationError naming ``config``.
+    A bundled name may carry its ``.ini`` suffix, and a directory so named (as
+    run_all_bundled.py leaves) does not hide it.  A byte-order mark before the
+    first key is skipped; a file that is missing, unreadable or not UTF-8 text
+    is a ValidationError naming ``config``.
     """
-    path = source
-    if not os.path.exists(source):
-        name = source.removesuffix(".ini")
-        if name not in BUNDLED_CONFIGS:
-            raise ValidationError("config", f"no such file or bundled config: {source!r}")
+    path, name = source, source.removesuffix(".ini")
+    if name in BUNDLED_CONFIGS and (not os.path.exists(source) or os.path.isdir(source)):
         path = os.path.join(os.path.dirname(__file__), "configs", f"{name}.ini")
+    elif not os.path.exists(source):
+        raise ValidationError("config", f"no such file or bundled config: {source!r}")
     try:
         with open(path, encoding="utf-8-sig") as handle:
             text = handle.read()
@@ -788,8 +786,8 @@ def run(config: dict[str, str]) -> int:
     exp, seed, output, params = resolve(config)
     data, results, stdout_lines = exp.runner(params, seed)
     if exp.output_ext == "csv":
-        _check_columns(*data)
-        pieces = _csv_blocks(*data)
+        _check_columns(data)
+        pieces = _csv_blocks(data)
     else:
         pieces = (_json_text(data),)
     manifest = _json_text({
@@ -859,11 +857,11 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 positionals.append(arg)
 
-        if positionals and positionals[0] == "list":
-            _say(list_experiments())
-            return EXIT_OK
         if len(positionals) > 1:
             raise ConfigParseError(f"unexpected arguments: {positionals[1:]}")
+        if positionals == ["list"]:
+            _say(list_experiments())
+            return EXIT_OK
         if positionals:
             config = {"experiment": positionals[0], **config}
         return run(config)

@@ -132,7 +132,7 @@ def test_single_user_sum_equals_per_user_rate():
 
 
 def scalar_rates(scenario, k):
-    """One row of the closed form in Python float arithmetic, in RATE_COLUMNS order."""
+    """One row of the closed form in Python float arithmetic, in RATE_COLUMNS order, M first."""
     tau_c = scenario["tau_c"]
     x = k * scenario["ul_pilot_snr"]
     gamma = x / (1.0 + x)
@@ -140,7 +140,7 @@ def scalar_rates(scenario, k):
     sinr = scenario["m_antennas"] * gamma * (rho_dl / k) / (1.0 + rho_dl)
     se = (1.0 - k / tau_c) * math.log2(1.0 + sinr)
     rate = se * scenario["bandwidth_hz"]
-    return k, k / tau_c, se, rate, k * rate
+    return scenario["m_antennas"], k, k / tau_c, se, rate, k * rate
 
 
 @pytest.mark.parametrize("name", ["centralpark_3ghz", "centralpark_60ghz"], ids=["3ghz", "60ghz"])
@@ -150,10 +150,11 @@ def test_rate_table_matches_scalar_closed_form(name):
     table = rate_table(grid, **sc)
     assert tuple(table) == RATE_COLUMNS
     reference = np.array([scalar_rates(sc, k) for k in grid]).T
+    assert table["m_antennas"].tolist() == [sc["m_antennas"]] * len(grid)
     assert table["k_users"].tolist() == list(grid)
-    assert table["pilot_fraction"].tolist() == reference[1].tolist()
+    assert table["pilot_fraction"].tolist() == reference[2].tolist()
     # np.log2 and math.log2 may round the last bit apart
-    for name, expected in zip(RATE_COLUMNS[2:], reference[2:]):
+    for name, expected in zip(RATE_COLUMNS[3:], reference[3:]):
         np.testing.assert_allclose(table[name], expected, rtol=1e-15, atol=0, err_msg=name)
 
 
@@ -193,11 +194,11 @@ def test_best_row_is_the_sum_rate_maximum():
     assert best["sum_rate_bps"] == table["sum_rate_bps"].max()
     assert best == row_at(sc, best["k_users"])
     # Python numbers, so ints stay ints in the manifest
-    assert [type(v) for v in best.values()] == [int, float, float, float, float]
+    assert [type(v) for v in best.values()] == [int, int, float, float, float, float]
 
 
 def test_best_row_ties_go_to_smaller_k():
-    flat = dict(zip(RATE_COLUMNS, (np.array([3, 5, 8]), *np.ones((4, 3)))))
+    flat = dict(zip(RATE_COLUMNS, (np.full(3, 100), np.array([3, 5, 8]), *np.ones((4, 3)))))
     assert best_row(flat)["k_users"] == 3
     flat["sum_rate_bps"] = np.array([1.0, 2.0, 2.0])
     assert best_row(flat)["k_users"] == 5
@@ -237,7 +238,7 @@ def test_antenna_sweep_monotone_and_ordered():
     grid = k_range(sc["tau_c"])
     rows = antenna_sweep([10_000, 100, 100_000, 1000], grid, **sc)
     assert [row["m_antennas"] for row in rows] == [100, 1000, 10_000, 100_000]
-    assert all(tuple(row) == ("m_antennas", *RATE_COLUMNS) for row in rows)
+    assert all(tuple(row) == RATE_COLUMNS for row in rows)
     rates = [row["sum_rate_bps"] for row in rows]
     assert all(a < b for a, b in zip(rates, rates[1:]))
 
@@ -245,7 +246,7 @@ def test_antenna_sweep_monotone_and_ordered():
 def test_antenna_sweep_singleton_matches_sum_rate():
     sc = bundled("centralpark_3ghz")
     [row] = antenna_sweep([sc["m_antennas"]], [500], **sc)
-    assert row == {"m_antennas": sc["m_antennas"], **row_at(sc, 500)}
+    assert row == row_at(sc, 500)  # M included
 
 
 def test_antenna_sweep_rejects_empty_grids():

@@ -75,6 +75,7 @@ def test_duplicate_key_is_a_parse_error(tmp_path, monkeypatch, capsys):
         (["fresnel", "--set", "d1"], "--set expects key=value, got 'd1'"),
         (["fresnel", "-x"], "unknown flag '-x'"),
         (["fresnel", "squint"], "unexpected arguments: ['squint']"),
+        (["list", "squint"], "unexpected arguments: ['squint']"),
         # command-line keys follow a config file's key grammar
         (["fresnel", "--", "3"], "invalid key ''"),
         (["fresnel", "--set", "=3"], "invalid key ''"),
@@ -82,7 +83,8 @@ def test_duplicate_key_is_a_parse_error(tmp_path, monkeypatch, capsys):
         (["linkbudget", "--set", "entry_X=3"], "invalid key 'entry_X'"),
     ],
     ids=["flag-without-value", "set-without-equals", "unknown-short-flag", "second-positional",
-         "empty-flag-key", "empty-set-key", "uppercase-key", "uppercase-ledger-label"],
+         "list-with-argument", "empty-flag-key", "empty-set-key", "uppercase-key",
+         "uppercase-ledger-label"],
 )
 def test_command_line_error_has_no_position(args, message, tmp_path, monkeypatch, capsys):
     code = run_cli(args, tmp_path, monkeypatch)
@@ -677,6 +679,25 @@ def test_antenna_sweep_run(tmp_path, monkeypatch):
     assert lines[2].split(",")[0] == "1000"
 
 
+@pytest.mark.parametrize("big", [2**63 + 1, 2**64 + 1], ids=["uint64", "beyond-uint64"])
+def test_big_m_is_written_digit_for_digit(big, tmp_path, monkeypatch):
+    def m_cells(name):
+        header, *rows = (tmp_path / name).read_text().splitlines()
+        assert header.startswith("m_antennas,")
+        return [row.split(",")[0] for row in rows]
+
+    # numpy holds the first in uint64 (a float beside an int64), the second in an object column
+    args = ["capacity", "--m-antennas", str(big), "--k-step", "1000", "--output", "c.csv"]
+    assert run_cli(args, tmp_path, monkeypatch) == 0
+    cells = m_cells("c.csv")
+    assert len(cells) == 40 and set(cells) == {str(big)}
+    optimum = json.loads((tmp_path / "c.csv.manifest.json").read_text())["results"]["optimum"]
+    assert type(optimum["m_antennas"]) is int and optimum["m_antennas"] == big
+    args = ["antenna-sweep", "--m-grid", f"100,{big}", "--output", "s.csv"]
+    assert run_cli(args, tmp_path, monkeypatch) == 0
+    assert m_cells("s.csv") == ["100", str(big)]
+
+
 def _squint_rows():
     p = bundled("fig4_32x32", n_points=5, span_hz=400e6)
     array = PlanarArray.half_wavelength_at(p["rows"], p["cols"], p["center_frequency_hz"])
@@ -688,8 +709,7 @@ def _squint_rows():
 def _capacity_rows(name, k_step):
     sc = bundled(name)
     table = rate_table(k_range(sc["tau_c"], k_step=k_step), **sc)
-    columns = [column.tolist() for column in table.values()]
-    return [[sc["m_antennas"], *row] for row in zip(*columns)]
+    return [list(row) for row in zip(*(column.tolist() for column in table.values()))]
 
 
 @pytest.mark.parametrize(
@@ -722,11 +742,10 @@ B = _CSV_BLOCK_ROWS
 def test_csv_blocks_match_row_repr(n):
     ints = np.arange(n, dtype=np.int64) * 7 - 3
     floats = np.resize(CSV_SPECIALS, n)
-    header = ("a", "b", "c", "d")
-    columns = (ints, floats, (-ints).tolist(), (np.arange(n) * 0.1 - 2.0).tolist())
-    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    table = {"a": ints, "b": floats, "c": -ints, "d": np.arange(n) * 0.1 - 2.0}
+    rows = zip(*(column.tolist() for column in table.values()))
     expected = "".join(",".join(map(repr, row)) + "\n" for row in rows)
-    assert "".join(_csv_blocks(header, columns)) == "a,b,c,d\n" + expected
+    assert "".join(_csv_blocks(table)) == "a,b,c,d\n" + expected
 
 
 def _nan_at(row):
@@ -752,8 +771,8 @@ def test_non_finite_cell_in_a_later_block_writes_nothing(tmp_path, monkeypatch, 
 def test_out_of_memory_while_streaming_leaves_no_file(tmp_path, monkeypatch, capsys):
     message = "Unable to allocate 312. KiB for an array with shape (40000,) and data type float64"
 
-    def exhausted_after_a_block(header, columns):
-        blocks = _csv_blocks(header, columns)
+    def exhausted_after_a_block(table):
+        blocks = _csv_blocks(table)
         yield next(blocks)
         yield next(blocks)
         raise MemoryError(message)  # numpy's message names the allocation
@@ -885,6 +904,13 @@ def test_config_through_set_writes_the_same_bytes(tmp_path, monkeypatch):
         assert run_cli([*flags, "--output", "e.json"], directory, monkeypatch) == 0
     for name in ("e.json", "e.json.manifest.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_directory_does_not_hide_the_bundled_config(tmp_path, monkeypatch):
+    # scripts/run_all_bundled.py leaves a directory of each config's name where it runs
+    (tmp_path / "estload_paper").mkdir()
+    assert run_cli(["--config", "estload_paper", "--output", "e.json"], tmp_path, monkeypatch) == 0
+    assert (tmp_path / "e.json").read_bytes() == (GOLDEN / "estload_paper.json").read_bytes()
 
 
 def test_positional_experiment_beats_the_config_file(tmp_path, monkeypatch, capsys):
