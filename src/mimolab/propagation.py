@@ -1,8 +1,19 @@
-"""Closed-form propagation arithmetic and the channel-estimation load model.
+"""Closed-form propagation arithmetic, the drift-gain bound, and the estimation load.
 
 Nothing here is stochastic: Fresnel clearance, the link-budget delta from
-widening the noise bandwidth, and the count of channel coefficients a base
-station must estimate per coherence interval.
+widening the noise bandwidth, the least beamforming gain a frozen beam keeps
+while the user drifts, and the count of channel coefficients a base station
+must estimate per coherence interval.
+
+The drift model rotates each of M coefficients by exp(j*2*pi*phi_m) with
+|phi_m| <= mu wavelengths.  For mu <= 1/8 the gain |sum exp(j*theta_m)|^2 / M
+(theta_m = 2*pi*phi_m) is least at a vertex of the box [-mu, mu]^M: with every
+other phase fixed, it is c + 2*R*cos(theta_m - psi) for a psi within a = 2*pi*mu
+of 0, and cos is concave where |theta_m - psi| <= 2a <= pi/2, so the least gain
+over theta_m is at an endpoint.  A vertex with p phases at +a gains
+(M^2*cos^2(a) + (2p - M)^2*sin^2(a)) / M, least when |2p - M| = M mod 2, the
+alternating +/-mu pattern.  So the least gain is
+M*cos^2(a) + (M mod 2)*sin^2(a)/M >= M*cos^2(a) >= M/2, and no sampling is needed.
 """
 
 from __future__ import annotations
@@ -10,6 +21,7 @@ from __future__ import annotations
 import math
 
 SPEED_OF_LIGHT_M_S = 299792458.0
+MAX_DRIFT_FRACTION = 0.125  # the gain bound chain only applies up to 1/8 wavelength
 
 
 def wavelength_m(frequency_hz: float) -> float:
@@ -40,6 +52,41 @@ def bandwidth_snr_delta(bandwidth_ratio: float) -> float:
     if not bandwidth_ratio >= 1:
         raise ValueError(f"bandwidth_ratio must be >= 1, got {bandwidth_ratio}")
     return -10.0 * math.log10(bandwidth_ratio)
+
+
+def _least_drift_gain(m_antennas: int, mu: float) -> float:
+    """Least drift gain over [-mu, mu]^M, that of the alternating +/-mu pattern.
+
+    Its phase sum is M*cos(a) + j*(M mod 2)*sin(a) with a = 2*pi*mu.
+    """
+    a = 2.0 * math.pi * mu
+    return m_antennas * math.cos(a) ** 2 + (m_antennas % 2) * math.sin(a) ** 2 / m_antennas
+
+
+def drift_bound_check(m_antennas: int, mus: list[float]) -> list[tuple[float, float]]:
+    """One (least drift gain, bound M*cos^2(2*pi*mu)) per mu of mus, in order.
+
+    The least gain is the closed form of the module docstring.  For even M it is
+    the bound itself, so the check allows a 1e-12 relative rounding slack; a least
+    gain below that raises ArithmeticError for the first mu that shows one, so
+    returned pairs always satisfy the bound.
+    """
+    for mu in mus:
+        if not 0.0 <= mu <= MAX_DRIFT_FRACTION:
+            raise ValueError(f"the bound chain needs mu in [0, 1/8], got {mu}")
+    if m_antennas < 1:
+        raise ValueError(f"m_antennas must be at least 1, got {m_antennas}")
+    results = []
+    for mu in mus:
+        gain = _least_drift_gain(m_antennas, mu)
+        bound = m_antennas * math.cos(2.0 * math.pi * mu) ** 2
+        if not gain >= bound * (1.0 - 1e-12):
+            raise ArithmeticError(
+                f"drift gain {gain} fell below the bound {bound}; "
+                "this should be impossible for mu <= 1/8"
+            )
+        results.append((gain, bound))
+    return results
 
 
 def estimation_load(

@@ -75,9 +75,9 @@ class RandomStream:
     def __init__(self, seed: int):
         self._gen = np.random.Generator(np.random.PCG64(seed & _SEED_MASK))
 
-    def uniform(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """n uniforms on [0, 1), drawn into out (n doubles) if given."""
-        return self._gen.random(n, out=out)
+    def uniform(self, n: int) -> np.ndarray:
+        """The stream's next n uniforms on [0, 1)."""
+        return self._gen.random(n)
 
 
 def child_uniforms(parent_seed: int, count: int, n: int) -> Iterator[np.ndarray]:

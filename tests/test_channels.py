@@ -7,18 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolab.channels import (
-    _SCREEN_MARGIN,
-    _drift_gain_bounds,
-    _drift_spread,
-    _drift_uniforms,
-    _extreme_drift_gain,
-    _random_drift_gains,
-    drift_bound_check,
     drift_gain,
     favorable_propagation_metric,
     hardening_metric,
     pair_correlation,
 )
+from mimolab.cli import _run_mobility
+from mimolab.propagation import _least_drift_gain, drift_bound_check
 from mimolab.rng import (
     _SEED_BLOCK,
     _UNIFORM_BLOCK,
@@ -60,17 +55,10 @@ def test_stream_values_are_pinned():
     assert z[1] == complex(0.23401751214277133, 1.4900805312669558)
 
 
-@pytest.mark.parametrize("low, high", [(0.0, 1.0), (-0.125, 0.125), (1e9, 200e9)])
-def test_uniform_into_out_continues_the_stream(low, high):
-    # a caller may map each draw onto [low, high) in place; the next draw overwrites it
-    stream, buffer, drawn = RandomStream(7), np.empty(5), []
-    for _ in range(3):
-        u = stream.uniform(5, out=buffer)
-        u *= high - low
-        u += low
-        drawn.append(u.copy())
-    u = np.random.Generator(np.random.PCG64(7)).random(15)
-    assert np.array_equal(np.concatenate(drawn), low + (high - low) * u)
+def test_uniform_draws_continue_the_stream():
+    stream = RandomStream(7)
+    drawn = np.concatenate([stream.uniform(5) for _ in range(3)])
+    assert np.array_equal(drawn, np.random.Generator(np.random.PCG64(7)).random(15))
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, 10_000])
@@ -258,47 +246,68 @@ def test_drift_gain_alternating_worst_case_is_half():
 
 @settings(max_examples=200)
 @given(
-    m=st.integers(1, 32),
+    m=st.integers(1, 64),
     mu=st.floats(0.0, 0.125),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_drift_gain_bounded_by_m_and_by_cos_bound(m, mu, seed):
-    phi = -mu + (mu - -mu) * RandomStream(seed).uniform(m)
-    gain = drift_gain(phi)
-    assert gain <= m * (1 + 1e-12)
-    assert gain >= m * math.cos(2 * math.pi * mu) ** 2 * (1 - 1e-12)
+    phi = (-mu + (mu - -mu) * RandomStream(seed).uniform(100 * m)).reshape(100, m)
+    gains = drift_gain(phi)
+    assert gains.max() <= m * (1 + 1e-12)
+    # interior patterns never undercut the least gain, the alternating vertex's
+    assert gains.min() >= _least_drift_gain(m, mu) * (1 - 1e-13)
+    assert gains.min() >= m * math.cos(2 * math.pi * mu) ** 2 * (1 - 1e-12)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 8, 12])
+_DRIFT_AMPLITUDES = [0.0, 0.01, 0.0625, 0.1, 0.125]
+
+
+@pytest.mark.parametrize("m", range(1, 13))
 def test_drift_bound_exhaustive_sign_patterns(m):
-    mu = 0.125
-    bound = m * math.cos(2 * math.pi * mu) ** 2
-    for mask in range(2**m):
-        phi = np.array([mu if (mask >> i) & 1 else -mu for i in range(m)])
-        assert drift_gain(phi) >= bound * (1 - 1e-12)
+    # the least gain over the box lies at a vertex, so the vertices' minimum is the closed form
+    signs = 2 * ((np.arange(2**m)[:, None] >> np.arange(m)) & 1) - 1
+    for mu in _DRIFT_AMPLITUDES:
+        least = min(drift_gain(mu * row) for row in signs)
+        assert least == pytest.approx(_least_drift_gain(m, mu), rel=1e-15, abs=0)
+        assert least >= m * math.cos(2 * math.pi * mu) ** 2 * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 65, 1000, 1001])
+@pytest.mark.parametrize("mu", _DRIFT_AMPLITUDES)
+def test_drift_extremes_equal_the_least_gain(m, mu):
+    alternating = np.where(np.arange(m) % 2 == 0, mu, -mu)
+    least = _least_drift_gain(m, mu)
+    for phi in (alternating, -alternating):
+        assert drift_gain(phi) == pytest.approx(least, rel=1e-15, abs=0)
+    for phi in (np.full(m, mu), np.full(m, -mu)):
+        assert drift_gain(phi) == pytest.approx(m, rel=1e-15, abs=0)
 
 
 def test_drift_bound_check_zero_mu():
-    [(min_gain, bound)] = drift_bound_check(16, [0.0], 100, 42)
-    assert min_gain == pytest.approx(16.0, rel=1e-12)
-    assert bound == pytest.approx(16.0, rel=1e-12)
+    assert drift_bound_check(16, [0.0]) == [(16.0, 16.0)]
+    assert drift_bound_check(7, [0.0, 0.0]) == [(7.0, 7.0), (7.0, 7.0)]
 
 
 def test_drift_bound_check_eighth_wavelength():
-    [(min_gain, bound)] = drift_bound_check(64, [0.125], 10_000, 42)
+    [(min_gain, bound)] = drift_bound_check(64, [0.125])
     assert bound == pytest.approx(32.0, rel=1e-12)
-    assert min_gain >= 32.0
+    assert min_gain == bound  # even M: the least gain is the bound itself
 
 
 def test_drift_bound_check_sixteenth_wavelength():
-    [(min_gain, bound)] = drift_bound_check(64, [0.0625], 10_000, 42)
+    [(min_gain, bound)] = drift_bound_check(64, [0.0625])
     assert bound == pytest.approx(64 * math.cos(math.pi / 8) ** 2, rel=1e-12)
-    assert min_gain >= bound * (1 - 1e-12)
+    assert min_gain == bound
 
 
-def _row_gains(u, mu):
-    """drift_gain of each row of uniforms u, phased -mu + (mu - -mu) * u as the check does."""
-    return drift_gain(-mu + (mu - -mu) * u)
+@pytest.mark.parametrize("m", [1, 3, 7, 10_000_001])
+def test_drift_bound_check_odd_m_sits_above_the_bound(m):
+    mus = [0.125, 0.0625, 0.0]
+    for mu, (min_gain, bound) in zip(mus, drift_bound_check(m, mus)):
+        a = 2 * math.pi * mu  # the alternating vertex's gain, as |M*cos(a) + j*sin(a)|^2 / M
+        vertex = ((m * math.cos(a)) ** 2 + math.sin(a) ** 2) / m
+        assert min_gain == pytest.approx(vertex, rel=1e-15, abs=0)
+        assert min_gain >= bound
 
 
 def test_drift_gain_of_a_stack_is_one_gain_per_row():
@@ -309,196 +318,70 @@ def test_drift_gain_of_a_stack_is_one_gain_per_row():
     assert type(drift_gain(phi[0])) is float
 
 
+def _drift_rows(m, n, seed, mu, chunk_rows=None):
+    """The old stream walk's n random patterns on [-mu, mu]^m, in chunks of rows.
+
+    Every chunk continues one stream, so the rows are those of a single n*m draw.
+    """
+    stream, chunk_rows = RandomStream(seed), chunk_rows or n or 1
+    for start in range(0, n, chunk_rows):
+        k = min(chunk_rows, n - start)
+        yield -mu + (mu - -mu) * stream.uniform(k * m).reshape(k, m)
+
+
+def _full_float64_min_gain(m, mu, n, seed):
+    """Least gain of every random row, in one 2-D drift_gain call, and of the four extremes."""
+    gains = np.concatenate([drift_gain(phi) for phi in _drift_rows(m, n, seed, mu)] or [[]])
+    alternating = np.where(np.arange(m) % 2 == 0, mu, -mu)
+    extremes = (np.full(m, mu), np.full(m, -mu), alternating, -alternating)
+    return min([*gains.tolist(), *(drift_gain(phi) for phi in extremes)])
+
+
 @pytest.mark.parametrize("m, n", [(64, 0), (64, 1), (64, 2500), (7, 30_000), (100_000, 3)])
 def test_chunked_drift_gains_equal_one_shot_formula(m, n):
     mu, seed = 0.125, 42
-    chunks = [c.copy() for c in _drift_uniforms(m, n, seed)]  # each chunk reuses one buffer
+    chunk_rows = max(1, 65_536 // m)
+    chunks = list(_drift_rows(m, n, seed, mu, chunk_rows))
     assert all(c.size <= max(m, 65_536) for c in chunks)
-    rechecked = [gains for _, gains in _random_drift_gains(m, [mu], n, seed, [math.inf])]
-    chunked = np.concatenate(rechecked) if rechecked else np.empty(0)
+    chunked = np.concatenate([drift_gain(c) for c in chunks] or [[]])
     phi = (-mu + (mu - -mu) * RandomStream(seed).uniform(n * m)).reshape(n, m)
     assert np.array_equal(chunked, drift_gain(phi))
     # an independent cos/sin form rounds differently in the last digits only
     theta = 2.0 * np.pi * phi
     cos_sin = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / m
     np.testing.assert_allclose(chunked, cos_sin, rtol=1e-13, atol=0)
+    assert np.all(chunked >= _least_drift_gain(m, mu) * (1 - 1e-13))
 
 
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("mu", [0.125, 0.0625])
 def test_drift_screen_is_within_margin(mu, seed):
-    for u in _drift_uniforms(64, 100_000, seed):
-        exact = _row_gains(u, mu)
-        bounds = _drift_gain_bounds(_drift_spread(u), 64, mu)
-        assert np.all(bounds <= exact * (1.0 + _SCREEN_MARGIN))
-
-
-def test_drift_screen_margin_covers_tight_bounds():
-    # rows of antithetic uniforms (u, 1 - u) have sum(sin) = 0, and at small mu the
-    # dropped theta^4 terms are below an ulp, so bound and float64 gain meet up to rounding
-    half = RandomStream(42).uniform(20_000 * 32).reshape(20_000, 32)
-    u = np.concatenate([half, 1.0 - half], axis=1)
-    mu = 1e-5
-    bounds = _drift_gain_bounds(_drift_spread(u), 64, mu)
-    exact = _row_gains(u, mu)
-    assert np.any(bounds > exact)
-    assert np.all(bounds <= exact * (1.0 + _SCREEN_MARGIN))
+    # the guard screens the closed form against the bound with a 1e-12 relative slack;
+    # at even M the two meet, and no random pattern sits below the closed form
+    [(least, bound)] = drift_bound_check(64, [mu])
+    assert bound * (1 - 1e-12) <= least <= bound * (1 + 1e-12)
+    for phi in _drift_rows(64, 10_000, seed, mu):
+        assert drift_gain(phi).min() >= least * (1 - 1e-13)
 
 
 @pytest.mark.parametrize("mu", [0.125, 0.0625])
 def test_drift_screen_rechecks_no_row_of_the_bundled_config(mu):
-    # mobility_bound: 64 antennas, 100,000 draws, seed 42
-    threshold = _extreme_drift_gain(64, mu) * (1.0 + _SCREEN_MARGIN)
-    assert list(_random_drift_gains(64, [mu], 100_000, 42, [threshold])) == []
-
-
-def _full_float64_min_gain(m, mu, n, seed):
-    """Least gain of every random row, in one 2-D drift_gain call, and of the four extremes."""
-    gains = drift_gain((-mu + (mu - -mu) * RandomStream(seed).uniform(n * m)).reshape(n, m))
-    alternating = np.where(np.arange(m) % 2 == 0, mu, -mu)
-    extremes = (np.full(m, mu), np.full(m, -mu), alternating, -alternating)
-    return min([*gains.tolist(), *(drift_gain(phi) for phi in extremes)])
+    # mobility_bound: 64 antennas, 100,000 draws, seed 42; the old walk's rows all
+    # sit above the reported least gain, so sampling them changes no value
+    [(least, _)] = drift_bound_check(64, [mu])
+    for phi in _drift_rows(64, 100_000, 42, mu, chunk_rows=1024):
+        assert drift_gain(phi).min() > least
 
 
 @pytest.mark.parametrize(
     "m, mu, n, seed", [(64, 0.125, 20_000, 42), (64, 0.0625, 20_000, 7), (7, 0.1, 9_000, 5)]
 )
-def test_forced_drift_recheck_equals_full_float64_path(m, mu, n, seed, monkeypatch):
-    [(screened_min, bound)] = drift_bound_check(m, [mu], n, seed)
-    monkeypatch.setattr("mimolab.channels._SCREEN_MARGIN", math.inf)
-    assert sum(gains.size for _, gains in _random_drift_gains(m, [mu], n, seed, [math.inf])) == n
-    [(rechecked_min, rechecked_bound)] = drift_bound_check(m, [mu], n, seed)
-    assert rechecked_min == screened_min == _full_float64_min_gain(m, mu, n, seed)
-    assert rechecked_bound == bound
-
-
-def test_drift_screen_passes_rows_that_undercut_the_extremes():
-    # with one antenna every gain is 1 up to rounding, so random rows can sit an ulp
-    # below the extremes; the screen must hand them to the float64 recheck
-    m, mu, n, seed = 1, 0.125, 1000, 3
-    [(min_gain, _)] = drift_bound_check(m, [mu], n, seed)
-    assert min_gain == _full_float64_min_gain(m, mu, n, seed)
-    assert min_gain < drift_gain(np.full(1, mu))
-
-
-def _traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_drift_bound_check_memory_does_not_grow_with_draws():
-    assert _traced_peak(lambda: drift_bound_check(64, [0.125], 100_000, 42)) < 16 * 2**20
-
-
-def test_drift_bound_check_memory_does_not_grow_with_amplitudes(monkeypatch):
-    monkeypatch.setattr("mimolab.channels._SCREEN_MARGIN", math.inf)  # recheck every row
-    mus = [k / 56 for k in range(7, -1, -1)]
-    assert _traced_peak(lambda: drift_bound_check(64, mus, 100_000, 42)) < 16 * 2**20
-
-
-def test_drift_bound_check_rejects_large_mu():
-    with pytest.raises(ValueError):
-        drift_bound_check(64, [0.2], 10, 42)
-
-
-def test_drift_bound_check_validates_every_mu_before_drawing(monkeypatch):
-    def undrawable(m_antennas, n_draws, seed):
-        raise AssertionError("drew uniforms before every mu was checked")
-
-    monkeypatch.setattr("mimolab.channels._drift_uniforms", undrawable)
-    with pytest.raises(ValueError, match="got 0.2"):
-        drift_bound_check(64, [0.125, 0.0625, 0.2], 10, 42)
-
-
-def test_drift_bound_violation_raises(monkeypatch):
-    # the bound cannot fail for mu <= 1/8, so a patched draw stands in for a broken kernel
-    thresholds = []
-
-    def below(m_antennas, mus, n_draws, seed, mu_thresholds):
-        thresholds.append(mu_thresholds)
-        yield 1, np.array([m_antennas / 4])
-
-    monkeypatch.setattr("mimolab.channels._random_drift_gains", below)
-    bound = 64 * math.cos(2.0 * math.pi * 0.0625) ** 2
-    with pytest.raises(ArithmeticError, match=f"drift gain 16.0 fell below the bound {bound}"):
-        drift_bound_check(64, [0.125, 0.0625], 10, 42)
-    assert thresholds == [
-        [_extreme_drift_gain(64, mu) * (1.0 + _SCREEN_MARGIN) for mu in (0.125, 0.0625)]
-    ]
-
-
-def test_drift_bound_check_evaluates_the_extremes_once(monkeypatch):
-    calls = []
-
-    def counted(m_antennas, mu):
-        calls.append(mu)
-        return _extreme_drift_gain(m_antennas, mu)
-
-    monkeypatch.setattr("mimolab.channels._extreme_drift_gain", counted)
-    drift_bound_check(64, [0.125, 0.0625, 0.125], 1000, 42)
-    assert calls == [0.125, 0.0625, 0.125]
-
-
-@pytest.mark.parametrize("n_mus", [1, 2, 5])
-def test_drift_bound_check_draws_the_stream_once(n_mus, monkeypatch):
-    entered = []
-
-    def counted(m_antennas, n_draws, seed):
-        entered.append(seed)
-        yield from _drift_uniforms(m_antennas, n_draws, seed)
-
-    monkeypatch.setattr("mimolab.channels._drift_uniforms", counted)
-    assert len(drift_bound_check(64, [0.125 / (k + 1) for k in range(n_mus)], 5000, 42)) == n_mus
-    assert entered == [42]
-
-
-def test_zero_mu_reads_no_drift_rows(monkeypatch):
-    def undrawable(m_antennas, n_draws, seed):
-        raise AssertionError("drew uniforms although every mu is 0")
-
-    monkeypatch.setattr("mimolab.channels._drift_uniforms", undrawable)
-    assert drift_bound_check(64, [0.0], 100_000, 42) == [(64.0, 64.0)]
-    assert drift_bound_check(7, [0.0, 0.0], 1000, 3) == [(7.0, 7.0), (7.0, 7.0)]
-
-
-def test_zero_mu_beside_a_nonzero_mu_rechecks_none_of_its_rows(monkeypatch):
-    entered, rechecked = [], []
-
-    def counted(m_antennas, n_draws, seed):
-        entered.append(seed)
-        yield from _drift_uniforms(m_antennas, n_draws, seed)
-
-    def recorded(*args):
-        for i, gains in _random_drift_gains(*args):
-            rechecked.append(i)
-            yield i, gains
-
-    monkeypatch.setattr("mimolab.channels._drift_uniforms", counted)
-    monkeypatch.setattr("mimolab.channels._SCREEN_MARGIN", math.inf)  # recheck every row
-    monkeypatch.setattr("mimolab.channels._random_drift_gains", recorded)
-    [(zero_min, zero_bound), _] = drift_bound_check(64, [0.0, 0.125], 5000, 42)
-    assert (zero_min, zero_bound) == (64.0, 64.0)
-    assert entered == [42]
-    assert rechecked and set(rechecked) == {1}
-
-
-def test_one_pass_drift_screen_rechecks_the_rows_a_pass_per_mu_would():
-    # thresholds at each mu's median gain, so every nonzero mu rechecks its own half of the rows
-    m, n, seed = 8, 5000, 11
-    mus = [0.02, 0.125, 0.0, 0.0625]
-    u = RandomStream(seed).uniform(n * m).reshape(n, m)
-    thresholds = [float(np.median(_row_gains(u, mu))) for mu in mus]
-    one_pass = {i: [] for i in range(len(mus))}
-    for i, gains in _random_drift_gains(m, mus, n, seed, thresholds):
-        one_pass[i].append(gains)
-    for i, (mu, threshold) in enumerate(zip(mus, thresholds)):
-        alone = [gains for _, gains in _random_drift_gains(m, [mu], n, seed, [threshold])]
-        assert np.array_equal(np.concatenate(one_pass[i]), np.concatenate(alone))
-        assert 0 < sum(g.size for g in alone) < n or mu == 0.0
+def test_forced_drift_recheck_equals_full_float64_path(m, mu, n, seed):
+    # rechecking every random row in float64, as the walk did when forced, finds the closed form
+    full = _full_float64_min_gain(m, mu, n, seed)
+    assert _least_drift_gain(m, mu) == pytest.approx(full, rel=1e-15, abs=0)
+    bound = m * math.cos(2 * math.pi * mu) ** 2
+    assert drift_bound_check(m, [mu]) == [(_least_drift_gain(m, mu), bound)]
 
 
 @pytest.mark.parametrize(
@@ -511,8 +394,83 @@ def test_one_pass_drift_screen_rechecks_the_rows_a_pass_per_mu_would():
     ],
 )
 def test_one_pass_drift_check_equals_full_float64_path_per_mu(m, mus, n, seed):
-    results = drift_bound_check(m, mus, n, seed)
+    results = drift_bound_check(m, mus)
     assert len(results) == len(mus)
     for mu, (min_gain, bound) in zip(mus, results):
-        assert min_gain == _full_float64_min_gain(m, mu, n, seed)
+        assert min_gain == pytest.approx(_full_float64_min_gain(m, mu, n, seed), rel=1e-15, abs=0)
         assert bound == m * math.cos(2.0 * math.pi * mu) ** 2
+        assert [(min_gain, bound)] == drift_bound_check(m, [mu])
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_drift_bound_check_memory_does_not_grow_with_draws():
+    # n_draws is echoed, never drawn: a mobility run allocates as little at 10**8 as at 1
+    params = {"m_antennas": 64, "mu_list": [0.125, 0.0625]}
+    peaks = [_traced_peak(lambda: _run_mobility({**params, "n_draws": n}, 42)) for n in (1, 10**8)]
+    assert max(peaks) < 64 * 2**10
+
+
+def test_drift_bound_check_memory_does_not_grow_with_amplitudes():
+    mus = [k / 56 for k in range(7, -1, -1)]
+    assert _traced_peak(lambda: drift_bound_check(10_000_001, mus)) < 16 * 2**10
+
+
+def test_zero_mu_reads_no_drift_rows(monkeypatch):
+    def undrawable(self, n):
+        raise AssertionError("drew uniforms for a closed-form bound")
+
+    monkeypatch.setattr(RandomStream, "uniform", undrawable)
+    assert drift_bound_check(64, [0.0]) == [(64.0, 64.0)]
+    params = {"m_antennas": 7, "mu_list": [0.0], "n_draws": 100_000}
+    [report] = _run_mobility(params, 3)[0]["reports"]
+    assert (report["min_observed_gain"], report["bound_gain"]) == (7.0, 7.0)
+
+
+def test_drift_bound_check_rejects_large_mu():
+    with pytest.raises(ValueError):
+        drift_bound_check(64, [0.2])
+
+
+def test_drift_bound_check_rejects_no_antennas():
+    with pytest.raises(ValueError, match="m_antennas"):
+        drift_bound_check(0, [0.125])
+
+
+def test_drift_bound_check_validates_every_mu_before_drawing(monkeypatch):
+    def unevaluable(m_antennas, mu):
+        raise AssertionError("evaluated a gain before every mu was checked")
+
+    monkeypatch.setattr("mimolab.propagation._least_drift_gain", unevaluable)
+    with pytest.raises(ValueError, match="got 0.2"):
+        drift_bound_check(64, [0.125, 0.0625, 0.2])
+
+
+def test_drift_bound_violation_raises(monkeypatch):
+    # the bound cannot fail for mu <= 1/8, so a patched least gain stands in for a broken formula
+    def below(m_antennas, mu):
+        return m_antennas / 4 if mu == 0.0625 else _least_drift_gain(m_antennas, mu)
+
+    monkeypatch.setattr("mimolab.propagation._least_drift_gain", below)
+    bound = 64 * math.cos(2.0 * math.pi * 0.0625) ** 2
+    with pytest.raises(ArithmeticError, match=f"drift gain 16.0 fell below the bound {bound}"):
+        drift_bound_check(64, [0.125, 0.0625])
+
+
+def test_drift_bound_check_evaluates_the_extremes_once(monkeypatch):
+    calls = []
+
+    def counted(m_antennas, mu):
+        calls.append(mu)
+        return _least_drift_gain(m_antennas, mu)
+
+    monkeypatch.setattr("mimolab.propagation._least_drift_gain", counted)
+    drift_bound_check(64, [0.125, 0.0625, 0.125])
+    assert calls == [0.125, 0.0625, 0.125]

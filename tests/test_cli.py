@@ -76,6 +76,13 @@ def test_duplicate_key_is_a_parse_error(tmp_path, monkeypatch, capsys):
         (["fresnel", "-x"], "unknown flag '-x'"),
         (["fresnel", "squint"], "unexpected arguments: ['squint']"),
         (["list", "squint"], "unexpected arguments: ['squint']"),
+        # a listing is the only token on its line
+        (["--list", "squint"], "unexpected arguments: ['squint']"),
+        (["squint", "--list"], "unexpected arguments: ['--list']"),
+        (["list", "--seed", "3", "--output", "x.json"],
+         "a listing takes no other argument, got '--seed'"),
+        (["--seed", "3", "--list"], "a listing takes no other argument, got '--seed'"),
+        (["--list", "--set", "seed=3"], "a listing takes no other argument, got '--set'"),
         # command-line keys follow a config file's key grammar
         (["fresnel", "--", "3"], "invalid key ''"),
         (["fresnel", "--set", "=3"], "invalid key ''"),
@@ -83,8 +90,9 @@ def test_duplicate_key_is_a_parse_error(tmp_path, monkeypatch, capsys):
         (["linkbudget", "--set", "entry_X=3"], "invalid key 'entry_X'"),
     ],
     ids=["flag-without-value", "set-without-equals", "unknown-short-flag", "second-positional",
-         "list-with-argument", "empty-flag-key", "empty-set-key", "uppercase-key",
-         "uppercase-ledger-label"],
+         "list-with-argument", "list-flag-with-argument", "list-flag-after-experiment",
+         "list-with-keys", "list-flag-after-keys", "list-flag-with-set", "empty-flag-key",
+         "empty-set-key", "uppercase-key", "uppercase-ledger-label"],
 )
 def test_command_line_error_has_no_position(args, message, tmp_path, monkeypatch, capsys):
     code = run_cli(args, tmp_path, monkeypatch)
@@ -263,10 +271,10 @@ def test_out_of_memory_exits_four(tmp_path, monkeypatch, capsys):
 
 
 def test_drift_bound_violation_is_runtime_failure(tmp_path, monkeypatch, capsys):
-    def below(m_antennas, mus, n_draws, seed, thresholds):
-        yield 0, np.array([m_antennas / 4])
+    def below(m_antennas, mu):
+        return m_antennas / 4
 
-    monkeypatch.setattr("mimolab.channels._random_drift_gains", below)
+    monkeypatch.setattr("mimolab.propagation._least_drift_gain", below)
     code = run_cli(["mobility", "--output", "m.json"], tmp_path, monkeypatch)
     err = capsys.readouterr().err
     assert code == 4
@@ -359,8 +367,9 @@ def test_invalid_rate_arithmetic_is_runtime_failure(tmp_path, monkeypatch, capsy
     assert list(tmp_path.iterdir()) == []
 
 
-# the ints that size an array or a Monte-Carlo run stay at their defaults (their caps
-# have their own tests above), and mobility draws 1000 patterns, so the sweep stays fast
+# the ints that size a squint array or a Monte-Carlo run stay at their defaults (their
+# caps have their own tests above), so the sweep stays fast; mobility's are swept, as its
+# least gain is closed-form and n_draws is only echoed
 _HELD_SIZES = {"rows", "cols", "n_points"}
 _HELD_MONTE_CARLO_SIZES = {"m_antennas", "n_draws", "n_pairs"}
 
@@ -368,8 +377,7 @@ _HELD_MONTE_CARLO_SIZES = {"m_antennas", "n_draws", "n_pairs"}
 def _extreme_value_cases():
     """(experiment, args) setting one numeric parameter to a bound or an extreme value."""
     for exp in EXPERIMENTS.values():
-        base = ["--set", "n_draws=1000"] if exp.name == "mobility" else []
-        monte_carlo = exp.name in ("hardening", "favorable", "mobility")
+        monte_carlo = exp.name in ("hardening", "favorable")
         for param in exp.params:
             if param.kind not in ("int", "float", "int_list", "float_list"):
                 continue
@@ -381,7 +389,7 @@ def _extreme_value_cases():
             else:
                 extremes = {5e-324, 1e-300, 1e300, 1.7e308}
             for value in sorted(bounds | extremes):
-                yield exp, base + ["--set", f"{param.name}={value!r}"]
+                yield exp, ["--set", f"{param.name}={value!r}"]
 
 
 def _output_key_names(exp, args, directory) -> set:
@@ -553,6 +561,13 @@ def test_list_includes_every_default(tmp_path, monkeypatch, capsys):
         for param in exp.params:
             assert param.name in text
             assert f"default {param.default}" in text
+
+
+@pytest.mark.parametrize("args", [["--list", "--help"], ["list", "-h"], ["--help", "--list"]])
+def test_help_beside_a_listing_prints_usage(args, tmp_path, monkeypatch, capsys):
+    # help stops at its own token, whatever else the line holds
+    assert run_cli(args, tmp_path, monkeypatch) == 0
+    assert capsys.readouterr().out == (GOLDEN / "usage.txt").read_text()
 
 
 def test_listing_mentions_bundled_configs():
@@ -975,6 +990,8 @@ _NUMPY_FREE_CASES = [
     (["antenna-sweep", "--k-min", "9", "--k-max", "2"], 3, None),
     (["fresnel", "--d1", "0", "--d2", "0"], 3, None),
     (["estload", "--subcarriers-per-block", "2000"], 3, None),
+    (["--config", "mobility_bound", "--output", "out.json"], 0, "mobility_bound.json"),
+    (["mobility", "--mu-list", "0.2"], 3, None),
 ]
 
 # runs each argument list through main in its own directory 0, 1, ...; any numpy import raises

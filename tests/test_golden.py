@@ -147,7 +147,7 @@ def test_propagation_experiment_matches_golden(name, argv, tmp_path, monkeypatch
     _assert_run_matches_golden("out.json", f"{name}.json")
 
 
-@pytest.mark.parametrize("name, argv", [("list", ["list"]), ("usage", [])])
+@pytest.mark.parametrize("name, argv", [("list", ["list"]), ("usage", []), ("list", ["--list"])])
 def test_listing_and_usage_match_golden(name, argv, capsys):
     assert main(argv) == 0
     captured = capsys.readouterr()
