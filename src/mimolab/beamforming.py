@@ -13,10 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PlanarArray, channel_vector, steering_factors
+from .geometry import PlanarArray, _checked_band, _unit_factors, channel_vector
 
-_SWEEP_CHUNK = 16
-"""Frequencies per batch in squint_sweep; bounds its working arrays."""
+_SWEEP_ELEMENTS = 2**15
+"""Complex entries per squint_sweep batch, summed over its working arrays."""
 
 
 class DegenerateEntryWarning(UserWarning):
@@ -123,6 +123,17 @@ def sweep_frequencies(f_center_hz: float, span_hz: float, n_points: int) -> np.n
     return freqs
 
 
+def _sweep_batch(rows: int, cols: int, paths: int) -> int:
+    """Frequencies per squint_sweep batch: as many as _SWEEP_ELEMENTS entries hold, at least 16.
+
+    Per frequency a batch holds paths*(2*rows + cols) factor entries
+    (a_v, a_h and W a_h) and 2*paths**2 Gram entries.  Six paths on a
+    square array take 50 frequencies at 32 x 32, 26 at 64 x 64 and the floor
+    of 16 from 128 x 128 up.
+    """
+    return max(16, _SWEEP_ELEMENTS // (paths * (2 * rows + cols) + 2 * paths**2))
+
+
 def squint_sweep(
     array: PlanarArray,
     channel: tuple[np.ndarray, np.ndarray],
@@ -138,30 +149,36 @@ def squint_sweep(
     irrelevant), and the curve is 1.0 at the center frequency by construction
     only for single-path channels; multipath keeps it below 1 everywhere.
 
-    The band is evaluated in batches of _SWEEP_CHUNK frequencies from the
-    separable row/column factors of ``steering_factors``, never forming
-    h(f) itself.  With W = w reshaped to rows x cols,
+    The channel and the band are checked once; the band is then evaluated
+    in batches of ``_sweep_batch`` frequencies from the separable row/column
+    factors that ``steering_factors`` builds too, never forming h(f)
+    itself.  With W = w reshaped to rows x cols,
     w.h(f) = sum_l g_l a_v,l^T W a_h,l, and ||h(f)||^2 is the
     sum over path pairs (l, k) of g_l conj(g_k) times the product of
     the row and column Gram entries <a_v,l, a_v,k> <a_h,l, a_h,k>, taken
     per frequency as batched (paths x rows) by (rows x paths) products.
-    This costs about 2 * paths * (sqrt(rows) + sqrt(cols)) exponentials per
-    frequency instead of paths * rows * cols, and the working arrays are
-    bounded by the batch size rather than the number of frequencies.  The
-    result agrees with efficiency(w, channel_vector(array, channel, f)),
-    which takes its factors from ``steering_factors`` too, to about 1e-14
-    relative, the rounding of the changed summation order.
+    This costs 4 * paths exponentials per frequency instead of
+    paths * rows * cols, and the working arrays are bounded by the batch
+    size rather than the number of frequencies.  The result agrees with
+    efficiency(w, channel_vector(array, channel, f)), which takes its
+    factors from ``steering_factors`` too, to about 1e-14 relative, the
+    rounding of the changed summation order.
     """
     w = analog_weights(channel_vector(array, channel, f_center_hz))
     w_grid = w.reshape(array.rows, array.cols)
     w_power = np.vdot(w, w).real
     gains = np.asarray(channel[0], dtype=complex)
     gain_pairs = np.outer(gains, gains.conj())
+    cosines, freqs = _checked_band(channel, freqs)
+    batch = _sweep_batch(array.rows, array.cols, len(gains))
     effs = np.empty(len(freqs))
-    for start in range(0, len(freqs), _SWEEP_CHUNK):
-        chunk = slice(start, start + _SWEEP_CHUNK)
-        a_v, a_h = steering_factors(array, channel, freqs[chunk])
-        beam = np.einsum("l,lfm,lfm->f", gains, a_v, a_h @ w_grid.T)
+    for start in range(0, len(freqs), batch):
+        chunk = slice(start, start + batch)
+        a_v, a_h = _unit_factors(array, cosines, freqs[chunk])
+        # W a_h,l for every path and frequency of the batch as one matrix product, freed
+        # before the Gram products
+        beam = np.einsum("l,lfm,lfm->f", gains, a_v,
+                         (a_h.reshape(-1, array.cols) @ w_grid.T).reshape(a_v.shape))
         gram_v = a_v.transpose(1, 0, 2) @ a_v.conj().transpose(1, 2, 0)
         gram_h = a_h.transpose(1, 0, 2) @ a_h.conj().transpose(1, 2, 0)
         h_power = np.einsum("lk,flk,flk->f", gain_pairs, gram_v, gram_h).real

@@ -64,37 +64,39 @@ class PlanarArray:
         return cls(rows, cols, SPEED_OF_LIGHT_M_S / (2.0 * frequency_hz))
 
 
+def _powers(base: np.ndarray, count: int) -> np.ndarray:
+    """[1, base, base**2, ...] with count entries along a new last axis, as a running product."""
+    table = np.empty(base.shape + (count,), dtype=complex)
+    table[..., 0] = 1.0
+    table[..., 1:] = base[..., None]
+    return np.multiply.accumulate(table, axis=-1, out=table)
+
+
 def _phase_ramps(scale: np.ndarray, cosine: np.ndarray, n: int) -> np.ndarray:
     """exp(j*scale*m*cosine) for m = 0 .. n-1 along a new last axis.
 
     Each ramp is a geometric progression in m, so with a block length
     B = ceil(sqrt(n)) and m = q*B + r it is the outer product of a coarse
-    table exp(j*scale*(q*B)*cosine) and a fine table exp(j*scale*r*cosine):
-    about 2*sqrt(n) exponentials per ramp instead of n.  The ragged tail of
-    the last block is sliced off.
+    table Z**q and a fine table z**r, for the two exponentials
+    z = exp(j*scale*cosine) and Z = exp(j*scale*(B*cosine)).  Both tables
+    are running products (about sqrt(n) multiplications each), so a ramp
+    costs two exponentials instead of n.  The ragged tail of the last block
+    is sliced off.
     """
     block = math.isqrt(n - 1) + 1
-    coarse = np.exp(1j * (scale * (np.arange(0, n, block) * cosine)))
-    fine = np.exp(1j * (scale * (np.arange(block) * cosine)))
+    coarse = _powers(np.exp(1j * (scale * (block * cosine))), -(-n // block))
+    fine = _powers(np.exp(1j * (scale * cosine)), block)
     ramps = coarse[..., :, None] * fine[..., None, :]
     return ramps.reshape(*ramps.shape[:-2], -1)[..., :n]
 
 
-def steering_factors(
-    array: PlanarArray, channel: tuple[np.ndarray, np.ndarray], frequencies_hz: np.ndarray
+def _checked_band(
+    channel: tuple[np.ndarray, np.ndarray], frequencies_hz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column factors of every path's response at every frequency.
+    """The channel's L x 2 cosines and the frequencies as floats, once both are checked.
 
-    The channel needs at least one path and positive total power.  The
-    planar response is separable: with s = 2*pi*(f/c)*spacing, entry (m, n)
-    is a_v[m] * a_h[n] for a_v[m] = exp(j*s*m*k_v) and
-    a_h[n] = exp(j*s*n*k_h), and the row-major response is np.kron(a_v, a_h).
-    Each factor is built from about 2*sqrt(rows) (or 2*sqrt(cols))
-    exponentials per path and frequency, as the product of a coarse and a
-    fine phase step (``_phase_ramps``); the phase is thus rounded as two
-    terms, which moves an entry by a few ulp of the largest phase s*m*k.
-    Returns a_v with shape (paths, frequencies, rows) and a_h with shape
-    (paths, frequencies, cols), both checked for unit modulus.
+    The channel needs at least one path, one (k_h, k_v) row per gain and
+    positive total power; every frequency must be positive.
     """
     gains, cosines = channel[0], np.asarray(channel[1], dtype=float)
     if len(gains) == 0:
@@ -106,14 +108,42 @@ def steering_factors(
     freqs = np.asarray(frequencies_hz, dtype=float)
     if not np.all(freqs > 0):
         raise ValueError(f"frequency_hz must be positive, got {freqs[~(freqs > 0)][0]}")
-    k_h, k_v = cosines.T
-    scale = (2.0 * np.pi * (freqs / SPEED_OF_LIGHT_M_S) * array.spacing_m)[None, :, None]
-    a_v = _phase_ramps(scale, k_v[:, None, None], array.rows)
-    a_h = _phase_ramps(scale, k_h[:, None, None], array.cols)
+    return cosines, freqs
+
+
+def _unit_factors(
+    array: PlanarArray, cosines: np.ndarray, freqs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column factors at checked cosines and frequencies, checked for unit modulus."""
+    scale = 2.0 * np.pi * (freqs / SPEED_OF_LIGHT_M_S) * array.spacing_m
+    k_h, k_v = cosines[:, 0, None], cosines[:, 1, None]
+    a_v = _phase_ramps(scale, k_v, array.rows)
+    a_h = _phase_ramps(scale, k_h, array.cols)
     for factor in (a_v, a_h):
         if not np.max(np.abs(np.abs(factor) - 1.0)) <= 1e-12:
             raise ValueError("array response entries must have unit magnitude")
     return a_v, a_h
+
+
+def steering_factors(
+    array: PlanarArray, channel: tuple[np.ndarray, np.ndarray], frequencies_hz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column factors of every path's response at every frequency.
+
+    The channel needs at least one path and positive total power.  The
+    planar response is separable: with s = 2*pi*(f/c)*spacing, entry (m, n)
+    is a_v[m] * a_h[n] for a_v[m] = exp(j*s*m*k_v) and
+    a_h[n] = exp(j*s*n*k_h), and the row-major response is np.kron(a_v, a_h).
+    Each factor is built from two exponentials per path and frequency, a
+    fine step exp(j*s*k) and a coarse step over a block of about sqrt(n)
+    elements, whose powers are running products (``_phase_ramps``).  The
+    phase is thus rounded as two terms and each product adds a rounding, so
+    an entry moves by a few ulp of the largest phase s*m*k plus a few ulp
+    per multiplication.  Returns a_v with shape (paths, frequencies, rows)
+    and a_h with shape (paths, frequencies, cols), both checked for unit
+    modulus.
+    """
+    return _unit_factors(array, *_checked_band(channel, frequencies_hz))
 
 
 def channel_vector(

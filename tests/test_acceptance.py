@@ -19,7 +19,7 @@ from mimolab.cli import BUNDLED_CONFIGS, main
 from mimolab.coherence import k_range
 from mimolab.rng import RandomStream
 
-from conftest import bundled
+from conftest import bundled, rayleigh_z
 
 CENTER_HZ = 60e9
 
@@ -208,11 +208,16 @@ def test_criterion_11_property_suite():
         target = 1.0 / math.sqrt(m)
         checks.append((f"hardening M={m}: {value:.5f} vs {target:.5f}",
                        abs(value - target) <= 0.1 * target))
+        z = rayleigh_z("hardening", value, m, 10_000)
+        checks.append((f"hardening M={m}: z = {z:+.2f} within 5", abs(z) <= 5))
 
     fav100 = favorable_propagation_metric(100, 1000, 7)
     fav10k = favorable_propagation_metric(10_000, 1000, 7)
     ratio = fav100 / fav10k
     checks.append((f"favorable ratio {ratio:.2f} vs 10 +/-20%", 8.0 <= ratio <= 12.0))
+    for m, value in ((100, fav100), (10_000, fav10k)):
+        z = rayleigh_z("favorable", value, m, 1000)
+        checks.append((f"favorable M={m}: z = {z:+.2f} within 5", abs(z) <= 5))
 
     m, mu = 64, 0.125
     phi = (-mu + (mu - -mu) * RandomStream(11).uniform(100_000 * m)).reshape(100_000, m)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolab.beamforming import (
-    _SWEEP_CHUNK,
     DegenerateEntryWarning,
+    _sweep_batch,
     analog_weights,
     efficiency,
     hybrid_weights,
@@ -281,19 +282,29 @@ def test_digital_dominates_hybrid_dominates_analog_across_band():
         assert hybrid_eff >= analog_eff - 1e-12
 
 
+def _batches(rows, cols, channel, n_batches, tail):
+    """Points filling n_batches whole squint_sweep batches plus a ragged tail of tail points."""
+    return n_batches * _sweep_batch(rows, cols, len(channel[0])) + tail
+
+
+_SIXPATH_7, _SIXPATH_42, _LOS = sixpath_channel(7), sixpath_channel(42), _los_channel(0.8, -0.5)
+
+
 @pytest.mark.parametrize(
     "rows, cols, channel, n_points",
     [
-        (32, 32, sixpath_channel(42), 201),
-        (8, 24, sixpath_channel(7), 2 * _SWEEP_CHUNK + 3),
-        (24, 8, sixpath_channel(7), 2 * _SWEEP_CHUNK + 3),
-        (8, 24, _los_channel(0.8, -0.5), _SWEEP_CHUNK - 1),
-        (24, 8, _los_channel(0.8, -0.5), 3),
+        (32, 32, _SIXPATH_42, 201),  # the fig4 sweep: four batches of 50 and one point
+        (8, 24, _SIXPATH_7, _batches(8, 24, _SIXPATH_7, 2, 3)),
+        (24, 8, _SIXPATH_7, _batches(24, 8, _SIXPATH_7, 2, 3)),
+        (8, 24, _LOS, _batches(8, 24, _LOS, 2, 1)),
+        (24, 8, _LOS, 3),  # a band shorter than one batch
         # prime sides: every block of the row factors' sqrt(n) split is ragged or single
-        (127, 3, sixpath_channel(42), 2 * _SWEEP_CHUNK + 5),
+        (127, 3, _SIXPATH_42, _batches(127, 3, _SIXPATH_42, 2, 5)),
+        # the smallest array: the largest batch, 364 frequencies
+        (1, 1, _SIXPATH_42, _batches(1, 1, _SIXPATH_42, 2, 7)),
     ],
     ids=["sixpath-32x32", "sixpath-8x24", "sixpath-24x8", "los-8x24", "los-24x8",
-         "sixpath-127x3"],
+         "sixpath-127x3", "sixpath-1x1"],
 )
 def test_sweep_matches_per_frequency_reference(rows, cols, channel, n_points):
     # the batched separable kernel against one full channel vector per frequency
@@ -305,6 +316,25 @@ def test_sweep_matches_per_frequency_reference(rows, cols, channel, n_points):
     np.testing.assert_allclose(effs, expected, rtol=1e-12, atol=0)
     if len(channel[0]) == 1 and n_points % 2 == 1:
         assert effs[n_points // 2] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sweep_batch_follows_its_element_budget():
+    assert [_sweep_batch(n, n, 6) for n in (1, 32, 64, 128, 4096)] == [364, 50, 26, 16, 16]
+
+
+def test_sweep_working_set_stays_at_its_batch_budget():
+    # 128x128 keeps batches of 16 frequencies; with them the sweep's traced peak is 1.33 MiB,
+    # most of it the center-frequency channel vector and the analog weights
+    arr = fig4_array(128)
+    freqs = sweep_frequencies(CENTER_HZ, 2e9, 201)
+    chan = sixpath_channel(42)
+    tracemalloc.start()
+    try:
+        squint_sweep(arr, chan, CENTER_HZ, freqs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.4 * 2**20
 
 
 def test_sweep_argument_validation():

@@ -26,6 +26,8 @@ from mimolab.rng import (
     polar_power,
 )
 
+from conftest import rayleigh_z
+
 
 def _complex_normal(seed, n):
     """n CN(0, 1) samples of the seed's stream: n radius uniforms, then n angle uniforms."""
@@ -126,15 +128,21 @@ def test_mean_channel_power_matches_antenna_count():
 
 def test_hardening_single_antenna_is_exponential():
     # population std/mean of |h|^2 ~ Exp(1) is exactly 1
-    assert hardening_metric(1, 10_000, 42) == pytest.approx(1.0, abs=0.05)
+    value = hardening_metric(1, 10_000, 42)
+    assert value == pytest.approx(1.0, abs=0.05)
+    assert abs(rayleigh_z("hardening", value, 1, 10_000)) <= 5
 
 
 def test_hardening_hundred_antennas():
-    assert hardening_metric(100, 10_000, 42) == pytest.approx(0.100, abs=0.01)
+    value = hardening_metric(100, 10_000, 42)
+    assert value == pytest.approx(0.100, abs=0.01)
+    assert abs(rayleigh_z("hardening", value, 100, 10_000)) <= 5
 
 
 def test_hardening_ten_thousand_antennas():
-    assert hardening_metric(10_000, 10_000, 42) == pytest.approx(0.010, abs=0.002)
+    value = hardening_metric(10_000, 10_000, 42)
+    assert value == pytest.approx(0.010, abs=0.002)
+    assert abs(rayleigh_z("hardening", value, 10_000, 10_000)) <= 5
 
 
 def test_hardening_decreases_with_antennas():
@@ -206,6 +214,8 @@ def test_favorable_metric_scales_as_inverse_sqrt_m():
     small = favorable_propagation_metric(100, 1000, 42)
     large = favorable_propagation_metric(10_000, 1000, 42)
     assert small / large == pytest.approx(10.0, rel=0.20)
+    assert abs(rayleigh_z("favorable", small, 100, 1000)) <= 5
+    assert abs(rayleigh_z("favorable", large, 10_000, 1000)) <= 5
 
 
 def test_favorable_metric_needs_one_pair():
