@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PlanarArray, _checked_band, _unit_factors, channel_vector
+from .geometry import PlanarArray, channel_vector, steering_factors
 
 _SWEEP_ELEMENTS = 2**15
 """Complex entries per squint_sweep batch, summed over its working arrays."""
@@ -149,10 +149,12 @@ def squint_sweep(
     irrelevant), and the curve is 1.0 at the center frequency by construction
     only for single-path channels; multipath keeps it below 1 everywhere.
 
-    The channel and the band are checked once; the band is then evaluated
-    in batches of ``_sweep_batch`` frequencies from the separable row/column
-    factors that ``steering_factors`` builds too, never forming h(f)
-    itself.  With W = w reshaped to rows x cols,
+    The band is evaluated in batches of ``_sweep_batch`` frequencies from
+    the separable row/column factors of ``steering_factors``, never forming
+    h(f) itself.  Each batch's call checks the channel and its frequencies,
+    naming the first bad one, and its coarse and fine tables to 4.9e-13 of
+    unit modulus, which holds every factor entry within 1e-12.
+    With W = w reshaped to rows x cols,
     w.h(f) = sum_l g_l a_v,l^T W a_h,l, and ||h(f)||^2 is the
     sum over path pairs (l, k) of g_l conj(g_k) times the product of
     the row and column Gram entries <a_v,l, a_v,k> <a_h,l, a_h,k>, taken
@@ -169,12 +171,11 @@ def squint_sweep(
     w_power = np.vdot(w, w).real
     gains = np.asarray(channel[0], dtype=complex)
     gain_pairs = np.outer(gains, gains.conj())
-    cosines, freqs = _checked_band(channel, freqs)
     batch = _sweep_batch(array.rows, array.cols, len(gains))
     effs = np.empty(len(freqs))
     for start in range(0, len(freqs), batch):
         chunk = slice(start, start + batch)
-        a_v, a_h = _unit_factors(array, cosines, freqs[chunk])
+        a_v, a_h = steering_factors(array, channel, freqs[chunk])
         # W a_h,l for every path and frequency of the batch as one matrix product, freed
         # before the Gram products
         beam = np.einsum("l,lfm,lfm->f", gains, a_v,

@@ -199,6 +199,12 @@ def _blame(field: str, call: Callable, *args, note: str = "", **kwargs):
 # experiment runners: (params, seed) -> (data, manifest results, stdout_lines)
 # ----------------------------------------------------------------------------
 
+def _nearest_index(values, target: float) -> int:
+    """argmin of abs(values - target) for increasing values, by bisection without a temporary."""
+    hi = min(int(values.searchsorted(target)), len(values) - 1)
+    return hi - 1 if hi and abs(values[hi - 1] - target) <= abs(values[hi] - target) else hi
+
+
 def _run_squint(params: dict, seed: int):
     if params["span_hz"] >= 2.0 * params["center_frequency_hz"]:
         raise ValidationError(
@@ -215,7 +221,7 @@ def _run_squint(params: dict, seed: int):
     freqs = _blame("span_hz", sweep_frequencies, params["center_frequency_hz"],
                    params["span_hz"], params["n_points"])
     effs = squint_sweep(array, sixpath_channel(seed), params["center_frequency_hz"], freqs)
-    center_idx = int(abs(freqs - params["center_frequency_hz"]).argmin())
+    center_idx = _nearest_index(freqs, params["center_frequency_hz"])
     extras = {
         "m_antennas": array.num_elements,
         "center_efficiency": float(effs[center_idx]),
@@ -243,7 +249,7 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
                    params["coherence_bandwidth_hz"], note=" (tau_c = time * bandwidth)")
     grid = _blame("k_max" if params["k_max"] > tau_c else "k_min", k_range, tau_c,
                   params["k_min"], params["k_max"], params["k_step"], params["fine"])
-    # the CSV streams, so a sweep of 1,000,000 user counts peaks near 83 MB of process memory
+    # the CSV streams, so a sweep of 1,000,000 user counts peaks near 90 MB of process memory
     if len(grid) > 1_000_000:
         raise ValidationError(
             "k_step", f"the sweep would hold {len(grid)} user counts, more than 1000000"
@@ -451,7 +457,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                       min_value=0, min_exclusive=True),
                 Param("span_hz", "float", 2e9, "total swept bandwidth in Hz",
                       min_value=0, min_exclusive=True),
-                # 1,000,000 points on a 1 x 1 array peak near 60 MB of process memory
+                # 1,000,000 points on a 1 x 1 array peak near 52 MB of process memory
                 Param("n_points", "int", 201, "number of frequency samples", min_value=2,
                       max_value=1_000_000),
             ),

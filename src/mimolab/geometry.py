@@ -81,22 +81,41 @@ def _phase_ramps(scale: np.ndarray, cosine: np.ndarray, n: int) -> np.ndarray:
     z = exp(j*scale*cosine) and Z = exp(j*scale*(B*cosine)).  Both tables
     are running products (about sqrt(n) multiplications each), so a ramp
     costs two exponentials instead of n.  The ragged tail of the last block
-    is sliced off.
+    is sliced off.  Every entry of both tables is checked to lie within
+    4.9e-13 of unit modulus, the table tolerance; a product of two such
+    entries is then within (1 + 4.9e-13)**2 - 1 plus one rounding, under
+    1e-12, of unit modulus, so the check on about 2*sqrt(n) table entries
+    bounds all n ramp entries.
     """
     block = math.isqrt(n - 1) + 1
     coarse = _powers(np.exp(1j * (scale * (block * cosine))), -(-n // block))
     fine = _powers(np.exp(1j * (scale * cosine)), block)
+    for table in (coarse, fine):
+        if not np.max(np.abs(np.abs(table) - 1.0)) <= 4.9e-13:
+            raise ValueError("array response entries must have unit magnitude")
     ramps = coarse[..., :, None] * fine[..., None, :]
     return ramps.reshape(*ramps.shape[:-2], -1)[..., :n]
 
 
-def _checked_band(
-    channel: tuple[np.ndarray, np.ndarray], frequencies_hz: np.ndarray
+def steering_factors(
+    array: PlanarArray, channel: tuple[np.ndarray, np.ndarray], frequencies_hz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The channel's L x 2 cosines and the frequencies as floats, once both are checked.
+    """Row and column factors of every path's response at every frequency.
 
     The channel needs at least one path, one (k_h, k_v) row per gain and
-    positive total power; every frequency must be positive.
+    positive total power; every frequency must be positive.  The planar
+    response is separable: with s = 2*pi*(f/c)*spacing, entry (m, n)
+    is a_v[m] * a_h[n] for a_v[m] = exp(j*s*m*k_v) and
+    a_h[n] = exp(j*s*n*k_h), and the row-major response is np.kron(a_v, a_h).
+    Each factor is built from two exponentials per path and frequency, a
+    fine step exp(j*s*k) and a coarse step over a block of about sqrt(n)
+    elements, whose powers are running products (``_phase_ramps``).  The
+    phase is thus rounded as two terms and each product adds a rounding, so
+    an entry moves by a few ulp of the largest phase s*m*k plus a few ulp
+    per multiplication.  Returns a_v with shape (paths, frequencies, rows)
+    and a_h with shape (paths, frequencies, cols).  Their entries are within
+    1e-12 of unit modulus: ``_phase_ramps`` checks its coarse and fine tables
+    to 4.9e-13, which bounds every product.
     """
     gains, cosines = channel[0], np.asarray(channel[1], dtype=float)
     if len(gains) == 0:
@@ -108,42 +127,9 @@ def _checked_band(
     freqs = np.asarray(frequencies_hz, dtype=float)
     if not np.all(freqs > 0):
         raise ValueError(f"frequency_hz must be positive, got {freqs[~(freqs > 0)][0]}")
-    return cosines, freqs
-
-
-def _unit_factors(
-    array: PlanarArray, cosines: np.ndarray, freqs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column factors at checked cosines and frequencies, checked for unit modulus."""
     scale = 2.0 * np.pi * (freqs / SPEED_OF_LIGHT_M_S) * array.spacing_m
-    k_h, k_v = cosines[:, 0, None], cosines[:, 1, None]
-    a_v = _phase_ramps(scale, k_v, array.rows)
-    a_h = _phase_ramps(scale, k_h, array.cols)
-    for factor in (a_v, a_h):
-        if not np.max(np.abs(np.abs(factor) - 1.0)) <= 1e-12:
-            raise ValueError("array response entries must have unit magnitude")
-    return a_v, a_h
-
-
-def steering_factors(
-    array: PlanarArray, channel: tuple[np.ndarray, np.ndarray], frequencies_hz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column factors of every path's response at every frequency.
-
-    The channel needs at least one path and positive total power.  The
-    planar response is separable: with s = 2*pi*(f/c)*spacing, entry (m, n)
-    is a_v[m] * a_h[n] for a_v[m] = exp(j*s*m*k_v) and
-    a_h[n] = exp(j*s*n*k_h), and the row-major response is np.kron(a_v, a_h).
-    Each factor is built from two exponentials per path and frequency, a
-    fine step exp(j*s*k) and a coarse step over a block of about sqrt(n)
-    elements, whose powers are running products (``_phase_ramps``).  The
-    phase is thus rounded as two terms and each product adds a rounding, so
-    an entry moves by a few ulp of the largest phase s*m*k plus a few ulp
-    per multiplication.  Returns a_v with shape (paths, frequencies, rows)
-    and a_h with shape (paths, frequencies, cols), both checked for unit
-    modulus.
-    """
-    return _unit_factors(array, *_checked_band(channel, frequencies_hz))
+    return (_phase_ramps(scale, cosines[:, 1, None], array.rows),
+            _phase_ramps(scale, cosines[:, 0, None], array.cols))
 
 
 def channel_vector(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimolab import geometry
 from mimolab.beamforming import (
     DegenerateEntryWarning,
     _sweep_batch,
@@ -345,6 +346,27 @@ def test_sweep_argument_validation():
     freqs = sweep_frequencies(1e9, 4e9, 10)  # the band reaches nonpositive frequencies
     with pytest.raises(ValueError, match="frequency_hz must be positive"):
         squint_sweep(fig4_array(32), sixpath_channel(42), 1e9, freqs)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_sweep_rejects_a_bad_frequency_in_a_later_batch(bad):
+    # 32x32 takes batches of 50 frequencies: the first bad one sits in the second batch
+    freqs = sweep_frequencies(CENTER_HZ, 2e9, 120)
+    freqs[[75, 110]] = bad, -2.0
+    with pytest.raises(ValueError, match=f"^frequency_hz must be positive, got {bad}$"):
+        squint_sweep(fig4_array(32), sixpath_channel(42), CENTER_HZ, freqs)
+
+
+def test_sweep_checks_the_factor_tables_of_every_batch(monkeypatch):
+    powers = geometry._powers
+
+    def band_tables_off(base, count):
+        # base has one column per frequency: the center-frequency channel vector stays valid
+        return (1 + 6e-13 if base.shape[-1] > 1 else 1.0) * powers(base, count)
+
+    monkeypatch.setattr(geometry, "_powers", band_tables_off)
+    with pytest.raises(ValueError, match="unit magnitude"):
+        _band_sweep(fig4_array(32), sixpath_channel(42), CENTER_HZ, 2e9, 21)
 
 
 def test_squint_curve_validation():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import stat
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mimolab import __version__, cli
 from mimolab.beamforming import squint_sweep, sweep_frequencies
@@ -828,6 +831,18 @@ def test_squint_32_center_value_from_bundled_config(tmp_path, monkeypatch):
     freq, eff = rows[1].split(",")
     assert float(freq) == 60e9
     assert 0.85 <= float(eff) <= 0.95
+
+
+@settings(max_examples=300, derandomize=True)
+@given(center=st.floats(1.0, 1e15), n_points=st.integers(2, 1001),
+       log_span=st.floats(-16.0, math.log10(2.0), exclude_max=True))
+def test_squint_center_index_matches_argmin(center, n_points, log_span):
+    # relative spans from a few ulp of the center up to just under twice it
+    try:
+        freqs = sweep_frequencies(center, center * 10.0**log_span, n_points)
+    except ValueError:
+        assume(False)
+    assert cli._nearest_index(freqs, center) == int(abs(freqs - center).argmin())
 
 
 def test_seed_changes_squint_output(tmp_path, monkeypatch):

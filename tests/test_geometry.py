@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mimolab import geometry
 from mimolab.geometry import (
     SPEED_OF_LIGHT_M_S,
     PlanarArray,
@@ -272,6 +273,25 @@ def test_steering_factors_check_unit_modulus():
     arr = PlanarArray.half_wavelength_at(2, 2, 60e9)
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="unit magnitude"):
         response(arr, (0.0, 0.0), float("inf"))
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 4096])
+def test_factor_tables_are_checked_to_their_tolerance(monkeypatch, n):
+    # _phase_ramps checks its coarse and fine tables to 4.9e-13 of unit modulus, so every
+    # product stays within 1e-12; a table off by more is rejected before any product
+    arr = PlanarArray.half_wavelength_at(n, n, 60e9)
+    chan = sixpath_channel(42)
+    powers = geometry._powers
+
+    def tables_off_by(t):
+        monkeypatch.setattr(geometry, "_powers", lambda base, count: (1 + t) * powers(base, count))
+
+    tables_off_by(4e-13)
+    for factor in steering_factors(arr, chan, [59e9, 61e9]):
+        assert np.max(np.abs(np.abs(factor) - 1.0)) <= 1e-12
+    tables_off_by(6e-13)
+    with pytest.raises(ValueError, match="unit magnitude"):
+        steering_factors(arr, chan, [59e9, 61e9])
 
 
 def test_channel_vector_allocates_little_beyond_its_result():
