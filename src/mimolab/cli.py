@@ -29,7 +29,11 @@ Integer parameters must lie within the double range, as the numeric code
 turns them into floats; the seed is exempt, as only its low 64 bits are used.
 The numpy-backed modules are imported inside the runners that use them, after
 their own checks, so the closed-form experiments, the listings, schema rejects
-and capacity-scenario rejects never load numpy.
+and capacity-scenario rejects never load numpy.  From the standard library they
+import only ``os``, ``sys`` and ``math``: the JSON writer here stands in for
+``json``, the schemas are plain classes, and the key grammar is a set check, so
+``json``, ``re``, ``typing``, ``functools``, ``enum`` and ``collections`` stay
+unloaded.
 
 Exit codes, all chosen by one ``except`` table in ``main``: 0 success, 2 parse
 error (with line/column in a config file), 3 invalid input naming the offending
@@ -45,15 +49,9 @@ an ``output`` that names no file ('', a path ending in a separator, or one
 holding NUL), or ``config`` for a config file that cannot be read.
 """
 
-from __future__ import annotations
-
-import json
 import math
 import os
-import re
 import sys
-from functools import partial
-from typing import Callable, NamedTuple
 
 from . import __version__
 from .hardware import adc_power, array_pa_budget
@@ -86,7 +84,13 @@ class ValidationError(Exception):
 # config text
 # ----------------------------------------------------------------------------
 
-_KEY_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+_KEY_START = frozenset("abcdefghijklmnopqrstuvwxyz")
+_KEY_CHARS = _KEY_START | frozenset("0123456789_")
+
+
+def _is_key(key: str) -> bool:
+    """True if the whole of key matches [a-z][a-z0-9_]*."""
+    return key[:1] in _KEY_START and _KEY_CHARS.issuperset(key)
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -103,7 +107,7 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigParseError(f"{where}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if not _KEY_RE.match(key):
+        if not _is_key(key):
             raise ConfigParseError(f"{where}: invalid key {key!r}")
         if key in values:
             raise ConfigParseError(f"{where}: duplicate key {key!r}")
@@ -115,20 +119,24 @@ def parse_config_text(text: str) -> dict[str, str]:
 # parameter schemas
 # ----------------------------------------------------------------------------
 
-class Param(NamedTuple):
-    name: str
-    kind: str  # int | float | bool | choice | int_list | float_list
-    default: object
-    help: str
-    choices: tuple[str, ...] = ()
-    min_value: float | None = None
-    max_value: float | None = None
-    min_exclusive: bool = False
+class Param:
+    """One schema entry; kind is int, float, bool, choice, int_list or float_list."""
+
+    __slots__ = ("name", "kind", "default", "help", "choices", "min_value", "max_value",
+                 "min_exclusive")
+
+    def __init__(self, name: str, kind: str, default, help: str, choices: tuple[str, ...] = (),
+                 min_value: float | None = None, max_value: float | None = None,
+                 min_exclusive: bool = False):
+        self.name, self.kind, self.default, self.help = name, kind, default, help
+        self.choices, self.min_exclusive = choices, min_exclusive
+        self.min_value, self.max_value = min_value, max_value
 
 
-def _coerce_scalar(param: Param, field: str, text: str):
-    if param.kind in ("int", "float"):
-        if param.kind == "int":
+def _coerce_scalar(kind: str, field: str, text: str, choices: tuple[str, ...] = ()):
+    """text as a value of scalar kind int, float, bool or choice (one of choices)."""
+    if kind in ("int", "float"):
+        if kind == "int":
             try:
                 return int(text)  # exact beyond 2**53, where float() rounds
             except ValueError:
@@ -139,17 +147,17 @@ def _coerce_scalar(param: Param, field: str, text: str):
             raise ValidationError(field, f"expected a number, got {text!r}") from None
         if not math.isfinite(value):
             raise ValidationError(field, f"expected a finite number, got {text!r}")
-        if param.kind == "int":
+        if kind == "int":
             if not value.is_integer():
                 raise ValidationError(field, f"expected an integer, got {text!r}")
             value = int(value)
         return value
-    if param.kind == "bool":
+    if kind == "bool":
         if text.lower() in ("true", "false"):
             return text.lower() == "true"
         raise ValidationError(field, f"expected true or false, got {text!r}")
-    if text not in param.choices:
-        raise ValidationError(field, f"expected one of {param.choices}, got {text!r}")
+    if text not in choices:
+        raise ValidationError(field, f"expected one of {choices}, got {text!r}")
     return text
 
 
@@ -176,15 +184,15 @@ def coerce_value(param: Param, field: str, text: str):
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
             raise ValidationError(field, "expected a comma-separated list")
-        element = param._replace(kind=param.kind.removesuffix("_list"))
-        value = [_coerce_scalar(element, field, p) for p in parts]
+        kind = param.kind.removesuffix("_list")
+        value = [_coerce_scalar(kind, field, p) for p in parts]
     else:
-        value = _coerce_scalar(param, field, text)
+        value = _coerce_scalar(param.kind, field, text, param.choices)
     _check_range(param, field, value)
     return value
 
 
-def _blame(field: str, call: Callable, *args, note: str = "", **kwargs):
+def _blame(field: str, call, *args, note: str = "", **kwargs):
     """call(*args, **kwargs); a ValueError or OverflowError it raises names field as bad input.
 
     For the library checks that relate several parameters, which no schema bound expresses.
@@ -411,13 +419,15 @@ def _run_diagnostic(metric_name: str, count_key: str, params: dict, seed: int):
 # registry
 # ----------------------------------------------------------------------------
 
-class Experiment(NamedTuple):
-    name: str
-    description: str
-    output_ext: str
-    params: tuple[Param, ...]
-    runner: Callable
-    allow_prefix: str | None = None
+class Experiment:
+    """A named runner (params, seed) -> (data, manifest results, stdout lines) and its schema."""
+
+    __slots__ = ("name", "description", "output_ext", "params", "runner", "allow_prefix")
+
+    def __init__(self, name: str, description: str, output_ext: str, params: tuple[Param, ...],
+                 runner, allow_prefix: str | None = None):
+        self.name, self.description, self.output_ext = name, description, output_ext
+        self.params, self.runner, self.allow_prefix = params, runner, allow_prefix
 
 
 _CAPACITY_PARAMS = (
@@ -578,7 +588,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                       max_value=10_000_000),
                 Param("n_draws", "int", 10_000, "Monte-Carlo draws", min_value=2),
             ),
-            partial(_run_diagnostic, "hardening", "n_draws"),
+            lambda params, seed: _run_diagnostic("hardening", "n_draws", params, seed),
         ),
         Experiment(
             "favorable",
@@ -593,10 +603,14 @@ EXPERIMENTS: dict[str, Experiment] = {
                       max_value=10_000_000),
                 Param("n_pairs", "int", 1000, "independent channel pairs", min_value=1),
             ),
-            partial(_run_diagnostic, "favorable_propagation", "n_pairs"),
+            lambda params, seed: _run_diagnostic("favorable_propagation", "n_pairs", params,
+                                                 seed),
         ),
     )
 }
+
+# the schema of each entry_LABEL key, which the linkbudget experiment allows
+_ENTRY_PARAM = Param("entry", "float", 0.0, "ledger entry in dB")
 
 BUNDLED_CONFIGS = (
     "fig4_32x32",
@@ -614,21 +628,71 @@ BUNDLED_CONFIGS = (
 # output plumbing
 # ----------------------------------------------------------------------------
 
-def _check_finite(value, where: str) -> None:
-    """Raise ValueError naming the first NaN or infinite float in value by its place."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"{where} is {value!r}, not a finite number")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{where}.{key}" if where else key)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{where}[{i}]")
+# json's two-character escapes; any other character outside ' '..'~' becomes \uXXXX
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t",
+                 "\b": "\\b", "\f": "\\f"}
+
+
+def _json_char(char: str) -> str:
+    if char in _JSON_ESCAPES:
+        return _JSON_ESCAPES[char]
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code > 0xFFFF:  # a UTF-16 surrogate pair; a lone surrogate is escaped as it is
+        code -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
+    return "\\u%04x" % code
+
+
+def _json_string(text: str) -> str:
+    """text as a JSON string literal in ASCII."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return '"' + "".join(map(_json_char, text)) + '"'
+
+
+def _json_value(value, where: str, indent: str) -> str:
+    """value, whose dict keys are strings, as json.dumps(value, indent=2, sort_keys=True)
+    writes it, nested at indent.
+
+    A NaN or infinite float raises ValueError naming its place in the
+    document, where: the first one in insertion order, as dict keys are
+    sorted only once their values are written.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{where} is {value!r}, not a finite number")
+        return float.__repr__(value)  # the shortest text that round-trips, as json writes it
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json_value(item, f"{where}[{i}]", inner) for i, item in enumerate(value)]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        texts = {key: _json_value(item, f"{where}.{key}" if where else key, inner)
+                 for key, item in value.items()}
+        items = [f"{_json_string(key)}: {texts[key]}" for key in sorted(texts)]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def _json_text(obj) -> str:
-    _check_finite(obj, "")
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """The JSON text of obj: indent 2, sorted keys, ASCII escapes and a final newline."""
+    return _json_value(obj, "", "") + "\n"
 
 
 def _column_is_finite(column) -> bool:
@@ -647,7 +711,8 @@ def _check_columns(table: dict) -> None:
         return
     for number, row in enumerate(zip(*(c.tolist() for c in table.values())), start=1):
         for name, value in zip(table, row):
-            _check_finite(value, f"{name} in data row {number}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} in data row {number} is {value!r}, not a finite number")
 
 
 def _csv_blocks(table: dict):
@@ -769,25 +834,23 @@ def resolve(config: dict[str, str]) -> tuple[Experiment, int, str, dict]:
     config = dict(config)
     if "config" in config:
         config = {**_load_config(config.pop("config")), **config}
-    exp_param = Param("experiment", "choice", None, "experiment", choices=tuple(EXPERIMENTS))
-    exp = EXPERIMENTS[_coerce_scalar(exp_param, "experiment", config.pop("experiment", ""))]
+    name = config.pop("experiment", "")
+    exp = EXPERIMENTS[_coerce_scalar("choice", "experiment", name, tuple(EXPERIMENTS))]
     seed = DEFAULT_SEED
     if "seed" in config:
         # no range check: derive_seed and RandomStream keep the low 64 bits of any integer
-        seed_param = Param("seed", "int", DEFAULT_SEED, "seed")
-        seed = _coerce_scalar(seed_param, "seed", config.pop("seed"))
+        seed = _coerce_scalar("int", "seed", config.pop("seed"))
     output = config.pop("output", f"{exp.name}.{exp.output_ext}")
     # checked before any file or directory is made: '', 'sub/' and NUL cannot name a file
     if not os.path.basename(output) or "\0" in output:
         raise ValidationError("output", f"must name a file, got {output!r}")
     schema = {param.name: param for param in exp.params}
     params = {param.name: param.default for param in exp.params}
-    entry_param = Param("entry", "float", 0.0, "ledger entry in dB")
     for key, text in config.items():
         if key in schema:
             params[key] = coerce_value(schema[key], key, text)
         elif exp.allow_prefix and key.startswith(exp.allow_prefix) and key != exp.allow_prefix:
-            params[key] = coerce_value(entry_param, key, text)
+            params[key] = coerce_value(_ENTRY_PARAM, key, text)
         else:
             raise ValidationError(key, f"unknown parameter for experiment {exp.name!r}")
     return exp, seed, output, params
@@ -861,7 +924,7 @@ def main(argv: list[str] | None = None) -> int:
                 else:
                     # --freq-ghz 38 == --set freq_ghz=38, --config NAME == --set config=NAME
                     key = arg[2:].replace("-", "_")
-                if not _KEY_RE.match(key):
+                if not _is_key(key):
                     raise ConfigParseError(f"invalid key {key!r}")
                 config[key] = value
             elif arg.startswith("-"):

@@ -4,8 +4,6 @@ Kept free of numpy, so the CLI can validate a capacity scenario, and reject
 it, without loading the numeric modules.
 """
 
-from __future__ import annotations
-
 
 def coherence_samples(coherence_time_s: float, coherence_bandwidth_hz: float) -> int:
     """Usable samples tau_c = round(time * bandwidth) of a block of constant channel."""

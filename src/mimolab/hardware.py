@@ -10,8 +10,6 @@ PA efficiency is treated as a single net output/DC ratio (the quoted
 power-added efficiency at back-off), ignoring drive power.
 """
 
-from __future__ import annotations
-
 
 def adc_power(
     fom_j_per_cs: float, enob: float, sample_rate_hz: float, overhead_factor: float

@@ -16,8 +16,6 @@ alternating +/-mu pattern.  So the least gain is
 M*cos^2(a) + (M mod 2)*sin^2(a)/M >= M*cos^2(a) >= M/2, and no sampling is needed.
 """
 
-from __future__ import annotations
-
 import math
 
 SPEED_OF_LIGHT_M_S = 299792458.0

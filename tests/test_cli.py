@@ -22,6 +22,7 @@ from mimolab.cli import (
     EXPERIMENTS,
     ValidationError,
     _csv_blocks,
+    _json_text,
     list_experiments,
     main,
     parse_config_text,
@@ -91,11 +92,12 @@ def test_duplicate_key_is_a_parse_error(tmp_path, monkeypatch, capsys):
         (["fresnel", "--set", "=3"], "invalid key ''"),
         (["fresnel", "--Seed", "3"], "invalid key 'Seed'"),
         (["linkbudget", "--set", "entry_X=3"], "invalid key 'entry_X'"),
+        (["fresnel", "--seed\n", "5"], "invalid key 'seed\\n'"),
     ],
     ids=["flag-without-value", "set-without-equals", "unknown-short-flag", "second-positional",
          "list-with-argument", "list-flag-with-argument", "list-flag-after-experiment",
          "list-with-keys", "list-flag-after-keys", "list-flag-with-set", "empty-flag-key",
-         "empty-set-key", "uppercase-key", "uppercase-ledger-label"],
+         "empty-set-key", "uppercase-key", "uppercase-ledger-label", "key-with-final-newline"],
 )
 def test_command_line_error_has_no_position(args, message, tmp_path, monkeypatch, capsys):
     code = run_cli(args, tmp_path, monkeypatch)
@@ -368,6 +370,62 @@ def test_invalid_rate_arithmetic_is_runtime_failure(tmp_path, monkeypatch, capsy
         "runtime failure: se_per_ue in data row 1 is nan, not a finite number\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+# ---------------------------------------------------------------------------
+
+# any code point, lone surrogates included, and the characters json escapes by name
+_JSON_STRINGS = st.text(st.characters(exclude_categories=()), max_size=8) | st.sampled_from(
+    ['"', "\\", "\n\r\t\b\f", "\x00\x1f\x7f", "caf\u00e9", "\U0001d11e", "\ud800", "x\udcff"]
+)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**64, 2**256)
+    | st.integers(-(2**256), -(2**64))
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308])
+    | _JSON_STRINGS
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_JSON_STRINGS, children,
+                                                                       max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_JSON_DOCUMENTS)
+def test_json_text_matches_json_dumps(document):
+    expected = json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert _json_text(document) == expected
+
+
+def test_golden_json_round_trips_through_the_writer():
+    paths = sorted(GOLDEN.glob("*.json"))  # outputs and manifests
+    assert len(paths) >= 20
+    for path in paths:
+        text = path.read_text()
+        assert _json_text(json.loads(text)) == text, path.name
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ({"a": {"b": [1.0, math.nan]}}, "a.b[1] is nan"),
+        ([0, {"x": -math.inf}], "[1].x is -inf"),
+        # the first in insertion order, though keys are written sorted
+        ({"b": [2.0, math.inf], "a": math.nan}, "b[1] is inf"),
+    ],
+)
+def test_json_text_names_a_non_finite_value(document, message):
+    with pytest.raises(ValueError) as raised:
+        _json_text(document)
+    assert str(raised.value) == f"{message}, not a finite number"
 
 
 # the ints that size a squint array or a Monte-Carlo run stay at their defaults (their
@@ -1007,23 +1065,33 @@ _NUMPY_FREE_CASES = [
     (["estload", "--subcarriers-per-block", "2000"], 3, None),
     (["--config", "mobility_bound", "--output", "out.json"], 0, "mobility_bound.json"),
     (["mobility", "--mu-list", "0.2"], 3, None),
+    # paths that the manifest echoes in json's ASCII escapes: non-ASCII, and holding a
+    # byte that is not UTF-8, which reaches Python as a lone surrogate
+    (["fresnel", "--output", "\u00fcn\u00efcode-\u2603-\U0001d11e.json"], 0, "fresnel.json"),
+    (["fresnel", "--output", "x\udcff.json"], 0, "fresnel.json"),
 ]
 
-# runs each argument list through main in its own directory 0, 1, ...; any numpy import raises
+# runs each argument list through main in its own directory 0, 1, ...; any numpy import
+# raises.  The lists arrive as ascii() wrote them, and json is imported only after the
+# module snapshot, as it loads re and enum itself.
 _NUMPY_FREE_SCRIPT = """
-import contextlib, io, json, os, sys
+import io, os, sys
 sys.modules["numpy"] = None
 from mimolab.cli import main
 
 results = []
-for i, args in enumerate(json.loads(sys.argv[1])):
+for i, args in enumerate(eval(sys.argv[1])):
     os.mkdir(str(i))
     os.chdir(str(i))
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-        results.append((main(args), stdout.getvalue()))
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    try:
+        results.append((main(args), sys.stdout.getvalue()))
+    finally:
+        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
     os.chdir("..")
-print(json.dumps([results, sorted(sys.modules)]))
+modules = sorted(sys.modules)
+import json
+print(json.dumps([results, modules]))
 """
 
 
@@ -1032,7 +1100,7 @@ def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
     # -S skips site, whose .pth files may preload modules the CLI itself avoids
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _NUMPY_FREE_SCRIPT,
-         json.dumps([args for args, _, _ in _NUMPY_FREE_CASES])],
+         ascii([args for args, _, _ in _NUMPY_FREE_CASES])],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -1043,8 +1111,12 @@ def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
     assert [name for name in modules if name.startswith("mimolab")] == [
         "mimolab", "mimolab.cli", "mimolab.coherence", "mimolab.hardware", "mimolab.propagation"
     ]
-    # heavy standard-library imports the CLI does without
-    assert not {"dataclasses", "importlib.resources", "inspect", "tempfile"} & set(modules)
+    # standard-library imports the CLI does without: beyond os, sys and math it has its own
+    # JSON writer, plain schema classes and a set check of the key grammar
+    assert not {
+        "__future__", "collections", "dataclasses", "enum", "functools", "importlib.resources",
+        "inspect", "json", "re", "tempfile", "typing",
+    } & set(modules)
     for i, ((args, code, golden), (exit_code, stdout)) in enumerate(
         zip(_NUMPY_FREE_CASES, results, strict=True)
     ):
@@ -1054,8 +1126,11 @@ def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
         elif golden.endswith(".txt"):
             assert stdout == (GOLDEN / golden).read_text(), args
         else:
+            output = args[args.index("--output") + 1]
             monkeypatch.chdir(tmp_path / str(i))
-            _assert_run_matches_golden("out.json", golden)
+            _assert_run_matches_golden(output, golden)
+            manifest = Path(f"{output}.manifest.json").read_text()
+            assert f'\n  "output": {json.dumps(output)},\n' in manifest, args
 
 
 # runs every bundled config and the Monte-Carlo and antenna-sweep defaults through main
