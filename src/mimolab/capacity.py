@@ -82,7 +82,7 @@ def best_row(table: dict[str, np.ndarray]) -> dict:
 
 def antenna_sweep(m_grid: Sequence[int], k_users: Sequence[int], **rate_args) -> list[dict]:
     """best_row over k_users for each M (replacing rate_args' m_antennas), by M."""
-    if len(m_grid) == 0 or len(k_users) == 0:
-        raise ValueError("m_grid and k_users must be non-empty")
+    if len(m_grid) == 0:
+        raise ValueError("m_grid must be non-empty")
     return [best_row(rate_table(k_users, **{**rate_args, "m_antennas": m}))
             for m in sorted(int(m) for m in m_grid)]

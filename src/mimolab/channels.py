@@ -46,7 +46,8 @@ def pair_correlation(h_i: np.ndarray, h_j: np.ndarray) -> float:
     denom = np.linalg.norm(h_i) * np.linalg.norm(h_j)
     if denom == 0.0:
         raise ValueError("pair correlation is undefined for zero vectors")
-    return float(abs(np.vdot(h_i, h_j)) / denom)
+    # clipped to 1 against last-bit rounding, as beamforming.efficiency is; min keeps a NaN
+    return min(float(abs(np.vdot(h_i, h_j)) / denom), 1.0)
 
 
 def favorable_propagation_metric(m_antennas: int, n_pairs: int, seed: int) -> float:

@@ -56,6 +56,7 @@ import sys
 from . import __version__
 from .hardware import adc_power, array_pa_budget
 from .propagation import (
+    MAX_DRIFT_FRACTION,
     bandwidth_snr_delta,
     drift_bound_check,
     estimation_load,
@@ -256,7 +257,7 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
     tau_c = _blame("coherence_time_s", coherence_samples, params["coherence_time_s"],
                    params["coherence_bandwidth_hz"], note=" (tau_c = time * bandwidth)")
     grid = _blame("k_max" if params["k_max"] > tau_c else "k_min", k_range, tau_c,
-                  params["k_min"], params["k_max"], params["k_step"], params["fine"])
+                  params["k_min"], params["k_max"], params["k_step"] or int(params["fine"]))
     # the CSV streams, so a sweep of 1,000,000 user counts peaks near 90 MB of process memory
     if len(grid) > 1_000_000:
         raise ValidationError(
@@ -452,6 +453,15 @@ _CAPACITY_PARAMS = (
     Param("fine", "bool", False, "force an exhaustive step-1 sweep"),
 )
 
+# 10,000,000 antennas already peak near 0.19 GB in two hardening draws and near 0.72 GB in
+# one favorable pair; closed-form mobility, which costs nothing per antenna, shares the cap
+_MAX_ANTENNAS = 10_000_000
+_MONTE_CARLO_PARAMS = (
+    # a single choice the runner ignores; perfbench/reference manifests echo it
+    Param("model", "choice", "iid_rayleigh", "channel model", choices=("iid_rayleigh",)),
+    Param("m_antennas", "int", 100, "number of antennas", min_value=1, max_value=_MAX_ANTENNAS),
+)
+
 EXPERIMENTS: dict[str, Experiment] = {
     exp.name: exp
     for exp in (
@@ -495,12 +505,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             "beamforming-gain lower bound under user drift (JSON)",
             "json",
             (
-                # closed-form, so M costs nothing; the cap matches the Monte-Carlo experiments'
                 Param("m_antennas", "int", 64, "number of antennas", min_value=1,
-                      max_value=10_000_000),
+                      max_value=_MAX_ANTENNAS),
                 Param("mu_list", "float_list", [0.125, 0.0625],
                       "drift amplitudes in wavelengths, each <= 1/8",
-                      min_value=0, max_value=0.125),
+                      min_value=0, max_value=MAX_DRIFT_FRACTION),
                 # only echoed in each report: no value depends on it
                 Param("n_draws", "int", 100_000, "random drift patterns per amplitude",
                       min_value=0),
@@ -579,13 +588,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "hardening",
             "Monte-Carlo channel-hardening metric std/mean of ||h||^2 (JSON)",
             "json",
-            (
-                # a single choice the runner ignores; perfbench/reference manifests echo it
-                Param("model", "choice", "iid_rayleigh", "channel model",
-                      choices=("iid_rayleigh",)),
-                # 10,000,000 antennas and two draws already peak near 0.19 GB
-                Param("m_antennas", "int", 100, "number of antennas", min_value=1,
-                      max_value=10_000_000),
+            _MONTE_CARLO_PARAMS + (
                 Param("n_draws", "int", 10_000, "Monte-Carlo draws", min_value=2),
             ),
             lambda params, seed: _run_diagnostic("hardening", "n_draws", params, seed),
@@ -594,13 +597,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "favorable",
             "Monte-Carlo favorable-propagation metric, mean |h_i^H h_j|/(|h_i||h_j|) (JSON)",
             "json",
-            (
-                # a single choice the runner ignores; perfbench/reference manifests echo it
-                Param("model", "choice", "iid_rayleigh", "channel model",
-                      choices=("iid_rayleigh",)),
-                # 10,000,000 antennas and one pair already peak near 0.72 GB
-                Param("m_antennas", "int", 100, "number of antennas", min_value=1,
-                      max_value=10_000_000),
+            _MONTE_CARLO_PARAMS + (
                 Param("n_pairs", "int", 1000, "independent channel pairs", min_value=1),
             ),
             lambda params, seed: _run_diagnostic("favorable_propagation", "n_pairs", params,

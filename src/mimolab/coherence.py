@@ -18,16 +18,14 @@ def coherence_samples(coherence_time_s: float, coherence_bandwidth_hz: float) ->
     return tau_c
 
 
-def k_range(
-    tau_c: int, k_min: int = 1, k_max: int = 0, k_step: int = 0, fine: bool = False
-) -> range:
+def k_range(tau_c: int, k_min: int = 1, k_max: int = 0, k_step: int = 0) -> range:
     """User counts k_min..k_max (0 means tau_c) in steps of k_step.
 
-    k_step 0 picks the step: 1 when fine, else tau_c // 1000 but at least 1,
-    which keeps the full range under 2000 points however long the block.
+    k_step 0 picks tau_c // 1000 but at least 1, which keeps the full range
+    under 2000 points however long the block; k_step 1 sweeps every count.
     """
     k_max = k_max if k_max > 0 else tau_c
-    step = k_step if k_step > 0 else 1 if fine else max(1, tau_c // 1000)
+    step = k_step if k_step > 0 else max(1, tau_c // 1000)
     if not 1 <= k_min <= k_max <= tau_c:
         raise ValueError(
             f"need 1 <= k_min <= k_max <= tau_c, got k_min={k_min}, k_max={k_max}, tau_c={tau_c}"

@@ -146,7 +146,7 @@ def scalar_rates(scenario, k):
 @pytest.mark.parametrize("name", ["centralpark_3ghz", "centralpark_60ghz"], ids=["3ghz", "60ghz"])
 def test_rate_table_matches_scalar_closed_form(name):
     sc = bundled(name)
-    grid = k_range(sc["tau_c"], fine=True)
+    grid = k_range(sc["tau_c"], k_step=1)
     table = rate_table(grid, **sc)
     assert tuple(table) == RATE_COLUMNS
     reference = np.array([scalar_rates(sc, k) for k in grid]).T
@@ -176,9 +176,9 @@ def test_optimize_singleton_grid():
 
 def test_k_range_step_rules():
     assert k_range(40_000) == range(1, 40_001, 40)
-    assert k_range(40_000, fine=True) == range(1, 40_001)
+    assert k_range(40_000, k_step=1) == range(1, 40_001)
     assert k_range(999) == range(1, 1000)  # the automatic step never drops below 1
-    assert k_range(40_000, k_min=10, k_max=100, k_step=7, fine=True) == range(10, 101, 7)
+    assert k_range(40_000, k_min=10, k_max=100, k_step=7) == range(10, 101, 7)
 
 
 @pytest.mark.parametrize("k_min, k_max", [(0, 0), (50_000, 0), (10, 5), (1, 40_001)])
@@ -211,7 +211,7 @@ def test_optimize_rejects_empty_grid():
 
 def test_optimum_user_count_near_fourteen_thousand():
     sc = bundled("centralpark_3ghz")
-    best = best_row(rate_table(k_range(sc["tau_c"], fine=True), **sc))
+    best = best_row(rate_table(k_range(sc["tau_c"], k_step=1), **sc))
     assert abs(best["k_users"] - 14_000) / 14_000 <= 0.10
     assert best["sum_rate_bps"] == pytest.approx(1.38e12, rel=0.05)
 
@@ -228,7 +228,7 @@ def test_60ghz_pilot_fraction_band():
     sc = bundled("centralpark_60ghz")
     assert sc["tau_c"] == 2_000
     assert sc["ul_pilot_snr"] == pytest.approx(5.0, rel=1e-12)
-    best = best_row(rate_table(k_range(sc["tau_c"], fine=True), **sc))
+    best = best_row(rate_table(k_range(sc["tau_c"], k_step=1), **sc))
     assert 0.30 <= best["pilot_fraction"] <= 0.55
     assert 1 < best["k_users"] < sc["tau_c"]
 

@@ -210,6 +210,17 @@ def test_pair_correlation_identity_and_orthogonality():
     assert pair_correlation(e1, e2) == 0.0
 
 
+def test_pair_correlation_stays_within_one():
+    rng = np.random.default_rng(42)
+    hs = rng.standard_normal((2000, 8)) + 1j * rng.standard_normal((2000, 8))
+    # unclipped, |h^H h| / ||h||^2 rounds above 1 for about a quarter of these
+    assert max(pair_correlation(h, h) for h in hs) == 1.0
+    # values inside [0, 1] keep their bits
+    for h_i, h_j in zip(hs[::2], hs[1::2]):
+        expected = float(abs(np.vdot(h_i, h_j)) / (np.linalg.norm(h_i) * np.linalg.norm(h_j)))
+        assert pair_correlation(h_i, h_j) == expected
+
+
 def test_favorable_metric_scales_as_inverse_sqrt_m():
     small = favorable_propagation_metric(100, 1000, 42)
     large = favorable_propagation_metric(10_000, 1000, 42)

@@ -740,6 +740,14 @@ def test_favorable_record(tmp_path, monkeypatch):
     assert 0.0 < record["value"] < 1.0
 
 
+def test_favorable_single_antenna_is_exactly_one(tmp_path, monkeypatch):
+    # |h_i h_j| / (|h_i| |h_j|) of two scalars is 1; unclipped, seed 42 rounds it above 1
+    code = run_cli(["favorable", "--m-antennas", "1", "--n-pairs", "1", "--output", "f.json"],
+                   tmp_path, monkeypatch)
+    assert code == 0
+    assert json.loads((tmp_path / "f.json").read_text())["value"] == 1.0
+
+
 def test_antenna_sweep_run(tmp_path, monkeypatch):
     code = run_cli(
         ["antenna-sweep", "--set", "m_grid=100,1000", "--set", "k_step=200",
@@ -753,6 +761,23 @@ def test_antenna_sweep_run(tmp_path, monkeypatch):
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "100"
     assert lines[2].split(",")[0] == "1000"
+
+
+@pytest.mark.parametrize("experiment", ["capacity", "antenna-sweep"])
+def test_fine_means_k_step_one_when_k_step_is_zero(experiment, tmp_path, monkeypatch):
+    def run(name, *args):
+        assert run_cli([experiment, "--coherence-time-s", "0.01", *args, "--output", name],
+                       tmp_path, monkeypatch) == 0
+        return (tmp_path / name).read_bytes()
+
+    # tau_c = 0.01 s * 400 kHz = 4000, so k_step 0 steps by 4
+    fine = run("fine.csv", "--fine", "true")
+    assert fine == run("step1.csv", "--k-step", "1") != run("auto.csv")
+    fine7 = run("fine7.csv", "--fine", "true", "--k-step", "7")
+    assert fine7 == run("step7.csv", "--k-step", "7")
+    if experiment == "capacity":
+        rows = fine7.decode().splitlines()[1:]
+        assert [int(row.split(",")[1]) for row in rows] == list(range(1, 4001, 7))
 
 
 @pytest.mark.parametrize("big", [2**63 + 1, 2**64 + 1], ids=["uint64", "beyond-uint64"])
