@@ -65,6 +65,7 @@ from .propagation import (
 
 DEFAULT_SEED = 42
 _CSV_BLOCK_ROWS = 4096  # CSV rows formatted by one % operation
+_MAX_USER_COUNTS = 1_000_000  # a sweep's rows, capped for memory: scripts/memory_ceilings.py
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -258,10 +259,9 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
                    params["coherence_bandwidth_hz"], note=" (tau_c = time * bandwidth)")
     grid = _blame("k_max" if params["k_max"] > tau_c else "k_min", k_range, tau_c,
                   params["k_min"], params["k_max"], params["k_step"] or int(params["fine"]))
-    # the CSV streams, so a sweep of 1,000,000 user counts peaks near 90 MB of process memory
-    if len(grid) > 1_000_000:
+    if len(grid) > _MAX_USER_COUNTS:
         raise ValidationError(
-            "k_step", f"the sweep would hold {len(grid)} user counts, more than 1000000"
+            "k_step", f"the sweep would hold {len(grid)} user counts, more than {_MAX_USER_COUNTS}"
         )
     extras = {
         "snr_scaling": params["snr_scaling"],
@@ -453,8 +453,7 @@ _CAPACITY_PARAMS = (
     Param("fine", "bool", False, "force an exhaustive step-1 sweep"),
 )
 
-# 10,000,000 antennas already peak near 0.19 GB in two hardening draws and near 0.72 GB in
-# one favorable pair; closed-form mobility, which costs nothing per antenna, shares the cap
+# the Monte-Carlo runs' memory cap (scripts/memory_ceilings.py); mobility, closed-form, shares it
 _MAX_ANTENNAS = 10_000_000
 _MONTE_CARLO_PARAMS = (
     # a single choice the runner ignores; perfbench/reference manifests echo it
@@ -470,14 +469,13 @@ EXPERIMENTS: dict[str, Experiment] = {
             "analog-beam efficiency across a band for the six-path 60 GHz scenario (CSV)",
             "csv",
             (
-                # 4096 x 4096 elements already peak near 0.8 GB of memory
+                # rows, cols and n_points cap memory: scripts/memory_ceilings.py runs them
                 Param("rows", "int", 64, "vertical element count", min_value=1, max_value=4096),
                 Param("cols", "int", 64, "horizontal element count", min_value=1, max_value=4096),
                 Param("center_frequency_hz", "float", 60e9, "beam alignment frequency in Hz",
                       min_value=0, min_exclusive=True),
                 Param("span_hz", "float", 2e9, "total swept bandwidth in Hz",
                       min_value=0, min_exclusive=True),
-                # 1,000,000 points on a 1 x 1 array peak near 52 MB of process memory
                 Param("n_points", "int", 201, "number of frequency samples", min_value=2,
                       max_value=1_000_000),
             ),

@@ -428,29 +428,58 @@ def test_json_text_names_a_non_finite_value(document, message):
     assert str(raised.value) == f"{message}, not a finite number"
 
 
-# the ints that size a squint array or a Monte-Carlo run stay at their defaults (their
-# caps have their own tests above), so the sweep stays fast; mobility's are swept, as its
-# least gain is closed-form and n_draws is only echoed
+# the ints that size a squint array or a Monte-Carlo run get only the values that their
+# schema rejects cheaply, so the sweep stays fast; mobility's are swept, as its least gain
+# is closed-form and n_draws is only echoed
 _HELD_SIZES = {"rows", "cols", "n_points"}
 _HELD_MONTE_CARLO_SIZES = {"m_antennas", "n_draws", "n_pairs"}
+# every numeric schema rejects these four; 0 and -0 lie below every held size's minimum too
+_NON_FINITE_TEXTS = ("nan", "inf", "-inf", "1e309")
+_ZERO_TEXTS = ("-0", "1e-400")
+_BAD_BOOLS = ("yes", "1", "on", "tru", "")
+
+
+def _beside(bound, way: int, integer: bool):
+    """The next int (integer) or double after bound: below it for way -1, above for +1."""
+    return bound + way if integer else math.nextafter(bound, way * math.inf)
 
 
 def _extreme_value_cases():
-    """(experiment, args) setting one numeric parameter to a bound or an extreme value."""
+    """(experiment, args, rejected) setting one parameter to a bound, a neighbour of one or an
+    extreme; rejected is True for a value outside the parameter's schema."""
     for exp in EXPERIMENTS.values():
         monte_carlo = exp.name in ("hardening", "favorable")
         for param in exp.params:
-            if param.kind not in ("int", "float", "int_list", "float_list"):
-                continue
-            if param.name in _HELD_SIZES or (monte_carlo and param.name in _HELD_MONTE_CARLO_SIZES):
-                continue
-            bounds = {b for b in (param.min_value, param.max_value) if b is not None}
-            if param.kind.startswith("int"):
-                extremes = {1, 2, 2**53 + 1, 2**1024}
+            if param.kind == "bool":
+                rejects, texts = _BAD_BOOLS, ()
+            elif param.kind == "choice":
+                choice = param.choices[0]
+                rejects, texts = ("", choice.upper(), choice[:-1], choice + "x"), ()
             else:
-                extremes = {5e-324, 1e-300, 1e300, 1.7e308}
-            for value in sorted(bounds | extremes):
-                yield exp, ["--set", f"{param.name}={value!r}"]
+                held = param.name in _HELD_SIZES or (
+                    monte_carlo and param.name in _HELD_MONTE_CARLO_SIZES
+                )
+                integer = param.kind.startswith("int")
+                if integer:
+                    extremes = {1, 2, 2**53 + 1, 2**1024}
+                else:
+                    extremes = {5e-324, 1e-300, 1e300, 1.7e308}
+                bounds = [b for b in (param.min_value, param.max_value) if b is not None]
+                past = {_beside(b, way, integer)
+                        for b, way in ((param.min_value, -1), (param.max_value, 1))
+                        if b is not None}
+                near = {_beside(b, way, integer) for b in bounds for way in (-1, 1)}
+                rejects = [repr(value) for value in sorted(past)] + list(_NON_FINITE_TEXTS)
+                if held:
+                    rejects += _ZERO_TEXTS
+                    texts = ()
+                else:
+                    values = sorted(set(bounds) | extremes | near)
+                    texts = [repr(value) for value in values] + list(_ZERO_TEXTS)
+            for text in rejects:
+                yield exp, ["--set", f"{param.name}={text}"], True
+            for text in texts:
+                yield exp, ["--set", f"{param.name}={text}"], False
 
 
 def _output_key_names(exp, args, directory) -> set:
@@ -476,15 +505,28 @@ def _output_key_names(exp, args, directory) -> set:
 
 
 def test_extreme_values_exit_cleanly(tmp_path, capsys):
-    """Exit 0 with finite output, or exit 3/4 with one stderr line naming a field or key."""
+    """Exit 0 with finite output, or exit 3/4 with one stderr line naming a field or key;
+    a value outside the schema exits 3 naming its parameter."""
     known = {}
     defects = []
-    for i, (exp, args) in enumerate(_extreme_value_cases()):
+    for i, (exp, args, rejected) in enumerate(_extreme_value_cases()):
+        field, _, text = args[-1].partition("=")
+        if rejected:  # resolved alone first, so a size let past its cap is not run
+            try:
+                resolve({"experiment": exp.name, field: text})
+            except ValidationError:
+                pass
+            else:
+                defects.append(f"{exp.name} {args[-1]}: accepted")
+                continue
         case_dir = tmp_path / str(i)
         out = case_dir / f"out.{exp.output_ext}"
         code = main([exp.name, *args, "--output", str(out)])
         err = capsys.readouterr().err
         case = f"{exp.name} {args[-1]}: exit {code}, {err!r}"
+        if rejected and (code != 3 or not err.startswith(f"invalid configuration: {field}: ")):
+            defects.append(case + ", not rejected as invalid input")
+            continue
         if code == 0:
             if re.search(r"\b(nan|inf|NaN|Infinity)\b", out.read_text()):
                 defects.append(case + ", non-finite output")

@@ -1,13 +1,25 @@
-"""Each script under scripts/ runs to exit 0; the reports print their pinned text."""
+"""Each script under scripts/ runs to exit 0; the reports print their pinned text.
 
+memory_ceilings.py is left out: its runs are the largest that the memory bounds allow,
+hundreds of MiB each and about 15 s in all.  Its table is checked instead: its runs sit
+at the schema's memory bounds, and README quotes each of its figures.
+"""
+
+import importlib.util
+import itertools
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from mimolab import cli
+from mimolab.cli import EXPERIMENTS, resolve
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+README = SCRIPTS.parent / "README.md"
 
 
 def run_script(script, args, cwd):
@@ -16,6 +28,15 @@ def run_script(script, args, cwd):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def _ceilings():
+    """memory_ceilings.CEILINGS: (config, figure in MiB) pairs."""
+    path = SCRIPTS / "memory_ceilings.py"
+    spec = importlib.util.spec_from_file_location("memory_ceilings", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CEILINGS
 
 
 @pytest.mark.parametrize("script", ["centralpark_report.py", "squint_report.py"])
@@ -27,3 +48,35 @@ def test_report_matches_golden(script, tmp_path):
 
 def test_run_all_bundled(tmp_path):
     assert "== adc_128v8 ==" in run_script("run_all_bundled.py", [str(tmp_path)], tmp_path)
+
+
+def test_memory_ceilings_run_every_memory_bound():
+    runs = {}
+    for config, _ in _ceilings():
+        exp, _, _, params = resolve(config)  # valid input, or ValidationError
+        if exp.name in ("capacity", "antenna-sweep"):
+            params = {**params, "sweep_length": len(cli._capacity_scenario(params)[1])}
+        runs.setdefault(exp.name, []).append(params)
+    squint = {param.name: param for param in EXPERIMENTS["squint"].params}
+    bounds = [
+        *(("squint", name, squint[name].max_value) for name in ("rows", "cols", "n_points")),
+        ("hardening", "m_antennas", cli._MAX_ANTENNAS),
+        ("favorable", "m_antennas", cli._MAX_ANTENNAS),
+        ("capacity", "sweep_length", cli._MAX_USER_COUNTS),
+        ("antenna-sweep", "sweep_length", cli._MAX_USER_COUNTS),
+    ]
+    unreached = [(experiment, name, bound) for experiment, name, bound in bounds
+                 if all(params[name] != bound for params in runs.get(experiment, ()))]
+    assert not unreached, f"no memory_ceilings.py run sits at {unreached}"
+
+
+def test_readme_quotes_every_memory_figure():
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if "Schema bounds that keep memory" in line)
+    indent = lines[start].index("-")
+    # the bullet runs on while its lines are indented past its dash
+    bullet = [lines[start], *itertools.takewhile(
+        lambda line: len(line) - len(line.lstrip()) > indent, lines[start + 1:])]
+    quoted = {int(figure.replace(",", ""))
+              for figure in re.findall(r"(\d[\d,]*)\s+MiB", " ".join(bullet))}
+    assert quoted == {figure for _, figure in _ceilings()}
