@@ -22,8 +22,8 @@ SLACK = 1.15
 CEILINGS = (
     ({"experiment": "squint", "rows": "4096", "cols": "4096", "n_points": "2"}, 800),
     ({"experiment": "squint", "rows": "1", "cols": "1", "n_points": "1000000"}, 52),
-    ({"experiment": "hardening", "m_antennas": "10000000", "n_draws": "2"}, 190),
-    ({"experiment": "favorable", "m_antennas": "10000000", "n_pairs": "1"}, 720),
+    ({"experiment": "hardening", "m_antennas": "10000000", "n_draws": "2"}, 110),
+    ({"experiment": "favorable", "m_antennas": "10000000", "n_pairs": "1"}, 340),
     # tau_c = 2.5 s * 400 kHz: one row per user count, up to the sweep cap
     ({"experiment": "capacity", "coherence_time_s": "2.5", "k_step": "1"}, 90),
     ({"experiment": "antenna-sweep", "coherence_time_s": "2.5", "k_step": "1"}, 90),

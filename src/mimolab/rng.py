@@ -1,25 +1,32 @@
 """Seeded random streams with a pinned-down sample mapping.
 
 Uniform doubles come from numpy's PCG64 bit generator.  Everything else is
-an explicit transform of those uniforms written out in this file, so the
-seed-to-sample mapping is fixed by this code rather than by numpy internals:
+an explicit transform of those uniforms written out in this code, so the
+seed-to-sample mapping is fixed by this code rather than by numpy internals.
+A circularly-symmetric complex normal (unit variance) has radius
+sqrt(-log(1 - u1)) and angle 2*pi*u2, with u1 the first n uniforms of the
+stream and u2 the next n.  The Monte-Carlo diagnostics reduce blocks of
+those uniforms without forming the complex normals:
 
-  * circularly-symmetric complex normals (unit variance): radius
-    sqrt(-log(1 - u1)), angle 2*pi*u2, with u1 the first n uniforms of the
-    stream and u2 the next n (:func:`polar_complex_normal`)
-  * their power ||z||^2 = sum(-log(1 - u1)), as |radius * exp(j*angle)|^2 =
-    radius^2 (:func:`polar_power`); it needs only the first n uniforms and
-    agrees with the full draw to rounding (~1e-15 relative)
+  * :func:`polar_power` gives ||z||^2 = sum(-log(1 - u1)) from the first n
+    uniforms alone, as -sum(log(prod(1 - u1))) over groups of at most 16
+    entries: one log per 16 entries.  1 - u is exact (u is a multiple of
+    2**-53), and a product of 16 such factors is at least 2**-848, so it
+    cannot underflow; the power agrees with the per-entry sum to rounding
+    (~1e-15 relative)
+  * ``channels.favorable_propagation_metric`` takes a pair's correlation
+    from its radii and the exact differences of its angle uniforms
 
 Parallel Monte-Carlo runs split work by deriving one child seed per draw
 index with :func:`derive_seed`, so results do not depend on how draws are
-distributed over workers.  :func:`child_uniforms` skips numpy's per-seed
-hash: numpy's SeedSequence hash (pool of four 32-bit words) runs over a
-block of child seeds at once in uint32 arrays, and each child's four words
-go to ``np.random.PCG64`` through the public ``ISeedSequence`` interface, so
-numpy seeds PCG64 itself.  Each child fills a row of a reused block, so the
-transforms above run once per block.  The hash is written out here; the
-tests pin it against ``np.random.SeedSequence(seed)``.
+distributed over workers.  :func:`child_uniforms` hashes 1,024 child seeds
+in one loop and skips numpy's per-seed hash: numpy's SeedSequence hash (pool
+of four 32-bit words) runs over the block of child seeds at once in uint32
+arrays, and each child's four words go to ``np.random.PCG64`` through the
+public ``ISeedSequence`` interface, so numpy seeds PCG64 itself.  Each child
+fills a row of a reused block, so the reductions above run once per block.
+The hash is written out here; the tests pin it against
+``np.random.SeedSequence(seed)``.
 """
 
 from __future__ import annotations
@@ -54,19 +61,36 @@ def derive_seed(parent_seed: int, index: int) -> int:
     """
     if index < 0:
         raise ValueError(f"index must be nonnegative, got {index}")
-    payload = (parent_seed & _SEED_MASK).to_bytes(8, "little") + index.to_bytes(8, "little")
-    return int.from_bytes(hashlib.sha256(payload).digest()[:8], "little")
+    return int.from_bytes(_child_seed_bytes(parent_seed, range(index, index + 1)), "little")
+
+
+def _child_seed_bytes(parent_seed: int, indices: range) -> bytes:
+    """The little-endian 8-byte child seeds of ``indices``, concatenated."""
+    prefix = (parent_seed & _SEED_MASK).to_bytes(8, "little")
+    return b"".join([hashlib.sha256(prefix + i.to_bytes(8, "little")).digest()[:8]
+                     for i in indices])
 
 
 def polar_power(u: np.ndarray) -> np.ndarray:
-    """||z||^2 of the complex normals with radius uniforms u, summed over the last axis."""
-    x = np.negative(u)  # log1p in place, so a one-row block of large n needs one temporary
-    return -np.log1p(x, out=x).sum(axis=-1)  # 1 - u in (0, 1], no infinities
+    """||z||^2 of each row's complex normal, from a (rows, n) block of its radius uniforms.
 
-
-def polar_complex_normal(u: np.ndarray) -> np.ndarray:
-    """CN(0, 1) samples from (..., 2, n) uniforms: radius u[..., 0, :], angle u[..., 1, :]."""
-    return np.sqrt(-np.log1p(-u[..., 0, :])) * np.exp(2j * np.pi * u[..., 1, :])
+    Group g of a row multiplies its entries g, g + k, ..., g + 15k (k = n // 16),
+    in a tree, and the last n % 16 entries form one more group.  A block of one
+    row is overwritten.
+    """
+    rows, n = u.shape
+    # row j holds entry j of every draw, so each step is one pass; a single row is reduced in
+    # place, so the largest M peaks at one block
+    x = u.T if rows == 1 else np.empty((n, rows))
+    np.subtract(1.0, u.T, out=x)  # exact, and in (0, 1]: no infinities
+    k = n // 16
+    for half in (8, 4, 2, 1):
+        x[:half * k] *= x[half * k:2 * half * k]
+    logs = np.log(x[:k], out=x[:k])
+    total = np.ascontiguousarray(logs.T).sum(axis=-1)  # each row sums pairwise, as a 1-D array does
+    if n % 16:
+        total += np.log(x[16 * k:].prod(axis=0))
+    return -total
 
 
 class RandomStream:
@@ -88,7 +112,8 @@ def child_uniforms(parent_seed: int, count: int, n: int) -> Iterator[np.ndarray]
     block = np.empty((max(1, _UNIFORM_BLOCK // n), n))
     filled = 0
     for start in range(0, count, _SEED_BLOCK):
-        seeds = [derive_seed(parent_seed, i) for i in range(start, min(count, start + _SEED_BLOCK))]
+        indices = range(start, min(count, start + _SEED_BLOCK))
+        seeds = np.frombuffer(_child_seed_bytes(parent_seed, indices), dtype="<u8")
         for row in _seed_sequence_states(seeds):
             np.random.Generator(np.random.PCG64(_SeedWords(row))).random(out=block[filled])
             filled += 1
@@ -99,7 +124,7 @@ def child_uniforms(parent_seed: int, count: int, n: int) -> Iterator[np.ndarray]
         yield block[:filled]
 
 
-def _seed_sequence_states(seeds: list[int]) -> np.ndarray:
+def _seed_sequence_states(seeds: np.ndarray | list[int]) -> np.ndarray:
     """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for each 64-bit seed s.
 
     Returns a C-contiguous (len(seeds), 4) uint64 array.  SeedSequence splits
@@ -107,7 +132,7 @@ def _seed_sequence_states(seeds: list[int]) -> np.ndarray:
     seed is the entropy [low, high, 0, 0] of the four-word pool.  The hash constant
     advances the same way for every seed, so it stays a Python int.
     """
-    seeds = np.array(seeds, dtype=np.uint64)
+    seeds = np.asarray(seeds, dtype=np.uint64)
     hash_const = _INIT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 # allow running the suite from a fresh checkout without installing
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -16,6 +18,25 @@ def bundled(name: str, **overrides) -> dict:
     """
     exp, _, _, params = cli.resolve({"config": name, **{k: str(v) for k, v in overrides.items()}})
     return cli._capacity_scenario(params)[0] if exp.name == "capacity" else params
+
+
+def polar_complex_normal(u: np.ndarray) -> np.ndarray:
+    """CN(0, 1) samples from (..., 2, n) uniforms: radius u[..., 0, :], angle u[..., 1, :].
+
+    The complex normals that mimolab's Monte-Carlo reductions stand for, as a reference.
+    """
+    return np.sqrt(-np.log1p(-u[..., 0, :])) * np.exp(2j * np.pi * u[..., 1, :])
+
+
+def pair_correlation(h_i: np.ndarray, h_j: np.ndarray) -> float:
+    """|h_i^H h_j| / (||h_i|| ||h_j||), clipped to 1; the reference for the favorable metric."""
+    h_i = np.asarray(h_i, dtype=complex)
+    h_j = np.asarray(h_j, dtype=complex)
+    denom = np.linalg.norm(h_i) * np.linalg.norm(h_j)
+    if denom == 0.0:
+        raise ValueError("pair correlation is undefined for zero vectors")
+    # clipped to 1 against last-bit rounding, as beamforming.efficiency is; min keeps a NaN
+    return min(float(abs(np.vdot(h_i, h_j)) / denom), 1.0)
 
 
 def rayleigh_z(metric: str, value: float, m_antennas: int, n: int) -> float:

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimolab.channels import (
-    drift_gain,
-    favorable_propagation_metric,
-    hardening_metric,
-    pair_correlation,
-)
+from mimolab.channels import drift_gain, favorable_propagation_metric, hardening_metric
 from mimolab.cli import _run_mobility
 from mimolab.propagation import _least_drift_gain, drift_bound_check
 from mimolab.rng import (
@@ -22,11 +17,10 @@ from mimolab.rng import (
     _SeedWords,
     child_uniforms,
     derive_seed,
-    polar_complex_normal,
     polar_power,
 )
 
-from conftest import rayleigh_z
+from conftest import pair_correlation, polar_complex_normal, rayleigh_z
 
 
 def _complex_normal(seed, n):
@@ -67,7 +61,7 @@ def test_uniform_draws_continue_the_stream():
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
 def test_complex_normal_power_is_norm_of_complex_normal(seed, n):
     h = _complex_normal(seed, n)
-    power = polar_power(RandomStream(seed).uniform(n))  # the first n uniforms only
+    power = polar_power(RandomStream(seed).uniform(n)[None])[0]  # the first n uniforms only
     assert power == pytest.approx(np.vdot(h, h).real, rel=1e-13, abs=0)
 
 
@@ -155,20 +149,47 @@ def test_hardening_is_reproducible():
     assert hardening_metric(50, 500, 1) != hardening_metric(50, 500, 2)
 
 
-def _per_draw_hardening(m, n, seed):
-    powers = np.array(
-        [-np.log1p(-RandomStream(derive_seed(seed, i)).uniform(m)).sum() for i in range(n)]
-    )
+def _power(u):
+    """polar_power of one draw: a log per group of entries g, g + k, ..., g + 15k, and the tail."""
+    x = 1.0 - u
+    k = len(x) // 16
+    for half in (8, 4, 2, 1):
+        x[:half * k] *= x[half * k:2 * half * k]
+    return -(np.log(x[:k]).sum() + np.log(x[16 * k:].prod()))  # an empty tail adds log(1) = 0
+
+
+def _correlation(u_i, u_j):
+    """One pair's correlation from its children's M radius and M angle uniforms."""
+    m = len(u_i) // 2
+    r2_i, r2_j = -np.log1p(-u_i[:m]), -np.log1p(-u_j[:m])
+    rr = np.sqrt(r2_i) * np.sqrt(r2_j)
+    angle = (u_i[m:] - u_j[m:]) * (2 * np.pi)
+    rho = np.hypot((rr * np.cos(angle)).sum(), (rr * np.sin(angle)).sum())
+    return min(rho / np.sqrt(r2_i.sum() * r2_j.sum()), 1.0)
+
+
+def _complex_power(u):
+    """||z||^2 summed entry by entry, the formula _power replaces."""
+    return -np.log1p(-u).sum()
+
+
+def _complex_correlation(u_i, u_j):
+    """pair_correlation of the pair's complex normals, the formula _correlation replaces."""
+    m = len(u_i) // 2
+    return pair_correlation(polar_complex_normal(u_i.reshape(2, m)),
+                            polar_complex_normal(u_j.reshape(2, m)))
+
+
+def _per_draw_hardening(m, n, seed, power=_power):
+    powers = np.array([power(RandomStream(derive_seed(seed, i)).uniform(m)) for i in range(n)])
     return float(powers.std(ddof=1) / powers.mean())
 
 
-def _per_draw_favorable(m, n, seed):
-    vals = np.empty(n)
-    for i in range(n):
-        h_i = _complex_normal(derive_seed(seed, 2 * i), m)
-        h_j = _complex_normal(derive_seed(seed, 2 * i + 1), m)
-        vals[i] = pair_correlation(h_i, h_j)
-    return float(vals.mean())
+def _per_draw_favorable(m, n, seed, correlation=_correlation):
+    def child(i):
+        return RandomStream(derive_seed(seed, i)).uniform(2 * m)
+
+    return float(np.mean([correlation(child(2 * i), child(2 * i + 1)) for i in range(n)]))
 
 
 @pytest.mark.parametrize(
@@ -191,6 +212,24 @@ def test_hardening_equals_per_draw_streams(m, n, seed):
 )
 def test_favorable_equals_per_draw_streams(m, n, seed):
     assert favorable_propagation_metric(m, n, seed) == _per_draw_favorable(m, n, seed)
+
+
+@pytest.mark.parametrize("m", [1, 2, 15, 16, 17, 100, _UNIFORM_BLOCK // 2 + 1])
+def test_block_reductions_match_complex_normal_formulas(m):
+    for seed in (0, 42):
+        assert hardening_metric(m, 64, seed) == pytest.approx(
+            _per_draw_hardening(m, 64, seed, _complex_power), rel=1e-14, abs=0)
+        assert favorable_propagation_metric(m, 16, seed) == pytest.approx(
+            _per_draw_favorable(m, 16, seed, _complex_correlation), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("m", [1, 15, 16, 17, 100])
+def test_power_of_the_largest_uniforms_is_finite(m):
+    # 1 - u = 2**-53 for every entry: a group of 16 multiplies to 2**-848, still a normal double
+    for rows in (1, 3):  # a block of one row is reduced in place
+        power = polar_power(np.full((rows, m), 1.0 - 2.0**-53))
+        assert np.all(np.isfinite(power))
+        assert power == pytest.approx(np.full(rows, 53 * m * math.log(2.0)), rel=1e-15)
 
 
 def test_hardening_needs_two_draws():
