@@ -25,9 +25,10 @@ if __name__ == "__main__":
         table, sweep, _ = exp.runner(params, seed)
         print(f"== {hz(params['carrier_hz'])} / {hz(params['bandwidth_hz'])}: "
               f"tau_c = {sweep['tau_c']}, uplink SNR {sweep['ul_pilot_snr_effective']:g} ==")
-        # the table maps each capacity.RATE_COLUMNS name to its column, one row per M
+        # the table maps each capacity.RATE_COLUMNS name to its column, one row per M;
+        # zip reads a list and a numpy column alike
         names = ("m_antennas", "k_users", "pilot_fraction", "sum_rate_bps")
-        for m, k, pilot, sum_rate in zip(*(table[name].tolist() for name in names)):
+        for m, k, pilot, sum_rate in zip(*(table[name] for name in names)):
             print(f"  M={m:>6}: K={k:>6} pilot {pilot:5.3f} sum {sum_rate / 1e9:10.2f} Gbit/s")
         exp, seed, _, params = resolve({"config": name})
         best = exp.runner(params, seed)[1]["optimum"]

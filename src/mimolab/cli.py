@@ -15,25 +15,28 @@ ones included, and a positional experiment name sits below both.
 The library modules take and return plain numbers and arrays; each runner
 here builds its experiment's record from them and returns data, never text:
 a dict for a JSON experiment, and for a CSV one a dict from column name to
-numpy column, all of one length, whose keys are the header.  So this module
-alone knows the output schemas.  ``run`` alone checks that every number
-is finite, before it creates any file, and writes the output along with a
-``<output>.manifest.json`` echoing the resolved parameters, the seed, and the
-artifact version.  It writes both files or neither: each goes to a temp file
-beside its path (a CSV streams in blocks of rows, so no copy of its whole text
-is held), and both temps are complete before either is renamed into place; an
-existing path that is not a regular file is refused before any temp is written.
+column (a list or a numpy array), all of one length, whose keys are the
+header.  So this module alone knows the output schemas.  ``run`` alone checks
+that every number is finite, before it creates any file, and writes the output
+along with a ``<output>.manifest.json`` echoing the resolved parameters, the
+seed, and the artifact version.  It writes both files or neither: each goes to
+a temp file beside its path (a CSV streams in blocks of rows, so no copy of its
+whole text is held), and both temps are complete before either is renamed into
+place; an existing path that is not a regular file is refused before any temp
+is written.
 Files are created with mode 0o666 less the umask.  Outputs contain no
 timestamps, so re-running a config reproduces its files byte for byte.
 Integer parameters must lie within the double range, as the numeric code
 turns them into floats; the seed is exempt, as only its low 64 bits are used.
 The numpy-backed modules are imported inside the runners that use them, after
 their own checks, so the closed-form experiments, the listings, schema rejects
-and capacity-scenario rejects never load numpy.  From the standard library they
-import only ``os``, ``sys`` and ``math``: the JSON writer here stands in for
-``json``, the schemas are plain classes, and the key grammar is a set check, so
-``json``, ``re``, ``typing``, ``functools``, ``enum`` and ``collections`` stay
-unloaded.
+and capacity-scenario rejects never load numpy.  Nor does a rate sweep of at
+most ``capacity.PLAIN_MAX_EVALUATIONS`` rate evaluations (``centralpark_60ghz``,
+the default ``antenna-sweep``), which ``capacity`` evaluates in plain Python.
+From the standard library they import only ``os``, ``sys`` and ``math``: the
+JSON writer here stands in for ``json``, the schemas are plain classes, and the
+key grammar is a set check, so ``json``, ``re``, ``typing``, ``functools``,
+``enum`` and ``collections`` stay unloaded.
 
 Exit codes, all chosen by one ``except`` table in ``main``: 0 success, 2 parse
 error (with line/column in a config file), 3 invalid input naming the offending
@@ -44,7 +47,8 @@ all nothing is printed.  Invalid input is a missing or unknown ``experiment``,
 a value outside its schema, a library check that relates several parameters
 (``k_min <= k_max <= tau_c``, ``d1 + d2 > 0``, ``subcarriers_per_block <=
 n_subcarriers``, a coherence block or half-wavelength spacing that the values
-cannot form, a squint span too narrow for ``n_points`` distinct frequencies),
+cannot form, a squint span too narrow for ``n_points`` distinct frequencies,
+a capacity SNR product that overflows),
 an ``output`` that names no file ('', a path ending in a separator, or one
 holding NUL), or ``config`` for a config file that cannot be read.
 """
@@ -251,10 +255,17 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
     ul_snr = params["ul_pilot_snr"]
     if params["snr_scaling"] == "bandwidth":
         ul_snr = ul_snr * params["reference_bandwidth_hz"] / params["bandwidth_hz"]
-        if ul_snr == 0.0:
+        if ul_snr in (0.0, math.inf):
             raise ValidationError(
-                "ul_pilot_snr", "underflows to 0 when scaled by reference_bandwidth_hz/bandwidth_hz"
+                "ul_pilot_snr", f"{'underflows to 0' if ul_snr == 0.0 else 'overflows'} "
+                "when scaled by reference_bandwidth_hz/bandwidth_hz"
             )
+    # the rate formula's SNR products: an infinite one turns every rate into NaN
+    if params["dl_ul_power_ratio"] * ul_snr == math.inf:
+        raise ValidationError(
+            "dl_ul_power_ratio",
+            f"the downlink SNR {params['dl_ul_power_ratio']!r} * {ul_snr!r} overflows"
+        )
     tau_c = _blame("coherence_time_s", coherence_samples, params["coherence_time_s"],
                    params["coherence_bandwidth_hz"], note=" (tau_c = time * bandwidth)")
     grid = _blame("k_max" if params["k_max"] > tau_c else "k_min", k_range, tau_c,
@@ -263,6 +274,8 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
         raise ValidationError(
             "k_step", f"the sweep would hold {len(grid)} user counts, more than {_MAX_USER_COUNTS}"
         )
+    if grid[-1] * ul_snr == math.inf:  # the pilot energy of the largest user count
+        raise ValidationError("ul_pilot_snr", f"the pilot energy {grid[-1]} * {ul_snr!r} overflows")
     extras = {
         "snr_scaling": params["snr_scaling"],
         "ul_pilot_snr_effective": ul_snr,
@@ -276,9 +289,9 @@ def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
 
 def _run_capacity(params: dict, seed: int):
     rate_args, grid, extras = _capacity_scenario(params)
-    from .capacity import best_row, rate_table
+    from .capacity import best_row, rate_columns
 
-    table = rate_table(grid, **rate_args)
+    table = rate_columns(grid, **rate_args)
     best = extras["optimum"] = best_row(table)
     lines = [
         f"optimum: K={best['k_users']}, pilot fraction {best['pilot_fraction']:.4f}, "
@@ -289,8 +302,6 @@ def _run_capacity(params: dict, seed: int):
 
 def _run_antenna_sweep(params: dict, seed: int):
     rate_args, grid, extras = _capacity_scenario(params)
-    import numpy as np
-
     from .capacity import RATE_COLUMNS, antenna_sweep
 
     best = antenna_sweep(params["m_grid"], grid, **rate_args)
@@ -299,8 +310,7 @@ def _run_antenna_sweep(params: dict, seed: int):
         f"at K={row['k_users']}"
         for row in best
     ]
-    # object arrays keep best_row's numbers; an int64 M beside a uint64 one would become float
-    table = {name: np.array([row[name] for row in best], dtype=object) for name in RATE_COLUMNS}
+    table = {name: [row[name] for row in best] for name in RATE_COLUMNS}
     return table, extras, lines
 
 
@@ -690,21 +700,26 @@ def _json_text(obj) -> str:
     return _json_value(obj, "", "") + "\n"
 
 
+def _cells(column) -> list:
+    """The cells of a column, a list or a numpy array, as Python numbers."""
+    return column if isinstance(column, list) else column.tolist()
+
+
 def _column_is_finite(column) -> bool:
-    """False if a cell of the numpy column is NaN or infinite."""
-    kind = column.dtype.kind
+    """False if a cell of the column, a list or a numpy array, is NaN or infinite."""
+    kind = "O" if isinstance(column, list) else column.dtype.kind
     if kind in ("i", "u"):
         return True
     if kind == "f":  # min and max propagate NaN and reach +-inf
         return math.isfinite(column.min()) and math.isfinite(column.max())
-    return all(not isinstance(value, float) or math.isfinite(value) for value in column)
+    return all(map(math.isfinite, column))  # ints lie within the double range (_check_range)
 
 
 def _check_columns(table: dict) -> None:
     """Raise ValueError naming the first NaN or infinite cell of a name -> column table."""
     if all(_column_is_finite(column) for column in table.values()):
         return
-    for number, row in enumerate(zip(*(c.tolist() for c in table.values())), start=1):
+    for number, row in enumerate(zip(*map(_cells, table.values())), start=1):
         for name, value in zip(table, row):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} in data row {number} is {value!r}, not a finite number")
@@ -722,7 +737,7 @@ def _csv_blocks(table: dict):
         n = len(block[0])
         flat = [None] * (n * width)  # row-major cells: column j at j, j + width, ...
         for j, cells in enumerate(block):
-            flat[j::width] = cells.tolist()
+            flat[j::width] = _cells(cells)
         yield (row_format * n) % tuple(flat)
 
 

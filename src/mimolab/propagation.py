@@ -37,8 +37,14 @@ def fresnel_radius(d1_m: float, d2_m: float, frequency_hz: float) -> float:
         raise ValueError(f"distances must be nonnegative, got {d1_m}, {d2_m}")
     if not d1_m + d2_m > 0:
         raise ValueError("link length d1 + d2 must be positive")
-    lam = wavelength_m(frequency_hz)
-    return math.sqrt(lam * d1_m * d2_m / (d1_m + d2_m))
+    # lam*d1*d2/(d1 + d2) on the frexp mantissas, its binary exponent t kept apart, so no
+    # product or sum can overflow or underflow; a power of two scales exactly, so wherever
+    # the unscaled form stays in range this gives the same bits
+    (m_lam, e_lam), (m1, e1), (m2, e2) = map(math.frexp, (wavelength_m(frequency_hz), d1_m, d2_m))
+    e = max(e1, e2)
+    q = m_lam * m1 * m2 / (math.ldexp(m1, e1 - e) + math.ldexp(m2, e2 - e))
+    t = e_lam + e1 + e2 - e
+    return math.ldexp(math.sqrt(math.ldexp(q, t % 2)), t // 2)  # sqrt(q * 2**t)
 
 
 def bandwidth_snr_delta(bandwidth_ratio: float) -> float:

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolab.capacity import (
+    PLAIN_MAX_EVALUATIONS,
     RATE_COLUMNS,
     antenna_sweep,
     best_row,
     estimation_quality,
+    rate_columns,
+    rate_lists,
     rate_table,
 )
 from mimolab.coherence import coherence_samples, k_range
@@ -118,12 +121,10 @@ def test_sinr_linear_in_antennas():
 
 def test_k_bounds_enforced():
     sc = bundled("centralpark_3ghz")
-    with pytest.raises(ValueError):
-        rate_table([40_001], **sc)
-    with pytest.raises(ValueError):
-        rate_table([0], **sc)
-    with pytest.raises(ValueError):
-        rate_table([1, 40_001], **sc)
+    for evaluate in (rate_table, rate_lists):
+        for grid in ([40_001], [0], [1, 40_001], []):
+            with pytest.raises(ValueError, match="k_users"):
+                evaluate(grid, **sc)
 
 
 def test_single_user_sum_equals_per_user_rate():
@@ -156,6 +157,37 @@ def test_rate_table_matches_scalar_closed_form(name):
     # np.log2 and math.log2 may round the last bit apart
     for name, expected in zip(RATE_COLUMNS[3:], reference[3:]):
         np.testing.assert_allclose(table[name], expected, rtol=1e-15, atol=0, err_msg=name)
+
+
+@pytest.mark.parametrize("name", ["centralpark_3ghz", "centralpark_60ghz"], ids=["3ghz", "60ghz"])
+def test_plain_evaluator_matches_rate_table(name):
+    sc = bundled(name)
+    grid = k_range(sc["tau_c"], k_step=1)
+    table, lists = rate_table(grid, **sc), rate_lists(grid, **sc)
+    assert tuple(lists) == RATE_COLUMNS
+    assert all(type(column) is list for column in lists.values())
+    for column in RATE_COLUMNS[:3]:  # M, K and the pilot fraction: no log2
+        assert lists[column] == table[column].tolist(), column
+    # math.log2 and np.log2 may round the last bit apart
+    for column in RATE_COLUMNS[3:]:
+        np.testing.assert_allclose(lists[column], table[column], rtol=1e-15, atol=0,
+                                   err_msg=column)
+
+
+def test_evaluator_follows_the_count_of_rate_evaluations():
+    sc = bundled("centralpark_3ghz")
+    assert type(rate_columns(range(1, PLAIN_MAX_EVALUATIONS + 1), **sc)["se_per_ue"]) is list
+    assert isinstance(rate_columns(range(1, PLAIN_MAX_EVALUATIONS + 2), **sc)["se_per_ue"],
+                      np.ndarray)
+    # antenna_sweep counts every M: 4 x 2,048 evaluations stay plain, 4 x 2,049 take numpy
+    m_grid = [100, 1000, 10_000, 100_000]
+    for n in (PLAIN_MAX_EVALUATIONS // 4, PLAIN_MAX_EVALUATIONS // 4 + 1):
+        rows = antenna_sweep(m_grid, range(1, n + 1), **sc)
+        best = [best_row(rate_table(range(1, n + 1), **{**sc, "m_antennas": m})) for m in m_grid]
+        assert [row["k_users"] for row in rows] == [row["k_users"] for row in best]
+        for row, expected in zip(rows, best):
+            assert [type(v) for v in row.values()] == [int, int, float, float, float, float]
+            assert row == pytest.approx(expected, rel=1e-15)
 
 
 def test_rate_table_rows_do_not_depend_on_the_grid():
@@ -202,6 +234,11 @@ def test_best_row_ties_go_to_smaller_k():
     assert best_row(flat)["k_users"] == 3
     flat["sum_rate_bps"] = np.array([1.0, 2.0, 2.0])
     assert best_row(flat)["k_users"] == 5
+    # list columns, as rate_lists returns them
+    lists = {name: column.tolist() for name, column in flat.items()}
+    assert best_row(lists) == best_row(flat)
+    lists["sum_rate_bps"] = [1.0, 1.0, 1.0]
+    assert best_row(lists)["k_users"] == 3
 
 
 def test_optimize_rejects_empty_grid():
@@ -277,5 +314,6 @@ def test_scenario_validation():
                 "dl_ul_power_ratio": "power ratio", "bandwidth_hz": "bandwidth_hz"}
     for name, message in messages.items():
         for bad in (0, -1.0, math.nan):
-            with pytest.raises(ValueError, match=message):
-                rate_table([1, 500], **{**bundled("centralpark_3ghz"), name: bad})
+            for evaluate in (rate_table, rate_lists):
+                with pytest.raises(ValueError, match=message):
+                    evaluate([1, 500], **{**bundled("centralpark_3ghz"), name: bad})

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mimolab import __version__, cli
 from mimolab.beamforming import squint_sweep, sweep_frequencies
-from mimolab.capacity import rate_table
+from mimolab.capacity import rate_columns, rate_lists, rate_table
 from mimolab.cli import (
     _CSV_BLOCK_ROWS,
     BUNDLED_CONFIGS,
@@ -197,6 +197,16 @@ def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
         # half a wavelength at the center frequency overflows to inf m
         (["squint", "--center-frequency-hz", "5e-301", "--span-hz", "1e-301",
           "--rows", "1", "--cols", "1"], "center_frequency_hz"),
+        # SNR products that overflow: the downlink SNR dl_ul_power_ratio * rho_ul, the
+        # bandwidth-scaled uplink SNR, and the pilot energy K * rho_ul of the largest K
+        (["capacity", "--dl-ul-power-ratio", "1e308", "--k-step", "1000"], "dl_ul_power_ratio"),
+        (["antenna-sweep", "--dl-ul-power-ratio", "1e308"], "dl_ul_power_ratio"),
+        (["capacity", "--ul-pilot-snr", "1e200", "--dl-ul-power-ratio", "1e200",
+          "--k-step", "1000"], "dl_ul_power_ratio"),
+        (["capacity", "--ul-pilot-snr", "1e308", "--snr-scaling", "bandwidth",
+          "--reference-bandwidth-hz", "1e10", "--bandwidth-hz", "1", "--k-step", "1000"],
+         "ul_pilot_snr"),
+        (["capacity", "--ul-pilot-snr", "1e305", "--dl-ul-power-ratio", "1"], "ul_pilot_snr"),
     ],
 )
 def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
@@ -238,10 +248,8 @@ def test_unreadable_config_or_unwritable_output(args, name, code, tmp_path, monk
 
 
 def test_runtime_failure_exits_four(tmp_path, monkeypatch, capsys):
-    # valid input whose result is not a number: d1*d2/(d1 + d2) is inf/inf
-    code = run_cli(
-        ["fresnel", "--d1", "1e308", "--d2", "1e308", "--output", "f.json"], tmp_path, monkeypatch
-    )
+    # valid input whose result is not a number: the wavelength c/f overflows to inf
+    code = run_cli(["fresnel", "--freq-ghz", "1e-320", "--output", "f.json"], tmp_path, monkeypatch)
     assert code == 4
     assert capsys.readouterr().err.startswith("runtime failure: ")
     assert list(tmp_path.iterdir()) == []
@@ -330,7 +338,7 @@ NON_FINITE_QUANTITY = {
 @pytest.mark.parametrize(
     "args",
     [
-        ["fresnel", "--d1", "1e308", "--d2", "1e308"],
+        ["fresnel", "--freq-ghz", "1e-320"],
         ["estload", "--m-antennas", "1000000000000000000000", "--coherence-time-s", "1e-320"],
         ["capacity", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
         ["antenna-sweep", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
@@ -362,14 +370,17 @@ def test_adc_power_underflow_is_runtime_failure(tmp_path, monkeypatch, capsys):
 
 
 def test_invalid_rate_arithmetic_is_runtime_failure(tmp_path, monkeypatch, capsys):
-    # rho_dl overflows to inf, so the SINR is inf/inf: nan without a warning, then exit 4
-    args = ["capacity", "--ul-pilot-snr", "1e308", "--dl-ul-power-ratio", "1e308",
-            "--set", "k_step=1000", "--output", "out.csv"]
-    assert run_cli(args, tmp_path, monkeypatch) == 4
-    assert capsys.readouterr().err == (
-        "runtime failure: se_per_ue in data row 1 is nan, not a finite number\n"
-    )
-    assert list(tmp_path.iterdir()) == []
+    # finite SNRs, but M*gamma*rho_dl/K overflows: an infinite SINR and SE, and a nan SE
+    # (1 - 1) * inf at K = tau_c; none warns, on the plain path (40 rows) or numpy's (40,000)
+    for k_step in ("1000", "1"):
+        args = ["capacity", "--m-antennas", "1e300", "--dl-ul-power-ratio", "1e10",
+                "--set", f"k_step={k_step}", "--output", "out.csv"]
+        assert run_cli(args, tmp_path, monkeypatch) == 4
+        assert capsys.readouterr().err == (
+            "runtime failure: se_per_ue in data row 1 is inf, not a finite number\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 
 # ---------------------------------------------------------------------------
@@ -830,16 +841,19 @@ def test_big_m_is_written_digit_for_digit(big, tmp_path, monkeypatch):
         assert header.startswith("m_antennas,")
         return [row.split(",")[0] for row in rows]
 
-    # numpy holds the first in uint64 (a float beside an int64), the second in an object column
-    args = ["capacity", "--m-antennas", str(big), "--k-step", "1000", "--output", "c.csv"]
-    assert run_cli(args, tmp_path, monkeypatch) == 0
-    cells = m_cells("c.csv")
-    assert len(cells) == 40 and set(cells) == {str(big)}
-    optimum = json.loads((tmp_path / "c.csv.manifest.json").read_text())["results"]["optimum"]
-    assert type(optimum["m_antennas"]) is int and optimum["m_antennas"] == big
-    args = ["antenna-sweep", "--m-grid", f"100,{big}", "--output", "s.csv"]
-    assert run_cli(args, tmp_path, monkeypatch) == 0
-    assert m_cells("s.csv") == ["100", str(big)]
+    # 40 rows take the plain path, which keeps M a Python int; 10,000 rows take numpy, which
+    # holds the first in uint64 (a float beside an int64), the second in an object column
+    for k_step, rows in (("1000", 40), ("4", 10_000)):
+        args = ["capacity", "--m-antennas", str(big), "--k-step", k_step, "--output", "c.csv"]
+        assert run_cli(args, tmp_path, monkeypatch) == 0
+        cells = m_cells("c.csv")
+        assert len(cells) == rows and set(cells) == {str(big)}
+        optimum = json.loads((tmp_path / "c.csv.manifest.json").read_text())["results"]["optimum"]
+        assert type(optimum["m_antennas"]) is int and optimum["m_antennas"] == big
+        # 2 x 40 and 2 x 10,000 rate evaluations
+        args = ["antenna-sweep", "--m-grid", f"100,{big}", "--k-step", k_step, "--output", "s.csv"]
+        assert run_cli(args, tmp_path, monkeypatch) == 0
+        assert m_cells("s.csv") == ["100", str(big)]
 
 
 def _squint_rows():
@@ -852,8 +866,9 @@ def _squint_rows():
 
 def _capacity_rows(name, k_step):
     sc = bundled(name)
-    table = rate_table(k_range(sc["tau_c"], k_step=k_step), **sc)
-    return [list(row) for row in zip(*(column.tolist() for column in table.values()))]
+    # the evaluator the CLI takes for this grid, so that every bit must match
+    table = rate_columns(k_range(sc["tau_c"], k_step=k_step), **sc)
+    return [list(row) for row in zip(*map(cli._cells, table.values()))]
 
 
 @pytest.mark.parametrize(
@@ -888,8 +903,12 @@ def test_csv_blocks_match_row_repr(n):
     floats = np.resize(CSV_SPECIALS, n)
     table = {"a": ints, "b": floats, "c": -ints, "d": np.arange(n) * 0.1 - 2.0}
     rows = zip(*(column.tolist() for column in table.values()))
-    expected = "".join(",".join(map(repr, row)) + "\n" for row in rows)
-    assert "".join(_csv_blocks(table)) == "a,b,c,d\n" + expected
+    expected = "a,b,c,d\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    assert "".join(_csv_blocks(table)) == expected
+    # list columns, as the plain rate evaluator returns, and a mix of both kinds
+    lists = {name: column.tolist() for name, column in table.items()}
+    assert "".join(_csv_blocks(lists)) == expected
+    assert "".join(_csv_blocks({**lists, "b": floats})) == expected
 
 
 def _nan_at(row):
@@ -899,6 +918,23 @@ def _nan_at(row):
         return table
 
     return table_with_nan
+
+
+def test_non_finite_cell_in_a_list_column_writes_nothing(tmp_path, monkeypatch, capsys):
+    def lists_with_inf(*args, **kwargs):
+        table = rate_lists(*args, **kwargs)
+        table["rate_per_ue_bps"][2] = -math.inf
+        return table
+
+    # 40 user counts: the plain evaluator's list columns
+    monkeypatch.setattr("mimolab.capacity.rate_lists", lists_with_inf)
+    code = run_cli(["capacity", "--set", "k_step=1000", "--output", "out/cap.csv"],
+                   tmp_path, monkeypatch)
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "runtime failure: rate_per_ue_bps in data row 3 is -inf, not a finite number\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_finite_cell_in_a_later_block_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -929,10 +965,11 @@ def test_out_of_memory_while_streaming_leaves_no_file(tmp_path, monkeypatch, cap
 
 
 def test_csv_memory_grows_little_per_row(tmp_path, monkeypatch):
-    # centralpark_3ghz at k_step 4 and 1 writes 10,000 and 40,000 rows; the
-    # rate columns take 48 B/row, a writer holding the whole text about 500 B/row
+    # centralpark_3ghz at k_step 4 and 1 writes 10,000 and 40,000 rows, both from numpy
+    # columns; the rate columns take 48 B/row, a writer holding the whole text about 500 B/row
     base = ["--config", "centralpark_3ghz", "--set", "fine=false", "--output", "cap.csv"]
-    assert run_cli(base + ["--set", "k_step=1000"], tmp_path, monkeypatch) == 0  # imports
+    # imports numpy, which a grid of at most capacity.PLAIN_MAX_EVALUATIONS counts would not
+    assert run_cli(base + ["--set", "k_step=4"], tmp_path, monkeypatch) == 0
     peaks = []
     for k_step in (4, 1):
         tracemalloc.start()
@@ -1131,7 +1168,12 @@ _NUMPY_FREE_CASES = [
     (["antenna-sweep", "--k-min", "9", "--k-max", "2"], 3, None),
     (["fresnel", "--d1", "0", "--d2", "0"], 3, None),
     (["estload", "--subcarriers-per-block", "2000"], 3, None),
+    (["capacity", "--dl-ul-power-ratio", "1e308"], 3, None),
     (["--config", "mobility_bound", "--output", "out.json"], 0, "mobility_bound.json"),
+    # rate sweeps of at most capacity.PLAIN_MAX_EVALUATIONS rate evaluations: 2,000 user
+    # counts, and 4 antenna counts x 1,000
+    (["--config", "centralpark_60ghz", "--output", "out.csv"], 0, "centralpark_60ghz.csv"),
+    (["antenna-sweep", "--output", "out.csv"], 0, "antenna_sweep.csv"),
     (["mobility", "--mu-list", "0.2"], 3, None),
     # paths that the manifest echoes in json's ASCII escapes: non-ASCII, and holding a
     # byte that is not UTF-8, which reaches Python as a lone surrogate
@@ -1177,7 +1219,8 @@ def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     results, modules = json.loads(proc.stdout)
     assert [name for name in modules if name.startswith("mimolab")] == [
-        "mimolab", "mimolab.cli", "mimolab.coherence", "mimolab.hardware", "mimolab.propagation"
+        "mimolab", "mimolab.capacity", "mimolab.cli", "mimolab.coherence", "mimolab.hardware",
+        "mimolab.propagation",
     ]
     # standard-library imports the CLI does without: beyond os, sys and math it has its own
     # JSON writer, plain schema classes and a set check of the key grammar

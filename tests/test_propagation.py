@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,40 @@ def test_fresnel_symmetric_in_distances(d1, d2, f):
 def test_fresnel_monotone_in_wavelength(d1, d2, f):
     # halving the frequency doubles the wavelength and widens the zone
     assert fresnel_radius(d1, d2, f / 2) > fresnel_radius(d1, d2, f)
+
+
+@settings(max_examples=200)
+@given(d1=pos, d2=pos, f=st.floats(1e8, 1e12), s=st.integers(-511, 500))
+def test_fresnel_scales_exactly_over_the_double_range(d1, d2, f, s):
+    # distances times 4**s give the radius times 2**s, bit for bit, down to subnormal
+    # distances and up to products d1*d2 far beyond the double range
+    radius = fresnel_radius(d1, d2, f)
+    assert fresnel_radius(math.ldexp(d1, 2 * s), math.ldexp(d2, 2 * s), f) == math.ldexp(radius, s)
+
+
+@pytest.mark.parametrize(
+    "d1, d2, scale",
+    [(1e200, 1e200, -700), (1e308, 1e308, -1000), (1e-320, 1e-320, 1100), (1e-320, 1e300, None),
+     (1e300, 1e-320, None)],
+    ids=["product-overflows", "sum-overflows", "subnormal", "subnormal-beside-huge",
+         "huge-beside-subnormal"],
+)
+def test_fresnel_radius_keeps_its_range(d1, d2, scale):
+    lam = wavelength_m(38e9)
+    if scale is None:  # d1*d2/(d1 + d2) is the smaller distance, to far within rounding
+        expected = math.ldexp(math.sqrt(lam * math.ldexp(min(d1, d2), 1100)), -550)
+    else:  # the plain formula on both distances times 2**scale, where it stays in range
+        a, b = math.ldexp(d1, scale), math.ldexp(d2, scale)
+        expected = math.ldexp(math.sqrt(lam * a * b / (a + b)), -scale // 2)
+    assert 0.0 < expected < math.inf
+    assert fresnel_radius(d1, d2, 38e9) == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+def test_fresnel_far_out_of_range_distances_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fresnel", "--d1", "1e200", "--d2", "1e200", "--output", "f.json"]) == 0
+    radius = json.loads((tmp_path / "f.json").read_text())["radius_m"]
+    assert radius == pytest.approx(6.280635003933247e98, rel=1e-15)
 
 
 def test_link_geometry_validation():
