@@ -12,8 +12,8 @@ split equally over users, each user sees
 where the denominator carries unit noise plus non-coherent interference
 from all K streams.  Everything is deterministic closed-form arithmetic on
 plain numbers (a scenario is rate_table's keyword arguments); no
-Monte-Carlo is involved.  The block length tau_c and the user-count grid
-come from ``coherence``, which needs no numpy.
+Monte-Carlo is involved.  The block length tau_c comes from
+``coherence_samples`` and the user-count grid from ``k_range``.
 
 The closed form is written once, in ``_rates``, and evaluated two ways with
 the same operations in the same order: per user count in Python floats
@@ -21,7 +21,8 @@ the same operations in the same order: per user count in Python floats
 Only log2 may round the two apart, in the last bit.  ``rate_columns`` and
 ``antenna_sweep`` take the plain evaluator for a run of at most
 PLAIN_MAX_EVALUATIONS rate evaluations, where it costs less than importing
-numpy; numpy is imported only inside the vectorised path.
+numpy; numpy is imported only inside the vectorised path, so the CLI can
+validate a capacity scenario, and reject it, without loading numpy.
 """
 
 import math
@@ -39,6 +40,34 @@ evaluations take 6-10 ms: an order of magnitude below the numpy import (90-165
 ms) that a fresh process saves, and at most that much extra for a process that
 already holds numpy.
 """
+
+
+def coherence_samples(coherence_time_s: float, coherence_bandwidth_hz: float) -> int:
+    """Usable samples tau_c = round(time * bandwidth) of a block of constant channel."""
+    if not (coherence_time_s > 0 and coherence_bandwidth_hz > 0):
+        raise ValueError("coherence time and bandwidth must be positive")
+    tau_c = round(coherence_time_s * coherence_bandwidth_hz)
+    if tau_c < 1:
+        raise ValueError("a coherence block must contain at least one sample")
+    # rate_table holds K <= tau_c as int64 and forms K/tau_c in doubles, exact to 2**53
+    if tau_c > 2**53:
+        raise ValueError(f"a coherence block of {tau_c} samples exceeds 2**53")
+    return tau_c
+
+
+def k_range(tau_c: int, k_min: int = 1, k_max: int = 0, k_step: int = 0) -> range:
+    """User counts k_min..k_max (0 means tau_c) in steps of k_step.
+
+    k_step 0 picks tau_c // 1000 but at least 1, which keeps the full range
+    under 2000 points however long the block; k_step 1 sweeps every count.
+    """
+    k_max = k_max if k_max > 0 else tau_c
+    step = k_step if k_step > 0 else max(1, tau_c // 1000)
+    if not 1 <= k_min <= k_max <= tau_c:
+        raise ValueError(
+            f"need 1 <= k_min <= k_max <= tau_c, got k_min={k_min}, k_max={k_max}, tau_c={tau_c}"
+        )
+    return range(k_min, k_max + 1, step)
 
 
 def estimation_quality(tau_p, rho_ul):
@@ -92,7 +121,7 @@ def rate_table(k_users, *, m_antennas: int, tau_c: int, ul_pilot_snr: float,
                dl_ul_power_ratio: float, bandwidth_hz: float) -> dict:
     """Rates for every user count K on the grid, one numpy array per RATE_COLUMNS name, M repeated.
 
-    M antennas serve K users in blocks of tau_c samples (``coherence.coherence_samples``)
+    M antennas serve K users in blocks of tau_c samples (``coherence_samples``)
     with linear uplink pilot SNR rho_ul and downlink SNR
     rho_dl = dl_ul_power_ratio * rho_ul.  Per user SE = (1 - K/tau_c) *
     log2(1 + SINR) in bit/s/Hz and rate SE*B; the sum rate is K times that.

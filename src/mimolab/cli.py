@@ -46,9 +46,9 @@ text, usage and listings too, is flushed inside that table; with no stdout at
 all nothing is printed.  Invalid input is a missing or unknown ``experiment``,
 a value outside its schema, a library check that relates several parameters
 (``k_min <= k_max <= tau_c``, ``d1 + d2 > 0``, ``subcarriers_per_block <=
-n_subcarriers``, a coherence block or half-wavelength spacing that the values
-cannot form, a squint span too narrow for ``n_points`` distinct frequencies,
-a capacity SNR product that overflows),
+n_subcarriers``, a coherence block, fresnel wavelength or squint half-wavelength
+spacing that the values cannot form, a squint span too narrow for ``n_points``
+distinct frequencies, a capacity SNR or SNR product that leaves the double range),
 an ``output`` that names no file ('', a path ending in a separator, or one
 holding NUL), or ``config`` for a config file that cannot be read.
 """
@@ -65,6 +65,7 @@ from .propagation import (
     drift_bound_check,
     estimation_load,
     fresnel_radius,
+    wavelength_m,
 )
 
 DEFAULT_SEED = 42
@@ -250,11 +251,19 @@ def _run_squint(params: dict, seed: int):
 
 
 def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
-    from .coherence import coherence_samples, k_range
+    from .capacity import coherence_samples, k_range
 
     ul_snr = params["ul_pilot_snr"]
     if params["snr_scaling"] == "bandwidth":
-        ul_snr = ul_snr * params["reference_bandwidth_hz"] / params["bandwidth_hz"]
+        # ul_snr * reference / bandwidth on the frexp mantissas, the binary exponent applied
+        # last, so only the scaled SNR itself can overflow or underflow; a power of two scales
+        # exactly, so wherever the plain form stays in the normal range this gives its bits
+        (m_snr, e_snr), (m_ref, e_ref), (m_bw, e_bw) = map(
+            math.frexp, (ul_snr, params["reference_bandwidth_hz"], params["bandwidth_hz"]))
+        try:
+            ul_snr = math.ldexp(m_snr * m_ref / m_bw, e_snr + e_ref - e_bw)
+        except OverflowError:
+            ul_snr = math.inf
         if ul_snr in (0.0, math.inf):
             raise ValidationError(
                 "ul_pilot_snr", f"{'underflows to 0' if ul_snr == 0.0 else 'overflows'} "
@@ -339,6 +348,7 @@ def _run_mobility(params: dict, seed: int):
 
 def _run_fresnel(params: dict, seed: int):
     frequency_hz = params["freq_ghz"] * 1e9
+    _blame("freq_ghz", wavelength_m, frequency_hz)
     radius = _blame("d1", fresnel_radius, params["d1"], params["d2"], frequency_hz)
     record = {
         "d1_m": params["d1"],

@@ -23,9 +23,13 @@ MAX_DRIFT_FRACTION = 0.125  # the gain bound chain only applies up to 1/8 wavele
 
 
 def wavelength_m(frequency_hz: float) -> float:
+    """c/f in meters, rejected unless it is a positive finite double."""
     if not frequency_hz > 0:
         raise ValueError(f"frequency_hz must be positive, got {frequency_hz}")
-    return SPEED_OF_LIGHT_M_S / frequency_hz
+    wavelength = SPEED_OF_LIGHT_M_S / frequency_hz
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"the wavelength c/f is {wavelength} m at frequency_hz={frequency_hz}")
+    return wavelength
 
 
 def fresnel_radius(d1_m: float, d2_m: float, frequency_hz: float) -> float:

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 from mimolab.beamforming import analog_weights, efficiency, hybrid_weights, mrt_weights
-from mimolab.capacity import antenna_sweep
+from mimolab.capacity import antenna_sweep, k_range
 from mimolab.channels import favorable_propagation_metric, hardening_metric
 from mimolab.cli import BUNDLED_CONFIGS, main
-from mimolab.coherence import k_range
 from mimolab.rng import RandomStream
 
 from conftest import bundled, rayleigh_z

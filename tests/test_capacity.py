@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,13 @@ from mimolab.capacity import (
     RATE_COLUMNS,
     antenna_sweep,
     best_row,
+    coherence_samples,
     estimation_quality,
+    k_range,
     rate_columns,
     rate_lists,
     rate_table,
 )
-from mimolab.coherence import coherence_samples, k_range
 
 from conftest import bundled
 
@@ -251,6 +254,15 @@ def test_optimum_user_count_near_fourteen_thousand():
     best = best_row(rate_table(k_range(sc["tau_c"], k_step=1), **sc))
     assert abs(best["k_users"] - 14_000) / 14_000 <= 0.10
     assert best["sum_rate_bps"] == pytest.approx(1.38e12, rel=0.05)
+
+
+def test_readme_capacity_example_runs_as_written():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    namespace = {}
+    exec(block, namespace)
+    assert namespace["best"]["k_users"] == 14_624
+    assert namespace["best"]["sum_rate_bps"] == pytest.approx(1.378e12, rel=1e-3)
 
 
 def test_interior_maximum():

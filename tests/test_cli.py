@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mimolab import __version__, cli
 from mimolab.beamforming import squint_sweep, sweep_frequencies
-from mimolab.capacity import rate_columns, rate_lists, rate_table
+from mimolab.capacity import k_range, rate_columns, rate_lists, rate_table
 from mimolab.cli import (
     _CSV_BLOCK_ROWS,
     BUNDLED_CONFIGS,
@@ -28,7 +28,6 @@ from mimolab.cli import (
     parse_config_text,
     resolve,
 )
-from mimolab.coherence import k_range
 from mimolab.geometry import PlanarArray
 from mimolab.scenarios import sixpath_channel
 
@@ -207,6 +206,9 @@ def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
           "--reference-bandwidth-hz", "1e10", "--bandwidth-hz", "1", "--k-step", "1000"],
          "ul_pilot_snr"),
         (["capacity", "--ul-pilot-snr", "1e305", "--dl-ul-power-ratio", "1"], "ul_pilot_snr"),
+        # a wavelength c/f that overflows to inf m, and a frequency of 1e309 Hz
+        (["fresnel", "--freq-ghz", "1e-320"], "freq_ghz"),
+        (["fresnel", "--freq-ghz", "1e300"], "freq_ghz"),
     ],
 )
 def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
@@ -248,10 +250,10 @@ def test_unreadable_config_or_unwritable_output(args, name, code, tmp_path, monk
 
 
 def test_runtime_failure_exits_four(tmp_path, monkeypatch, capsys):
-    # valid input whose result is not a number: the wavelength c/f overflows to inf
-    code = run_cli(["fresnel", "--freq-ghz", "1e-320", "--output", "f.json"], tmp_path, monkeypatch)
-    assert code == 4
-    assert capsys.readouterr().err.startswith("runtime failure: ")
+    # valid input whose result is not a number: FOM * fs * 2**ENOB overflows to inf
+    args = ["hwbudget", "--fom-j-per-cs", "1e300", "--enob-a", "1000", "--output", "h.json"]
+    assert run_cli(args, tmp_path, monkeypatch) == 4
+    assert capsys.readouterr().err.startswith("runtime failure: adc_a.unit_power_w ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -326,7 +328,6 @@ def test_non_finite_value_is_validation_error(args, field, tmp_path, monkeypatch
 
 # the first non-finite quantity each experiment's failure below must name
 NON_FINITE_QUANTITY = {
-    "fresnel": "radius_m",
     "estload": "estimates_per_second",
     "capacity": "rate_per_ue_bps",
     "antenna-sweep": "rate_per_ue_bps",  # only in CSV rows; the manifest stays finite
@@ -338,7 +339,6 @@ NON_FINITE_QUANTITY = {
 @pytest.mark.parametrize(
     "args",
     [
-        ["fresnel", "--freq-ghz", "1e-320"],
         ["estload", "--m-antennas", "1000000000000000000000", "--coherence-time-s", "1e-320"],
         ["capacity", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
         ["antenna-sweep", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
@@ -735,6 +735,22 @@ def test_manifest_echoes_parameters_seed_and_version(tmp_path, monkeypatch):
     assert manifest["results"]["snr_scaling"] == "bandwidth"
     assert manifest["results"]["ul_pilot_snr_effective"] == pytest.approx(5.0)
     assert manifest["results"]["optimum"]["k_users"] > 1
+
+
+@pytest.mark.parametrize(
+    "snr, reference_hz, bandwidth_hz, effective",
+    [("1e200", "1e200", "1e300", 1e100), ("1e-200", "1e-200", "1e-300", 1e-100)],
+    ids=["product-overflows", "product-underflows"],
+)
+def test_bandwidth_scaled_snr_in_range_runs(snr, reference_hz, bandwidth_hz, effective,
+                                            tmp_path, monkeypatch):
+    # ul_pilot_snr * reference_bandwidth_hz leaves the double range, the scaled SNR does not
+    args = ["capacity", "--snr-scaling", "bandwidth", "--ul-pilot-snr", snr,
+            "--reference-bandwidth-hz", reference_hz, "--bandwidth-hz", bandwidth_hz,
+            "--k-step", "1000", "--output", "cp.csv"]
+    assert run_cli(args, tmp_path, monkeypatch) == 0
+    manifest = json.loads((tmp_path / "cp.csv.manifest.json").read_text())
+    assert manifest["results"]["ul_pilot_snr_effective"] == pytest.approx(effective, rel=1e-15)
 
 
 def test_set_overrides_config_value(tmp_path, monkeypatch):
@@ -1152,6 +1168,8 @@ _NUMPY_FREE_CASES = [
     (["hwbudget", "--overhead-factor", "20"], 3, None),
     (["--config", "../malformed.ini"], 2, None),
     (["fresnel", "--freq-ghz", "nan"], 3, None),
+    (["fresnel", "--freq-ghz", "1e-320"], 3, None),
+    (["fresnel", "--freq-ghz", "1e300"], 3, None),
     (["list"], 0, "list.txt"),
     ([], 0, "usage.txt"),
     (["--help"], 0, "usage.txt"),
@@ -1219,8 +1237,7 @@ def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     results, modules = json.loads(proc.stdout)
     assert [name for name in modules if name.startswith("mimolab")] == [
-        "mimolab", "mimolab.capacity", "mimolab.cli", "mimolab.coherence", "mimolab.hardware",
-        "mimolab.propagation",
+        "mimolab", "mimolab.capacity", "mimolab.cli", "mimolab.hardware", "mimolab.propagation",
     ]
     # standard-library imports the CLI does without: beyond os, sys and math it has its own
     # JSON writer, plain schema classes and a set check of the key grammar

@@ -73,6 +73,14 @@ def test_fresnel_radius_keeps_its_range(d1, d2, scale):
     assert fresnel_radius(d1, d2, 38e9) == pytest.approx(expected, rel=1e-15, abs=0)
 
 
+@pytest.mark.parametrize("frequency_hz", [1e-320, math.inf], ids=["overflows", "underflows"])
+def test_wavelength_that_is_no_positive_finite_double_is_rejected(frequency_hz):
+    with pytest.raises(ValueError, match="wavelength"):
+        wavelength_m(frequency_hz)
+    with pytest.raises(ValueError, match="wavelength"):
+        fresnel_radius(50.0, 50.0, frequency_hz)
+
+
 def test_fresnel_far_out_of_range_distances_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["fresnel", "--d1", "1e200", "--d2", "1e200", "--output", "f.json"]) == 0
