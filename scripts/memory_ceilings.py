@@ -20,7 +20,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 SLACK = 1.15
 CEILINGS = (
-    ({"experiment": "squint", "rows": "4096", "cols": "4096", "n_points": "2"}, 800),
+    ({"experiment": "squint", "rows": "4096", "cols": "4096", "n_points": "2"}, 64),
     ({"experiment": "squint", "rows": "1", "cols": "1", "n_points": "1000000"}, 52),
     ({"experiment": "hardening", "m_antennas": "10000000", "n_draws": "2"}, 110),
     ({"experiment": "favorable", "m_antennas": "10000000", "n_pairs": "1"}, 340),

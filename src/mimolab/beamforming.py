@@ -13,10 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import PlanarArray, channel_vector, steering_factors
+from .geometry import PlanarArray, factor_batches, steering_factors
 
 _SWEEP_ELEMENTS = 2**15
 """Complex entries per squint_sweep batch, summed over its working arrays."""
+
+_BEAM_ELEMENTS = 2**20
+"""Entries of squint_sweep's analog beam per row block: every array up to 1024 x 1024 is one."""
 
 
 class DegenerateEntryWarning(UserWarning):
@@ -32,6 +35,26 @@ def mrt_weights(h: np.ndarray) -> np.ndarray:
     return np.conj(h) / norm
 
 
+def _check_alignable(zero_norm: bool, zero_entries: bool) -> None:
+    """Raise for a zero channel, else warn of zero entries on behalf of the caller's caller."""
+    if zero_norm:
+        raise ValueError("cannot align to a zero channel vector")
+    if zero_entries:
+        warnings.warn(
+            "channel has zero-magnitude entries; their phases default to 0",
+            DegenerateEntryWarning,
+            stacklevel=3,
+        )
+
+
+def _phase_aligned(phase: np.ndarray, m: int) -> np.ndarray:
+    """exp(-j*phase)/sqrt(m), evaluated in one complex array."""
+    w = -1j * phase
+    np.exp(w, out=w)
+    w /= np.sqrt(m)
+    return w
+
+
 def analog_weights(h_center: np.ndarray) -> np.ndarray:
     """Per-element phase alignment exp(-j*angle(h))/sqrt(M).
 
@@ -40,15 +63,8 @@ def analog_weights(h_center: np.ndarray) -> np.ndarray:
     phase information; they get phase 0 and a DegenerateEntryWarning.
     """
     h = np.asarray(h_center, dtype=complex)
-    if np.linalg.norm(h) == 0.0:
-        raise ValueError("cannot align to a zero channel vector")
-    if np.any(h == 0):
-        warnings.warn(
-            "channel has zero-magnitude entries; their phases default to 0",
-            DegenerateEntryWarning,
-            stacklevel=2,
-        )
-    return np.exp(-1j * np.angle(h)) / np.sqrt(h.size)
+    _check_alignable(np.linalg.norm(h) == 0.0, np.any(h == 0))
+    return _phase_aligned(np.angle(h), h.size)
 
 
 def hybrid_weights(channels: Sequence[np.ndarray], n_rf: int) -> np.ndarray:
@@ -127,9 +143,11 @@ def _sweep_batch(rows: int, cols: int, paths: int) -> int:
     """Frequencies per squint_sweep batch: as many as _SWEEP_ELEMENTS entries hold, at least 16.
 
     Per frequency a batch holds paths*(2*rows + cols) factor entries
-    (a_v, a_h and W a_h) and 2*paths**2 Gram entries.  Six paths on a
-    square array take 50 frequencies at 32 x 32, 26 at 64 x 64 and the floor
-    of 16 from 128 x 128 up.
+    (a_v, a_h and W a_h, the last over at most one row block's rows) and
+    2*paths**2 Gram entries.  Six paths on a square array take 50
+    frequencies at 32 x 32, 26 at 64 x 64 and the floor of 16 from
+    128 x 128 up.  Each row block's pass over the band runs the same
+    batches, and only the first forms the Gram entries.
     """
     return max(16, _SWEEP_ELEMENTS // (paths * (2 * rows + cols) + 2 * paths**2))
 
@@ -149,41 +167,79 @@ def squint_sweep(
     irrelevant), and the curve is 1.0 at the center frequency by construction
     only for single-path channels; multipath keeps it below 1 everywhere.
 
-    The band is evaluated in batches of ``_sweep_batch`` frequencies from
-    the separable row/column factors of ``steering_factors``, never forming
-    h(f) itself.  Each batch's call checks the channel and its frequencies,
-    naming the first bad one, and its coarse and fine tables to 4.9e-13 of
-    unit modulus, which holds every factor entry within 1e-12.
-    With W = w reshaped to rows x cols,
-    w.h(f) = sum_l g_l a_v,l^T W a_h,l, and ||h(f)||^2 is the
-    sum over path pairs (l, k) of g_l conj(g_k) times the product of
-    the row and column Gram entries <a_v,l, a_v,k> <a_h,l, a_h,k>, taken
-    per frequency as batched (paths x rows) by (rows x paths) products.
-    This costs 4 * paths exponentials per frequency instead of
-    paths * rows * cols, and the working arrays are bounded by the batch
-    size rather than the number of frequencies.  The result agrees with
-    efficiency(w, channel_vector(array, channel, f)), which takes its
-    factors from ``steering_factors`` too, to about 1e-14 relative, the
-    rounding of the changed summation order.
+    With W = w reshaped to rows x cols, w.h(f) = sum_l g_l a_v,l^T W a_h,l,
+    and ||h(f)||^2 is the sum over path pairs (l, k) of g_l conj(g_k) times
+    the product of the row and column Gram entries <a_v,l, a_v,k>
+    <a_h,l, a_h,k>, so h(f) itself is never formed.
+
+    Once per sweep: the center factors from ``steering_factors``, which run
+    the channel checks, and the zero-channel check and DegenerateEntryWarning
+    of ``analog_weights``, taken over the whole of h(f_center).
+    Per row block of _BEAM_ELEMENTS // cols rows (every array up to
+    1024 x 1024 is one block): the block of h(f_center), a (block rows x
+    paths) by (paths x cols) product as ``channel_vector`` forms it, its
+    analog weights and their share of ||w||^2, and one pass over the band
+    through ``factor_batches``, which checks every frequency first (naming
+    the first bad one).
+    Per batch of ``_sweep_batch`` frequencies: the row and column factors,
+    their tables checked to 4.9e-13 of unit modulus so every entry is within
+    1e-12; W's block times a_h,l for every path and frequency as one matrix
+    product, added into w.h(f); and, in the first block's pass, the Gram
+    entries as batched (paths x rows) by (rows x paths) products.
+    This costs 4 * paths exponentials per frequency and block instead of
+    paths * rows * cols, and the working arrays are bounded by the batch and
+    the row block rather than by the band or the array.
+
+    An array of one block forms w as analog_weights(channel_vector(array,
+    channel, f_center)) does.  The result agrees with efficiency(w,
+    channel_vector(array, channel, f)), which takes its factors from
+    ``steering_factors`` too, to about 1e-14 relative, the rounding of the
+    changed summation order; an array of several blocks adds up w.h(f) and
+    ||w||^2 block by block, which moves it by as little.
     """
-    w = analog_weights(channel_vector(array, channel, f_center_hz))
-    w_grid = w.reshape(array.rows, array.cols)
-    w_power = np.vdot(w, w).real
+    rows, cols = array.rows, array.cols
+    center_v, center_h = steering_factors(array, channel, np.array([f_center_hz]))
     gains = np.asarray(channel[0], dtype=complex)
+    weighted_v, center_h = (gains[:, None] * center_v[:, 0]).T, center_h[:, 0]
+    block = max(1, _BEAM_ELEMENTS // cols)
+    spans = [slice(r, r + block) for r in range(0, rows, block)]
+
+    def center_rows(span: slice) -> np.ndarray:
+        """Rows span of h(f_center), formed as channel_vector forms the whole of it."""
+        return weighted_v[span] @ center_h
+
+    zero_norm, zero_entries = True, False
+    for span in spans:
+        h_rows = center_rows(span)
+        zero_norm = zero_norm and np.linalg.norm(h_rows) == 0.0
+        zero_entries = zero_entries or bool(np.any(h_rows == 0))
+        del h_rows  # one block of h at a time
+    _check_alignable(zero_norm, zero_entries)
+
     gain_pairs = np.outer(gains, gains.conj())
-    batch = _sweep_batch(array.rows, array.cols, len(gains))
-    effs = np.empty(len(freqs))
-    for start in range(0, len(freqs), batch):
-        chunk = slice(start, start + batch)
-        a_v, a_h = steering_factors(array, channel, freqs[chunk])
-        # W a_h,l for every path and frequency of the batch as one matrix product, freed
-        # before the Gram products
-        beam = np.einsum("l,lfm,lfm->f", gains, a_v,
-                         (a_h.reshape(-1, array.cols) @ w_grid.T).reshape(a_v.shape))
-        gram_v = a_v.transpose(1, 0, 2) @ a_v.conj().transpose(1, 2, 0)
-        gram_h = a_h.transpose(1, 0, 2) @ a_h.conj().transpose(1, 2, 0)
-        h_power = np.einsum("lk,flk,flk->f", gain_pairs, gram_v, gram_h).real
-        if np.any(h_power <= 0.0):
-            raise ValueError("efficiency is undefined for a zero channel vector")
-        effs[chunk] = np.clip(np.abs(beam) ** 2 / (w_power * h_power), 0.0, 1.0)
+    batch = _sweep_batch(rows, cols, len(gains))
+    # effs holds ||h(f)||^2 until the last block's pass; w.h(f) is summed over the row blocks
+    # in beam, which one block does without
+    effs, w_power = np.empty(len(freqs)), 0.0
+    beam = np.zeros(len(freqs), dtype=complex) if len(spans) > 1 else None
+    for span in spans:
+        w_rows = _phase_aligned(np.angle(center_rows(span)), rows * cols)
+        w_power += np.vdot(w_rows, w_rows).real
+        chunks = (slice(start, start + batch) for start in range(0, len(freqs), batch))
+        for chunk, (a_v, a_h) in zip(chunks, factor_batches(array, channel, freqs, batch)):
+            if span is spans[0]:
+                gram_v = a_v.transpose(1, 0, 2) @ a_v.conj().transpose(1, 2, 0)
+                gram_h = a_h.transpose(1, 0, 2) @ a_h.conj().transpose(1, 2, 0)
+                effs[chunk] = np.einsum("lk,flk,flk->f", gain_pairs, gram_v, gram_h).real
+                if np.any(effs[chunk] <= 0.0):
+                    raise ValueError("efficiency is undefined for a zero channel vector")
+            # W[span] a_h,l for every path and frequency of the batch as one matrix product
+            part = np.einsum("l,lfm,lfm->f", gains, a_v[..., span],
+                             (a_h.reshape(-1, cols) @ w_rows.T).reshape(*a_h.shape[:2], -1))
+            if beam is not None:
+                beam[chunk] += part
+                part = beam[chunk]
+            if span is spans[-1]:
+                effs[chunk] = np.clip(np.abs(part) ** 2 / (w_power * effs[chunk]), 0.0, 1.0)
+        del w_rows  # one block of W at a time
     return effs

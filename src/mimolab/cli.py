@@ -250,6 +250,11 @@ def _run_squint(params: dict, seed: int):
     return {"frequency_hz": freqs, "efficiency": effs}, extras, lines
 
 
+def _rate_text(value: float, decimals: int) -> str:
+    """A rate in fixed point, or in scientific notation from 1e9 up, so the line stays short."""
+    return f"{value:.{decimals}{'f' if value < 1e9 else 'e'}}"
+
+
 def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
     from .capacity import coherence_samples, k_range
 
@@ -304,7 +309,7 @@ def _run_capacity(params: dict, seed: int):
     best = extras["optimum"] = best_row(table)
     lines = [
         f"optimum: K={best['k_users']}, pilot fraction {best['pilot_fraction']:.4f}, "
-        f"sum rate {best['sum_rate_bps'] / 1e12:.4f} Tbit/s"
+        f"sum rate {_rate_text(best['sum_rate_bps'] / 1e12, 4)} Tbit/s"
     ]
     return table, extras, lines
 
@@ -315,7 +320,7 @@ def _run_antenna_sweep(params: dict, seed: int):
 
     best = antenna_sweep(params["m_grid"], grid, **rate_args)
     lines = [
-        f"M={row['m_antennas']}: best sum rate {row['sum_rate_bps'] / 1e9:.3f} Gbit/s "
+        f"M={row['m_antennas']}: best sum rate {_rate_text(row['sum_rate_bps'] / 1e9, 3)} Gbit/s "
         f"at K={row['k_users']}"
         for row in best
     ]

@@ -23,6 +23,7 @@ with no per-path delay phase across the band.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
@@ -72,29 +73,71 @@ def _powers(base: np.ndarray, count: int) -> np.ndarray:
     return np.multiply.accumulate(table, axis=-1, out=table)
 
 
-def _phase_ramps(scale: np.ndarray, cosine: np.ndarray, n: int) -> np.ndarray:
-    """exp(j*scale*m*cosine) for m = 0 .. n-1 along a new last axis.
+def _ramps_into(out: np.ndarray, coarse: np.ndarray, fine: np.ndarray) -> None:
+    """out[..., q*B + r] = coarse[..., q] * fine[..., r] over out's last axis, B = fine.shape[-1]."""
+    n, block = out.shape[-1], fine.shape[-1]
+    whole = n // block
+    np.multiply(coarse[..., :whole, None], fine[..., None, :],
+                out=out[..., :whole * block].reshape(*out.shape[:-1], whole, block))
+    if whole * block < n:  # the ragged last block
+        np.multiply(coarse[..., whole, None], fine[..., :n - whole * block],
+                    out=out[..., whole * block:])
 
-    Each ramp is a geometric progression in m, so with a block length
-    B = ceil(sqrt(n)) and m = q*B + r it is the outer product of a coarse
-    table Z**q and a fine table z**r, for the two exponentials
-    z = exp(j*scale*cosine) and Z = exp(j*scale*(B*cosine)).  Both tables
-    are running products (about sqrt(n) multiplications each), so a ramp
-    costs two exponentials instead of n.  The ragged tail of the last block
-    is sliced off.  Every entry of both tables is checked to lie within
-    4.9e-13 of unit modulus, the table tolerance; a product of two such
-    entries is then within (1 + 4.9e-13)**2 - 1 plus one rounding, under
-    1e-12, of unit modulus, so the check on about 2*sqrt(n) table entries
-    bounds all n ramp entries.
+
+def factor_batches(
+    array: PlanarArray, channel: tuple[np.ndarray, np.ndarray], frequencies_hz: np.ndarray,
+    batch: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row and column factors of every path's response, batch frequencies at a time.
+
+    Yields the factors of ``steering_factors`` for frequencies_hz[start:start + batch]
+    at start = 0, batch, 2*batch, ...: a_v with shape (paths, frequencies, rows) and
+    a_h with shape (paths, frequencies, cols), both C-contiguous.  Every batch is
+    written into the same two buffers, so a batch is overwritten by the next one.
+    An empty band yields one empty batch.
+
+    Once, before the first batch: the channel checks of ``steering_factors``,
+    the positivity check of every frequency (naming the first bad one), the
+    two buffers and the table steps.  Per batch, with s = 2*pi*(f/c)*spacing
+    and each side's block length B = ceil(sqrt(n)): the fine steps exp(j*s*k)
+    and coarse steps exp(j*s*(B*k)) of rows and columns from one exponential
+    call; their powers from one running product (``_powers``); one check that
+    holds every table entry within 4.9e-13 of unit modulus; and each factor,
+    the outer product of its coarse and fine table without the ragged tail of
+    the last block, written into its buffer.  A product of two checked entries
+    lies within (1 + 4.9e-13)**2 - 1 plus one rounding, under 1e-12, of unit
+    modulus, so the check on the tables bounds every factor entry.  The scale
+    s is formed per batch, so the band costs no memory beyond its own.
     """
-    block = math.isqrt(n - 1) + 1
-    coarse = _powers(np.exp(1j * (scale * (block * cosine))), -(-n // block))
-    fine = _powers(np.exp(1j * (scale * cosine)), block)
-    for table in (coarse, fine):
-        if not np.max(np.abs(np.abs(table) - 1.0)) <= 4.9e-13:
+    gains, cosines = channel[0], np.asarray(channel[1], dtype=float)
+    if len(gains) == 0:
+        raise ValueError("a multipath channel needs at least one path")
+    if np.sum(np.abs(gains) ** 2) <= 0.0:
+        raise ValueError("total path power must be positive")
+    if cosines.shape != (len(gains), 2):
+        raise ValueError(f"need one (k_h, k_v) row per path gain, got {cosines.shape} cosines")
+    freqs = np.asarray(frequencies_hz, dtype=float)
+    if not np.all(freqs > 0):
+        raise ValueError(f"frequency_hz must be positive, got {freqs[~(freqs > 0)][0]}")
+    sizes, cosine_of = (array.rows, array.cols), (cosines[:, 1], cosines[:, 0])
+    blocks = [math.isqrt(n - 1) + 1 for n in sizes]
+    # four tables: the coarse and fine steps of the row factor, then of the column factor
+    steps = np.stack([step for k, b in zip(cosine_of, blocks) for step in (b * k, k)])[..., None]
+    count = max(max(b, -(-n // b)) for n, b in zip(sizes, blocks))
+    paths = len(gains)
+    buffers = [np.empty(paths * min(batch, len(freqs)) * n, dtype=complex) for n in sizes]
+    for start in range(0, max(len(freqs), 1), batch):
+        scale = 2.0 * np.pi * (freqs[start:start + batch] / SPEED_OF_LIGHT_M_S) * array.spacing_m
+        tables = _powers(np.exp(1j * (scale * steps)), count)
+        if not np.max(np.abs(np.abs(tables) - 1.0), initial=0.0) <= 4.9e-13:
             raise ValueError("array response entries must have unit magnitude")
-    ramps = coarse[..., :, None] * fine[..., None, :]
-    return ramps.reshape(*ramps.shape[:-2], -1)[..., :n]
+        width = tables.shape[2]
+        a_v, a_h = (buffer[:paths * width * n].reshape(paths, width, n)
+                    for n, buffer in zip(sizes, buffers))
+        for factor, coarse, fine, b in zip((a_v, a_h), tables[0::2], tables[1::2], blocks):
+            _ramps_into(factor, coarse, fine[..., :b])
+        del tables, coarse, fine  # only the factors outlive the batch's build
+        yield a_v, a_h
 
 
 def steering_factors(
@@ -108,28 +151,17 @@ def steering_factors(
     is a_v[m] * a_h[n] for a_v[m] = exp(j*s*m*k_v) and
     a_h[n] = exp(j*s*n*k_h), and the row-major response is np.kron(a_v, a_h).
     Each factor is built from two exponentials per path and frequency, a
-    fine step exp(j*s*k) and a coarse step over a block of about sqrt(n)
-    elements, whose powers are running products (``_phase_ramps``).  The
-    phase is thus rounded as two terms and each product adds a rounding, so
-    an entry moves by a few ulp of the largest phase s*m*k plus a few ulp
-    per multiplication.  Returns a_v with shape (paths, frequencies, rows)
-    and a_h with shape (paths, frequencies, cols).  Their entries are within
-    1e-12 of unit modulus: ``_phase_ramps`` checks its coarse and fine tables
-    to 4.9e-13, which bounds every product.
+    fine step exp(j*s*k) and a coarse step over a block of B = ceil(sqrt(n))
+    elements, whose powers are running products: entry q*B + r is
+    coarse**q * fine**r.  The phase is thus rounded as two terms and each
+    product adds a rounding, so an entry moves by a few ulp of the largest
+    phase s*m*k plus a few ulp per multiplication.  Returns a_v with shape
+    (paths, frequencies, rows) and a_h with shape (paths, frequencies, cols),
+    whose entries are within 1e-12 of unit modulus.  This is the one-batch
+    case of ``factor_batches``, which runs the checks and builds the tables.
     """
-    gains, cosines = channel[0], np.asarray(channel[1], dtype=float)
-    if len(gains) == 0:
-        raise ValueError("a multipath channel needs at least one path")
-    if np.sum(np.abs(gains) ** 2) <= 0.0:
-        raise ValueError("total path power must be positive")
-    if cosines.shape != (len(gains), 2):
-        raise ValueError(f"need one (k_h, k_v) row per path gain, got {cosines.shape} cosines")
     freqs = np.asarray(frequencies_hz, dtype=float)
-    if not np.all(freqs > 0):
-        raise ValueError(f"frequency_hz must be positive, got {freqs[~(freqs > 0)][0]}")
-    scale = 2.0 * np.pi * (freqs / SPEED_OF_LIGHT_M_S) * array.spacing_m
-    return (_phase_ramps(scale, cosines[:, 1, None], array.rows),
-            _phase_ramps(scale, cosines[:, 0, None], array.cols))
+    return next(factor_batches(array, channel, freqs, max(len(freqs), 1)))
 
 
 def channel_vector(

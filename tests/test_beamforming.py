@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimolab import geometry
+from mimolab import beamforming, geometry
 from mimolab.beamforming import (
     DegenerateEntryWarning,
     _sweep_batch,
@@ -317,6 +317,44 @@ def test_sweep_matches_per_frequency_reference(rows, cols, channel, n_points):
     np.testing.assert_allclose(effs, expected, rtol=1e-12, atol=0)
     if len(channel[0]) == 1 and n_points % 2 == 1:
         assert effs[n_points // 2] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, channel",
+    [(24, 8, _SIXPATH_7), (8, 24, _SIXPATH_7), (127, 3, _SIXPATH_42), (24, 8, _LOS)],
+    ids=["sixpath-24x8", "sixpath-8x24", "sixpath-127x3", "los-24x8"],
+)
+def test_sweep_over_several_row_blocks_matches_per_frequency_reference(monkeypatch, rows, cols,
+                                                                       channel):
+    # 20 beam entries a block: 24x8 takes 12 blocks of 2 rows, 8x24 8 blocks of one row and
+    # 127x3 blocks of 6 rows with a ragged last one, each over two whole batches and a tail
+    monkeypatch.setattr(beamforming, "_BEAM_ELEMENTS", 20)
+    arr = PlanarArray.half_wavelength_at(rows, cols, CENTER_HZ)
+    freqs, effs = _band_sweep(arr, channel, CENTER_HZ, 2e9, _batches(rows, cols, channel, 2, 3))
+    w = analog_weights(channel_vector(arr, channel, CENTER_HZ))
+    expected = [efficiency(w, channel_vector(arr, channel, f)) for f in freqs]
+    np.testing.assert_allclose(effs, expected, rtol=1e-12, atol=0)
+
+
+def test_sweep_checks_the_whole_center_channel_over_its_row_blocks(monkeypatch):
+    monkeypatch.setattr(beamforming, "_BEAM_ELEMENTS", 20)
+    arr = PlanarArray.half_wavelength_at(24, 8, CENTER_HZ)
+
+    def last_row_zero(array, channel, frequencies_hz):
+        # the center factors with the last row of h(f_center), in the last row block, zeroed
+        a_v, a_h = geometry.steering_factors(array, channel, frequencies_hz)
+        a_v[:, :, -1] = 0.0
+        return a_v, a_h
+
+    monkeypatch.setattr(beamforming, "steering_factors", last_row_zero)
+    with pytest.warns(DegenerateEntryWarning) as warned:
+        _band_sweep(arr, _SIXPATH_7, CENTER_HZ, 2e9, 21)
+    assert len(warned) == 1
+    monkeypatch.setattr(beamforming, "steering_factors", geometry.steering_factors)
+    # two boresight paths of opposite gain: h(f_center) is exactly zero in every block
+    cancelling = np.array([1.0 + 0.0j, -1.0 + 0.0j]), np.zeros((2, 2))
+    with pytest.raises(ValueError, match="cannot align to a zero channel vector"):
+        _band_sweep(arr, cancelling, CENTER_HZ, 2e9, 21)
 
 
 def test_sweep_batch_follows_its_element_budget():

@@ -753,6 +753,30 @@ def test_bandwidth_scaled_snr_in_range_runs(snr, reference_hz, bandwidth_hz, eff
     assert manifest["results"]["ul_pilot_snr_effective"] == pytest.approx(effective, rel=1e-15)
 
 
+# the scaled uplink SNR 1e100: sum rates near 1e300 bit/s
+_HUGE_RATES = ["--snr-scaling", "bandwidth", "--ul-pilot-snr", "1e200",
+               "--reference-bandwidth-hz", "1e200", "--bandwidth-hz", "1e300", "--k-step", "1000"]
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["capacity", *_HUGE_RATES],
+         "optimum: K=15001, pilot fraction 0.3750, sum rate 2.7549e+292 Tbit/s"),
+        (["antenna-sweep", *_HUGE_RATES], "M=100000: best sum rate 2.755e+295 Gbit/s at K=15001"),
+        (["--config", "centralpark_60ghz"],
+         "optimum: K=883, pilot fraction 0.4415, sum rate 3.3697 Tbit/s"),
+        (["antenna-sweep"], "M=100000: best sum rate 1377.875 Gbit/s at K=14641"),
+    ],
+    ids=["capacity-huge", "antenna-sweep-huge", "capacity-bundled", "antenna-sweep-default"],
+)
+def test_rate_lines_stay_short(args, line, tmp_path, monkeypatch, capsys):
+    # from 1e9 of the printed unit up a rate is scientific (fixed point printed ~290 digits
+    # here); ordinary rates keep their fixed-point lines
+    assert run_cli(args, tmp_path, monkeypatch) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 def test_set_overrides_config_value(tmp_path, monkeypatch):
     code = run_cli(
         ["--config", "estload_paper", "--set", "m_antennas=400", "--output", "e.json"],
