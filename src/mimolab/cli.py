@@ -250,9 +250,9 @@ def _run_squint(params: dict, seed: int):
     return {"frequency_hz": freqs, "efficiency": effs}, extras, lines
 
 
-def _rate_text(value: float, decimals: int) -> str:
-    """A rate in fixed point, or in scientific notation from 1e9 up, so the line stays short."""
-    return f"{value:.{decimals}{'f' if value < 1e9 else 'e'}}"
+def _fixed_text(value: float, decimals: int) -> str:
+    """A number for stdout: fixed point below magnitude 1e9, scientific from there up."""
+    return f"{value:.{decimals}{'f' if abs(value) < 1e9 else 'e'}}"
 
 
 def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
@@ -309,7 +309,7 @@ def _run_capacity(params: dict, seed: int):
     best = extras["optimum"] = best_row(table)
     lines = [
         f"optimum: K={best['k_users']}, pilot fraction {best['pilot_fraction']:.4f}, "
-        f"sum rate {_rate_text(best['sum_rate_bps'] / 1e12, 4)} Tbit/s"
+        f"sum rate {_fixed_text(best['sum_rate_bps'] / 1e12, 4)} Tbit/s"
     ]
     return table, extras, lines
 
@@ -320,7 +320,7 @@ def _run_antenna_sweep(params: dict, seed: int):
 
     best = antenna_sweep(params["m_grid"], grid, **rate_args)
     lines = [
-        f"M={row['m_antennas']}: best sum rate {_rate_text(row['sum_rate_bps'] / 1e9, 3)} Gbit/s "
+        f"M={row['m_antennas']}: best sum rate {_fixed_text(row['sum_rate_bps'] / 1e9, 3)} Gbit/s "
         f"at K={row['k_users']}"
         for row in best
     ]
@@ -361,7 +361,7 @@ def _run_fresnel(params: dict, seed: int):
         "frequency_hz": frequency_hz,
         "radius_m": radius,
     }
-    return record, {"radius_m": radius}, [f"fresnel radius = {radius:.3f} m"]
+    return record, {"radius_m": radius}, [f"fresnel radius = {_fixed_text(radius, 3)} m"]
 
 
 def _run_linkbudget(params: dict, seed: int):
@@ -377,7 +377,7 @@ def _run_linkbudget(params: dict, seed: int):
         "entries": [{"label": label, "db": db} for label, db in entries],
         "total_db": total_db,
     }
-    lines = [f"link budget total {total_db:.2f} dB over {len(entries)} entries"]
+    lines = [f"link budget total {_fixed_text(total_db, 2)} dB over {len(entries)} entries"]
     return ledger, {"total_db": total_db}, lines
 
 
@@ -418,7 +418,7 @@ def _run_hwbudget(params: dict, seed: int):
     }
     lines = [
         f"ADC budget ratio (array A / array B) = {ratio}",
-        f"PA DC total {pa['total_power_w']:.3f} W for {n_pa} antennas",
+        f"PA DC total {_fixed_text(pa['total_power_w'], 3)} W for {n_pa} antennas",
     ]
     return record, {"adc_power_ratio_a_over_b": ratio}, lines
 

@@ -32,7 +32,7 @@ from mimolab.geometry import PlanarArray
 from mimolab.scenarios import sixpath_channel
 
 from conftest import bundled
-from test_golden import GOLDEN, _assert_run_matches_golden
+from test_golden import GOLDEN, RUNS, _assert_run_matches_golden
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -767,12 +767,21 @@ _HUGE_RATES = ["--snr-scaling", "bandwidth", "--ul-pilot-snr", "1e200",
         (["--config", "centralpark_60ghz"],
          "optimum: K=883, pilot fraction 0.4415, sum rate 3.3697 Tbit/s"),
         (["antenna-sweep"], "M=100000: best sum rate 1377.875 Gbit/s at K=14641"),
+        (["fresnel", "--d1", "1e308", "--d2", "1e308", "--freq-ghz", "1e-9"],
+         "fresnel radius = 1.224e+158 m"),
+        (["linkbudget", "--entry-a", "1e300"], "link budget total 1.00e+300 dB over 2 entries"),
+        (["linkbudget", "--entry-a", "-1e300"], "link budget total -1.00e+300 dB over 2 entries"),
+        (["hwbudget", "--pa-total-radiated-w", "1e300", "--pa-pae", "0.001"],
+         "PA DC total 1.000e+303 W for 64 antennas"),
+        (["linkbudget"], "link budget total -13.01 dB over 1 entries"),
     ],
-    ids=["capacity-huge", "antenna-sweep-huge", "capacity-bundled", "antenna-sweep-default"],
+    ids=["capacity-huge", "antenna-sweep-huge", "capacity-bundled", "antenna-sweep-default",
+         "fresnel-huge", "linkbudget-huge", "linkbudget-huge-loss", "hwbudget-huge",
+         "linkbudget-default"],
 )
 def test_rate_lines_stay_short(args, line, tmp_path, monkeypatch, capsys):
-    # from 1e9 of the printed unit up a rate is scientific (fixed point printed ~290 digits
-    # here); ordinary rates keep their fixed-point lines
+    # from magnitude 1e9 of the printed unit up a number is scientific (fixed point printed
+    # 150-310 digits here); ordinary numbers keep their fixed-point lines
     assert run_cli(args, tmp_path, monkeypatch) == 0
     assert line in capsys.readouterr().out.splitlines()
 
@@ -1182,20 +1191,31 @@ def test_console_entry_point():
     assert "squint" in proc.stdout
 
 
-# (args, exit code, golden file of the JSON output or of stdout)
+def _golden_case(name, output=None):
+    """Golden ``name``'s run from scripts/goldens.py as a case of (args, exit code, golden).
+
+    A run that writes a file writes ``output``, by default the golden's own name
+    (a .csv.gz golden's CSV, uncompressed); a .txt golden is the run's stdout.
+    """
+    if name.endswith(".txt"):
+        return RUNS[name], 0, name
+    return [*RUNS[name], "--output", output or name.removesuffix(".gz")], 0, name
+
+
+# (args, exit code, golden file of the output or of stdout)
 _NUMPY_FREE_CASES = [
-    (["fresnel", "--output", "out.json"], 0, "fresnel.json"),
-    (["linkbudget", "--entry-window", "-40", "--entry-foliage", "-12.5", "--output", "out.json"],
-     0, "linkbudget.json"),
-    (["--config", "estload_paper", "--output", "out.json"], 0, "estload_paper.json"),
-    (["--config", "adc_128v8", "--output", "out.json"], 0, "adc_128v8.json"),
+    _golden_case("fresnel.json"),
+    _golden_case("linkbudget.json"),
+    _golden_case("estload_paper.json"),
+    _golden_case("adc_128v8.json"),
     (["hwbudget", "--overhead-factor", "20"], 3, None),
     (["--config", "../malformed.ini"], 2, None),
     (["fresnel", "--freq-ghz", "nan"], 3, None),
     (["fresnel", "--freq-ghz", "1e-320"], 3, None),
     (["fresnel", "--freq-ghz", "1e300"], 3, None),
-    (["list"], 0, "list.txt"),
-    ([], 0, "usage.txt"),
+    _golden_case("list.txt"),
+    (["--list"], 0, "list.txt"),
+    _golden_case("usage.txt"),
     (["--help"], 0, "usage.txt"),
     (["warp-drive"], 3, None),
     (["fresnel", "--set", "freq_gz=38"], 3, None),
@@ -1211,16 +1231,16 @@ _NUMPY_FREE_CASES = [
     (["fresnel", "--d1", "0", "--d2", "0"], 3, None),
     (["estload", "--subcarriers-per-block", "2000"], 3, None),
     (["capacity", "--dl-ul-power-ratio", "1e308"], 3, None),
-    (["--config", "mobility_bound", "--output", "out.json"], 0, "mobility_bound.json"),
+    _golden_case("mobility_bound.json"),
     # rate sweeps of at most capacity.PLAIN_MAX_EVALUATIONS rate evaluations: 2,000 user
     # counts, and 4 antenna counts x 1,000
-    (["--config", "centralpark_60ghz", "--output", "out.csv"], 0, "centralpark_60ghz.csv"),
-    (["antenna-sweep", "--output", "out.csv"], 0, "antenna_sweep.csv"),
+    _golden_case("centralpark_60ghz.csv.gz"),
+    _golden_case("antenna_sweep.csv"),
     (["mobility", "--mu-list", "0.2"], 3, None),
     # paths that the manifest echoes in json's ASCII escapes: non-ASCII, and holding a
     # byte that is not UTF-8, which reaches Python as a lone surrogate
-    (["fresnel", "--output", "\u00fcn\u00efcode-\u2603-\U0001d11e.json"], 0, "fresnel.json"),
-    (["fresnel", "--output", "x\udcff.json"], 0, "fresnel.json"),
+    _golden_case("fresnel.json", "\u00fcn\u00efcode-\u2603-\U0001d11e.json"),
+    _golden_case("fresnel.json", "x\udcff.json"),
 ]
 
 # runs each argument list through main in its own directory 0, 1, ...; any numpy import
@@ -1278,11 +1298,9 @@ def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
         elif golden.endswith(".txt"):
             assert stdout == (GOLDEN / golden).read_text(), args
         else:
-            output = args[args.index("--output") + 1]
+            # the manifest echoes the output path, in json's ASCII escapes
             monkeypatch.chdir(tmp_path / str(i))
-            _assert_run_matches_golden(output, golden)
-            manifest = Path(f"{output}.manifest.json").read_text()
-            assert f'\n  "output": {json.dumps(output)},\n' in manifest, args
+            _assert_run_matches_golden(args[args.index("--output") + 1], golden)
 
 
 # runs every bundled config and the Monte-Carlo and antenna-sweep defaults through main

@@ -1,33 +1,59 @@
-"""Bundled configs and experiment defaults against checked-in golden outputs.
+"""Every file of tests/golden/, as scripts/goldens.py writes it, against the checked-in file.
 
-Structure (CSV header, row count, frequency grid and integer columns; JSON
-keys and non-float values) must match exactly; float values must agree to a
-relative 1e-12.  Every run's manifest must match the golden
-``.manifest.json`` the same way, apart from the output path it echoes.  The
-``mimolab list`` output, the bare usage text and the Monte-Carlo outputs
-must match byte for byte.
-A change that moves a value past that tolerance updates the golden file and
-declares the numerics change in CHANGES.md.
+scripts/goldens.py's GOLDENS table names each golden and the run that writes
+it; its writer runs the whole table once into a temporary directory.  A
+golden pinned byte for byte (the Monte-Carlo outputs, the listing, the usage
+text and the reports) must be written byte for byte.  Any other CSV must match
+its header, its shape and its leading exact columns (the frequency grid, the
+integer columns), and agree to a relative 1e-12 elsewhere; any other JSON must
+match its keys and non-float values, and agree to a relative 1e-12 in its
+floats.  A run's manifest matches the golden manifest the same way, and byte
+for byte whenever the run's output is byte for byte its golden.  The
+Monte-Carlo runs are also run under another --output name, and the listing
+also through its --list alias; those outputs must be their goldens too.
+A change that moves a value past that tolerance regenerates the goldens with
+scripts/goldens.py and declares the numerics change in CHANGES.md.
 """
 
 import gzip
+import importlib.util
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mimolab.cli import main
+from mimolab.cli import BUNDLED_CONFIGS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+WRITER = Path(__file__).resolve().parent.parent / "scripts" / "goldens.py"
 
 
-def _golden_text(name):
-    path = GOLDEN / name
-    if path.exists():
-        return path.read_text()
-    with gzip.open(GOLDEN / f"{name}.gz", "rt") as handle:
-        return handle.read()
+def _writer():
+    """scripts/goldens.py as a module: its GOLDENS table and its write(directory)."""
+    spec = importlib.util.spec_from_file_location("goldens", WRITER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+writer = _writer()
+GOLDENS = writer.GOLDENS
+# the mimolab argv, or the report script, that writes each golden
+RUNS = {name: run for name, run, _, _ in GOLDENS}
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("goldens")
+    writer.write(directory)
+    return directory
+
+
+def _content(path):
+    """A file's bytes, decompressed when it is gzipped."""
+    data = Path(path).read_bytes()
+    return gzip.decompress(data) if str(path).endswith(".gz") else data
 
 
 def _read_csv(text):
@@ -64,51 +90,48 @@ def _assert_json_close(actual, golden, where="$"):
         assert actual == golden, where
 
 
-def _assert_manifest_close(output, golden_name):
-    actual = json.loads(Path(f"{output}.manifest.json").read_text())
-    golden = json.loads((GOLDEN / f"{golden_name}.manifest.json").read_text())
-    assert actual.pop("output") == output
-    golden.pop("output")
-    _assert_json_close(actual, golden)
+def _assert_run_matches_golden(output, name):
+    """A run's file ``output``, in the working directory, and its manifest against golden ``name``.
 
-
-def _assert_run_matches_golden(output, golden_name, exact_columns=0):
-    """The run's output and its manifest against the golden file and its manifest."""
-    text = Path(output).read_text()
-    if golden_name.endswith(".csv"):
-        _assert_csv_close(text, _golden_text(golden_name), exact_columns)
+    The output compares as the golden's row says; the run of a .csv.gz golden
+    may leave its CSV uncompressed.  The manifest echoes ``output`` where the
+    golden manifest echoes the golden's own name.  Apart from that line it is
+    byte for byte the golden manifest when the output is byte for byte its
+    golden, and within rel 1e-12 otherwise.
+    """
+    _, _, exact_columns, pinned = next(row for row in GOLDENS if row[0] == name)
+    actual, golden = _content(output), _content(GOLDEN / name)
+    if pinned:
+        assert actual == golden
+    elif ".csv" in name:
+        _assert_csv_close(actual.decode(), golden.decode(), exact_columns)
     else:
-        _assert_json_close(json.loads(text), json.loads(_golden_text(golden_name)))
-    _assert_manifest_close(output, golden_name)
+        _assert_json_close(json.loads(actual), json.loads(golden))
+    if name.endswith(".txt"):
+        return
+    output, name = output.removesuffix(".gz"), name.removesuffix(".gz")
+    manifest = Path(f"{output}.manifest.json").read_text()
+    golden_manifest = (GOLDEN / f"{name}.manifest.json").read_text()
+    echo = '\n  "output": {},\n'.format
+    assert echo(json.dumps(output)) in manifest
+    manifest = manifest.replace(echo(json.dumps(output)), echo(json.dumps(name)))
+    if actual == golden:
+        assert manifest == golden_manifest
+    else:
+        _assert_json_close(json.loads(manifest), json.loads(golden_manifest))
 
 
-@pytest.mark.parametrize("name", ["fig4_32x32", "fig4_64x64", "fig4_128x128"])
-def test_squint_config_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["--config", name, "--output", "out.csv"]) == 0
-    _assert_run_matches_golden("out.csv", f"{name}.csv", exact_columns=1)
+@pytest.mark.parametrize("name", RUNS)
+def test_written_file_matches_golden(name, written, monkeypatch):
+    monkeypatch.chdir(written)
+    _assert_run_matches_golden(name, name)
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("centralpark_3ghz", ["--config", "centralpark_3ghz"]),
-        ("centralpark_60ghz", ["--config", "centralpark_60ghz"]),
-        ("antenna_sweep", ["antenna-sweep"]),
-    ],
-)
-def test_rate_sweep_matches_golden(name, argv, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--output", "out.csv"]) == 0
-    # m_antennas and k_users are integers and must match exactly
-    _assert_run_matches_golden("out.csv", f"{name}.csv", exact_columns=2)
-
-
+# the Monte-Carlo runs under another --output name: the output and the
+# manifest's values do not depend on the name the run is told to write
 MONTECARLO_RUNS = [
-    ("hardening", ["hardening"]),
-    ("favorable", ["favorable"]),
-    ("mobility_bound", ["--config", "mobility_bound"]),
-    ("hardening_m10000", ["hardening", "--m-antennas", "10000", "--n-draws", "1000"]),
+    (name.removesuffix(".json"), run) for name, run, _, pinned in GOLDENS
+    if pinned and name.endswith(".json")
 ]
 
 
@@ -127,29 +150,22 @@ def test_montecarlo_output_is_golden_byte_for_byte(name, argv, tmp_path, monkeyp
     assert Path("out.json").read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["estload_paper", "adc_128v8"])
-def test_small_json_config_matches_golden(name, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(["--config", name, "--output", "out.json"]) == 0
-    _assert_run_matches_golden("out.json", f"{name}.json")
-
-
+# the listing, the usage text, and the --list alias of the listing
 @pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("fresnel", ["fresnel"]),
-        ("linkbudget", ["linkbudget", "--entry-window", "-40", "--entry-foliage", "-12.5"]),
-    ],
+    "name, argv", [("list", RUNS["list.txt"]), ("usage", RUNS["usage.txt"]), ("list", ["--list"])]
 )
-def test_propagation_experiment_matches_golden(name, argv, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--output", "out.json"]) == 0
-    _assert_run_matches_golden("out.json", f"{name}.json")
-
-
-@pytest.mark.parametrize("name, argv", [("list", ["list"]), ("usage", []), ("list", ["--list"])])
 def test_listing_and_usage_match_golden(name, argv, capsys):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.out == (GOLDEN / f"{name}.txt").read_text()
     assert captured.err == ""
+
+
+def test_writer_writes_exactly_the_golden_files(written):
+    # no golden is orphaned and none is missing
+    assert sorted(p.name for p in written.iterdir()) == sorted(p.name for p in GOLDEN.iterdir())
+
+
+def test_every_bundled_config_has_a_golden():
+    configs = {run[1] for run in RUNS.values() if run[:1] == ["--config"]}
+    assert set(BUNDLED_CONFIGS) <= configs

@@ -1,8 +1,10 @@
-"""Each script under scripts/ runs to exit 0; the reports print their pinned text.
+"""Each script under scripts/ runs to exit 0.
 
-memory_ceilings.py is left out: its runs are the largest that the memory bounds allow,
-hundreds of MiB each and about 15 s in all.  Its table is checked instead: its runs sit
-at the schema's memory bounds, and README quotes each of its figures.
+The reports' pinned text is checked with the other goldens, in test_golden.py,
+through goldens.py.  memory_ceilings.py is left out: its runs are the largest
+that the memory bounds allow, hundreds of MiB each and about 15 s in all.  Its
+table is checked instead: its runs sit at the schema's memory bounds, and
+README quotes each of its figures.
 """
 
 import importlib.util
@@ -12,13 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from mimolab import cli
 from mimolab.cli import EXPERIMENTS, resolve
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-GOLDEN = Path(__file__).resolve().parent / "golden"
 README = SCRIPTS.parent / "README.md"
 
 
@@ -37,13 +36,6 @@ def _ceilings():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.CEILINGS
-
-
-@pytest.mark.parametrize("script", ["centralpark_report.py", "squint_report.py"])
-def test_report_matches_golden(script, tmp_path):
-    # seed 42, the bundled configs' seed; byte for byte
-    golden = GOLDEN / script.replace(".py", ".txt")
-    assert run_script(script, [], tmp_path) == golden.read_text(encoding="utf-8")
 
 
 def test_run_all_bundled(tmp_path):
