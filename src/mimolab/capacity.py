@@ -70,18 +70,8 @@ def k_range(tau_c: int, k_min: int = 1, k_max: int = 0, k_step: int = 0) -> rang
     return range(k_min, k_max + 1, step)
 
 
-def estimation_quality(tau_p, rho_ul):
-    """MMSE channel-estimate quality tau_p*rho / (1 + tau_p*rho), in [0, 1), per tau_p."""
-    import numpy as np
-
-    if not np.min(tau_p) >= 1:
-        raise ValueError(f"tau_p must be at least 1, got {np.min(tau_p)}")
-    if not rho_ul > 0:
-        raise ValueError(f"rho_ul must be positive, got {rho_ul}")
-    return _quality(tau_p, rho_ul)
-
-
 def _quality(tau_p, rho_ul):
+    """MMSE channel-estimate quality tau_p*rho / (1 + tau_p*rho), in [0, 1), per tau_p."""
     x = tau_p * rho_ul
     return x / (1.0 + x)
 

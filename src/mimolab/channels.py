@@ -15,9 +15,10 @@ against this function.
 
 Hardening draw i reads child stream i of the seed (``rng.child_uniforms``),
 and favorable-propagation pair i reads children 2i and 2i+1, exactly as a
-fresh ``RandomStream(derive_seed(seed, i))`` would.  Neither forms complex
-normals: hardening sums ``rng.polar_power`` of each block of draws, and a
-pair with radii r = sqrt(-log1p(-u)) and angle uniforms a_i, a_j has
+fresh ``RandomStream(derive_seed(seed, i))`` would; favorable's blocks hold
+whole pairs.  Neither forms complex normals: hardening sums
+``rng.polar_power`` of each block of draws, and a pair with radii
+r = sqrt(-log1p(-u)) and angle uniforms a_i, a_j has
 |h_i^H h_j| = |sum r_i r_j exp(j*2*pi*(a_i - a_j))|, whose angle differences
 are exact.  Both agree with the complex-normal formulas to ~1e-15 relative.
 """
@@ -82,19 +83,13 @@ def favorable_propagation_metric(m_antennas: int, n_pairs: int, seed: int) -> fl
         return 1.0  # |h_i h_j| / (|h_i| |h_j|) of two scalars, exactly
     rho = np.empty(n_pairs)
     done = 0
-    first = None  # a pair's first child and its power, when its second child is in the next block
-    # pair i draws children 2i and 2i+1, each M radius then M angle uniforms
-    for u in child_uniforms(seed, 2 * n_pairs, 2 * m_antennas):
+    # pair i draws children 2i and 2i+1, each M radius then M angle uniforms; blocks hold
+    # whole pairs
+    for u in child_uniforms(seed, 2 * n_pairs, 2 * m_antennas, multiple=2):
         power = _radii(u[:, :m_antennas])
-        if first is not None:
-            rho[done] = _pair_correlations(first[0], first[1], u[:1], power[:1])[0]
-            done += 1
-            u, power = u[1:], power[1:]
         n = len(u) // 2
-        rho[done:done + n] = _pair_correlations(u[:2 * n:2], power[:2 * n:2],
-                                                u[1:2 * n:2], power[1:2 * n:2])
+        rho[done:done + n] = _pair_correlations(u[::2], power[::2], u[1::2], power[1::2])
         done += n
-        first = (u[-1:].copy(), power[-1:]) if len(u) % 2 else None
     return float(rho.mean())
 
 

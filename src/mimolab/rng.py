@@ -104,12 +104,15 @@ class RandomStream:
         return self._gen.random(n)
 
 
-def child_uniforms(parent_seed: int, count: int, n: int) -> Iterator[np.ndarray]:
+def child_uniforms(parent_seed: int, count: int, n: int, multiple: int = 1) -> Iterator[np.ndarray]:
     """Row i of the yielded blocks is ``RandomStream(derive_seed(parent_seed, i)).uniform(n)``.
 
-    Blocks hold max(1, _UNIFORM_BLOCK // n) rows of one reused buffer: use each before the next.
+    Blocks hold _UNIFORM_BLOCK // n rows rounded down to a multiple of ``multiple``, but at
+    least ``multiple``, of one reused buffer: use each before the next.  With count a
+    multiple of ``multiple``, so is every block's length.
     """
-    block = np.empty((max(1, _UNIFORM_BLOCK // n), n))
+    rows = max(multiple, _UNIFORM_BLOCK // n // multiple * multiple)
+    block = np.empty((rows, n))
     filled = 0
     for start in range(0, count, _SEED_BLOCK):
         indices = range(start, min(count, start + _SEED_BLOCK))

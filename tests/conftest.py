@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 
-# allow running the suite from a fresh checkout without installing
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+# allow running the suite from a fresh checkout without installing; the scripts' tables
+# import as modules
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
 from mimolab import cli  # noqa: E402
 

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from mimolab.capacity import (
     PLAIN_MAX_EVALUATIONS,
     RATE_COLUMNS,
+    _quality,
     antenna_sweep,
     best_row,
     coherence_samples,
-    estimation_quality,
     k_range,
     rate_columns,
     rate_lists,
@@ -28,30 +28,28 @@ from conftest import bundled
 # ---------------------------------------------------------------------------
 
 def test_quality_vanishes_without_pilot_energy():
-    assert estimation_quality(1, 1e-9) == pytest.approx(0.0, abs=1e-8)
+    assert _quality(1, 1e-9) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_quality_reference_value():
-    gamma = estimation_quality(14_000, 100.0)
+    gamma = _quality(14_000, 100.0)
     assert gamma == pytest.approx(1_400_000 / 1_400_001, rel=1e-15)
     # a grid of pilot lengths gives the scalar value at each
-    grid = estimation_quality(np.array([4, 14_000]), 100.0)
-    assert grid.tolist() == [estimation_quality(4, 100.0), gamma]
-    with pytest.raises(ValueError, match="tau_p"):
-        estimation_quality(np.array([4, 0]), 100.0)
+    grid = _quality(np.array([4, 14_000]), 100.0)
+    assert grid.tolist() == [_quality(4, 100.0), gamma]
 
 
 def test_quality_balance_point():
-    assert estimation_quality(4, 0.25) == pytest.approx(0.5, rel=1e-12)
+    assert _quality(4, 0.25) == pytest.approx(0.5, rel=1e-12)
 
 
 @settings(max_examples=100)
 @given(tau=st.integers(1, 10_000), rho=st.floats(1e-6, 1e4))
 def test_quality_is_bounded_and_monotone(tau, rho):
-    gamma = estimation_quality(tau, rho)
+    gamma = _quality(tau, rho)
     assert 0.0 < gamma < 1.0
-    assert estimation_quality(tau + 1, rho) > gamma
-    assert estimation_quality(tau, rho * 2) > gamma
+    assert _quality(tau + 1, rho) > gamma
+    assert _quality(tau, rho * 2) > gamma
 
 
 # ---------------------------------------------------------------------------

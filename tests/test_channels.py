@@ -77,17 +77,23 @@ def test_block_seeding_matches_numpy_seed_sequence_and_pcg64():
 
 
 def test_child_streams_draw_like_fresh_streams():
-    # n around one block, so some blocks hold a single row; counts of one row,
-    # a block's rows +/- 1, and past one seed-hash block
-    for n in (1, _UNIFORM_BLOCK - 1, _UNIFORM_BLOCK, _UNIFORM_BLOCK + 1):
-        rows = max(1, _UNIFORM_BLOCK // n)
-        for count in sorted({1, max(1, rows - 1), rows + 1, _SEED_BLOCK + 1}):
-            blocks = [block.copy() for block in child_uniforms(7, count, n)]
-            assert all(len(block) <= rows for block in blocks)
+    # n around one block, so some blocks hold a single multiple of rows, and n = 6, whose
+    # 1,365 rows a block are cut to 1,364 for a multiple of 2; counts of one multiple, a
+    # block's rows +/- one multiple, and past one seed-hash block
+    for n in (1, 6, _UNIFORM_BLOCK - 1, _UNIFORM_BLOCK, _UNIFORM_BLOCK + 1):
+        cases = []
+        for multiple in (1, 2):
+            rows = max(multiple, _UNIFORM_BLOCK // n // multiple * multiple)
+            counts = {multiple, max(multiple, rows - multiple), rows + multiple, _SEED_BLOCK + 2}
+            cases += [(multiple, rows, count) for count in sorted(counts)]
+        fresh = [RandomStream(derive_seed(7, i)).uniform(n)
+                 for i in range(max(count for _, _, count in cases))]
+        for multiple, rows, count in cases:
+            blocks = [block.copy() for block in child_uniforms(7, count, n, multiple)]
+            assert all(len(block) <= rows and len(block) % multiple == 0 for block in blocks)
             drawn = np.concatenate(blocks)
             assert drawn.shape == (count, n)
-            for i, row in enumerate(drawn):
-                assert np.array_equal(row, RandomStream(derive_seed(7, i)).uniform(n))
+            assert all(np.array_equal(row, fresh[i]) for i, row in enumerate(drawn))
 
 
 def test_complex_normal_unit_variance():
@@ -206,8 +212,8 @@ def test_hardening_equals_per_draw_streams(m, n, seed):
         (100, 2000, 42),
         (1000, 50, 7),
         (8, _SEED_BLOCK // 2 + 5, 123),
-        (3, 700, 9),  # 1,365 children a block: pairs span blocks
-        (_UNIFORM_BLOCK // 2 + 1, 3, 5),  # one child a block
+        (3, 700, 9),  # 1,365 children a block, cut to 1,364 to hold whole pairs
+        (_UNIFORM_BLOCK // 2 + 1, 3, 5),  # one pair a block
     ],
 )
 def test_favorable_equals_per_draw_streams(m, n, seed):

@@ -31,8 +31,9 @@ from mimolab.cli import (
 from mimolab.geometry import PlanarArray
 from mimolab.scenarios import sixpath_channel
 
+import numpy_free
 from conftest import bundled
-from test_golden import GOLDEN, RUNS, _assert_run_matches_golden
+from test_golden import GOLDEN, _assert_run_matches_golden
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -1191,113 +1192,10 @@ def test_console_entry_point():
     assert "squint" in proc.stdout
 
 
-def _golden_case(name, output=None):
-    """Golden ``name``'s run from scripts/goldens.py as a case of (args, exit code, golden).
-
-    A run that writes a file writes ``output``, by default the golden's own name
-    (a .csv.gz golden's CSV, uncompressed); a .txt golden is the run's stdout.
-    """
-    if name.endswith(".txt"):
-        return RUNS[name], 0, name
-    return [*RUNS[name], "--output", output or name.removesuffix(".gz")], 0, name
-
-
-# (args, exit code, golden file of the output or of stdout)
-_NUMPY_FREE_CASES = [
-    _golden_case("fresnel.json"),
-    _golden_case("linkbudget.json"),
-    _golden_case("estload_paper.json"),
-    _golden_case("adc_128v8.json"),
-    (["hwbudget", "--overhead-factor", "20"], 3, None),
-    (["--config", "../malformed.ini"], 2, None),
-    (["fresnel", "--freq-ghz", "nan"], 3, None),
-    (["fresnel", "--freq-ghz", "1e-320"], 3, None),
-    (["fresnel", "--freq-ghz", "1e300"], 3, None),
-    _golden_case("list.txt"),
-    (["--list"], 0, "list.txt"),
-    _golden_case("usage.txt"),
-    (["--help"], 0, "usage.txt"),
-    (["warp-drive"], 3, None),
-    (["fresnel", "--set", "freq_gz=38"], 3, None),
-    (["squint", "--center-frequency-hz", "60e9", "--span-hz", "120e9"], 3, None),
-    (["capacity", "--coherence-time-s", "1e-300"], 3, None),
-    (["capacity", "--fine", "true", "--coherence-time-s", "100"], 3, None),
-    (["capacity", "--snr-scaling", "bandwidth", "--ul-pilot-snr", "1e-300",
-      "--reference-bandwidth-hz", "1e-300", "--bandwidth-hz", "1e300"], 3, None),
-    (["antenna-sweep", "--coherence-time-s", "1e-300"], 3, None),
-    (["capacity", "--k-max", "50000"], 3, None),
-    (["capacity", "--k-min", "50000"], 3, None),
-    (["antenna-sweep", "--k-min", "9", "--k-max", "2"], 3, None),
-    (["fresnel", "--d1", "0", "--d2", "0"], 3, None),
-    (["estload", "--subcarriers-per-block", "2000"], 3, None),
-    (["capacity", "--dl-ul-power-ratio", "1e308"], 3, None),
-    _golden_case("mobility_bound.json"),
-    # rate sweeps of at most capacity.PLAIN_MAX_EVALUATIONS rate evaluations: 2,000 user
-    # counts, and 4 antenna counts x 1,000
-    _golden_case("centralpark_60ghz.csv.gz"),
-    _golden_case("antenna_sweep.csv"),
-    (["mobility", "--mu-list", "0.2"], 3, None),
-    # paths that the manifest echoes in json's ASCII escapes: non-ASCII, and holding a
-    # byte that is not UTF-8, which reaches Python as a lone surrogate
-    _golden_case("fresnel.json", "\u00fcn\u00efcode-\u2603-\U0001d11e.json"),
-    _golden_case("fresnel.json", "x\udcff.json"),
-]
-
-# runs each argument list through main in its own directory 0, 1, ...; any numpy import
-# raises.  The lists arrive as ascii() wrote them, and json is imported only after the
-# module snapshot, as it loads re and enum itself.
-_NUMPY_FREE_SCRIPT = """
-import io, os, sys
-sys.modules["numpy"] = None
-from mimolab.cli import main
-
-results = []
-for i, args in enumerate(eval(sys.argv[1])):
-    os.mkdir(str(i))
-    os.chdir(str(i))
-    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-    try:
-        results.append((main(args), sys.stdout.getvalue()))
-    finally:
-        sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__
-    os.chdir("..")
-modules = sorted(sys.modules)
-import json
-print(json.dumps([results, modules]))
-"""
-
-
 def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
-    (tmp_path / "malformed.ini").write_text("experiment = fresnel\nfreq_ghz 38\n")
-    # -S skips site, whose .pth files may preload modules the CLI itself avoids
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", _NUMPY_FREE_SCRIPT,
-         ascii([args for args, _, _ in _NUMPY_FREE_CASES])],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    results, modules = json.loads(proc.stdout)
-    assert [name for name in modules if name.startswith("mimolab")] == [
-        "mimolab", "mimolab.capacity", "mimolab.cli", "mimolab.hardware", "mimolab.propagation",
-    ]
-    # standard-library imports the CLI does without: beyond os, sys and math it has its own
-    # JSON writer, plain schema classes and a set check of the key grammar
-    assert not {
-        "__future__", "collections", "dataclasses", "enum", "functools", "importlib.resources",
-        "inspect", "json", "re", "tempfile", "typing",
-    } & set(modules)
-    for i, ((args, code, golden), (exit_code, stdout)) in enumerate(
-        zip(_NUMPY_FREE_CASES, results, strict=True)
-    ):
-        assert exit_code == code, args
-        if golden is None:
-            assert list((tmp_path / str(i)).iterdir()) == [], args
-        elif golden.endswith(".txt"):
-            assert stdout == (GOLDEN / golden).read_text(), args
-        else:
+    assert numpy_free.check(tmp_path) == []
+    for i, (args, code, golden) in enumerate(numpy_free.CASES):
+        if code == 0 and golden and not golden.endswith(".txt"):
             # the manifest echoes the output path, in json's ASCII escapes
             monkeypatch.chdir(tmp_path / str(i))
             _assert_run_matches_golden(args[args.index("--output") + 1], golden)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimolab.capacity import estimation_quality, rate_table
+from mimolab.capacity import rate_table
 from mimolab.cli import main
 from mimolab.hardware import adc_power, array_pa_budget
 from mimolab.propagation import bandwidth_snr_delta, estimation_load, fresnel_radius, wavelength_m
@@ -180,7 +180,7 @@ NAN = float("nan")
         lambda: estimation_load(200, 20, 1024, 12, coherence_time_s=NAN),
         lambda: adc_power(NAN, 5, 1e8, 1.0),
         lambda: array_pa_budget(64, NAN, 0.18),
-        lambda: estimation_quality(4, NAN),
+        lambda: rate_table([1], **{**bundled("centralpark_3ghz"), "ul_pilot_snr": NAN}),
         lambda: rate_table([1], **{**bundled("centralpark_3ghz"), "bandwidth_hz": NAN}),
     ],
     ids=[

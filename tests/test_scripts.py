@@ -7,7 +7,6 @@ table is checked instead: its runs sit at the schema's memory bounds, and
 README quotes each of its figures.
 """
 
-import importlib.util
 import itertools
 import re
 import subprocess
@@ -16,6 +15,8 @@ from pathlib import Path
 
 from mimolab import cli
 from mimolab.cli import EXPERIMENTS, resolve
+
+from memory_ceilings import CEILINGS
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = SCRIPTS.parent / "README.md"
@@ -29,22 +30,13 @@ def run_script(script, args, cwd):
     return proc.stdout
 
 
-def _ceilings():
-    """memory_ceilings.CEILINGS: (config, figure in MiB) pairs."""
-    path = SCRIPTS / "memory_ceilings.py"
-    spec = importlib.util.spec_from_file_location("memory_ceilings", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.CEILINGS
-
-
 def test_run_all_bundled(tmp_path):
     assert "== adc_128v8 ==" in run_script("run_all_bundled.py", [str(tmp_path)], tmp_path)
 
 
 def test_memory_ceilings_run_every_memory_bound():
     runs = {}
-    for config, _ in _ceilings():
+    for config, _ in CEILINGS:
         exp, _, _, params = resolve(config)  # valid input, or ValidationError
         if exp.name in ("capacity", "antenna-sweep"):
             params = {**params, "sweep_length": len(cli._capacity_scenario(params)[1])}
@@ -71,4 +63,4 @@ def test_readme_quotes_every_memory_figure():
         lambda line: len(line) - len(line.lstrip()) > indent, lines[start + 1:])]
     quoted = {int(figure.replace(",", ""))
               for figure in re.findall(r"(\d[\d,]*)\s+MiB", " ".join(bullet))}
-    assert quoted == {figure for _, figure in _ceilings()}
+    assert quoted == {figure for _, figure in CEILINGS}
