@@ -13,21 +13,122 @@ check does not sample it: ``propagation.drift_bound_check`` reports its least
 value over [-mu, mu]^M in closed form, and the tests check that closed form
 against this function.
 
-Hardening draw i reads child stream i of the seed (``rng.child_uniforms``),
-and favorable-propagation pair i reads children 2i and 2i+1, exactly as a
-fresh ``RandomStream(derive_seed(seed, i))`` would; favorable's blocks hold
-whole pairs.  Neither forms complex normals: hardening sums
-``rng.polar_power`` of each block of draws, and a pair with radii
-r = sqrt(-log1p(-u)) and angle uniforms a_i, a_j has
-|h_i^H h_j| = |sum r_i r_j exp(j*2*pi*(a_i - a_j))|, whose angle differences
-are exact.  Both agree with the complex-normal formulas to ~1e-15 relative.
+Parallel Monte-Carlo runs split work by deriving one child seed per draw
+index with :func:`derive_seed`, so results do not depend on how draws are
+distributed over workers.  Hardening draw i reads child stream i of the seed,
+and favorable-propagation pair i reads children 2i and 2i+1: each row that
+:func:`child_uniforms` yields is the child's ``rng.uniforms`` stream, which is
+``np.random.Generator(np.random.PCG64(child))``'s.  It hashes 1,024 child
+seeds at once with ``rng.seed_words`` on a uint64 array, skipping numpy's
+per-seed hash, and hands each child's four words to ``np.random.PCG64``
+through the public ``ISeedSequence`` interface, so numpy seeds PCG64 and
+draws the uniforms.  Each child fills a row of a reused block, and
+favorable's blocks hold whole pairs.
+
+Neither diagnostic forms complex normals:
+
+  * hardening sums :func:`polar_power` of each block of draws: ||z||^2 =
+    sum(-log(1 - u1)) from the first M uniforms alone, as
+    -sum(log(prod(1 - u1))) over groups of at most 16 entries, one log per 16
+    entries.  1 - u is exact (u is a multiple of 2**-53), and a product of 16
+    such factors is at least 2**-848, so it cannot underflow;
+  * a favorable pair with radii r = sqrt(-log1p(-u)) and angle uniforms a_i,
+    a_j has |h_i^H h_j| = |sum r_i r_j exp(j*2*pi*(a_i - a_j))|, whose angle
+    differences are exact.
+
+Both agree with the complex-normal formulas to ~1e-15 relative.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import hashlib
+from collections.abc import Iterator
 
-from .rng import child_uniforms, polar_power
+import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+from .rng import seed_words
+
+_SEED_MASK = (1 << 64) - 1
+_SEED_BLOCK = 1024  # child seeds hashed at once by child_uniforms
+_UNIFORM_BLOCK = 8192  # uniforms per child_uniforms block; stays in L2, 65,536 was slower
+
+
+def derive_seed(parent_seed: int, index: int) -> int:
+    """Deterministic 64-bit child seed for worker/draw ``index``.
+
+    child = first 8 bytes of SHA-256(parent_le64 || index_le64), so child
+    streams are decorrelated and identical across platforms.
+    """
+    if index < 0:
+        raise ValueError(f"index must be nonnegative, got {index}")
+    return int.from_bytes(_child_seed_bytes(parent_seed, range(index, index + 1)), "little")
+
+
+def _child_seed_bytes(parent_seed: int, indices: range) -> bytes:
+    """The little-endian 8-byte child seeds of ``indices``, concatenated."""
+    prefix = (parent_seed & _SEED_MASK).to_bytes(8, "little")
+    return b"".join([hashlib.sha256(prefix + i.to_bytes(8, "little")).digest()[:8]
+                     for i in indices])
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state is one row of a (seeds, 4) array of ``rng.seed_words``.
+
+    PCG64 reads the returned array's buffer as its four uint64 words without
+    a copy, so the row must be C-contiguous, as a row view of that array is.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self._words  # PCG64 asks for exactly its four uint64 words
+
+
+def child_uniforms(parent_seed: int, count: int, n: int, multiple: int = 1) -> Iterator[np.ndarray]:
+    """Row i of the yielded blocks is ``rng.uniforms(derive_seed(parent_seed, i), n)``.
+
+    Blocks hold _UNIFORM_BLOCK // n rows rounded down to a multiple of ``multiple``, but at
+    least ``multiple``, of one reused buffer: use each before the next.  With count a
+    multiple of ``multiple``, so is every block's length.
+    """
+    rows = max(multiple, _UNIFORM_BLOCK // n // multiple * multiple)
+    block = np.empty((rows, n))
+    filled = 0
+    for start in range(0, count, _SEED_BLOCK):
+        indices = range(start, min(count, start + _SEED_BLOCK))
+        seeds = np.frombuffer(_child_seed_bytes(parent_seed, indices), dtype="<u8")
+        for row in np.stack(seed_words(seeds), axis=1):  # C-contiguous rows
+            np.random.Generator(np.random.PCG64(_SeedWords(row))).random(out=block[filled])
+            filled += 1
+            if filled == len(block):
+                yield block
+                filled = 0
+    if filled:
+        yield block[:filled]
+
+
+def polar_power(u: np.ndarray) -> np.ndarray:
+    """||z||^2 of each row's complex normal, from a (rows, n) block of its radius uniforms.
+
+    Group g of a row multiplies its entries g, g + k, ..., g + 15k (k = n // 16),
+    in a tree, and the last n % 16 entries form one more group.  A block of one
+    row is overwritten.
+    """
+    rows, n = u.shape
+    # row j holds entry j of every draw, so each step is one pass; a single row is reduced in
+    # place, so the largest M peaks at one block
+    x = u.T if rows == 1 else np.empty((n, rows))
+    np.subtract(1.0, u.T, out=x)  # exact, and in (0, 1]: no infinities
+    k = n // 16
+    for half in (8, 4, 2, 1):
+        x[:half * k] *= x[half * k:2 * half * k]
+    logs = np.log(x[:k], out=x[:k])
+    total = np.ascontiguousarray(logs.T).sum(axis=-1)  # each row sums pairwise, as a 1-D array does
+    if n % 16:
+        total += np.log(x[16 * k:].prod(axis=0))
+    return -total
 
 
 def _check_antennas(m_antennas: int) -> None:

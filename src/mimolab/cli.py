@@ -863,8 +863,8 @@ def resolve(config: dict[str, str]) -> tuple[Experiment, int, str, dict]:
     exp = EXPERIMENTS[_coerce_scalar("choice", "experiment", name, tuple(EXPERIMENTS))]
     seed = DEFAULT_SEED
     if "seed" in config:
-        # no range check: rng._child_seed_bytes and RandomStream keep the low 64 bits of any
-        # integer
+        # no range check: rng.seed_words and channels._child_seed_bytes keep the low 64 bits
+        # of any integer, so -1 and 2**64 - 1 seed the same streams
         seed = _coerce_scalar("int", "seed", config.pop("seed"))
     output = config.pop("output", f"{exp.name}.{exp.output_ext}")
     # checked before any file or directory is made: '', 'sub/' and NUL cannot name a file

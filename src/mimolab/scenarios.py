@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .geometry import direction_cosines
-from .rng import RandomStream
+from .rng import uniforms
 
 # (azimuth, elevation) in radians: line of sight, then the five reflections
 SIXPATH_DIRECTIONS = (
@@ -31,11 +31,12 @@ def sixpath_channel(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """60 GHz line-of-sight channel with five single-bounce reflections.
 
     Returns the (gains, cosines) pair of ``geometry.steering_factors``.
-    Per-path phases are drawn once from the seeded stream, LoS first and the
-    reflections in listed order, so the channel is reproducible from the
-    seed alone.
+    Per-path phases are 2*pi times the first six uniforms of ``rng.uniforms``,
+    LoS first and the reflections in listed order, so the channel is
+    reproducible from the seed alone.  The stream is plain Python, so a
+    squint run loads neither ``numpy.random`` nor ``hashlib``.
     """
-    phases = 2.0 * math.pi * RandomStream(seed).uniform(6)
+    phases = [2.0 * math.pi * u for u in uniforms(seed, 6)]
     powers = (SIXPATH_LOS_POWER,) + (SIXPATH_REFLECTION_POWER,) * 5
     gains = np.array([math.sqrt(power) * complex(math.cos(phase), math.sin(phase))
                       for power, phase in zip(powers, phases)])

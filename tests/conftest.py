@@ -22,6 +22,11 @@ def bundled(name: str, **overrides) -> dict:
     return cli._capacity_scenario(params)[0] if exp.name == "capacity" else params
 
 
+def numpy_stream(seed: int) -> np.random.Generator:
+    """numpy's PCG64 generator of ``seed``'s low 64 bits: the stream ``rng.uniforms`` copies."""
+    return np.random.Generator(np.random.PCG64(seed & (2**64 - 1)))
+
+
 def polar_complex_normal(u: np.ndarray) -> np.ndarray:
     """CN(0, 1) samples from (..., 2, n) uniforms: radius u[..., 0, :], angle u[..., 1, :].
 

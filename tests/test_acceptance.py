@@ -16,9 +16,8 @@ from mimolab.beamforming import analog_weights, efficiency, hybrid_weights, mrt_
 from mimolab.capacity import antenna_sweep, k_range
 from mimolab.channels import favorable_propagation_metric, hardening_metric
 from mimolab.cli import BUNDLED_CONFIGS, main
-from mimolab.rng import RandomStream
 
-from conftest import bundled, rayleigh_z
+from conftest import bundled, numpy_stream, rayleigh_z
 
 CENTER_HZ = 60e9
 
@@ -219,7 +218,7 @@ def test_criterion_11_property_suite():
         checks.append((f"favorable M={m}: z = {z:+.2f} within 5", abs(z) <= 5))
 
     m, mu = 64, 0.125
-    phi = (-mu + (mu - -mu) * RandomStream(11).uniform(100_000 * m)).reshape(100_000, m)
+    phi = (-mu + (mu - -mu) * numpy_stream(11).random(100_000 * m)).reshape(100_000, m)
     gains = np.abs(np.exp(2j * np.pi * phi).sum(axis=1)) ** 2 / m
     checks.append((f"drift gain max {gains.max():.4f} <= M={m}",
                    bool(gains.max() <= m * (1 + 1e-12))))

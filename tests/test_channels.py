@@ -6,26 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimolab.channels import drift_gain, favorable_propagation_metric, hardening_metric
-from mimolab.cli import _run_mobility
-from mimolab.propagation import _least_drift_gain, drift_bound_check
-from mimolab.rng import (
+from mimolab import channels, rng
+from mimolab.channels import (
     _SEED_BLOCK,
     _UNIFORM_BLOCK,
-    RandomStream,
-    _seed_sequence_states,
     _SeedWords,
     child_uniforms,
     derive_seed,
+    drift_gain,
+    favorable_propagation_metric,
+    hardening_metric,
     polar_power,
 )
+from mimolab.cli import _run_mobility
+from mimolab.propagation import _least_drift_gain, drift_bound_check
+from mimolab.rng import seed_words, uniforms
 
-from conftest import pair_correlation, polar_complex_normal, rayleigh_z
+from conftest import numpy_stream, pair_correlation, polar_complex_normal, rayleigh_z
+
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**70 + 5]
 
 
 def _complex_normal(seed, n):
     """n CN(0, 1) samples of the seed's stream: n radius uniforms, then n angle uniforms."""
-    return polar_complex_normal(RandomStream(seed).uniform(2 * n).reshape(2, n))
+    return polar_complex_normal(numpy_stream(seed).random(2 * n).reshape(2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +45,7 @@ def test_derive_seed_is_stable_and_distinct():
 
 def test_stream_values_are_pinned():
     # the six-path channel's phases are 2*pi*u
-    assert (2.0 * np.pi * RandomStream(42).uniform(3)).tolist() == [
+    assert [2.0 * np.pi * u for u in uniforms(42, 3)] == [
         4.862909272689599,
         2.757554564287996,
         5.3947298351621535,
@@ -51,29 +55,32 @@ def test_stream_values_are_pinned():
     assert z[1] == complex(0.23401751214277133, 1.4900805312669558)
 
 
-def test_uniform_draws_continue_the_stream():
-    stream = RandomStream(7)
-    drawn = np.concatenate([stream.uniform(5) for _ in range(3)])
-    assert np.array_equal(drawn, np.random.Generator(np.random.PCG64(7)).random(15))
+@pytest.mark.parametrize("n", [1, 6, 1000])
+@pytest.mark.parametrize("seed", _EDGE_SEEDS)
+def test_plain_stream_matches_numpy_generator(seed, n):
+    drawn = uniforms(seed, n)
+    assert all(type(u) is float for u in drawn)
+    assert drawn == numpy_stream(seed).random(n).tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 100, 10_000])
 @pytest.mark.parametrize("seed", [0, 7, 42, 2**64 - 1])
 def test_complex_normal_power_is_norm_of_complex_normal(seed, n):
     h = _complex_normal(seed, n)
-    power = polar_power(RandomStream(seed).uniform(n)[None])[0]  # the first n uniforms only
+    power = polar_power(numpy_stream(seed).random(n)[None])[0]  # the first n uniforms only
     assert power == pytest.approx(np.vdot(h, h).real, rel=1e-13, abs=0)
 
 
 def test_block_seeding_matches_numpy_seed_sequence_and_pcg64():
-    seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-    seeds += [derive_seed(42, i) for i in range(10_000)]
-    states = _seed_sequence_states(seeds)
-    assert states.dtype == np.uint64 and states.shape == (len(seeds), 4)
-    assert states.flags.c_contiguous  # PCG64 reads each row's buffer as is
+    seeds = _EDGE_SEEDS + [derive_seed(42, i) for i in range(10_000)]
+    # the one hash, on a uint64 block as child_uniforms runs it and on each Python int
+    block = seed_words(np.array([seed & (2**64 - 1) for seed in seeds], dtype=np.uint64))
+    assert all(words.dtype == np.uint64 for words in block)
+    states = np.stack(block, axis=1)  # C-contiguous: PCG64 reads each row's buffer as is
     for seed, row in zip(seeds, states):  # row views, as child_uniforms passes them
-        assert row.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
-        assert np.random.PCG64(_SeedWords(row)).state == np.random.PCG64(seed).state
+        expected = np.random.SeedSequence(seed & (2**64 - 1)).generate_state(4, np.uint64)
+        assert seed_words(seed) == row.tolist() == expected.tolist()
+        assert np.random.PCG64(_SeedWords(row)).state == numpy_stream(seed).bit_generator.state
 
 
 def test_child_streams_draw_like_fresh_streams():
@@ -86,7 +93,7 @@ def test_child_streams_draw_like_fresh_streams():
             rows = max(multiple, _UNIFORM_BLOCK // n // multiple * multiple)
             counts = {multiple, max(multiple, rows - multiple), rows + multiple, _SEED_BLOCK + 2}
             cases += [(multiple, rows, count) for count in sorted(counts)]
-        fresh = [RandomStream(derive_seed(7, i)).uniform(n)
+        fresh = [numpy_stream(derive_seed(7, i)).random(n)
                  for i in range(max(count for _, _, count in cases))]
         for multiple, rows, count in cases:
             blocks = [block.copy() for block in child_uniforms(7, count, n, multiple)]
@@ -187,13 +194,13 @@ def _complex_correlation(u_i, u_j):
 
 
 def _per_draw_hardening(m, n, seed, power=_power):
-    powers = np.array([power(RandomStream(derive_seed(seed, i)).uniform(m)) for i in range(n)])
+    powers = np.array([power(numpy_stream(derive_seed(seed, i)).random(m)) for i in range(n)])
     return float(powers.std(ddof=1) / powers.mean())
 
 
 def _per_draw_favorable(m, n, seed, correlation=_correlation):
     def child(i):
-        return RandomStream(derive_seed(seed, i)).uniform(2 * m)
+        return numpy_stream(derive_seed(seed, i)).random(2 * m)
 
     return float(np.mean([correlation(child(2 * i), child(2 * i + 1)) for i in range(n)]))
 
@@ -317,7 +324,7 @@ def test_drift_gain_alternating_worst_case_is_half():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_drift_gain_bounded_by_m_and_by_cos_bound(m, mu, seed):
-    phi = (-mu + (mu - -mu) * RandomStream(seed).uniform(100 * m)).reshape(100, m)
+    phi = (-mu + (mu - -mu) * numpy_stream(seed).random(100 * m)).reshape(100, m)
     gains = drift_gain(phi)
     assert gains.max() <= m * (1 + 1e-12)
     # interior patterns never undercut the least gain, the alternating vertex's
@@ -377,7 +384,7 @@ def test_drift_bound_check_odd_m_sits_above_the_bound(m):
 
 
 def test_drift_gain_of_a_stack_is_one_gain_per_row():
-    phi = (-0.1 + (0.1 - -0.1) * RandomStream(3).uniform(5 * 16)).reshape(5, 16)
+    phi = (-0.1 + (0.1 - -0.1) * numpy_stream(3).random(5 * 16)).reshape(5, 16)
     gains = drift_gain(phi)
     assert gains.shape == (5,)
     np.testing.assert_allclose(gains, [drift_gain(row) for row in phi], rtol=1e-14, atol=0)
@@ -389,10 +396,10 @@ def _drift_rows(m, n, seed, mu, chunk_rows=None):
 
     Every chunk continues one stream, so the rows are those of a single n*m draw.
     """
-    stream, chunk_rows = RandomStream(seed), chunk_rows or n or 1
+    stream, chunk_rows = numpy_stream(seed), chunk_rows or n or 1
     for start in range(0, n, chunk_rows):
         k = min(chunk_rows, n - start)
-        yield -mu + (mu - -mu) * stream.uniform(k * m).reshape(k, m)
+        yield -mu + (mu - -mu) * stream.random(k * m).reshape(k, m)
 
 
 def _full_float64_min_gain(m, mu, n, seed):
@@ -410,7 +417,7 @@ def test_chunked_drift_gains_equal_one_shot_formula(m, n):
     chunks = list(_drift_rows(m, n, seed, mu, chunk_rows))
     assert all(c.size <= max(m, 65_536) for c in chunks)
     chunked = np.concatenate([drift_gain(c) for c in chunks] or [[]])
-    phi = (-mu + (mu - -mu) * RandomStream(seed).uniform(n * m)).reshape(n, m)
+    phi = (-mu + (mu - -mu) * numpy_stream(seed).random(n * m)).reshape(n, m)
     assert np.array_equal(chunked, drift_gain(phi))
     # an independent cos/sin form rounds differently in the last digits only
     theta = 2.0 * np.pi * phi
@@ -490,10 +497,11 @@ def test_drift_bound_check_memory_does_not_grow_with_amplitudes():
 
 
 def test_zero_mu_reads_no_drift_rows(monkeypatch):
-    def undrawable(self, n):
+    def undrawable(*args, **kwargs):
         raise AssertionError("drew uniforms for a closed-form bound")
 
-    monkeypatch.setattr(RandomStream, "uniform", undrawable)
+    for module, name in ((rng, "uniforms"), (channels, "child_uniforms"), (np.random, "Generator")):
+        monkeypatch.setattr(module, name, undrawable)
     assert drift_bound_check(64, [0.0]) == [(64.0, 64.0)]
     params = {"m_antennas": 7, "mu_list": [0.0], "n_draws": 100_000}
     [report] = _run_mobility(params, 3)[0]["reports"]

@@ -1065,6 +1065,20 @@ def test_seed_changes_squint_output(tmp_path, monkeypatch):
     assert (tmp_path / "a.csv").read_text() != (tmp_path / "b.csv").read_text()
 
 
+def test_seed_keeps_its_low_64_bits(tmp_path, monkeypatch):
+    base = ["squint", "--rows", "4", "--cols", "4", "--n-points", "8"]
+    pairs = [("-1", str(2**64 - 1)), (str(2**64 + 7), "7")]
+    texts = []
+    for pair in pairs:
+        for seed in pair:
+            assert run_cli(base + ["--seed", seed, "--output", f"{seed}.csv"], tmp_path,
+                           monkeypatch) == 0
+        first, second = ((tmp_path / f"{seed}.csv").read_bytes() for seed in pair)
+        assert first == second, pair
+        texts.append(first)
+    assert texts[0] != texts[1]
+
+
 def test_rerun_is_byte_identical(tmp_path, monkeypatch):
     args = ["--config", "estload_paper", "--output", "out/e.json"]
     assert run_cli(args, tmp_path, monkeypatch) == 0
@@ -1212,6 +1226,34 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(args) for args in runs]
 print(json.dumps([codes, "dataclasses" in sys.modules]))
 """
+
+
+# numpy is imported before the run: numpy 1.x imports numpy.random with numpy itself
+_SQUINT_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+import numpy, mimolab.cli
+
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = mimolab.cli.main(["--config", "fig4_32x32", "--output", "squint.csv"])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_squint_run_loads_no_numpy_random_or_hashlib(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SQUINT_IMPORTS_SCRIPT],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0
+    assert "mimolab.scenarios" in loaded  # the run itself was observed
+    assert [name for name in loaded
+            if name in ("hashlib", "_hashlib") or name.split(".")[:2] == ["numpy", "random"]] == []
 
 
 def test_experiments_never_import_dataclasses(tmp_path):

@@ -4,10 +4,12 @@ The reports' pinned text is checked with the other goldens, in test_golden.py,
 through goldens.py.  memory_ceilings.py is left out: its runs are the largest
 that the memory bounds allow, hundreds of MiB each and about 15 s in all.  Its
 table is checked instead: its runs sit at the schema's memory bounds, and
-README quotes each of its figures.
+README quotes each of its figures.  bench_snapshot.py runs the benchmark for
+minutes, so only the BENCH_*.json files it wrote are checked.
 """
 
 import itertools
+import json
 import re
 import subprocess
 import sys
@@ -64,3 +66,25 @@ def test_readme_quotes_every_memory_figure():
     quoted = {int(figure.replace(",", ""))
               for figure in re.findall(r"(\d[\d,]*)\s+MiB", " ".join(bullet))}
     assert quoted == {figure for _, figure in CEILINGS}
+
+
+def test_bench_snapshots_hold_every_workload_correct():
+    root = SCRIPTS.parent
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = [workload["name"] for workload in benchmark["workloads"]]
+    metrics = {metric["name"] for metric in benchmark["end_to_end"]}
+    assert len(workloads) == 4
+    for path in sorted(root.glob("BENCH_*.json")):
+        snapshot = json.loads(path.read_text())
+        assert set(snapshot) == {"commit", "dirty", "perfbench_sha256", "src_sha256", "host",
+                                 "bytecode", "harness_notes", "command", "workloads", "tier1"}, path.name
+        assert re.fullmatch("[0-9a-f]{40}", snapshot["commit"])
+        assert all(re.fullmatch("[0-9a-f]{64}", snapshot[key])
+                   for key in ("perfbench_sha256", "src_sha256"))
+        assert set(snapshot["host"]) == {"python", "numpy", "nproc", "cpu"}
+        assert type(snapshot["bytecode"]) is bool and type(snapshot["dirty"]) is bool
+        assert list(snapshot["workloads"]) == workloads, path.name
+        for name, result in snapshot["workloads"].items():
+            assert result["correct"] is True and result["failed"] == 0, (path.name, name)
+            assert set(result["metrics"]) == metrics, (path.name, name)
+        assert snapshot["tier1"]["wall_s"] > 0 and snapshot["tier1"]["exit"] == 0
