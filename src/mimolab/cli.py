@@ -33,10 +33,20 @@ their own checks, so the closed-form experiments, the listings, schema rejects
 and capacity-scenario rejects never load numpy.  Nor does a rate sweep of at
 most ``capacity.PLAIN_MAX_EVALUATIONS`` rate evaluations (``centralpark_60ghz``,
 the default ``antenna-sweep``), which ``capacity`` evaluates in plain Python.
-From the standard library they import only ``os``, ``sys`` and ``math``: the
-JSON writer here stands in for ``json``, the schemas are plain classes, and the
-key grammar is a set check, so ``json``, ``re``, ``typing``, ``functools``,
-``enum`` and ``collections`` stay unloaded.
+From the standard library they import only ``os``, ``sys``, ``math`` and ``gc``
+(a builtin module, compiled into the interpreter): the JSON writer here stands
+in for ``json``, the schemas are plain classes, and the key grammar is a set
+check, so ``__future__``, ``collections``, ``dataclasses``, ``enum``,
+``functools``, ``importlib.resources``, ``inspect``, ``json``, ``re``,
+``tempfile`` and ``typing`` stay unloaded.
+
+``python -m mimolab.cli`` and the installed ``mimolab`` command both exit
+through ``command``: it returns ``main``'s status after ``gc.freeze()``, so
+the full collections of interpreter shutdown skip every object the run left
+behind, numpy's among them.  Shutdown is otherwise the usual one: atexit
+handlers run, stdio is flushed, and the exit code and stderr are ``main``'s.
+``main`` called from Python freezes nothing, so a long-lived caller keeps its
+normal collection.
 
 Exit codes, all chosen by one ``except`` table in ``main``: 0 success, 2 parse
 error (with line/column in a config file), 3 invalid input naming the offending
@@ -53,6 +63,7 @@ an ``output`` that names no file ('', a path ending in a separator, or one
 holding NUL), or ``config`` for a config file that cannot be read.
 """
 
+import gc
 import math
 import os
 import sys
@@ -992,5 +1003,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RUNTIME
 
 
+def command() -> int:
+    """Exit status of ``main()`` for a process about to exit; see the module docstring."""
+    status = main()
+    gc.freeze()  # shutdown's full collections then skip every object the run left tracked
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(command())

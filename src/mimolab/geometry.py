@@ -69,6 +69,8 @@ def _powers(base: np.ndarray, count: int) -> np.ndarray:
     """[1, base, base**2, ...] with count entries along a new last axis, as a running product."""
     table = np.empty(base.shape + (count,), dtype=complex)
     table[..., 0] = 1.0
+    if count == 1:  # a running product of one entry multiplies nothing
+        return table
     table[..., 1:] = base[..., None]
     return np.multiply.accumulate(table, axis=-1, out=table)
 

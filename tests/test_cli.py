@@ -1,3 +1,5 @@
+import gc
+import inspect
 import json
 import math
 import os
@@ -32,7 +34,7 @@ from mimolab.geometry import PlanarArray
 from mimolab.scenarios import sixpath_channel
 
 import numpy_free
-from conftest import bundled
+from conftest import ROOT, bundled
 from test_golden import GOLDEN, _assert_run_matches_golden
 
 
@@ -637,6 +639,55 @@ def test_no_stdout_at_all_still_writes_the_files(tmp_path, monkeypatch):
     assert proc.stderr == ""
     monkeypatch.chdir(tmp_path)
     _assert_run_matches_golden("out.json", "fresnel.json")
+
+
+@pytest.mark.parametrize("args", [["--config", "fig4_32x32"], ["fresnel"]],
+                         ids=["numpy", "closed-form"])
+def test_main_in_process_freezes_nothing(args, tmp_path, monkeypatch):
+    # only the exit path of a command freezes; a caller of main keeps its normal collection
+    before = gc.get_freeze_count()
+    assert run_cli([*args, "--output", "out"], tmp_path, monkeypatch) == 0
+    assert gc.get_freeze_count() == before
+
+
+# the CLI run as __main__, as python -m runs it, after an atexit handler that prints unflushed
+_MAIN_AFTER_ATEXIT = """\
+import atexit, runpy
+atexit.register(print, "atexit handler ran")
+runpy.run_module("mimolab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["fresnel", "--output", "fresnel.json"], 0),
+    (["fresnel", "--freq-ghz", "nan", "--output", "fresnel.json"], 3),
+], ids=["run", "reject"])
+def test_command_exit_runs_atexit_and_flushes_stdout(args, code, tmp_path, monkeypatch):
+    # os._exit would skip both the handler and the flush of its line
+    proc = subprocess.run([sys.executable, "-c", _MAIN_AFTER_ATEXIT, *args], capture_output=True,
+                          text=True, cwd=tmp_path, env=_cli_env())
+    assert proc.returncode == code
+    assert proc.stdout.endswith("atexit handler ran\n")
+    if code:
+        assert proc.stderr.startswith("invalid configuration: freq_ghz:")
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert proc.stderr == ""
+        monkeypatch.chdir(tmp_path)
+        _assert_run_matches_golden("fresnel.json", "fresnel.json")
+
+
+def test_console_script_and_python_m_share_the_exit_path():
+    # a text check, as the 3.10 floor has no tomllib
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.partition("\n[project.scripts]\n")[2].partition("\n[")[0]
+    assert scripts.split() == ["mimolab", "=", '"mimolab.cli:command"']
+    # the freeze is the exit path's alone: not main's, run's or a library module's
+    assert "gc.freeze()" in inspect.getsource(cli.command)
+    assert not any("gc." in inspect.getsource(function) for function in (cli.main, cli.run))
+    library = [path.name for path in (ROOT / "src" / "mimolab").glob("*.py")
+               if path.name != "cli.py" and "gc." in path.read_text()]
+    assert library == []
 
 
 def test_integer_seed_beyond_float_precision_is_exact(tmp_path, monkeypatch):

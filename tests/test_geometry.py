@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mimolab import geometry
+from mimolab.beamforming import squint_sweep, sweep_frequencies
 from mimolab.geometry import (
     SPEED_OF_LIGHT_M_S,
     PlanarArray,
@@ -292,6 +293,30 @@ def test_factor_tables_are_checked_to_their_tolerance(monkeypatch, n):
     tables_off_by(6e-13)
     with pytest.raises(ValueError, match="unit magnitude"):
         steering_factors(arr, chan, [59e9, 61e9])
+
+
+def _accumulated_powers(base, count):
+    """_powers as a running product at every count, one-entry tables included."""
+    table = np.empty(base.shape + (count,), dtype=complex)
+    table[..., 0] = 1.0
+    table[..., 1:] = base[..., None]
+    return np.multiply.accumulate(table, axis=-1, out=table)
+
+
+def test_one_element_array_skips_the_running_product_bit_for_bit(monkeypatch):
+    # a 1x1 array's tables hold one entry, which a running product leaves as it is
+    arr = PlanarArray.half_wavelength_at(1, 1, 60e9)
+    chan = sixpath_channel(42)
+    freqs = sweep_frequencies(60e9, 4e9, 1000)  # a few batches and a ragged tail
+
+    def outputs():
+        return [a.tobytes() for a in (*steering_factors(arr, chan, freqs),
+                                      squint_sweep(arr, chan, 60e9, freqs))]
+
+    skipped = outputs()
+    monkeypatch.setattr(geometry, "_powers", _accumulated_powers)
+    assert skipped == outputs()
+    assert skipped[0] == np.ones((6, 1000, 1), dtype=complex).tobytes()
 
 
 def test_channel_vector_allocates_little_beyond_its_result():
