@@ -29,11 +29,13 @@ CEILINGS = (
     ({"experiment": "antenna-sweep", "coherence_time_s": "2.5", "k_step": "1"}, 90),
 )
 
-# the CLI's stdout goes to /dev/null; the last stdout line is the peak in KiB
+# the run exits through command, as the installed command does, so its peak is measured
+# with the collector off; the CLI's stdout goes to /dev/null; the last stdout line is the
+# peak in KiB
 CHILD = """import os, sys
-from mimolab.cli import main
+from mimolab.cli import command
 sys.stdout = open(os.devnull, "w")
-status = main(sys.argv[1:])
+status = command()
 with open("/proc/self/status") as proc_status:
     peak = next(line.split()[1] for line in proc_status if line.startswith("VmHWM:"))
 print(peak, file=sys.__stdout__)

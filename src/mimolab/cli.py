@@ -28,11 +28,19 @@ Files are created with mode 0o666 less the umask.  Outputs contain no
 timestamps, so re-running a config reproduces its files byte for byte.
 Integer parameters must lie within the double range, as the numeric code
 turns them into floats; the seed is exempt, as only its low 64 bits are used.
-The numpy-backed modules are imported inside the runners that use them, after
-their own checks, so the closed-form experiments, the listings, schema rejects
-and capacity-scenario rejects never load numpy.  Nor does a rate sweep of at
-most ``capacity.PLAIN_MAX_EVALUATIONS`` rate evaluations (``centralpark_60ghz``,
-the default ``antenna-sweep``), which ``capacity`` evaluates in plain Python.
+Every library module is imported inside the runners that use it, after their
+own checks; this module imports only the package itself, whose ``__init__``
+holds the constants that modules share.  So a run loads the mimolab modules
+it calls and no other: squint ``geometry``, ``beamforming``, ``scenarios`` and
+``rng``; capacity and antenna-sweep ``capacity``; hardening and favorable
+``channels`` and ``rng``; mobility, fresnel, linkbudget and estload
+``propagation``; hwbudget ``hardware``; and the listings, the usage and the
+schema and parse rejects none (a capacity-scenario reject loads ``capacity``).
+The closed-form experiments, the listings, schema rejects and capacity-scenario
+rejects never load numpy.
+Nor does a rate sweep of at most ``capacity.PLAIN_MAX_EVALUATIONS`` rate
+evaluations (``centralpark_60ghz``, the default ``antenna-sweep``), which
+``capacity`` evaluates in plain Python.
 From the standard library they import only ``os``, ``sys``, ``math`` and ``gc``
 (a builtin module, compiled into the interpreter): the JSON writer here stands
 in for ``json``, the schemas are plain classes, and the key grammar is a set
@@ -40,13 +48,14 @@ check, so ``__future__``, ``collections``, ``dataclasses``, ``enum``,
 ``functools``, ``importlib.resources``, ``inspect``, ``json``, ``re``,
 ``tempfile`` and ``typing`` stay unloaded.
 
-``python -m mimolab.cli`` and the installed ``mimolab`` command both exit
-through ``command``: it returns ``main``'s status after ``gc.freeze()``, so
-the full collections of interpreter shutdown skip every object the run left
-behind, numpy's among them.  Shutdown is otherwise the usual one: atexit
-handlers run, stdio is flushed, and the exit code and stderr are ``main``'s.
-``main`` called from Python freezes nothing, so a long-lived caller keeps its
-normal collection.
+``python -m mimolab.cli`` and the installed ``mimolab`` command both run
+through ``command``: it calls ``gc.disable()``, so no collection runs while a
+run's objects, numpy's import among them, live until the process exits, and
+returns ``main``'s status after ``gc.freeze()``, so the full collections of
+interpreter shutdown skip them all.  Shutdown is otherwise the usual one:
+atexit handlers run, stdio is flushed, and the exit code and stderr are
+``main``'s.  ``main`` called from Python neither disables nor freezes, so a
+long-lived caller keeps its normal collection.
 
 Exit codes, all chosen by one ``except`` table in ``main``: 0 success, 2 parse
 error (with line/column in a config file), 3 invalid input naming the offending
@@ -68,16 +77,7 @@ import math
 import os
 import sys
 
-from . import __version__
-from .hardware import adc_power, array_pa_budget
-from .propagation import (
-    MAX_DRIFT_FRACTION,
-    bandwidth_snr_delta,
-    drift_bound_check,
-    estimation_load,
-    fresnel_radius,
-    wavelength_m,
-)
+from . import MAX_DRIFT_FRACTION, __version__
 
 DEFAULT_SEED = 42
 _CSV_BLOCK_ROWS = 4096  # CSV rows formatted by one % operation
@@ -340,6 +340,8 @@ def _run_antenna_sweep(params: dict, seed: int):
 
 
 def _run_mobility(params: dict, seed: int):
+    from .propagation import drift_bound_check
+
     m, mus = params["m_antennas"], params["mu_list"]
     reports = [
         {
@@ -363,6 +365,8 @@ def _run_mobility(params: dict, seed: int):
 
 
 def _run_fresnel(params: dict, seed: int):
+    from .propagation import fresnel_radius, wavelength_m
+
     frequency_hz = params["freq_ghz"] * 1e9
     _blame("freq_ghz", wavelength_m, frequency_hz)
     radius = _blame("d1", fresnel_radius, params["d1"], params["d2"], frequency_hz)
@@ -376,6 +380,8 @@ def _run_fresnel(params: dict, seed: int):
 
 
 def _run_linkbudget(params: dict, seed: int):
+    from .propagation import bandwidth_snr_delta
+
     entries = []
     if params["bandwidth_ratio"] > 1:
         entries.append(("wider_noise_bandwidth", bandwidth_snr_delta(params["bandwidth_ratio"])))
@@ -393,6 +399,8 @@ def _run_linkbudget(params: dict, seed: int):
 
 
 def _run_estload(params: dict, seed: int):
+    from .propagation import estimation_load
+
     # the schema lists exactly estimation_load's parameters
     n_coefficients, rate = _blame("subcarriers_per_block", estimation_load, **params)
     lines = [f"{n_coefficients} coefficients, {rate:.3e} estimates/second"]
@@ -401,6 +409,8 @@ def _run_estload(params: dict, seed: int):
 
 
 def _run_hwbudget(params: dict, seed: int):
+    from .hardware import adc_power, array_pa_budget
+
     def budget(component: str, count: int, unit_power_w: float) -> dict:
         return {
             "component": component,
@@ -1005,6 +1015,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def command() -> int:
     """Exit status of ``main()`` for a process about to exit; see the module docstring."""
+    gc.disable()  # a run's objects, numpy's import among them, live until the process exits
     status = main()
     gc.freeze()  # shutdown's full collections then skip every object the run left tracked
     return status

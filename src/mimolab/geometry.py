@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .propagation import SPEED_OF_LIGHT_M_S
+from . import SPEED_OF_LIGHT_M_S
 
 
 def direction_cosines(azimuth_rad: float, elevation_rad: float) -> tuple[float, float]:

@@ -18,8 +18,7 @@ M*cos^2(a) + (M mod 2)*sin^2(a)/M >= M*cos^2(a) >= M/2, and no sampling is neede
 
 import math
 
-SPEED_OF_LIGHT_M_S = 299792458.0
-MAX_DRIFT_FRACTION = 0.125  # the gain bound chain only applies up to 1/8 wavelength
+from . import MAX_DRIFT_FRACTION, SPEED_OF_LIGHT_M_S
 
 
 def wavelength_m(frequency_hz: float) -> float:

@@ -644,10 +644,12 @@ def test_no_stdout_at_all_still_writes_the_files(tmp_path, monkeypatch):
 @pytest.mark.parametrize("args", [["--config", "fig4_32x32"], ["fresnel"]],
                          ids=["numpy", "closed-form"])
 def test_main_in_process_freezes_nothing(args, tmp_path, monkeypatch):
-    # only the exit path of a command freezes; a caller of main keeps its normal collection
-    before = gc.get_freeze_count()
+    # only the exit path of a command disables and freezes; a caller of main keeps its
+    # normal collection
+    before, enabled = gc.get_freeze_count(), gc.isenabled()
     assert run_cli([*args, "--output", "out"], tmp_path, monkeypatch) == 0
     assert gc.get_freeze_count() == before
+    assert gc.isenabled() is enabled
 
 
 # the CLI run as __main__, as python -m runs it, after an atexit handler that prints unflushed
@@ -677,12 +679,42 @@ def test_command_exit_runs_atexit_and_flushes_stdout(args, code, tmp_path, monke
         _assert_run_matches_golden("fresnel.json", "fresnel.json")
 
 
+# the CLI run as __main__ after an atexit handler that prints how many collections started
+# while its code ran: compiling cli.py without bytecode may start some before any can run
+_MAIN_COUNTING_COLLECTIONS = """\
+import atexit, gc, runpy, sys
+starts = []
+def count(phase, info):
+    spec = sys.modules["__main__"].__spec__
+    if phase == "start" and spec is not None and spec.name == "mimolab.cli":
+        starts.append(info["generation"])
+gc.callbacks.append(count)
+atexit.register(lambda: print("collections:", len(starts)))
+runpy.run_module("mimolab.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("args, golden", [
+    (["--config", "fig4_32x32", "--output", "fig4_32x32.csv"], "fig4_32x32.csv"),
+    (["hardening", "--output", "hardening.json"], "hardening.json"),
+], ids=["squint", "hardening"])
+def test_command_runs_no_collection(args, golden, tmp_path, monkeypatch):
+    # numpy's import alone starts about 30 collections in a process that collects
+    proc = subprocess.run([sys.executable, "-c", _MAIN_COUNTING_COLLECTIONS, *args],
+                          capture_output=True, text=True, cwd=tmp_path, env=_cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\ncollections: 0\n")
+    monkeypatch.chdir(tmp_path)
+    _assert_run_matches_golden(golden, golden)
+
+
 def test_console_script_and_python_m_share_the_exit_path():
     # a text check, as the 3.10 floor has no tomllib
     text = (ROOT / "pyproject.toml").read_text()
     scripts = text.partition("\n[project.scripts]\n")[2].partition("\n[")[0]
     assert scripts.split() == ["mimolab", "=", '"mimolab.cli:command"']
-    # the freeze is the exit path's alone: not main's, run's or a library module's
+    # the collector policy is the exit path's alone: not main's, run's or a library module's
+    assert "gc.disable()" in inspect.getsource(cli.command)
     assert "gc.freeze()" in inspect.getsource(cli.command)
     assert not any("gc." in inspect.getsource(function) for function in (cli.main, cli.run))
     library = [path.name for path in (ROOT / "src" / "mimolab").glob("*.py")
@@ -1264,6 +1296,49 @@ def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
             # the manifest echoes the output path, in json's ASCII escapes
             monkeypatch.chdir(tmp_path / str(i))
             _assert_run_matches_golden(args[args.index("--output") + 1], golden)
+
+
+# one run through main in a fresh child; prints its exit code and the mimolab modules loaded
+_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+from mimolab.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("mimolab."))]))
+"""
+
+
+@pytest.mark.parametrize("args, code, modules", [
+    (["squint", "--rows", "2", "--cols", "2", "--n-points", "3"], 0,
+     ["beamforming", "cli", "geometry", "rng", "scenarios"]),
+    (["capacity", "--k-step", "1000"], 0, ["capacity", "cli"]),
+    (["antenna-sweep", "--m-grid", "100", "--k-step", "1000"], 0, ["capacity", "cli"]),
+    (["mobility"], 0, ["cli", "propagation"]),
+    (["fresnel"], 0, ["cli", "propagation"]),
+    (["linkbudget"], 0, ["cli", "propagation"]),
+    (["estload"], 0, ["cli", "propagation"]),
+    (["hwbudget"], 0, ["cli", "hardware"]),
+    (["hardening", "--n-draws", "10"], 0, ["channels", "cli", "rng"]),
+    (["favorable", "--n-pairs", "2"], 0, ["channels", "cli", "rng"]),
+    (["list"], 0, ["cli"]),
+    (["--help"], 0, ["cli"]),
+    (["hwbudget", "--overhead-factor", "20"], 3, ["cli"]),
+    (["fresnel", "--", "3"], 2, ["cli"]),
+    (["capacity", "--k-max", "50000"], 3, ["capacity", "cli"]),
+], ids=["squint", "capacity", "antenna-sweep", "mobility", "fresnel", "linkbudget", "estload",
+        "hwbudget", "hardening", "favorable", "list", "help", "schema-reject", "parse-reject",
+        "capacity-reject"])
+def test_each_run_loads_only_the_modules_it_calls(args, code, modules, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_SCRIPT, *args],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, [f"mimolab.{name}" for name in modules]]
 
 
 # runs every bundled config and the Monte-Carlo and antenna-sweep defaults through main
