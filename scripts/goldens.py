@@ -5,7 +5,8 @@ GOLDENS holds one row per golden output: its file name, the mimolab argv or
 the report script that writes it, the number of leading CSV columns compared
 exactly, and whether it is pinned byte for byte.  Each mimolab run goes in
 process from inside DIR with ``--output NAME``, so its manifest echoes its own
-file name.  A ``.txt`` golden is the run's stdout; a ``.csv.gz`` golden is the
+file name; each report script runs in process too, as ``__main__``.  A ``.txt``
+golden is the run's or the report's stdout; a ``.csv.gz`` golden is the
 run's CSV gzipped with mtime 0 and no file name, so its bytes repeat.
 Regenerate tests/golden/ with it only beside a numerics change that CHANGES.md
 declares; tests/test_golden.py compares what write() writes with each golden.
@@ -16,7 +17,7 @@ import gzip
 import io
 import os
 import pathlib
-import subprocess
+import runpy
 import sys
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent
@@ -62,6 +63,18 @@ def mimolab_stdout(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def report_stdout(script: str) -> str:
+    """What a report script prints, run in this process as ``__main__`` with no arguments."""
+    out, argv, path = io.StringIO(), sys.argv, list(sys.path)
+    sys.argv = [str(SCRIPTS / script)]
+    try:
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    finally:
+        sys.argv, sys.path[:] = argv, path  # the report puts src/ on sys.path
+    return out.getvalue()
+
+
 def write(directory) -> None:
     """Write every golden file, and each run's manifest, into directory."""
     pathlib.Path(directory).mkdir(parents=True, exist_ok=True)
@@ -70,9 +83,7 @@ def write(directory) -> None:
     try:
         for name, run, _, _ in GOLDENS:
             if isinstance(run, str):
-                report = subprocess.run([sys.executable, str(SCRIPTS / run)],
-                                        stdout=subprocess.PIPE, check=True)
-                pathlib.Path(name).write_bytes(report.stdout)
+                pathlib.Path(name).write_text(report_stdout(run), encoding="utf-8")
             elif name.endswith(".txt"):
                 pathlib.Path(name).write_text(mimolab_stdout(run), encoding="utf-8")
             else:

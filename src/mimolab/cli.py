@@ -31,31 +31,26 @@ turns them into floats; the seed is exempt, as only its low 64 bits are used.
 Every library module is imported inside the runners that use it, after their
 own checks; this module imports only the package itself, whose ``__init__``
 holds the constants that modules share.  So a run loads the mimolab modules
-it calls and no other: squint ``geometry``, ``beamforming``, ``scenarios`` and
-``rng``; capacity and antenna-sweep ``capacity``; hardening and favorable
-``channels`` and ``rng``; mobility, fresnel, linkbudget and estload
-``propagation``; hwbudget ``hardware``; and the listings, the usage and the
-schema and parse rejects none (a capacity-scenario reject loads ``capacity``).
-The closed-form experiments, the listings, schema rejects and capacity-scenario
-rejects never load numpy.
-Nor does a rate sweep of at most ``capacity.PLAIN_MAX_EVALUATIONS`` rate
-evaluations (``centralpark_60ghz``, the default ``antenna-sweep``), which
-``capacity`` evaluates in plain Python.
-From the standard library they import only ``os``, ``sys``, ``math`` and ``gc``
-(a builtin module, compiled into the interpreter): the JSON writer here stands
-in for ``json``, the schemas are plain classes, and the key grammar is a set
-check, so ``__future__``, ``collections``, ``dataclasses``, ``enum``,
-``functools``, ``importlib.resources``, ``inspect``, ``json``, ``re``,
-``tempfile`` and ``typing`` stay unloaded.
+it calls and no other, and a run that needs no numpy (a closed-form
+experiment, a listing, a reject, or a rate sweep of at most
+``capacity.PLAIN_MAX_EVALUATIONS`` rate evaluations, which ``capacity``
+evaluates in plain Python) never loads it.  From the standard library this
+module imports only ``os``, ``sys``, ``math`` and ``gc`` (a builtin module,
+compiled into the interpreter): the JSON writer here stands in for ``json``,
+the schemas are plain classes, and the key grammar is a set check.  The table
+of ``scripts/process_contract.py`` states each run's modules, and those it
+must not load; the test suite runs it.
 
-``python -m mimolab.cli`` and the installed ``mimolab`` command both run
-through ``command``: it calls ``gc.disable()``, so no collection runs while a
-run's objects, numpy's import among them, live until the process exits, and
-returns ``main``'s status after ``gc.freeze()``, so the full collections of
-interpreter shutdown skip them all.  Shutdown is otherwise the usual one:
-atexit handlers run, stdio is flushed, and the exit code and stderr are
-``main``'s.  ``main`` called from Python neither disables nor freezes, so a
-long-lived caller keeps its normal collection.
+``python -m mimolab.cli`` and the installed ``mimolab`` command both import
+this module and then run through ``command``: it calls ``gc.disable()``, so no
+collection starts from its entry until the atexit handlers run, while a run's
+objects, numpy's import among them, live until the process exits; the import
+before it lies outside that window.  It returns ``main``'s status after
+``gc.freeze()``, so the full collections of interpreter shutdown skip them
+all.  Shutdown is otherwise the usual one: atexit handlers run, stdio is
+flushed, and the exit code and stderr are ``main``'s.  ``main`` called from
+Python neither disables nor freezes, so a long-lived caller keeps its normal
+collection.
 
 Exit codes, all chosen by one ``except`` table in ``main``: 0 success, 2 parse
 error (with line/column in a config file), 3 invalid input naming the offending

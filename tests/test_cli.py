@@ -1,9 +1,11 @@
+import compileall
 import gc
 import inspect
 import json
 import math
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -33,7 +35,7 @@ from mimolab.cli import (
 from mimolab.geometry import PlanarArray
 from mimolab.scenarios import sixpath_channel
 
-import numpy_free
+import process_contract
 from conftest import ROOT, bundled
 from test_golden import GOLDEN, _assert_run_matches_golden
 
@@ -679,31 +681,44 @@ def test_command_exit_runs_atexit_and_flushes_stdout(args, code, tmp_path, monke
         _assert_run_matches_golden("fresnel.json", "fresnel.json")
 
 
-# the CLI run as __main__ after an atexit handler that prints how many collections started
-# while its code ran: compiling cli.py without bytecode may start some before any can run
-_MAIN_COUNTING_COLLECTIONS = """\
-import atexit, gc, runpy, sys
+# the CLI as the installed mimolab script runs it: import mimolab.cli, then call command().
+# Collections are counted from command()'s entry, the window its gc.disable() promises;
+# the import before it is outside, as compiling cli.py without bytecode may start some.
+# An atexit handler prints the count and the file mimolab.cli came from.
+_COMMAND_COUNTING_COLLECTIONS = """\
+import atexit, gc, sys
+import mimolab.cli
 starts = []
-def count(phase, info):
-    spec = sys.modules["__main__"].__spec__
-    if phase == "start" and spec is not None and spec.name == "mimolab.cli":
-        starts.append(info["generation"])
-gc.callbacks.append(count)
-atexit.register(lambda: print("collections:", len(starts)))
-runpy.run_module("mimolab.cli", run_name="__main__", alter_sys=True)
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(info["generation"]))
+atexit.register(lambda: print("collections:", len(starts), mimolab.cli.__file__))
+sys.exit(mimolab.cli.command())
 """
 
 
-@pytest.mark.parametrize("args, golden", [
-    (["--config", "fig4_32x32", "--output", "fig4_32x32.csv"], "fig4_32x32.csv"),
-    (["hardening", "--output", "hardening.json"], "hardening.json"),
-], ids=["squint", "hardening"])
-def test_command_runs_no_collection(args, golden, tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def compiled_src(tmp_path_factory):
+    """A copy of src/ whose modules all hold bytecode, as python -m compileall leaves them."""
+    copy = tmp_path_factory.mktemp("compiled") / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert compileall.compile_dir(copy, quiet=1)
+    return copy
+
+
+@pytest.mark.parametrize("args, golden, bytecode", [
+    (["--config", "fig4_32x32", "--output", "fig4_32x32.csv"], "fig4_32x32.csv", False),
+    (["hardening", "--output", "hardening.json"], "hardening.json", False),
+    (["--config", "fig4_32x32", "--output", "fig4_32x32.csv"], "fig4_32x32.csv", True),
+    (["hardening", "--output", "hardening.json"], "hardening.json", True),
+], ids=["squint", "hardening", "squint-bytecode", "hardening-bytecode"])
+def test_command_runs_no_collection(args, golden, bytecode, request, tmp_path, monkeypatch):
     # numpy's import alone starts about 30 collections in a process that collects
-    proc = subprocess.run([sys.executable, "-c", _MAIN_COUNTING_COLLECTIONS, *args],
-                          capture_output=True, text=True, cwd=tmp_path, env=_cli_env())
+    src = request.getfixturevalue("compiled_src") if bytecode else ROOT / "src"
+    env = _cli_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(src), env["PYTHONPATH"]])
+    proc = subprocess.run([sys.executable, "-c", _COMMAND_COUNTING_COLLECTIONS, *args],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("\ncollections: 0\n")
+    assert proc.stdout.endswith(f"\ncollections: 0 {src / 'mimolab' / 'cli.py'}\n")
     monkeypatch.chdir(tmp_path)
     _assert_run_matches_golden(golden, golden)
 
@@ -1289,108 +1304,32 @@ def test_console_entry_point():
     assert "squint" in proc.stdout
 
 
-def test_closed_form_runs_and_rejects_never_import_numpy(tmp_path, monkeypatch):
-    assert numpy_free.check(tmp_path) == []
-    for i, (args, code, golden) in enumerate(numpy_free.CASES):
-        if code == 0 and golden and not golden.endswith(".txt"):
-            # the manifest echoes the output path, in json's ASCII escapes
-            monkeypatch.chdir(tmp_path / str(i))
-            _assert_run_matches_golden(args[args.index("--output") + 1], golden)
+@pytest.fixture(scope="module")
+def process_contract_run(tmp_path_factory):
+    """The directory that the whole table ran in, and each row's failures by number."""
+    directory = tmp_path_factory.mktemp("contract")
+    # both environments: a test run always has numpy to import
+    return directory, process_contract.check(directory)
 
 
-# one run through main in a fresh child; prints its exit code and the mimolab modules loaded
-_MODULES_SCRIPT = """
-import contextlib, io, json, sys
-from mimolab.cli import main
-
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = main(sys.argv[1:])
-print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("mimolab."))]))
-"""
-
-
-@pytest.mark.parametrize("args, code, modules", [
-    (["squint", "--rows", "2", "--cols", "2", "--n-points", "3"], 0,
-     ["beamforming", "cli", "geometry", "rng", "scenarios"]),
-    (["capacity", "--k-step", "1000"], 0, ["capacity", "cli"]),
-    (["antenna-sweep", "--m-grid", "100", "--k-step", "1000"], 0, ["capacity", "cli"]),
-    (["mobility"], 0, ["cli", "propagation"]),
-    (["fresnel"], 0, ["cli", "propagation"]),
-    (["linkbudget"], 0, ["cli", "propagation"]),
-    (["estload"], 0, ["cli", "propagation"]),
-    (["hwbudget"], 0, ["cli", "hardware"]),
-    (["hardening", "--n-draws", "10"], 0, ["channels", "cli", "rng"]),
-    (["favorable", "--n-pairs", "2"], 0, ["channels", "cli", "rng"]),
-    (["list"], 0, ["cli"]),
-    (["--help"], 0, ["cli"]),
-    (["hwbudget", "--overhead-factor", "20"], 3, ["cli"]),
-    (["fresnel", "--", "3"], 2, ["cli"]),
-    (["capacity", "--k-max", "50000"], 3, ["capacity", "cli"]),
-], ids=["squint", "capacity", "antenna-sweep", "mobility", "fresnel", "linkbudget", "estload",
-        "hwbudget", "hardening", "favorable", "list", "help", "schema-reject", "parse-reject",
-        "capacity-reject"])
-def test_each_run_loads_only_the_modules_it_calls(args, code, modules, tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", _MODULES_SCRIPT, *args],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [code, [f"mimolab.{name}" for name in modules]]
+@pytest.mark.parametrize("i", range(len(process_contract.ROWS)),
+                         ids=[",".join(row[0]) or "no-arguments" for row in process_contract.ROWS])
+def test_process_contract(i, process_contract_run, monkeypatch):
+    directory, failures = process_contract_run
+    assert failures[i] == []
+    args, code, golden, *_ = process_contract.ROWS[i]
+    if code == 0 and golden and not golden.endswith(".txt"):
+        # the manifest echoes the output path, in json's ASCII escapes
+        monkeypatch.chdir(directory / str(i))
+        _assert_run_matches_golden(args[args.index("--output") + 1], golden)
 
 
-# runs every bundled config and the Monte-Carlo and antenna-sweep defaults through main
-_NO_DATACLASSES_SCRIPT = """
-import contextlib, io, json, sys
-from mimolab.cli import BUNDLED_CONFIGS, main
-
-runs = [["--config", name] for name in BUNDLED_CONFIGS]
-runs += [["hardening"], ["favorable"], ["antenna-sweep"]]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(args) for args in runs]
-print(json.dumps([codes, "dataclasses" in sys.modules]))
-"""
-
-
-# numpy is imported before the run: numpy 1.x imports numpy.random with numpy itself
-_SQUINT_IMPORTS_SCRIPT = """
-import contextlib, io, json, sys
-import numpy, mimolab.cli
-
-before = set(sys.modules)
-with contextlib.redirect_stdout(io.StringIO()):
-    code = mimolab.cli.main(["--config", "fig4_32x32", "--output", "squint.csv"])
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
-"""
-
-
-def test_squint_run_loads_no_numpy_random_or_hashlib(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-c", _SQUINT_IMPORTS_SCRIPT],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    code, loaded = json.loads(proc.stdout)
-    assert code == 0
-    assert "mimolab.scenarios" in loaded  # the run itself was observed
-    assert [name for name in loaded
-            if name in ("hashlib", "_hashlib") or name.split(".")[:2] == ["numpy", "random"]] == []
-
-
-def test_experiments_never_import_dataclasses(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", _NO_DATACLASSES_SCRIPT],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout)
-    assert codes == [0] * (len(BUNDLED_CONFIGS) + 3)
-    assert not loaded
+def test_process_contract_covers_every_experiment_and_bundled_config():
+    # a new experiment or bundled config cannot skip the contract: each has a row that
+    # runs it to exit 0, and so states the modules that it loads
+    runs = [args for args, code, *_ in process_contract.ROWS if code == 0]
+    configs = {args[args.index("--config") + 1] for args in runs if "--config" in args}
+    experiments = {args[0] for args in runs if args[:1] and args[0] in EXPERIMENTS}
+    experiments |= {resolve({"config": name})[0].name for name in configs}
+    assert set(BUNDLED_CONFIGS) <= configs
+    assert set(EXPERIMENTS) <= experiments

@@ -19,6 +19,7 @@ from mimolab import cli
 from mimolab.cli import EXPERIMENTS, resolve
 
 from memory_ceilings import CEILINGS
+from process_contract import AVOIDED
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = SCRIPTS.parent / "README.md"
@@ -66,6 +67,12 @@ def test_readme_quotes_every_memory_figure():
     quoted = {int(figure.replace(",", ""))
               for figure in re.findall(r"(\d[\d,]*)\s+MiB", " ".join(bullet))}
     assert quoted == {figure for _, figure in CEILINGS}
+
+
+def test_readme_names_only_modules_the_process_contract_avoids():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    named = re.findall(r"`([^`]+)`", re.search(r"`AVOIDED` \(([^)]*)\)", text).group(1))
+    assert named and set(named) <= set(AVOIDED)
 
 
 def test_bench_snapshots_hold_every_workload_correct():
