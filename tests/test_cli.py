@@ -1324,6 +1324,56 @@ def test_process_contract(i, process_contract_run, monkeypatch):
         _assert_run_matches_golden(args[args.index("--output") + 1], golden)
 
 
+def _experiment(args):
+    """The experiment a table row's argv runs: its command, or its --config's experiment."""
+    if args[:1] and args[0] in EXPERIMENTS:
+        return args[0]
+    if "--config" in args:
+        return resolve({"config": args[args.index("--config") + 1]})[0].name
+    return None
+
+
+# each experiment's library modules, stated apart from the table: a row edited to
+# accept an extra import fails here too
+_EXPERIMENT_MODULES = {
+    "squint": ("beamforming", "cli", "geometry", "rng", "scenarios"),
+    "capacity": ("capacity", "cli"),
+    "antenna-sweep": ("capacity", "cli"),
+    "mobility": ("cli", "propagation"),
+    "fresnel": ("cli", "propagation"),
+    "linkbudget": ("cli", "propagation"),
+    "estload": ("cli", "propagation"),
+    "hwbudget": ("cli", "hardware"),
+    "hardening": ("channels", "cli", "rng"),
+    "favorable": ("channels", "cli", "rng"),
+}
+
+
+@pytest.mark.parametrize("experiment", _EXPERIMENT_MODULES)
+def test_each_run_loads_only_the_modules_it_calls(experiment, process_contract_run):
+    _, failures = process_contract_run
+    rows = [i for i, (args, code, *_) in enumerate(process_contract.ROWS)
+            if code == 0 and _experiment(args) == experiment]
+    assert rows
+    for i in rows:
+        assert process_contract.ROWS[i][4] == _EXPERIMENT_MODULES[experiment]
+        assert failures[i] == []
+
+
+def test_squint_run_loads_no_numpy_random_or_hashlib(process_contract_run):
+    # squint draws its phases from rng's plain-Python PCG64; numpy is imported before
+    # each row's baseline, as numpy 1.x imports numpy.random with numpy itself
+    _, failures = process_contract_run
+    rows = [i for i, (args, code, *_) in enumerate(process_contract.ROWS)
+            if code == 0 and _experiment(args) == "squint"]
+    assert rows
+    for i in rows:
+        _, _, _, env, _, avoided = process_contract.ROWS[i]
+        assert env == process_contract.NUMPY_IMPORTABLE
+        assert {"numpy.random", "hashlib", "_hashlib"} <= set(avoided)
+        assert failures[i] == []
+
+
 def test_process_contract_covers_every_experiment_and_bundled_config():
     # a new experiment or bundled config cannot skip the contract: each has a row that
     # runs it to exit 0, and so states the modules that it loads
