@@ -3,27 +3,28 @@
 
 GOLDENS holds one row per golden output: its file name, the mimolab argv or
 the report script that writes it, the number of leading CSV columns compared
-exactly, and whether it is pinned byte for byte.  Each mimolab run goes in
-process from inside DIR with ``--output NAME``, so its manifest echoes its own
-file name; each report script runs in process too, as ``__main__``.  A ``.txt``
-golden is the run's or the report's stdout; a ``.csv.gz`` golden is the
-run's CSV gzipped with mtime 0 and no file name, so its bytes repeat.
-Regenerate tests/golden/ with it only beside a numerics change that CHANGES.md
-declares; tests/test_golden.py compares what write() writes with each golden.
+exactly, and whether it is pinned byte for byte.  Each mimolab golden is
+written by its own row of the process-contract table (process_contract.py),
+forked with ``--output NAME`` so that its manifest echoes the golden's name:
+write() runs that table in a temporary directory, and collect() copies each
+such row's output and manifest, or its stdout, into DIR.  Each report script
+runs in this process, as ``__main__``.  A ``.txt`` golden is the run's or the
+report's stdout; a ``.csv.gz`` golden is the run's CSV gzipped with mtime 0
+and no file name, so its bytes repeat.  Regenerate tests/golden/ with it only
+beside a numerics change that CHANGES.md declares; tests/test_golden.py
+collects the goldens from Tier-1's one run of the table.
 """
 
 import contextlib
 import gzip
 import io
-import os
 import pathlib
 import runpy
+import shutil
 import sys
+import tempfile
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent
-sys.path.insert(0, str(SCRIPTS.parent / "src"))
-
-from mimolab.cli import main  # noqa: E402
 
 # (golden file, mimolab argv or report script, leading CSV columns exact, pinned byte for byte)
 GOLDENS = (
@@ -53,16 +54,6 @@ GOLDENS = (
 )
 
 
-def mimolab_stdout(argv: list[str]) -> str:
-    """What mimolab's main prints for argv; raises unless it exits 0 with nothing on stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main(argv)
-    if status != 0 or err.getvalue():
-        raise RuntimeError(f"mimolab {argv} exited {status}: {err.getvalue()}")
-    return out.getvalue()
-
-
 def report_stdout(script: str) -> str:
     """What a report script prints, run in this process as ``__main__`` with no arguments."""
     out, argv, path = io.StringIO(), sys.argv, list(sys.path)
@@ -75,26 +66,43 @@ def report_stdout(script: str) -> str:
     return out.getvalue()
 
 
+def collect(contract_dir, reports, directory) -> None:
+    """Write every golden file, and each run's manifest, into directory.
+
+    The mimolab goldens come from the process-contract table that ran in
+    contract_dir, whose reports by row process_contract.check() returned; each
+    golden's own row must have exited 0 with nothing on stderr.
+    """
+    import process_contract  # not at the top: it takes each golden's argv from GOLDENS
+
+    directory = pathlib.Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    rows = [args for args, *_ in process_contract.ROWS]
+    for name, run, _, _ in GOLDENS:
+        if isinstance(run, str):
+            (directory / name).write_text(report_stdout(run), encoding="utf-8")
+            continue
+        i = rows.index(process_contract.golden_args(name))
+        report = reports[i]
+        if report is None or report[0] != 0 or report[2]:
+            raise RuntimeError(f"mimolab {rows[i]} did not exit 0 with an empty stderr: {report}")
+        if name.endswith(".txt"):
+            (directory / name).write_text(report[1], encoding="utf-8")
+            continue
+        output = pathlib.Path(contract_dir, str(i), name.removesuffix(".gz"))
+        data = output.read_bytes()
+        if output.name != name:
+            data = gzip.compress(data, mtime=0)
+        (directory / name).write_bytes(data)
+        shutil.copyfile(f"{output}.manifest.json", directory / f"{output.name}.manifest.json")
+
+
 def write(directory) -> None:
-    """Write every golden file, and each run's manifest, into directory."""
-    pathlib.Path(directory).mkdir(parents=True, exist_ok=True)
-    home = os.getcwd()
-    os.chdir(directory)
-    try:
-        for name, run, _, _ in GOLDENS:
-            if isinstance(run, str):
-                pathlib.Path(name).write_text(report_stdout(run), encoding="utf-8")
-            elif name.endswith(".txt"):
-                pathlib.Path(name).write_text(mimolab_stdout(run), encoding="utf-8")
-            else:
-                output = name.removesuffix(".gz")
-                mimolab_stdout([*run, "--output", output])
-                if output != name:
-                    csv = pathlib.Path(output)
-                    pathlib.Path(name).write_bytes(gzip.compress(csv.read_bytes(), mtime=0))
-                    csv.unlink()
-    finally:
-        os.chdir(home)
+    """Run the process-contract table in a temporary directory; collect its goldens."""
+    import process_contract
+
+    with tempfile.TemporaryDirectory() as contract_dir:
+        collect(contract_dir, process_contract.check(contract_dir)[1], directory)
 
 
 if __name__ == "__main__":

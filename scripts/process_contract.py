@@ -4,7 +4,10 @@
 ROWS holds one row per mimolab run: its argv, its exit code, the golden file
 of its output or of its stdout (None for neither), its environment, the
 ``mimolab`` modules it leaves loaded, and the modules it must not add.  A
-golden row takes its argv from goldens.GOLDENS by name.
+golden row takes its argv from goldens.GOLDENS by name; every mimolab golden
+has a row of its own, which writes the golden's own file name, and the forked
+runs of those rows are the only runs that write the goldens (goldens.py
+collects them).
 
 check() starts one ``python -S`` interpreter per environment; -S skips site,
 whose .pth files may preload modules that the CLI itself avoids.
@@ -18,15 +21,18 @@ Each interpreter takes its module baseline before it imports
 ``mimolab.cli``, so a module that ``cli.py`` itself imports counts against
 every row.  It then forks once per row; the fork runs ``main`` in the row's
 own directory 0, 1, ... with stdout and stderr captured, and reports its exit
-code, its stdout and the modules it added to the baseline.
+code, its stdout, its stderr and the modules it added to the baseline.
+check() returns each row's failures and each row's report.
 
 A row fails if it exits with another code, exits non-zero yet writes a file,
-prints other than its .txt golden, leaves loaded other ``mimolab`` modules
-than its own, or adds a module it must not add (a name, or a package with its
-submodules), or if its fork fails.  tests/test_cli.py runs check() in both
-environments and compares each written output and manifest with its golden.
-Where numpy cannot be imported at all, the script skips the NUMPY_IMPORTABLE
-rows and says so.  It prints each failure and exits 1 if there is any.
+exits 0 yet writes to stderr, prints other than its .txt golden, leaves loaded
+other ``mimolab`` modules than its own, or adds a module it must not add (a
+name, or a package with its submodules), or if its fork fails.  Tier-1 runs
+check() once per session, in both environments; its tests compare each
+written output and manifest with its golden, and collect the goldens from the
+same run.  Where numpy cannot be imported at all, the script skips the
+NUMPY_IMPORTABLE rows and says so.  It prints each failure and exits 1 if
+there is any.
 """
 
 import ast
@@ -61,13 +67,17 @@ SQUINT = ("beamforming", "cli", "geometry", "rng", "scenarios")
 MONTE_CARLO = ("channels", "cli", "rng")
 
 
-def _golden(name, modules, output=None, env=NUMPY_BLOCKED, avoided=AVOIDED):
-    """Golden ``name``'s run as a row: a .txt golden is its stdout; any other run writes
+def golden_args(name, output=None):
+    """Golden ``name``'s mimolab argv: a .txt golden is its stdout; any other run writes
     ``output``, by default the golden's own name (a .csv.gz golden's CSV, uncompressed)."""
     if name.endswith(".txt"):
-        return RUNS[name], 0, name, env, modules, avoided
-    args = [*RUNS[name], "--output", output or name.removesuffix(".gz")]
-    return args, 0, name, env, modules, avoided
+        return RUNS[name]
+    return [*RUNS[name], "--output", output or name.removesuffix(".gz")]
+
+
+def _golden(name, modules, output=None, env=NUMPY_BLOCKED, avoided=AVOIDED):
+    """Golden ``name``'s run as a row."""
+    return golden_args(name, output), 0, name, env, modules, avoided
 
 
 def _blocked(args, code, modules):
@@ -86,6 +96,8 @@ ROWS = [
      NUMPY_BLOCKED, ("cli", "propagation"), AVOIDED),
     _golden("adc_128v8.json", ("cli", "hardware")),
     _golden("mobility_bound.json", ("cli", "propagation")),
+    # a pinned output, and its manifest's values, do not depend on the --output name
+    _golden("mobility_bound.json", ("cli", "propagation"), "out.json"),
     # rate sweeps of at most capacity.PLAIN_MAX_EVALUATIONS rate evaluations take the plain
     # path, numpy installed or not: 2,000 user counts, and 4 antenna counts x 1,000
     _golden("centralpark_60ghz.csv.gz", ("capacity", "cli")),
@@ -143,12 +155,15 @@ ROWS = [
             avoided=UNSEEDED_AVOIDED),
     _golden("hardening.json", MONTE_CARLO, env=NUMPY_IMPORTABLE, avoided=NUMPY_AVOIDED),
     _golden("favorable.json", MONTE_CARLO, env=NUMPY_IMPORTABLE, avoided=NUMPY_AVOIDED),
+    _golden("hardening_m10000.json", MONTE_CARLO, env=NUMPY_IMPORTABLE, avoided=NUMPY_AVOIDED),
+    *(_golden(name, MONTE_CARLO, "out.json", NUMPY_IMPORTABLE, NUMPY_AVOIDED)
+      for name in ("hardening.json", "favorable.json", "hardening_m10000.json")),
 ]
 
 # one interpreter per environment: it forks once per row of the argument lists, which
 # arrive as ascii() wrote them.  Each fork runs its row in its own directory 0, 1, ...
-# and writes [exit code, stdout, modules added to the baseline] to a pipe, in ascii()
-# again, so that no module beyond io, os and sys is loaded to report; the interpreter
+# and writes [exit code, stdout, stderr, modules added to the baseline] to a pipe, in
+# ascii() again, so that no module beyond io, os and sys is loaded to report; the interpreter
 # reads the pipe to its end before it reaps the fork, and prints one line per row.
 SERVER = """
 import io, os, sys
@@ -170,7 +185,8 @@ for i, args in eval(sys.argv[2]):
             os.chdir(str(i))
             sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
             code = main(args)
-            report = ascii([code, sys.stdout.getvalue(), sorted(set(sys.modules) - baseline)])
+            report = ascii([code, sys.stdout.getvalue(), sys.stderr.getvalue(),
+                            sorted(set(sys.modules) - baseline)])
             with open(write_end, "wb") as pipe:
                 pipe.write(report.encode())
             status = 0
@@ -187,8 +203,12 @@ def _avoids(module, avoided):
     return any(module == name or module.startswith(name + ".") for name in avoided)
 
 
-def check(directory, envs=(NUMPY_BLOCKED, NUMPY_IMPORTABLE)) -> dict[int, list[str]]:
-    """Run the rows of envs in rows 0, 1, ... of directory; each row's failures by number."""
+def check(directory, envs=(NUMPY_BLOCKED, NUMPY_IMPORTABLE)):
+    """Run the rows of envs in rows 0, 1, ... of directory.
+
+    Returns each row's failures and each row's report, [exit code, stdout, stderr,
+    modules added] or None, both by row number.
+    """
     directory = pathlib.Path(directory)
     (directory / "malformed.ini").write_text("experiment = fresnel\nfreq_ghz 38\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), *sys.path]))
@@ -199,30 +219,34 @@ def check(directory, envs=(NUMPY_BLOCKED, NUMPY_IMPORTABLE)) -> dict[int, list[s
         stderr=subprocess.PIPE, text=True, cwd=directory,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
     ) for env in envs}
-    failures = {}
+    failures, reports = {}, {}
     for env, proc in procs.items():
         stdout, stderr = proc.communicate()
         if proc.returncode:
-            failures |= {i: [f"the {env} interpreter exited {proc.returncode}: {stderr}"]
-                         for i, _ in rows[env]}
+            failure = f"the {env} interpreter exited {proc.returncode}: {stderr}"
+            for i, _ in rows[env]:
+                failures[i], reports[i] = [failure], None
             continue
         for (i, _), line in zip(rows[env], stdout.splitlines(), strict=True):
-            failures[i] = _row_failures(directory, i, ast.literal_eval(line))
-    return failures
+            reports[i] = ast.literal_eval(line)
+            failures[i] = _row_failures(directory, i, reports[i])
+    return failures, reports
 
 
 def _row_failures(directory, i, report) -> list[str]:
-    """What row i's report, [exit code, stdout, modules added] or None, breaks of the row."""
+    """What row i's report breaks of the row."""
     args, code, golden, env, modules, avoided = ROWS[i]
     if report is None:
         return ["the fork failed; run the row alone to see why"]
-    exit_code, stdout, added = report
+    exit_code, stdout, stderr, added = report
     failures = []
     written = sorted(p.name for p in (directory / str(i)).iterdir())
     if exit_code != code:
-        failures.append(f"exit {exit_code}, expected {code}")
+        failures.append(f"exit {exit_code}, expected {code}: {stderr}")
     elif code and written:
         failures.append(f"exit {code}, yet it wrote {written}")
+    elif stderr and not code:
+        failures.append(f"exit 0, yet it wrote to stderr: {stderr}")
     elif str(golden).endswith(".txt") and stdout != (GOLDEN / golden).read_text("utf-8"):
         failures.append(f"stdout is not {golden}")
     loaded = tuple(name.removeprefix("mimolab.") for name in added if name.startswith("mimolab."))
@@ -238,7 +262,7 @@ if __name__ == "__main__":
     if importlib.util.find_spec("numpy") is None:
         envs = (NUMPY_BLOCKED,)
     with tempfile.TemporaryDirectory() as scratch:
-        failures = check(scratch, envs)
+        failures, _ = check(scratch, envs)
     for i, row_failures in failures.items():
         for failure in row_failures:
             print(f"FAIL  row {i} {ROWS[i][0]} ({ROWS[i][3]}): {failure}")

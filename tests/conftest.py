@@ -3,13 +3,24 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 # allow running the suite from a fresh checkout without installing; the scripts' tables
 # import as modules
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
+import process_contract  # noqa: E402
 from mimolab import cli  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def contract_run(tmp_path_factory):
+    """The process-contract table, run once for the session: the directory it ran in, and
+    each row's failures and report by row number.  Every golden run is one of its rows."""
+    directory = tmp_path_factory.mktemp("contract")
+    # both environments: a test run always has numpy to import
+    return (directory, *process_contract.check(directory))
 
 
 def bundled(name: str, **overrides) -> dict:

@@ -381,6 +381,15 @@ def test_drift_bound_check_odd_m_sits_above_the_bound(m):
         vertex = ((m * math.cos(a)) ** 2 + math.sin(a) ** 2) / m
         assert min_gain == pytest.approx(vertex, rel=1e-15, abs=0)
         assert min_gain >= bound
+    # one call over several mus gives the one-mu calls' pairs in order, each bound exactly
+    # M*cos^2(2*pi*mu), at this odd M and at the even M beside it
+    mus = [0.125, 0.0, 0.0625, 0.07, 0.125]
+    for m_antennas in (m, m + 1):
+        results = drift_bound_check(m_antennas, mus)
+        assert results == [pair for mu in mus for pair in drift_bound_check(m_antennas, [mu])]
+        assert [bound for _, bound in results] == [
+            m_antennas * math.cos(2.0 * math.pi * mu) ** 2 for mu in mus
+        ]
 
 
 def test_drift_gain_of_a_stack_is_one_gain_per_row():
@@ -389,90 +398,10 @@ def test_drift_gain_of_a_stack_is_one_gain_per_row():
     assert gains.shape == (5,)
     np.testing.assert_allclose(gains, [drift_gain(row) for row in phi], rtol=1e-14, atol=0)
     assert type(drift_gain(phi[0])) is float
-
-
-def _drift_rows(m, n, seed, mu, chunk_rows=None):
-    """The old stream walk's n random patterns on [-mu, mu]^m, in chunks of rows.
-
-    Every chunk continues one stream, so the rows are those of a single n*m draw.
-    """
-    stream, chunk_rows = numpy_stream(seed), chunk_rows or n or 1
-    for start in range(0, n, chunk_rows):
-        k = min(chunk_rows, n - start)
-        yield -mu + (mu - -mu) * stream.random(k * m).reshape(k, m)
-
-
-def _full_float64_min_gain(m, mu, n, seed):
-    """Least gain of every random row, in one 2-D drift_gain call, and of the four extremes."""
-    gains = np.concatenate([drift_gain(phi) for phi in _drift_rows(m, n, seed, mu)] or [[]])
-    alternating = np.where(np.arange(m) % 2 == 0, mu, -mu)
-    extremes = (np.full(m, mu), np.full(m, -mu), alternating, -alternating)
-    return min([*gains.tolist(), *(drift_gain(phi) for phi in extremes)])
-
-
-@pytest.mark.parametrize("m, n", [(64, 0), (64, 1), (64, 2500), (7, 30_000), (100_000, 3)])
-def test_chunked_drift_gains_equal_one_shot_formula(m, n):
-    mu, seed = 0.125, 42
-    chunk_rows = max(1, 65_536 // m)
-    chunks = list(_drift_rows(m, n, seed, mu, chunk_rows))
-    assert all(c.size <= max(m, 65_536) for c in chunks)
-    chunked = np.concatenate([drift_gain(c) for c in chunks] or [[]])
-    phi = (-mu + (mu - -mu) * numpy_stream(seed).random(n * m)).reshape(n, m)
-    assert np.array_equal(chunked, drift_gain(phi))
     # an independent cos/sin form rounds differently in the last digits only
     theta = 2.0 * np.pi * phi
-    cos_sin = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / m
-    np.testing.assert_allclose(chunked, cos_sin, rtol=1e-13, atol=0)
-    assert np.all(chunked >= _least_drift_gain(m, mu) * (1 - 1e-13))
-
-
-@pytest.mark.parametrize("seed", [42, 7])
-@pytest.mark.parametrize("mu", [0.125, 0.0625])
-def test_drift_screen_is_within_margin(mu, seed):
-    # the guard screens the closed form against the bound with a 1e-12 relative slack;
-    # at even M the two meet, and no random pattern sits below the closed form
-    [(least, bound)] = drift_bound_check(64, [mu])
-    assert bound * (1 - 1e-12) <= least <= bound * (1 + 1e-12)
-    for phi in _drift_rows(64, 10_000, seed, mu):
-        assert drift_gain(phi).min() >= least * (1 - 1e-13)
-
-
-@pytest.mark.parametrize("mu", [0.125, 0.0625])
-def test_drift_screen_rechecks_no_row_of_the_bundled_config(mu):
-    # mobility_bound: 64 antennas, 100,000 draws, seed 42; the old walk's rows all
-    # sit above the reported least gain, so sampling them changes no value
-    [(least, _)] = drift_bound_check(64, [mu])
-    for phi in _drift_rows(64, 100_000, 42, mu, chunk_rows=1024):
-        assert drift_gain(phi).min() > least
-
-
-@pytest.mark.parametrize(
-    "m, mu, n, seed", [(64, 0.125, 20_000, 42), (64, 0.0625, 20_000, 7), (7, 0.1, 9_000, 5)]
-)
-def test_forced_drift_recheck_equals_full_float64_path(m, mu, n, seed):
-    # rechecking every random row in float64, as the walk did when forced, finds the closed form
-    full = _full_float64_min_gain(m, mu, n, seed)
-    assert _least_drift_gain(m, mu) == pytest.approx(full, rel=1e-15, abs=0)
-    bound = m * math.cos(2 * math.pi * mu) ** 2
-    assert drift_bound_check(m, [mu]) == [(_least_drift_gain(m, mu), bound)]
-
-
-@pytest.mark.parametrize(
-    "m, mus, n, seed",
-    [
-        (64, [0.125, 0.0, 0.0625, 0.125], 20_000, 42),
-        (7, [0.1, 0.03, 0.0, 0.1], 9_000, 7),
-        (1, [0.125, 0.0, 0.05, 0.125], 1000, 5),
-        (3, [0.0, 0.07, 0.0, 0.07], 4000, 3),
-    ],
-)
-def test_one_pass_drift_check_equals_full_float64_path_per_mu(m, mus, n, seed):
-    results = drift_bound_check(m, mus)
-    assert len(results) == len(mus)
-    for mu, (min_gain, bound) in zip(mus, results):
-        assert min_gain == pytest.approx(_full_float64_min_gain(m, mu, n, seed), rel=1e-15, abs=0)
-        assert bound == m * math.cos(2.0 * math.pi * mu) ** 2
-        assert [(min_gain, bound)] == drift_bound_check(m, [mu])
+    cos_sin = (np.cos(theta).sum(axis=1) ** 2 + np.sin(theta).sum(axis=1) ** 2) / 16
+    np.testing.assert_allclose(gains, cos_sin, rtol=1e-13, atol=0)
 
 
 def _traced_peak(call):

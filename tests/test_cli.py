@@ -1304,18 +1304,10 @@ def test_console_entry_point():
     assert "squint" in proc.stdout
 
 
-@pytest.fixture(scope="module")
-def process_contract_run(tmp_path_factory):
-    """The directory that the whole table ran in, and each row's failures by number."""
-    directory = tmp_path_factory.mktemp("contract")
-    # both environments: a test run always has numpy to import
-    return directory, process_contract.check(directory)
-
-
 @pytest.mark.parametrize("i", range(len(process_contract.ROWS)),
                          ids=[",".join(row[0]) or "no-arguments" for row in process_contract.ROWS])
-def test_process_contract(i, process_contract_run, monkeypatch):
-    directory, failures = process_contract_run
+def test_process_contract(i, contract_run, monkeypatch):
+    directory, failures, _ = contract_run
     assert failures[i] == []
     args, code, golden, *_ = process_contract.ROWS[i]
     if code == 0 and golden and not golden.endswith(".txt"):
@@ -1350,8 +1342,8 @@ _EXPERIMENT_MODULES = {
 
 
 @pytest.mark.parametrize("experiment", _EXPERIMENT_MODULES)
-def test_each_run_loads_only_the_modules_it_calls(experiment, process_contract_run):
-    _, failures = process_contract_run
+def test_each_run_loads_only_the_modules_it_calls(experiment, contract_run):
+    _, failures, _ = contract_run
     rows = [i for i, (args, code, *_) in enumerate(process_contract.ROWS)
             if code == 0 and _experiment(args) == experiment]
     assert rows
@@ -1360,10 +1352,10 @@ def test_each_run_loads_only_the_modules_it_calls(experiment, process_contract_r
         assert failures[i] == []
 
 
-def test_squint_run_loads_no_numpy_random_or_hashlib(process_contract_run):
+def test_squint_run_loads_no_numpy_random_or_hashlib(contract_run):
     # squint draws its phases from rng's plain-Python PCG64; numpy is imported before
     # each row's baseline, as numpy 1.x imports numpy.random with numpy itself
-    _, failures = process_contract_run
+    _, failures, _ = contract_run
     rows = [i for i, (args, code, *_) in enumerate(process_contract.ROWS)
             if code == 0 and _experiment(args) == "squint"]
     assert rows

@@ -1,18 +1,21 @@
 """Every file of tests/golden/, as scripts/goldens.py writes it, against the checked-in file.
 
 scripts/goldens.py's GOLDENS table names each golden and the run that writes
-it; its writer runs the whole table once into a temporary directory.  A
-golden pinned byte for byte (the Monte-Carlo outputs, the listing, the usage
-text and the reports) must be written byte for byte.  Any other CSV must match
-its header, its shape and its leading exact columns (the frequency grid, the
-integer columns), and agree to a relative 1e-12 elsewhere; any other JSON must
-match its keys and non-float values, and agree to a relative 1e-12 in its
-floats.  A run's manifest matches the golden manifest the same way, and byte
-for byte whenever the run's output is byte for byte its golden.  The
-Monte-Carlo runs are also run under another --output name, and the listing
-also through its --list alias; those outputs must be their goldens too.
-A change that moves a value past that tolerance regenerates the goldens with
-scripts/goldens.py and declares the numerics change in CHANGES.md.
+it.  Each mimolab golden is written by a row of the process-contract table,
+which Tier-1 runs once, forked, in the session fixture ``contract_run``; this
+module collects the goldens from that run as goldens.py does, and runs the two
+reports in process.  A golden pinned byte for byte (the Monte-Carlo outputs,
+the listing, the usage text and the reports) must be written byte for byte.
+Any other CSV must match its header, its shape and its leading exact columns
+(the frequency grid, the integer columns), and agree to a relative 1e-12
+elsewhere; any other JSON must match its keys and non-float values, and agree
+to a relative 1e-12 in its floats.  A run's manifest matches the golden
+manifest the same way, and byte for byte whenever the run's output is byte for
+byte its golden.  tests/test_cli.py compares every other written file of the
+table with its golden the same way: the pinned outputs under another --output
+name, the listing through its --list alias.  A change that moves a value past
+that tolerance regenerates the goldens with scripts/goldens.py and declares
+the numerics change in CHANGES.md.
 """
 
 import gzip
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimolab.cli import BUNDLED_CONFIGS, main
+from mimolab.cli import BUNDLED_CONFIGS
 
 import goldens as writer
 
@@ -33,9 +36,10 @@ RUNS = {name: run for name, run, _, _ in GOLDENS}
 
 
 @pytest.fixture(scope="module")
-def written(tmp_path_factory):
+def written(contract_run, tmp_path_factory):
     directory = tmp_path_factory.mktemp("goldens")
-    writer.write(directory)
+    contract_dir, _, reports = contract_run
+    writer.collect(contract_dir, reports, directory)
     return directory
 
 
@@ -114,32 +118,6 @@ def _assert_run_matches_golden(output, name):
 def test_written_file_matches_golden(name, written, monkeypatch):
     monkeypatch.chdir(written)
     _assert_run_matches_golden(name, name)
-
-
-# the Monte-Carlo runs under another --output name: the output and the
-# manifest's values do not depend on the name the run is told to write
-MONTECARLO_RUNS = [
-    (name.removesuffix(".json"), run) for name, run, _, pinned in GOLDENS
-    if pinned and name.endswith(".json")
-]
-
-
-@pytest.mark.parametrize("name, argv", MONTECARLO_RUNS)
-def test_montecarlo_output_matches_golden(name, argv, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--output", "out.json"]) == 0
-    _assert_run_matches_golden("out.json", f"{name}.json")
-
-
-# the listing, the usage text, and the --list alias of the listing
-@pytest.mark.parametrize(
-    "name, argv", [("list", RUNS["list.txt"]), ("usage", RUNS["usage.txt"]), ("list", ["--list"])]
-)
-def test_listing_and_usage_match_golden(name, argv, capsys):
-    assert main(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.out == (GOLDEN / f"{name}.txt").read_text()
-    assert captured.err == ""
 
 
 def test_writer_writes_exactly_the_golden_files(written):
