@@ -11,11 +11,12 @@ Any other CSV must match its header, its shape and its leading exact columns
 elsewhere; any other JSON must match its keys and non-float values, and agree
 to a relative 1e-12 in its floats.  A run's manifest matches the golden
 manifest the same way, and byte for byte whenever the run's output is byte for
-byte its golden.  tests/test_cli.py compares every other written file of the
-table with its golden the same way: the pinned outputs under another --output
-name, the listing through its --list alias.  A change that moves a value past
-that tolerance regenerates the goldens with scripts/goldens.py and declares
-the numerics change in CHANGES.md.
+byte its golden.  The listing, its --list alias and the usage text are also
+run in process here.  tests/test_cli.py compares every other written file of
+the table with its golden the same way: the pinned outputs under another
+--output name, the listing through its --list alias.  A change that moves a
+value past that tolerance regenerates the goldens with scripts/goldens.py and
+declares the numerics change in CHANGES.md.
 """
 
 import gzip
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mimolab.cli import BUNDLED_CONFIGS
+from mimolab.cli import BUNDLED_CONFIGS, main
 
 import goldens as writer
 
@@ -118,6 +119,17 @@ def _assert_run_matches_golden(output, name):
 def test_written_file_matches_golden(name, written, monkeypatch):
     monkeypatch.chdir(written)
     _assert_run_matches_golden(name, name)
+
+
+# the listing, the usage text, and the --list alias of the listing, in process
+@pytest.mark.parametrize(
+    "name, argv", [("list", RUNS["list.txt"]), ("usage", RUNS["usage.txt"]), ("list", ["--list"])]
+)
+def test_listing_and_usage_match_golden(name, argv, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (GOLDEN / f"{name}.txt").read_text()
+    assert captured.err == ""
 
 
 def test_writer_writes_exactly_the_golden_files(written):
