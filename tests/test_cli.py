@@ -37,7 +37,7 @@ from mimolab.scenarios import sixpath_channel
 
 import process_contract
 from conftest import ROOT, bundled
-from test_golden import GOLDEN, _assert_run_matches_golden
+from process_contract import GOLDEN, golden_failures
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -611,15 +611,14 @@ def _run_into_closed_pipe(args, unbuffered, cwd):
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_exits_four_and_keeps_the_files(unbuffered, tmp_path, monkeypatch):
+def test_closed_stdout_exits_four_and_keeps_the_files(unbuffered, tmp_path):
     # writing to stdout fails after both files are out
     proc = _run_into_closed_pipe(["fresnel", "--output", "out.json"], unbuffered, tmp_path)
     assert proc.returncode == 4
     # one line naming stdout, and no "Exception ignored" from the flush at interpreter exit
     assert proc.stderr == "runtime failure: cannot write stdout: Broken pipe\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "out.json.manifest.json"]
-    monkeypatch.chdir(tmp_path)
-    _assert_run_matches_golden("out.json", "fresnel.json")
+    assert golden_failures(tmp_path, "out.json", "fresnel.json") == []
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
@@ -631,7 +630,7 @@ def test_closed_stdout_listings_exit_four_and_write_nothing(args, unbuffered, tm
     assert list(tmp_path.iterdir()) == []
 
 
-def test_no_stdout_at_all_still_writes_the_files(tmp_path, monkeypatch):
+def test_no_stdout_at_all_still_writes_the_files(tmp_path):
     # fd 1 closed before the interpreter starts, so sys.stdout is None
     proc = subprocess.run(
         ["sh", "-c", '"$0" -m mimolab.cli fresnel --output out.json >&-', sys.executable],
@@ -639,8 +638,7 @@ def test_no_stdout_at_all_still_writes_the_files(tmp_path, monkeypatch):
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
-    monkeypatch.chdir(tmp_path)
-    _assert_run_matches_golden("out.json", "fresnel.json")
+    assert golden_failures(tmp_path, "out.json", "fresnel.json") == []
 
 
 @pytest.mark.parametrize("args", [["--config", "fig4_32x32"], ["fresnel"]],
@@ -666,7 +664,7 @@ runpy.run_module("mimolab.cli", run_name="__main__", alter_sys=True)
     (["fresnel", "--output", "fresnel.json"], 0),
     (["fresnel", "--freq-ghz", "nan", "--output", "fresnel.json"], 3),
 ], ids=["run", "reject"])
-def test_command_exit_runs_atexit_and_flushes_stdout(args, code, tmp_path, monkeypatch):
+def test_command_exit_runs_atexit_and_flushes_stdout(args, code, tmp_path):
     # os._exit would skip both the handler and the flush of its line
     proc = subprocess.run([sys.executable, "-c", _MAIN_AFTER_ATEXIT, *args], capture_output=True,
                           text=True, cwd=tmp_path, env=_cli_env())
@@ -677,8 +675,7 @@ def test_command_exit_runs_atexit_and_flushes_stdout(args, code, tmp_path, monke
         assert list(tmp_path.iterdir()) == []
     else:
         assert proc.stderr == ""
-        monkeypatch.chdir(tmp_path)
-        _assert_run_matches_golden("fresnel.json", "fresnel.json")
+        assert golden_failures(tmp_path, "fresnel.json", "fresnel.json") == []
 
 
 # the CLI as the installed mimolab script runs it: import mimolab.cli, then call command().
@@ -710,7 +707,7 @@ def compiled_src(tmp_path_factory):
     (["--config", "fig4_32x32", "--output", "fig4_32x32.csv"], "fig4_32x32.csv", True),
     (["hardening", "--output", "hardening.json"], "hardening.json", True),
 ], ids=["squint", "hardening", "squint-bytecode", "hardening-bytecode"])
-def test_command_runs_no_collection(args, golden, bytecode, request, tmp_path, monkeypatch):
+def test_command_runs_no_collection(args, golden, bytecode, request, tmp_path):
     # numpy's import alone starts about 30 collections in a process that collects
     src = request.getfixturevalue("compiled_src") if bytecode else ROOT / "src"
     env = _cli_env()
@@ -719,8 +716,7 @@ def test_command_runs_no_collection(args, golden, bytecode, request, tmp_path, m
                           capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith(f"\ncollections: 0 {src / 'mimolab' / 'cli.py'}\n")
-    monkeypatch.chdir(tmp_path)
-    _assert_run_matches_golden(golden, golden)
+    assert golden_failures(tmp_path, golden, golden) == []
 
 
 def test_console_script_and_python_m_share_the_exit_path():
@@ -1306,14 +1302,9 @@ def test_console_entry_point():
 
 @pytest.mark.parametrize("i", range(len(process_contract.ROWS)),
                          ids=[",".join(row[0]) or "no-arguments" for row in process_contract.ROWS])
-def test_process_contract(i, contract_run, monkeypatch):
-    directory, failures, _ = contract_run
+def test_process_contract(i, contract_run):
+    _, failures, _ = contract_run
     assert failures[i] == []
-    args, code, golden, *_ = process_contract.ROWS[i]
-    if code == 0 and golden and not golden.endswith(".txt"):
-        # the manifest echoes the output path, in json's ASCII escapes
-        monkeypatch.chdir(directory / str(i))
-        _assert_run_matches_golden(args[args.index("--output") + 1], golden)
 
 
 def _experiment(args):
@@ -1360,7 +1351,7 @@ def test_squint_run_loads_no_numpy_random_or_hashlib(contract_run):
             if code == 0 and _experiment(args) == "squint"]
     assert rows
     for i in rows:
-        _, _, _, env, _, avoided = process_contract.ROWS[i]
+        _, _, _, env, _, avoided, _ = process_contract.ROWS[i]
         assert env == process_contract.NUMPY_IMPORTABLE
         assert {"numpy.random", "hashlib", "_hashlib"} <= set(avoided)
         assert failures[i] == []
@@ -1368,10 +1359,12 @@ def test_squint_run_loads_no_numpy_random_or_hashlib(contract_run):
 
 def test_process_contract_covers_every_experiment_and_bundled_config():
     # a new experiment or bundled config cannot skip the contract: each has a row that
-    # runs it to exit 0, and so states the modules that it loads
-    runs = [args for args, code, *_ in process_contract.ROWS if code == 0]
-    configs = {args[args.index("--config") + 1] for args in runs if "--config" in args}
-    experiments = {args[0] for args in runs if args[:1] and args[0] in EXPERIMENTS}
-    experiments |= {resolve({"config": name})[0].name for name in configs}
-    assert set(BUNDLED_CONFIGS) <= configs
+    # runs it to exit 0, and so states the modules that it loads; a bundled config's row
+    # also names the golden that pins its output
+    runs = [(args, golden) for args, code, golden, *_ in process_contract.ROWS if code == 0]
+    configs = {(args[args.index("--config") + 1], golden) for args, golden in runs
+               if "--config" in args}
+    experiments = {args[0] for args, _ in runs if args[:1] and args[0] in EXPERIMENTS}
+    experiments |= {resolve({"config": name})[0].name for name, _ in configs}
+    assert set(BUNDLED_CONFIGS) <= {name for name, golden in configs if golden}
     assert set(EXPERIMENTS) <= experiments

@@ -1,8 +1,9 @@
 """Each script under scripts/ runs to exit 0.
 
-The reports' pinned text is checked with the other goldens, in test_golden.py,
-through goldens.collect(); goldens.py and process_contract.py run as those
-functions, on the session's one run of the contract table.
+goldens.py and process_contract.py run as functions instead, on the session's
+one run of the contract table: test_process_contract checks each row with the
+script's own rule, golden_failures(), and test_golden.py runs goldens.collect(),
+which also prints the two reports, compared byte for byte with their goldens.
 memory_ceilings.py is left out: its runs are the largest
 that the memory bounds allow, hundreds of MiB each and about 15 s in all.  Its
 table is checked instead: its runs sit at the schema's memory bounds, and
