@@ -1359,12 +1359,11 @@ def test_squint_run_loads_no_numpy_random_or_hashlib(contract_run):
 
 def test_process_contract_covers_every_experiment_and_bundled_config():
     # a new experiment or bundled config cannot skip the contract: each has a row that
-    # runs it to exit 0, and so states the modules that it loads; a bundled config's row
-    # also names the golden that pins its output
-    runs = [(args, golden) for args, code, golden, *_ in process_contract.ROWS if code == 0]
-    configs = {(args[args.index("--config") + 1], golden) for args, golden in runs
-               if "--config" in args}
-    experiments = {args[0] for args, _ in runs if args[:1] and args[0] in EXPERIMENTS}
-    experiments |= {resolve({"config": name})[0].name for name, _ in configs}
-    assert set(BUNDLED_CONFIGS) <= {name for name, golden in configs if golden}
+    # runs it to exit 0, and so states the modules that it loads (test_golden also
+    # requires that a bundled config's row names the golden that pins its output)
+    runs = [args for args, code, *_ in process_contract.ROWS if code == 0]
+    configs = {args[args.index("--config") + 1] for args in runs if "--config" in args}
+    experiments = {args[0] for args in runs if args[:1] and args[0] in EXPERIMENTS}
+    experiments |= {resolve({"config": name})[0].name for name in configs}
+    assert set(BUNDLED_CONFIGS) <= configs
     assert set(EXPERIMENTS) <= experiments

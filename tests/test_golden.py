@@ -16,10 +16,10 @@ CHANGES.md.
 
 import pytest
 
-from mimolab.cli import main
+from mimolab.cli import BUNDLED_CONFIGS, main
 
 import goldens
-from process_contract import GOLDEN, RULES, golden_failures
+from process_contract import GOLDEN, ROWS, RULES, golden_failures
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +33,14 @@ def written(contract_run, tmp_path_factory):
 def test_writer_writes_exactly_the_golden_files(written):
     # no golden is orphaned and none is missing
     assert sorted(p.name for p in written.iterdir()) == sorted(p.name for p in GOLDEN.iterdir())
+
+
+def test_every_bundled_config_has_a_golden():
+    # each bundled config has a row that runs it to exit 0 and names the golden
+    # that pins its output
+    configs = {args[args.index("--config") + 1] for args, code, golden, *_ in ROWS
+               if code == 0 and golden and "--config" in args}
+    assert set(BUNDLED_CONFIGS) <= configs
 
 
 @pytest.mark.parametrize("name", [*RULES, *goldens.REPORTS])
