@@ -12,20 +12,35 @@ code it measured), the host, the Tier-1 wall time and summary line, and
 whether ``src/`` held bytecode.  Every child runs with
 ``PYTHONDONTWRITEBYTECODE=1``, so a checkout without bytecode stays without
 it, as a fresh clone does; run ``python -m compileall -q src`` first to
-measure with bytecode.  The file goes to the root of the checkout; the
-workloads are those that BENCHMARK.json lists.
+measure the workloads with bytecode.  The file goes to the root of the
+checkout; the workloads are those that BENCHMARK.json lists.
+
+Its ``runs`` section holds the wall time of one fresh ``python -m mimolab.cli``
+process, spawn to exit, for each bundled config and for the ``hardening`` and
+``favorable`` defaults, each writing its default output in a temp directory.
+Each run is timed RUNS times, round-robin with the two floors ``python -c
+pass`` and ``python -c "import numpy"``, so drift spreads evenly and each
+figure reads as a margin over its floor.  A run is timed on two temp copies
+of this checkout's ``src/``: one without bytecode, one ``compileall``-ed (not
+through ``PYTHONPYCACHEPREFIX``, which would compile numpy and the standard
+library from source as well).  Each figure is the median and quartiles in
+seconds.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import importlib.metadata
 import json
 import os
 import platform
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -36,8 +51,12 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 HARNESS_NOTES = [
     "peak_rss_mb is read with os.wait4 after a vfork+exec spawn, so it includes the "
     "harness's own high-water mark; capacity's figure is the harness's",
-    "without bytecode, setup_s is mostly compiling src/mimolab/cli.py in each fresh process",
+    "without bytecode, setup_s is mostly compiling src/mimolab/cli.py (810 lines, the "
+    "runners other than squint's in the library modules) in each fresh process; the runs "
+    "section times each run with and without bytecode",
 ]
+RUNS = 11  # fresh processes per run and per floor
+FLOORS = {"python -c pass": ["-c", "pass"], "python -c 'import numpy'": ["-c", "import numpy"]}
 
 
 def git(*args: str) -> str:
@@ -78,15 +97,56 @@ def run_workload(name: str, env: dict) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def with_src(env: dict, src: Path) -> dict:
+    """env with src first on PYTHONPATH."""
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))}
+
+
 def run_tier1(env: dict) -> dict:
-    env = {**env, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                              env.get("PYTHONPATH")]))}
+    env = with_src(env, ROOT / "src")
     start = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
     wall_s = time.perf_counter() - start
     lines = proc.stdout.strip().splitlines()
     return {"wall_s": round(wall_s, 3), "exit": proc.returncode,
             "summary": lines[-1] if lines else ""}
+
+
+def quartiles(samples: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return {"median_s": round(median, 5), "q1_s": round(q1, 5), "q3_s": round(q3, 5)}
+
+
+def time_runs(env: dict) -> dict:
+    """The runs section: floors and fresh CLI runs, timed round-robin, without and with bytecode."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from mimolab.cli import BUNDLED_CONFIGS
+
+    runs = {name: ["--config", name] for name in BUNDLED_CONFIGS}
+    runs.update(hardening=["hardening"], favorable=["favorable"])
+    with tempfile.TemporaryDirectory() as scratch:
+        trees = {tree: Path(scratch, tree, "src") for tree in ("no_bytecode", "bytecode")}
+        for src in trees.values():
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        if not compileall.compile_dir(trees["bytecode"], quiet=1):
+            sys.exit("compileall failed on the copy of src/")
+        cases = [("floors", name, argv, None) for name, argv in FLOORS.items()]
+        cases += [(tree, name, ["-m", "mimolab.cli", *argv], src)
+                  for tree, src in trees.items() for name, argv in runs.items()]
+        samples = {case[:2]: [] for case in cases}
+        for _ in range(RUNS):
+            for group, name, argv, src in cases:
+                start = time.perf_counter()
+                proc = subprocess.run([sys.executable, *argv], cwd=scratch,
+                                      env=env if src is None else with_src(env, src),
+                                      stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+                samples[group, name].append(time.perf_counter() - start)
+                if proc.returncode != 0:
+                    sys.exit(f"{name} ({group}) exited {proc.returncode}:\n{proc.stderr.decode()}")
+    section = {"count": RUNS, "command": "python -m mimolab.cli [--config NAME | NAME]"}
+    for (group, name), times in samples.items():
+        section.setdefault(group, {})[name] = quartiles(times)
+    return section
 
 
 def main() -> int:
@@ -116,6 +176,8 @@ def main() -> int:
     for name in workloads:
         print(f"workload {name} ...", file=sys.stderr, flush=True)
         snapshot["workloads"][name] = run_workload(name, env)
+    print("fresh-process runs ...", file=sys.stderr, flush=True)
+    snapshot["runs"] = time_runs(env)
     print("tier-1 ...", file=sys.stderr, flush=True)
     snapshot["tier1"] = run_tier1(env)
     path = ROOT / f"BENCH_{args.number}.json"

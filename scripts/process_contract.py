@@ -12,8 +12,10 @@ row that names a golden (another --output name, --list, --help, --set
 config=) takes the rule from that row.  goldens.py copies the own rows'
 outputs into tests/golden/.
 
-check() starts one ``python -S`` interpreter per environment; -S skips site,
-whose .pth files may preload modules that the CLI itself avoids.
+check() starts ``python -S`` interpreters side by side, one for the
+NUMPY_BLOCKED rows and two for the slower NUMPY_IMPORTABLE rows, which
+alternate between them; -S skips site, whose .pth files may preload modules
+that the CLI itself avoids.
 - NUMPY_BLOCKED: importing numpy raises.  The closed-form experiments, the
   small rate sweeps, the listings and the rejects run here.
 - NUMPY_IMPORTABLE: numpy is imported before the baseline is taken, as numpy
@@ -270,7 +272,7 @@ def golden_failures(directory, output, name) -> list[str]:
     return failures + _json_failures(json.loads(manifest), json.loads(golden_manifest), path.name)
 
 
-# one interpreter per environment: it forks once per row of the argument lists, which
+# an interpreter of one environment: it forks once per row of the argument lists, which
 # arrive as ascii() wrote them.  Each fork runs its row in its own directory 0, 1, ...
 # and writes [exit code, stdout, stderr, modules added to the baseline] to a pipe, in
 # ascii() again, so that no module beyond io, os and sys is loaded to report; the interpreter
@@ -323,21 +325,24 @@ def check(directory, envs=(NUMPY_BLOCKED, NUMPY_IMPORTABLE)):
     (directory / "malformed.ini").write_text("experiment = fresnel\nfreq_ghz 38\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), *sys.path]))
     rows = {env: [(i, row[0]) for i, row in enumerate(ROWS) if row[3] == env] for env in envs}
-    # the environments run side by side
-    procs = {env: subprocess.Popen(
-        [sys.executable, "-S", "-c", SERVER, env, ascii(rows[env])], stdout=subprocess.PIPE,
+    parts = []
+    for env in envs:
+        n = 2 if env == NUMPY_IMPORTABLE else 1
+        parts += [(env, rows[env][k::n]) for k in range(n)]
+    procs = [(env, part, subprocess.Popen(
+        [sys.executable, "-S", "-c", SERVER, env, ascii(part)], stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, text=True, cwd=directory,
         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
-    ) for env in envs}
+    )) for env, part in parts]
     failures, reports = {}, {}
-    for env, proc in procs.items():
+    for env, part, proc in procs:
         stdout, stderr = proc.communicate()
         if proc.returncode:
             failure = f"the {env} interpreter exited {proc.returncode}: {stderr}"
-            for i, _ in rows[env]:
+            for i, _ in part:
                 failures[i], reports[i] = [failure], None
             continue
-        for (i, _), line in zip(rows[env], stdout.splitlines(), strict=True):
+        for (i, _), line in zip(part, stdout.splitlines(), strict=True):
             reports[i] = ast.literal_eval(line)
             failures[i] = _row_failures(directory, i, reports[i])
     return failures, reports

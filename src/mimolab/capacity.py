@@ -21,11 +21,14 @@ the same operations in the same order: per user count in Python floats
 Only log2 may round the two apart, in the last bit.  ``rate_columns`` and
 ``antenna_sweep`` take the plain evaluator for a run of at most
 PLAIN_MAX_EVALUATIONS rate evaluations, where it costs less than importing
-numpy; numpy is imported only inside the vectorised path, so the CLI can
-validate a capacity scenario, and reject it, without loading numpy.
+numpy; numpy is imported only inside the vectorised path, so the CLI's
+runners at the end of this module can validate a capacity scenario, and
+reject it, without loading numpy.
 """
 
 import math
+
+from . import ValidationError, _blame, _fixed_text
 
 RATE_COLUMNS = ("m_antennas", "k_users", "pilot_fraction", "se_per_ue", "rate_per_ue_bps",
                 "sum_rate_bps")
@@ -170,3 +173,77 @@ def antenna_sweep(m_grid, k_users, **rate_args) -> list[dict]:
     evaluate = _evaluator(len(m_grid) * len(k_users))
     return [best_row(evaluate(k_users, **{**rate_args, "m_antennas": m}))
             for m in sorted(int(m) for m in m_grid)]
+
+
+# ----------------------------------------------------------------------------
+# the CLI's capacity and antenna-sweep runners: (params, seed) -> (data, results, lines)
+# ----------------------------------------------------------------------------
+
+_MAX_USER_COUNTS = 1_000_000  # a sweep's rows, capped for memory: scripts/memory_ceilings.py
+
+
+def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
+    ul_snr = params["ul_pilot_snr"]
+    if params["snr_scaling"] == "bandwidth":
+        # ul_snr * reference / bandwidth on the frexp mantissas, the binary exponent applied
+        # last, so only the scaled SNR itself can overflow or underflow; a power of two scales
+        # exactly, so wherever the plain form stays in the normal range this gives its bits
+        (m_snr, e_snr), (m_ref, e_ref), (m_bw, e_bw) = map(
+            math.frexp, (ul_snr, params["reference_bandwidth_hz"], params["bandwidth_hz"]))
+        try:
+            ul_snr = math.ldexp(m_snr * m_ref / m_bw, e_snr + e_ref - e_bw)
+        except OverflowError:
+            ul_snr = math.inf
+        if ul_snr in (0.0, math.inf):
+            raise ValidationError(
+                "ul_pilot_snr", f"{'underflows to 0' if ul_snr == 0.0 else 'overflows'} "
+                "when scaled by reference_bandwidth_hz/bandwidth_hz"
+            )
+    # the rate formula's SNR products: an infinite one turns every rate into NaN
+    if params["dl_ul_power_ratio"] * ul_snr == math.inf:
+        raise ValidationError(
+            "dl_ul_power_ratio",
+            f"the downlink SNR {params['dl_ul_power_ratio']!r} * {ul_snr!r} overflows"
+        )
+    tau_c = _blame("coherence_time_s", coherence_samples, params["coherence_time_s"],
+                   params["coherence_bandwidth_hz"], note=" (tau_c = time * bandwidth)")
+    grid = _blame("k_max" if params["k_max"] > tau_c else "k_min", k_range, tau_c,
+                  params["k_min"], params["k_max"], params["k_step"] or int(params["fine"]))
+    if len(grid) > _MAX_USER_COUNTS:
+        raise ValidationError(
+            "k_step", f"the sweep would hold {len(grid)} user counts, more than {_MAX_USER_COUNTS}"
+        )
+    if grid[-1] * ul_snr == math.inf:  # the pilot energy of the largest user count
+        raise ValidationError("ul_pilot_snr", f"the pilot energy {grid[-1]} * {ul_snr!r} overflows")
+    extras = {
+        "snr_scaling": params["snr_scaling"],
+        "ul_pilot_snr_effective": ul_snr,
+        "tau_c": tau_c,
+    }
+    rate_args = dict(m_antennas=params["m_antennas"], tau_c=tau_c, ul_pilot_snr=ul_snr,
+                     dl_ul_power_ratio=params["dl_ul_power_ratio"],
+                     bandwidth_hz=params["bandwidth_hz"])
+    return rate_args, grid, extras
+
+
+def _run_capacity(params: dict, seed: int):
+    rate_args, grid, extras = _capacity_scenario(params)
+    table = rate_columns(grid, **rate_args)
+    best = extras["optimum"] = best_row(table)
+    lines = [
+        f"optimum: K={best['k_users']}, pilot fraction {best['pilot_fraction']:.4f}, "
+        f"sum rate {_fixed_text(best['sum_rate_bps'] / 1e12, 4)} Tbit/s"
+    ]
+    return table, extras, lines
+
+
+def _run_antenna_sweep(params: dict, seed: int):
+    rate_args, grid, extras = _capacity_scenario(params)
+    best = antenna_sweep(params["m_grid"], grid, **rate_args)
+    lines = [
+        f"M={row['m_antennas']}: best sum rate {_fixed_text(row['sum_rate_bps'] / 1e9, 3)} Gbit/s "
+        f"at K={row['k_users']}"
+        for row in best
+    ]
+    table = {name: [row[name] for row in best] for name in RATE_COLUMNS}
+    return table, extras, lines

@@ -203,3 +203,19 @@ def drift_gain(phase_fractions: np.ndarray) -> float | np.ndarray:
     z = np.exp(2j * np.pi * phase_fractions).sum(axis=-1)
     gains = abs(z) ** 2 / phase_fractions.shape[-1]
     return gains if gains.ndim else float(gains)
+
+
+def _run_diagnostic(metric_name: str, count_key: str, params: dict, seed: int):
+    """The CLI's hardening and favorable runner: (data, manifest results, stdout lines)."""
+    metric = hardening_metric if metric_name == "hardening" else favorable_propagation_metric
+    value = metric(params["m_antennas"], params[count_key], seed)
+    record = {
+        "model": "iid_rayleigh",
+        "m_antennas": params["m_antennas"],
+        "n_draws": params[count_key],
+        "seed": seed,
+        "metric_name": metric_name,
+        "value": value,
+    }
+    label = metric_name.replace("_", "-")
+    return record, {"value": value}, [f"{label} metric = {value:.6f}"]

@@ -12,27 +12,28 @@ line is one flat mapping of the same keys, checked against the same key
 grammar: ``--KEY VALUE`` or ``--set KEY=VALUE`` sets any key, the reserved
 ones included, and a positional experiment name sits below both.
 
-The library modules take and return plain numbers and arrays; each runner
-here builds its experiment's record from them and returns data, never text:
-a dict for a JSON experiment, and for a CSV one a dict from column name to
-column (a list or a numpy array), all of one length, whose keys are the
-header.  So this module alone knows the output schemas.  ``run`` alone checks
-that every number is finite, before it creates any file, and writes the output
+An experiment's runner builds its record from the library's plain numbers and
+arrays and returns data, never text: a dict for a JSON experiment, and for a
+CSV one a dict from column name to column (a list or a numpy array), all of one
+length, whose keys are the header.  The registry here names each runner, a
+private function beside the library code it calls (``propagation._run_fresnel``),
+so a process compiles only its own; squint's stays here, as its span check must
+reject before ``beamforming`` loads numpy.  ``run`` alone checks that every
+number is finite, before it creates any file, and writes the output
 along with a ``<output>.manifest.json`` echoing the resolved parameters, the
 seed, and the artifact version.  It writes both files or neither: each goes to
 a temp file beside its path (a CSV streams in blocks of rows, so no copy of its
 whole text is held), and both temps are complete before either is renamed into
 place; an existing path that is not a regular file is refused before any temp
-is written.
-Files are created with mode 0o666 less the umask.  Outputs contain no
-timestamps, so re-running a config reproduces its files byte for byte.
+is written.  Files are created with mode 0o666 less the umask.  Outputs hold
+no timestamps, so re-running a config reproduces its files byte for byte.
 Integer parameters must lie within the double range, as the numeric code
 turns them into floats; the seed is exempt, as only its low 64 bits are used.
-Every library module is imported inside the runners that use it, after their
-own checks; this module imports only the package itself, whose ``__init__``
-holds the constants that modules share.  So a run loads the mimolab modules
-it calls and no other, and a run that needs no numpy (a closed-form
-experiment, a listing, a reject, or a rate sweep of at most
+A library module is imported when a run calls a runner from it, after the
+checks of ``resolve``; this module imports only the package, whose ``__init__``
+holds what modules share, ``ValidationError`` among it.  So a run loads the
+mimolab modules it calls and no other, and a run that needs no numpy (a
+closed-form experiment, a listing, a reject, or a rate sweep of at most
 ``capacity.PLAIN_MAX_EVALUATIONS`` rate evaluations, which ``capacity``
 evaluates in plain Python) never loads it.  From the standard library this
 module imports only ``os``, ``sys``, ``math`` and ``gc`` (a builtin module,
@@ -72,11 +73,10 @@ import math
 import os
 import sys
 
-from . import MAX_DRIFT_FRACTION, __version__
+from . import MAX_DRIFT_FRACTION, ValidationError, __version__, _blame
 
 DEFAULT_SEED = 42
 _CSV_BLOCK_ROWS = 4096  # CSV rows formatted by one % operation
-_MAX_USER_COUNTS = 1_000_000  # a sweep's rows, capped for memory: scripts/memory_ceilings.py
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -86,11 +86,6 @@ EXIT_RUNTIME = 4
 
 class ConfigParseError(Exception):
     """A config text's errors lead with their line and column; a command line's have none."""
-
-
-class ValidationError(Exception):
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
 
 
 # ----------------------------------------------------------------------------
@@ -205,20 +200,17 @@ def coerce_value(param: Param, field: str, text: str):
     return value
 
 
-def _blame(field: str, call, *args, note: str = "", **kwargs):
-    """call(*args, **kwargs); a ValueError or OverflowError it raises names field as bad input.
-
-    For the library checks that relate several parameters, which no schema bound expresses.
-    """
-    try:
-        return call(*args, **kwargs)
-    except (ValueError, OverflowError) as exc:
-        raise ValidationError(field, f"{exc}{note}") from None
-
-
 # ----------------------------------------------------------------------------
 # experiment runners: (params, seed) -> (data, manifest results, stdout_lines)
 # ----------------------------------------------------------------------------
+
+def _runner(module: str, function: str, *args):
+    """The runner mimolab.<module>.<function>(*args, params, seed), imported when it runs."""
+    def call(params: dict, seed: int):
+        found = __import__(module, globals(), fromlist=(function,), level=1)
+        return getattr(found, function)(*args, params, seed)
+    return call
+
 
 def _nearest_index(values, target: float) -> int:
     """argmin of abs(values - target) for increasing values, by bisection without a temporary."""
@@ -254,207 +246,6 @@ def _run_squint(params: dict, seed: int):
         f"band minimum {extras['min_efficiency']:.4f} over {params['n_points']} points"
     ]
     return {"frequency_hz": freqs, "efficiency": effs}, extras, lines
-
-
-def _fixed_text(value: float, decimals: int) -> str:
-    """A number for stdout: fixed point below magnitude 1e9, scientific from there up."""
-    return f"{value:.{decimals}{'f' if abs(value) < 1e9 else 'e'}}"
-
-
-def _capacity_scenario(params: dict) -> tuple[dict, range, dict]:
-    from .capacity import coherence_samples, k_range
-
-    ul_snr = params["ul_pilot_snr"]
-    if params["snr_scaling"] == "bandwidth":
-        # ul_snr * reference / bandwidth on the frexp mantissas, the binary exponent applied
-        # last, so only the scaled SNR itself can overflow or underflow; a power of two scales
-        # exactly, so wherever the plain form stays in the normal range this gives its bits
-        (m_snr, e_snr), (m_ref, e_ref), (m_bw, e_bw) = map(
-            math.frexp, (ul_snr, params["reference_bandwidth_hz"], params["bandwidth_hz"]))
-        try:
-            ul_snr = math.ldexp(m_snr * m_ref / m_bw, e_snr + e_ref - e_bw)
-        except OverflowError:
-            ul_snr = math.inf
-        if ul_snr in (0.0, math.inf):
-            raise ValidationError(
-                "ul_pilot_snr", f"{'underflows to 0' if ul_snr == 0.0 else 'overflows'} "
-                "when scaled by reference_bandwidth_hz/bandwidth_hz"
-            )
-    # the rate formula's SNR products: an infinite one turns every rate into NaN
-    if params["dl_ul_power_ratio"] * ul_snr == math.inf:
-        raise ValidationError(
-            "dl_ul_power_ratio",
-            f"the downlink SNR {params['dl_ul_power_ratio']!r} * {ul_snr!r} overflows"
-        )
-    tau_c = _blame("coherence_time_s", coherence_samples, params["coherence_time_s"],
-                   params["coherence_bandwidth_hz"], note=" (tau_c = time * bandwidth)")
-    grid = _blame("k_max" if params["k_max"] > tau_c else "k_min", k_range, tau_c,
-                  params["k_min"], params["k_max"], params["k_step"] or int(params["fine"]))
-    if len(grid) > _MAX_USER_COUNTS:
-        raise ValidationError(
-            "k_step", f"the sweep would hold {len(grid)} user counts, more than {_MAX_USER_COUNTS}"
-        )
-    if grid[-1] * ul_snr == math.inf:  # the pilot energy of the largest user count
-        raise ValidationError("ul_pilot_snr", f"the pilot energy {grid[-1]} * {ul_snr!r} overflows")
-    extras = {
-        "snr_scaling": params["snr_scaling"],
-        "ul_pilot_snr_effective": ul_snr,
-        "tau_c": tau_c,
-    }
-    rate_args = dict(m_antennas=params["m_antennas"], tau_c=tau_c, ul_pilot_snr=ul_snr,
-                     dl_ul_power_ratio=params["dl_ul_power_ratio"],
-                     bandwidth_hz=params["bandwidth_hz"])
-    return rate_args, grid, extras
-
-
-def _run_capacity(params: dict, seed: int):
-    rate_args, grid, extras = _capacity_scenario(params)
-    from .capacity import best_row, rate_columns
-
-    table = rate_columns(grid, **rate_args)
-    best = extras["optimum"] = best_row(table)
-    lines = [
-        f"optimum: K={best['k_users']}, pilot fraction {best['pilot_fraction']:.4f}, "
-        f"sum rate {_fixed_text(best['sum_rate_bps'] / 1e12, 4)} Tbit/s"
-    ]
-    return table, extras, lines
-
-
-def _run_antenna_sweep(params: dict, seed: int):
-    rate_args, grid, extras = _capacity_scenario(params)
-    from .capacity import RATE_COLUMNS, antenna_sweep
-
-    best = antenna_sweep(params["m_grid"], grid, **rate_args)
-    lines = [
-        f"M={row['m_antennas']}: best sum rate {_fixed_text(row['sum_rate_bps'] / 1e9, 3)} Gbit/s "
-        f"at K={row['k_users']}"
-        for row in best
-    ]
-    table = {name: [row[name] for row in best] for name in RATE_COLUMNS}
-    return table, extras, lines
-
-
-def _run_mobility(params: dict, seed: int):
-    from .propagation import drift_bound_check
-
-    m, mus = params["m_antennas"], params["mu_list"]
-    reports = [
-        {
-            "m_antennas": m,
-            "mu": mu,
-            # echoed for schema compatibility: the least gain is closed-form, so neither
-            # the draw count nor the seed changes a value
-            "n_random_draws": params["n_draws"],
-            "seed": seed,
-            "min_observed_gain": min_gain,
-            "bound_gain": bound,
-            "holds": True,  # drift_bound_check raises ArithmeticError otherwise
-        }
-        for mu, (min_gain, bound) in zip(mus, drift_bound_check(m, mus))
-    ]
-    lines = [
-        f"mu={r['mu']}: min gain {r['min_observed_gain']:.6f} vs bound {r['bound_gain']:.6f}"
-        for r in reports
-    ]
-    return {"reports": reports}, {"reports": reports}, lines
-
-
-def _run_fresnel(params: dict, seed: int):
-    from .propagation import fresnel_radius, wavelength_m
-
-    frequency_hz = params["freq_ghz"] * 1e9
-    _blame("freq_ghz", wavelength_m, frequency_hz)
-    radius = _blame("d1", fresnel_radius, params["d1"], params["d2"], frequency_hz)
-    record = {
-        "d1_m": params["d1"],
-        "d2_m": params["d2"],
-        "frequency_hz": frequency_hz,
-        "radius_m": radius,
-    }
-    return record, {"radius_m": radius}, [f"fresnel radius = {_fixed_text(radius, 3)} m"]
-
-
-def _run_linkbudget(params: dict, seed: int):
-    from .propagation import bandwidth_snr_delta
-
-    entries = []
-    if params["bandwidth_ratio"] > 1:
-        entries.append(("wider_noise_bandwidth", bandwidth_snr_delta(params["bandwidth_ratio"])))
-    entries += [(k.removeprefix("entry_"), v) for k, v in params.items() if k.startswith("entry_")]
-    try:
-        total_db = math.fsum(db for _, db in entries)
-    except OverflowError as exc:
-        raise OverflowError(f"total_db: {exc}") from None
-    ledger = {
-        "entries": [{"label": label, "db": db} for label, db in entries],
-        "total_db": total_db,
-    }
-    lines = [f"link budget total {_fixed_text(total_db, 2)} dB over {len(entries)} entries"]
-    return ledger, {"total_db": total_db}, lines
-
-
-def _run_estload(params: dict, seed: int):
-    from .propagation import estimation_load
-
-    # the schema lists exactly estimation_load's parameters
-    n_coefficients, rate = _blame("subcarriers_per_block", estimation_load, **params)
-    lines = [f"{n_coefficients} coefficients, {rate:.3e} estimates/second"]
-    record = {**params, "n_coefficients": n_coefficients, "estimates_per_second": rate}
-    return record, {"n_coefficients": n_coefficients}, lines
-
-
-def _run_hwbudget(params: dict, seed: int):
-    from .hardware import adc_power, array_pa_budget
-
-    def budget(component: str, count: int, unit_power_w: float) -> dict:
-        return {
-            "component": component,
-            "count": count,
-            "unit_power_w": unit_power_w,
-            "total_power_w": count * unit_power_w,
-        }
-
-    fom, rate = params["fom_j_per_cs"], params["sample_rate_hz"]
-    power_a = adc_power(fom, params["enob_a"], rate, params["overhead_factor"])
-    power_b = adc_power(fom, params["enob_b"], rate, params["overhead_factor"])
-    adc_a = budget("adc_array_a", params["n_converters_a"], power_a)
-    adc_b = budget("adc_array_b", params["n_converters_b"], power_b)
-    if adc_b["total_power_w"] == 0.0:
-        raise ValueError("adc_power_ratio_a_over_b: array B's ADC power underflows to 0 W")
-    ratio = adc_a["total_power_w"] / adc_b["total_power_w"]
-    n_pa = params["pa_n_antennas"]
-    pa_total_dc = array_pa_budget(n_pa, params["pa_total_radiated_w"], params["pa_pae"])
-    pa = budget("pa_array", n_pa, pa_total_dc / n_pa)
-    record = {
-        "adc_a": adc_a,
-        "adc_b": adc_b,
-        "adc_power_ratio_a_over_b": ratio,
-        "pa": pa,
-        "pa_per_antenna_output_w": params["pa_total_radiated_w"] / n_pa,
-    }
-    lines = [
-        f"ADC budget ratio (array A / array B) = {ratio}",
-        f"PA DC total {_fixed_text(pa['total_power_w'], 3)} W for {n_pa} antennas",
-    ]
-    return record, {"adc_power_ratio_a_over_b": ratio}, lines
-
-
-def _run_diagnostic(metric_name: str, count_key: str, params: dict, seed: int):
-    # imported when called, so a rebound mimolab.channels attribute takes effect
-    from .channels import favorable_propagation_metric, hardening_metric
-
-    metric = hardening_metric if metric_name == "hardening" else favorable_propagation_metric
-    value = metric(params["m_antennas"], params[count_key], seed)
-    record = {
-        "model": "iid_rayleigh",
-        "m_antennas": params["m_antennas"],
-        "n_draws": params[count_key],
-        "seed": seed,
-        "metric_name": metric_name,
-        "value": value,
-    }
-    label = metric_name.replace("_", "-")
-    return record, {"value": value}, [f"{label} metric = {value:.6f}"]
 
 
 # ----------------------------------------------------------------------------
@@ -527,7 +318,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "closed-form MRT downlink sum-rate sweep over the user count (CSV)",
             "csv",
             _CAPACITY_PARAMS,
-            _run_capacity,
+            _runner("capacity", "_run_capacity"),
         ),
         Experiment(
             "antenna-sweep",
@@ -537,7 +328,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 Param("m_grid", "int_list", [100, 1000, 10_000, 100_000],
                       "antenna counts to sweep", min_value=1),
             ),
-            _run_antenna_sweep,
+            _runner("capacity", "_run_antenna_sweep"),
         ),
         Experiment(
             "mobility",
@@ -553,7 +344,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 Param("n_draws", "int", 100_000, "random drift patterns per amplitude",
                       min_value=0),
             ),
-            _run_mobility,
+            _runner("propagation", "_run_mobility"),
         ),
         Experiment(
             "fresnel",
@@ -566,7 +357,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 Param("d2", "float", 50.0, "distance to the other link end in meters",
                       min_value=0),
             ),
-            _run_fresnel,
+            _runner("propagation", "_run_fresnel"),
         ),
         Experiment(
             "linkbudget",
@@ -577,7 +368,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                       "noise-bandwidth widening factor; adds -10*log10(ratio) dB when > 1",
                       min_value=1),
             ),
-            _run_linkbudget,
+            _runner("propagation", "_run_linkbudget"),
             allow_prefix="entry_",
         ),
         Experiment(
@@ -593,7 +384,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 Param("coherence_time_s", "float", 0.05, "channel coherence time in seconds",
                       min_value=0, min_exclusive=True),
             ),
-            _run_estload,
+            _runner("propagation", "_run_estload"),
         ),
         Experiment(
             "hwbudget",
@@ -621,7 +412,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                 Param("pa_n_antennas", "int", 64, "antennas sharing the radiated-power budget",
                       min_value=1),
             ),
-            _run_hwbudget,
+            _runner("hardware", "_run_hwbudget"),
         ),
         Experiment(
             "hardening",
@@ -630,7 +421,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             _MONTE_CARLO_PARAMS + (
                 Param("n_draws", "int", 10_000, "Monte-Carlo draws", min_value=2),
             ),
-            lambda params, seed: _run_diagnostic("hardening", "n_draws", params, seed),
+            _runner("channels", "_run_diagnostic", "hardening", "n_draws"),
         ),
         Experiment(
             "favorable",
@@ -639,8 +430,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             _MONTE_CARLO_PARAMS + (
                 Param("n_pairs", "int", 1000, "independent channel pairs", min_value=1),
             ),
-            lambda params, seed: _run_diagnostic("favorable_propagation", "n_pairs", params,
-                                                 seed),
+            _runner("channels", "_run_diagnostic", "favorable_propagation", "n_pairs"),
         ),
     )
 }

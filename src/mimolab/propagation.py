@@ -18,7 +18,7 @@ M*cos^2(a) + (M mod 2)*sin^2(a)/M >= M*cos^2(a) >= M/2, and no sampling is neede
 
 import math
 
-from . import MAX_DRIFT_FRACTION, SPEED_OF_LIGHT_M_S
+from . import MAX_DRIFT_FRACTION, SPEED_OF_LIGHT_M_S, _blame, _fixed_text
 
 
 def wavelength_m(frequency_hz: float) -> float:
@@ -127,3 +127,68 @@ def estimation_load(
         return n_coefficients, n_coefficients / coherence_time_s
     except OverflowError:  # a count beyond the double range: the rate overflows as a float would
         return n_coefficients, math.inf
+
+
+# ----------------------------------------------------------------------------
+# the CLI's closed-form runners: (params, seed) -> (data, manifest results, stdout lines)
+# ----------------------------------------------------------------------------
+
+def _run_mobility(params: dict, seed: int):
+    m, mus = params["m_antennas"], params["mu_list"]
+    reports = [
+        {
+            "m_antennas": m,
+            "mu": mu,
+            # echoed for schema compatibility: the least gain is closed-form, so neither
+            # the draw count nor the seed changes a value
+            "n_random_draws": params["n_draws"],
+            "seed": seed,
+            "min_observed_gain": min_gain,
+            "bound_gain": bound,
+            "holds": True,  # drift_bound_check raises ArithmeticError otherwise
+        }
+        for mu, (min_gain, bound) in zip(mus, drift_bound_check(m, mus))
+    ]
+    lines = [
+        f"mu={r['mu']}: min gain {r['min_observed_gain']:.6f} vs bound {r['bound_gain']:.6f}"
+        for r in reports
+    ]
+    return {"reports": reports}, {"reports": reports}, lines
+
+
+def _run_fresnel(params: dict, seed: int):
+    frequency_hz = params["freq_ghz"] * 1e9
+    _blame("freq_ghz", wavelength_m, frequency_hz)
+    radius = _blame("d1", fresnel_radius, params["d1"], params["d2"], frequency_hz)
+    record = {
+        "d1_m": params["d1"],
+        "d2_m": params["d2"],
+        "frequency_hz": frequency_hz,
+        "radius_m": radius,
+    }
+    return record, {"radius_m": radius}, [f"fresnel radius = {_fixed_text(radius, 3)} m"]
+
+
+def _run_linkbudget(params: dict, seed: int):
+    entries = []
+    if params["bandwidth_ratio"] > 1:
+        entries.append(("wider_noise_bandwidth", bandwidth_snr_delta(params["bandwidth_ratio"])))
+    entries += [(k.removeprefix("entry_"), v) for k, v in params.items() if k.startswith("entry_")]
+    try:
+        total_db = math.fsum(db for _, db in entries)
+    except OverflowError as exc:
+        raise OverflowError(f"total_db: {exc}") from None
+    ledger = {
+        "entries": [{"label": label, "db": db} for label, db in entries],
+        "total_db": total_db,
+    }
+    lines = [f"link budget total {_fixed_text(total_db, 2)} dB over {len(entries)} entries"]
+    return ledger, {"total_db": total_db}, lines
+
+
+def _run_estload(params: dict, seed: int):
+    # the schema lists exactly estimation_load's parameters
+    n_coefficients, rate = _blame("subcarriers_per_block", estimation_load, **params)
+    lines = [f"{n_coefficients} coefficients, {rate:.3e} estimates/second"]
+    record = {**params, "n_coefficients": n_coefficients, "estimates_per_second": rate}
+    return record, {"n_coefficients": n_coefficients}, lines

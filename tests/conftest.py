@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 
 import process_contract  # noqa: E402
-from mimolab import cli  # noqa: E402
+from mimolab import capacity, cli  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +30,7 @@ def bundled(name: str, **overrides) -> dict:
     and the (possibly bandwidth-scaled) uplink SNR derived as the CLI derives them.
     """
     exp, _, _, params = cli.resolve({"config": name, **{k: str(v) for k, v in overrides.items()}})
-    return cli._capacity_scenario(params)[0] if exp.name == "capacity" else params
+    return capacity._capacity_scenario(params)[0] if exp.name == "capacity" else params
 
 
 def numpy_stream(seed: int) -> np.random.Generator:

@@ -18,8 +18,7 @@ from mimolab.channels import (
     hardening_metric,
     polar_power,
 )
-from mimolab.cli import _run_mobility
-from mimolab.propagation import _least_drift_gain, drift_bound_check
+from mimolab.propagation import _least_drift_gain, _run_mobility, drift_bound_check
 from mimolab.rng import seed_words, uniforms
 
 from conftest import numpy_stream, pair_correlation, polar_complex_normal, rayleigh_z

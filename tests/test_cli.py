@@ -678,6 +678,34 @@ def test_command_exit_runs_atexit_and_flushes_stdout(args, code, tmp_path):
         assert golden_failures(tmp_path, "fresnel.json", "fresnel.json") == []
 
 
+# the CLI run as __main__, as python -m runs it, once per argument list in one interpreter;
+# each run's exit code follows on stdout
+_MAIN_PER_ARGV = """\
+import ast, runpy, sys
+for args in ast.literal_eval(sys.argv[1]):
+    sys.argv[1:] = args
+    try:
+        runpy.run_module("mimolab.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        print("exit", exc.code, flush=True)
+"""
+
+
+def test_library_rejects_exit_three_when_cli_runs_as_main(tmp_path):
+    # these runners raise the package's ValidationError from their own modules; one taken
+    # from mimolab.cli would import that module again beside __main__, and main's handler
+    # would miss the copy's class: a traceback and exit 1
+    runs = [(["fresnel", "--d1", "0", "--d2", "0"], "d1"), (["capacity", "--k-max", "50000"], "k_max")]
+    proc = subprocess.run([sys.executable, "-c", _MAIN_PER_ARGV, ascii([a for a, _ in runs])],
+                          capture_output=True, text=True, cwd=tmp_path, env=_cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "exit 3\n" * len(runs)
+    lines = proc.stderr.splitlines()
+    assert [line.partition(": ")[2].partition(":")[0] for line in lines] == ["d1", "k_max"]
+    assert all(line.startswith("invalid configuration: ") for line in lines)
+    assert list(tmp_path.iterdir()) == []
+
+
 # the CLI as the installed mimolab script runs it: import mimolab.cli, then call command().
 # Collections are counted from command()'s entry, the window its gc.disable() promises;
 # the import before it is outside, as compiling cli.py without bytecode may start some.

@@ -18,9 +18,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from mimolab import cli
+from mimolab import capacity, cli
 from mimolab.cli import EXPERIMENTS, resolve
 
+import bench_snapshot
 from memory_ceilings import CEILINGS
 from process_contract import AVOIDED
 
@@ -45,15 +46,15 @@ def test_memory_ceilings_run_every_memory_bound():
     for config, _ in CEILINGS:
         exp, _, _, params = resolve(config)  # valid input, or ValidationError
         if exp.name in ("capacity", "antenna-sweep"):
-            params = {**params, "sweep_length": len(cli._capacity_scenario(params)[1])}
+            params = {**params, "sweep_length": len(capacity._capacity_scenario(params)[1])}
         runs.setdefault(exp.name, []).append(params)
     squint = {param.name: param for param in EXPERIMENTS["squint"].params}
     bounds = [
         *(("squint", name, squint[name].max_value) for name in ("rows", "cols", "n_points")),
         ("hardening", "m_antennas", cli._MAX_ANTENNAS),
         ("favorable", "m_antennas", cli._MAX_ANTENNAS),
-        ("capacity", "sweep_length", cli._MAX_USER_COUNTS),
-        ("antenna-sweep", "sweep_length", cli._MAX_USER_COUNTS),
+        ("capacity", "sweep_length", capacity._MAX_USER_COUNTS),
+        ("antenna-sweep", "sweep_length", capacity._MAX_USER_COUNTS),
     ]
     unreached = [(experiment, name, bound) for experiment, name, bound in bounds
                  if all(params[name] != bound for params in runs.get(experiment, ()))]
@@ -84,10 +85,22 @@ def test_bench_snapshots_hold_every_workload_correct():
     workloads = [workload["name"] for workload in benchmark["workloads"]]
     metrics = {metric["name"] for metric in benchmark["end_to_end"]}
     assert len(workloads) == 4
+    # the fresh-process runs of bench_snapshot.py, required from the first file holding them
+    runs = {*cli.BUNDLED_CONFIGS, "hardening", "favorable"}
     for path in sorted(root.glob("BENCH_*.json")):
         snapshot = json.loads(path.read_text())
+        timed = int(path.stem.removeprefix("BENCH_")) >= 45
         assert set(snapshot) == {"commit", "dirty", "perfbench_sha256", "src_sha256", "host",
-                                 "bytecode", "harness_notes", "command", "workloads", "tier1"}, path.name
+                                 "bytecode", "harness_notes", "command", "workloads", "tier1",
+                                 *(["runs"] if timed else [])}, path.name
+        if timed:
+            section = snapshot["runs"]
+            assert section["count"] >= 11, path.name
+            assert set(section["floors"]) == set(bench_snapshot.FLOORS), path.name
+            assert set(section["no_bytecode"]) == set(section["bytecode"]) == runs, path.name
+            for figure in (*section["floors"].values(), *section["no_bytecode"].values(),
+                           *section["bytecode"].values()):
+                assert 0 < figure["q1_s"] <= figure["median_s"] <= figure["q3_s"], path.name
         assert re.fullmatch("[0-9a-f]{40}", snapshot["commit"])
         assert all(re.fullmatch("[0-9a-f]{64}", snapshot[key])
                    for key in ("perfbench_sha256", "src_sha256"))
