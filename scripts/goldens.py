@@ -6,10 +6,11 @@ Each mimolab golden is written by its own row of the process-contract table
 rule; REPORTS names the two goldens that a report script prints.  write() runs
 the table in a temporary directory, and collect() copies each own row's output
 and manifest, or its stdout, into DIR, then runs each report script in this
-process, as ``__main__``.  A ``.csv.gz`` golden is the run's CSV gzipped with
-mtime 0 and no file name, so its bytes repeat.  Regenerate tests/golden/ with
-it only beside a numerics change that CHANGES.md declares; tests/test_golden.py
-collects the goldens from Tier-1's one run of the table.
+process, as ``__main__``.  collect() leaves a ``.csv.gz`` golden as the run's
+CSV, which golden_failures() reads like the gzipped file; write() then gzips
+it with mtime 0 and no file name, so its bytes repeat.  Regenerate
+tests/golden/ with it only beside a numerics change that CHANGES.md declares;
+tests/test_golden.py collects the goldens from Tier-1's one run of the table.
 """
 
 import contextlib
@@ -46,11 +47,12 @@ def collect(contract_dir, reports, directory) -> None:
 
     The mimolab goldens come from the process-contract table that ran in
     contract_dir, whose reports by row process_contract.check() returned; each
-    golden's own row must have exited 0 with nothing on stderr.
+    golden's own row must have exited 0 with nothing on stderr.  A .csv.gz
+    golden is written uncompressed.
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for i, (args, _, name, *_, rule) in enumerate(process_contract.ROWS):
+    for i, (args, _, name, _, _, _, rule, _) in enumerate(process_contract.ROWS):
         if rule is None:
             continue
         report = reports[i]
@@ -60,19 +62,20 @@ def collect(contract_dir, reports, directory) -> None:
             (directory / name).write_text(report[1], encoding="utf-8")
             continue
         output = pathlib.Path(contract_dir, str(i), name.removesuffix(".gz"))
-        data = output.read_bytes()
-        if output.name != name:
-            data = gzip.compress(data, mtime=0)
-        (directory / name).write_bytes(data)
+        shutil.copyfile(output, directory / name)
         shutil.copyfile(f"{output}.manifest.json", directory / f"{output.name}.manifest.json")
     for name in REPORTS:
         (directory / name).write_text(report_stdout(name.replace(".txt", ".py")), encoding="utf-8")
 
 
 def write(directory) -> None:
-    """Run the process-contract table in a temporary directory; collect its goldens."""
+    """Run the process-contract table in a temporary directory; collect its goldens and
+    gzip the .csv.gz ones."""
     with tempfile.TemporaryDirectory() as contract_dir:
         collect(contract_dir, process_contract.check(contract_dir)[1], directory)
+    for path in (pathlib.Path(directory, name) for name in process_contract.RULES):
+        if path.suffix == ".gz":
+            path.write_bytes(gzip.compress(path.read_bytes(), mtime=0))
 
 
 if __name__ == "__main__":

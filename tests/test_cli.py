@@ -76,157 +76,14 @@ def test_duplicate_key_is_a_parse_error(tmp_path, monkeypatch, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        (["fresnel", "--seed"], "flag --seed needs a value"),
-        (["fresnel", "--set", "d1"], "--set expects key=value, got 'd1'"),
-        (["fresnel", "-x"], "unknown flag '-x'"),
-        (["fresnel", "squint"], "unexpected arguments: ['squint']"),
-        (["list", "squint"], "unexpected arguments: ['squint']"),
-        # a listing is the only token on its line
-        (["--list", "squint"], "unexpected arguments: ['squint']"),
-        (["squint", "--list"], "unexpected arguments: ['--list']"),
-        (["list", "--seed", "3", "--output", "x.json"],
-         "a listing takes no other argument, got '--seed'"),
-        (["--seed", "3", "--list"], "a listing takes no other argument, got '--seed'"),
-        (["--list", "--set", "seed=3"], "a listing takes no other argument, got '--set'"),
-        # command-line keys follow a config file's key grammar
-        (["fresnel", "--", "3"], "invalid key ''"),
-        (["fresnel", "--set", "=3"], "invalid key ''"),
-        (["fresnel", "--Seed", "3"], "invalid key 'Seed'"),
-        (["linkbudget", "--set", "entry_X=3"], "invalid key 'entry_X'"),
-        (["fresnel", "--seed\n", "5"], "invalid key 'seed\\n'"),
-    ],
-    ids=["flag-without-value", "set-without-equals", "unknown-short-flag", "second-positional",
-         "list-with-argument", "list-flag-with-argument", "list-flag-after-experiment",
-         "list-with-keys", "list-flag-after-keys", "list-flag-with-set", "empty-flag-key",
-         "empty-set-key", "uppercase-key", "uppercase-ledger-label", "key-with-final-newline"],
-)
-def test_command_line_error_has_no_position(args, message, tmp_path, monkeypatch, capsys):
-    code = run_cli(args, tmp_path, monkeypatch)
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err == f"parse error: {message}\n"
-    assert captured.out == ""
-    assert list(tmp_path.iterdir()) == []
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
-
-def test_unknown_parameter_names_the_field(tmp_path, monkeypatch, capsys):
-    code = run_cli(["fresnel", "--set", "freq_gz=38"], tmp_path, monkeypatch)
-    assert code == 3
-    assert "freq_gz" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("args", [["--set", "entry_=3"], ["--entry-", "3"]])
-def test_ledger_entry_without_label_is_unknown(args, tmp_path, monkeypatch, capsys):
-    code = run_cli(["linkbudget", *args, "--output", "lb.json"], tmp_path, monkeypatch)
-    assert code == 3
-    assert "invalid configuration: entry_: unknown parameter" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_unknown_experiment_prints_listing(tmp_path, monkeypatch, capsys):
-    code = run_cli(["warp-drive"], tmp_path, monkeypatch)
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("invalid configuration: experiment: ")
-    assert len(captured.err.splitlines()) == 1
-    assert "warp-drive" in captured.err
-    for name in EXPERIMENTS:
-        assert repr(name) in captured.err
-
-
-def test_missing_experiment_names_the_field(tmp_path, monkeypatch, capsys):
-    code = run_cli(["--seed", "3"], tmp_path, monkeypatch)
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("invalid configuration: experiment: ")
-    assert len(captured.err.splitlines()) == 1
-    assert list(tmp_path.iterdir()) == []
-
 
 @pytest.mark.parametrize("config", [{}, {"experiment": "nope"}], ids=["missing", "unknown"])
 def test_resolve_rejects_missing_or_unknown_experiment(config):
     with pytest.raises(ValidationError, match=r"^experiment: expected one of \('squint', "):
         resolve(config)
-
-
-def test_bad_value_type_is_validation_error(tmp_path, monkeypatch, capsys):
-    code = run_cli(["fresnel", "--set", "freq_ghz=fast"], tmp_path, monkeypatch)
-    assert code == 3
-    assert "freq_ghz" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "args, field",
-    [
-        (["squint", "--set", "n_points=1"], "n_points"),
-        # past the bound that keeps the center channel vector within memory
-        (["squint", "--rows", "20000"], "rows"),
-        # past the bound that keeps the per-point CSV rows within memory
-        (["squint", "--n-points", "1000001"], "n_points"),
-        # past the bounds that keep the per-draw antenna samples within memory
-        (["hardening", "--m-antennas", "10000001"], "m_antennas"),
-        (["favorable", "--m-antennas", "10000001"], "m_antennas"),
-        (["mobility", "--m-antennas", "10000001"], "m_antennas"),
-        # past the bound that keeps the per-K CSV rows within memory: 1,040,000 user counts
-        (["capacity", "--fine", "true", "--coherence-time-s", "2.6"], "k_step"),
-        (["antenna-sweep", "--fine", "true", "--coherence-time-s", "2.6"], "k_step"),
-        # coherence blocks of no sample and of more than 2**53 samples
-        (["capacity", "--coherence-time-s", "1e-9"], "coherence_time_s"),
-        (["capacity", "--coherence-time-s", "1e12"], "coherence_time_s"),
-        (["antenna-sweep", "--coherence-bandwidth-hz", "1"], "coherence_time_s"),
-        # a coherence block of infinitely many samples
-        (["capacity", "--coherence-time-s", "1.7e308"], "coherence_time_s"),
-        (["antenna-sweep", "--coherence-time-s", "1.7e308"], "coherence_time_s"),
-        # half a wavelength at the center frequency underflows to 0 m
-        (["squint", "--center-frequency-hz", "1.7e308"], "center_frequency_hz"),
-        # the bandwidth-scaled uplink SNR underflows to 0
-        (["capacity", "--snr-scaling", "bandwidth", "--ul-pilot-snr", "1e-300",
-          "--reference-bandwidth-hz", "1e-300", "--bandwidth-hz", "1e300"], "ul_pilot_snr"),
-        # library checks across fields: the K grid against the coherence block of 40,000 samples
-        (["capacity", "--k-max", "50000"], "k_max"),
-        (["capacity", "--k-min", "50000"], "k_min"),
-        (["antenna-sweep", "--k-min", "9", "--k-max", "2"], "k_min"),
-        # a link of zero length, and a channel block wider than the subcarrier grid
-        (["fresnel", "--d1", "0", "--d2", "0"], "d1"),
-        (["estload", "--subcarriers-per-block", "2000"], "subcarriers_per_block"),
-        # half a wavelength at the center frequency overflows to inf m
-        (["squint", "--center-frequency-hz", "5e-301", "--span-hz", "1e-301",
-          "--rows", "1", "--cols", "1"], "center_frequency_hz"),
-        # SNR products that overflow: the downlink SNR dl_ul_power_ratio * rho_ul, the
-        # bandwidth-scaled uplink SNR, and the pilot energy K * rho_ul of the largest K
-        (["capacity", "--dl-ul-power-ratio", "1e308", "--k-step", "1000"], "dl_ul_power_ratio"),
-        (["antenna-sweep", "--dl-ul-power-ratio", "1e308"], "dl_ul_power_ratio"),
-        (["capacity", "--ul-pilot-snr", "1e200", "--dl-ul-power-ratio", "1e200",
-          "--k-step", "1000"], "dl_ul_power_ratio"),
-        (["capacity", "--ul-pilot-snr", "1e308", "--snr-scaling", "bandwidth",
-          "--reference-bandwidth-hz", "1e10", "--bandwidth-hz", "1", "--k-step", "1000"],
-         "ul_pilot_snr"),
-        (["capacity", "--ul-pilot-snr", "1e305", "--dl-ul-power-ratio", "1"], "ul_pilot_snr"),
-        # a wavelength c/f that overflows to inf m, and a frequency of 1e309 Hz
-        (["fresnel", "--freq-ghz", "1e-320"], "freq_ghz"),
-        (["fresnel", "--freq-ghz", "1e300"], "freq_ghz"),
-    ],
-)
-def test_out_of_range_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
-    code = run_cli(args, tmp_path, monkeypatch)
-    assert code == 3
-    assert field in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_missing_config_file(tmp_path, monkeypatch, capsys):
-    code = run_cli(["--config", "no_such_file.ini"], tmp_path, monkeypatch)
-    assert code == 3
-    assert "config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -252,14 +109,6 @@ def test_unreadable_config_or_unwritable_output(args, name, code, tmp_path, monk
     assert len(err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "a_file", "latin1.ini"]
     assert list((tmp_path / "a_dir").iterdir()) == []
-
-
-def test_runtime_failure_exits_four(tmp_path, monkeypatch, capsys):
-    # valid input whose result is not a number: FOM * fs * 2**ENOB overflows to inf
-    args = ["hwbudget", "--fom-j-per-cs", "1e300", "--enob-a", "1000", "--output", "h.json"]
-    assert run_cli(args, tmp_path, monkeypatch) == 4
-    assert capsys.readouterr().err.startswith("runtime failure: adc_a.unit_power_w ")
-    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -301,91 +150,6 @@ def test_drift_bound_violation_is_runtime_failure(tmp_path, monkeypatch, capsys)
     assert err.startswith("runtime failure: drift gain 16.0 fell below the bound")
     assert len(err.splitlines()) == 1
     assert list(tmp_path.iterdir()) == []
-
-
-def test_mu_above_an_eighth_rejected(tmp_path, monkeypatch, capsys):
-    code = run_cli(["mobility", "--set", "mu_list=0.3"], tmp_path, monkeypatch)
-    assert code == 3
-    assert "mu_list" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "args, field",
-    [
-        (["squint", "--span-hz", "nan"], "span_hz"),
-        (["fresnel", "--freq-ghz", "nan"], "freq_ghz"),
-        (["capacity", "--ul-pilot-snr", "inf"], "ul_pilot_snr"),
-        (["fresnel", "--d1", "-inf"], "d1"),
-        (["squint", "--rows", "nan"], "rows"),
-        (["mobility", "--mu-list", "0.1,nan"], "mu_list"),
-        # finite, but 2**enob overflows a double
-        (["hwbudget", "--enob-a", "2000"], "enob_a"),
-        # no formula reads the carrier, so only the schema can reject it
-        (["capacity", "--carrier-hz", "nan"], "carrier_hz"),
-    ],
-)
-def test_non_finite_value_is_validation_error(args, field, tmp_path, monkeypatch, capsys):
-    code = run_cli(args + ["--output", "out.txt"], tmp_path, monkeypatch)
-    assert code == 3
-    assert field in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-# the first non-finite quantity each experiment's failure below must name
-NON_FINITE_QUANTITY = {
-    "estload": "estimates_per_second",
-    "capacity": "rate_per_ue_bps",
-    "antenna-sweep": "rate_per_ue_bps",  # only in CSV rows; the manifest stays finite
-    "hwbudget": "adc_a.unit_power_w",
-    "linkbudget": "total_db",  # math.fsum raises on overflow instead of returning inf
-}
-
-
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["estload", "--m-antennas", "1000000000000000000000", "--coherence-time-s", "1e-320"],
-        ["capacity", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
-        ["antenna-sweep", "--bandwidth-hz", "1e308", "--set", "k_step=1000"],
-        ["hwbudget", "--fom-j-per-cs", "1e300", "--enob-a", "1000"],
-        ["linkbudget", "--entry-a", "1e308", "--entry-b", "1e308"],
-        # M*K*blocks is an integer past the double range
-        ["estload", "--m-antennas", "1e200", "--k-users", "1e200"],
-    ],
-)
-def test_non_finite_result_is_runtime_failure(args, tmp_path, monkeypatch, capsys):
-    code = run_cli(args + ["--output", "out.txt"], tmp_path, monkeypatch)
-    err = capsys.readouterr().err
-    assert code == 4
-    assert "runtime failure" in err
-    assert NON_FINITE_QUANTITY[args[0]] in err
-    assert len(err.splitlines()) == 1
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_adc_power_underflow_is_runtime_failure(tmp_path, monkeypatch, capsys):
-    # both converter powers underflow to 0 W, so the ratio has no value
-    args = ["hwbudget", "--fom-j-per-cs", "1e-320", "--sample-rate-hz", "1e-10",
-            "--enob-a", "1", "--enob-b", "1", "--output", "out.json"]
-    assert run_cli(args, tmp_path, monkeypatch) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("runtime failure: adc_power_ratio_a_over_b: ")
-    assert len(err.splitlines()) == 1
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_invalid_rate_arithmetic_is_runtime_failure(tmp_path, monkeypatch, capsys):
-    # finite SNRs, but M*gamma*rho_dl/K overflows: an infinite SINR and SE, and a nan SE
-    # (1 - 1) * inf at K = tau_c; none warns, on the plain path (40 rows) or numpy's (40,000)
-    for k_step in ("1000", "1"):
-        args = ["capacity", "--m-antennas", "1e300", "--dl-ul-power-ratio", "1e10",
-                "--set", f"k_step={k_step}", "--output", "out.csv"]
-        assert run_cli(args, tmp_path, monkeypatch) == 4
-        assert capsys.readouterr().err == (
-            "runtime failure: se_per_ue in data row 1 is inf, not a finite number\n"
-        )
-        assert list(tmp_path.iterdir()) == []
-
 
 
 # ---------------------------------------------------------------------------
@@ -556,26 +320,6 @@ def test_extreme_values_exit_cleanly(tmp_path, capsys):
         if not known[exp.name] & set(re.findall(r"[A-Za-z_]\w*", err)):
             defects.append(case + ", names no field or output key")
     assert not defects, "\n".join(defects)
-
-
-def test_squint_band_below_zero_hz_is_validation_error(tmp_path, monkeypatch, capsys):
-    code = run_cli(
-        ["squint", "--set", "center_frequency_hz=60e9", "--set", "span_hz=120e9"],
-        tmp_path,
-        monkeypatch,
-    )
-    assert code == 3
-    assert "span_hz" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_squint_band_too_narrow_to_sample_names_the_span(tmp_path, monkeypatch, capsys):
-    # 201 points within 1e-6 Hz of 60 GHz round onto a few distinct doubles
-    code = run_cli(["squint", "--rows", "4", "--cols", "4", "--span-hz", "1e-6"],
-                   tmp_path, monkeypatch)
-    assert code == 3
-    assert capsys.readouterr().err.startswith("invalid configuration: span_hz: ")
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_other_squint_sweep_failures_stay_runtime_failures(tmp_path, monkeypatch, capsys):
@@ -1335,6 +1079,76 @@ def test_process_contract(i, contract_run):
     assert failures[i] == []
 
 
+def _failures_of(contract_run, *argvs):
+    """The failures of the process-contract rows of these argument lists."""
+    rows = {tuple(row[0]): i for i, row in enumerate(process_contract.ROWS)}
+    return [failure for args in argvs for failure in contract_run[1][rows[tuple(args)]]]
+
+
+def _view(*argvs):
+    """A test that passes when the process-contract rows of these argument lists pass."""
+    def test(contract_run):
+        assert _failures_of(contract_run, *argvs) == []
+    return test
+
+
+# The tests below ran their argv in process until they became process-contract rows, which
+# also check empty stdout and the module set; each keeps its name and ids as a view of its
+# rows.
+@pytest.mark.parametrize("args", [row[0] for row in process_contract.PARSE_ERRORS], ids=[
+    "flag-without-value", "set-without-equals", "unknown-short-flag", "second-positional",
+    "list-with-argument", "list-flag-with-argument", "list-flag-after-experiment",
+    "list-with-keys", "list-flag-after-keys", "list-flag-with-set", "empty-flag-key",
+    "empty-set-key", "uppercase-key", "uppercase-ledger-label", "key-with-final-newline"])
+def test_command_line_error_has_no_position(args, contract_run):
+    assert _failures_of(contract_run, args) == []
+
+
+# a row's argv and field, so that each id names the field as before
+@pytest.mark.parametrize("args, field", [(row[0], row[7])
+                                        for row in process_contract.OUT_OF_RANGE])
+def test_out_of_range_value_is_validation_error(args, field, contract_run):
+    assert _failures_of(contract_run, args) == []
+
+
+@pytest.mark.parametrize("args, field", [(row[0], row[7])
+                                        for row in process_contract.NON_FINITE_VALUES])
+def test_non_finite_value_is_validation_error(args, field, contract_run):
+    assert _failures_of(contract_run, args) == []
+
+
+@pytest.mark.parametrize("args", [row[0] for row in process_contract.NON_FINITE_RESULTS])
+def test_non_finite_result_is_runtime_failure(args, contract_run):
+    assert _failures_of(contract_run, args) == []
+
+
+@pytest.mark.parametrize("args", [["linkbudget", "--set", "entry_=3", "--output", "lb.json"],
+                                  ["linkbudget", "--entry-", "3", "--output", "lb.json"]])
+def test_ledger_entry_without_label_is_unknown(args, contract_run):
+    assert _failures_of(contract_run, args) == []
+
+
+test_unknown_parameter_names_the_field = _view(["fresnel", "--set", "freq_gz=38"])
+test_unknown_experiment_prints_listing = _view(["warp-drive"])
+test_missing_experiment_names_the_field = _view(["--seed", "3"])
+test_bad_value_type_is_validation_error = _view(["fresnel", "--set", "freq_ghz=fast"])
+test_missing_config_file = _view(["--config", "no_such_file.ini"])
+test_mu_above_an_eighth_rejected = _view(["mobility", "--mu-list", "0.2"])
+test_squint_band_below_zero_hz_is_validation_error = _view(
+    ["squint", "--center-frequency-hz", "60e9", "--span-hz", "120e9"])
+test_squint_band_too_narrow_to_sample_names_the_span = _view(
+    ["squint", "--rows", "4", "--cols", "4", "--span-hz", "1e-6"])
+test_runtime_failure_exits_four = _view(
+    ["hwbudget", "--fom-j-per-cs", "1e300", "--enob-a", "1000", "--output", "out.txt"])
+test_adc_power_underflow_is_runtime_failure = _view(
+    ["hwbudget", "--fom-j-per-cs", "1e-320", "--sample-rate-hz", "1e-10", "--enob-a", "1",
+     "--enob-b", "1", "--output", "out.json"])
+# the plain path's 40 rows and numpy's 40,000
+test_invalid_rate_arithmetic_is_runtime_failure = _view(*(
+    ["capacity", "--m-antennas", "1e300", "--dl-ul-power-ratio", "1e10", "--k-step", k_step,
+     "--output", "out.csv"] for k_step in ("1000", "1")))
+
+
 def _experiment(args):
     """The experiment a table row's argv runs: its command, or its --config's experiment."""
     if args[:1] and args[0] in EXPERIMENTS:
@@ -1379,7 +1193,7 @@ def test_squint_run_loads_no_numpy_random_or_hashlib(contract_run):
             if code == 0 and _experiment(args) == "squint"]
     assert rows
     for i in rows:
-        _, _, _, env, _, avoided, _ = process_contract.ROWS[i]
+        _, _, _, env, _, avoided, *_ = process_contract.ROWS[i]
         assert env == process_contract.NUMPY_IMPORTABLE
         assert {"numpy.random", "hashlib", "_hashlib"} <= set(avoided)
         assert failures[i] == []

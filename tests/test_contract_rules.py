@@ -35,7 +35,7 @@ def _run(tmp_path, args):
 
 def _failures(tmp_path, i, code=None, stdout=None, stderr="", added=None):
     """Row i's failures on a report that keeps the row, but for what is given."""
-    _, row_code, golden, _, modules, _, _ = ROWS[i]
+    _, row_code, golden, _, modules, *_ = ROWS[i]
     if stdout is None:
         stdout = (GOLDEN / golden).read_text() if str(golden).endswith(".txt") else ""
     if added is None:
@@ -49,6 +49,9 @@ def _edit(output, old, new):
     output.write_text(text.replace(old, new))
 
 
+_NAN_REJECT = "invalid configuration: freq_ghz: expected a finite number, got 'nan'\n"
+
+
 def test_a_wrong_exit_code_fails(tmp_path):
     i, _ = _run(tmp_path, ["fresnel", "--freq-ghz", "nan"])
     assert _failures(tmp_path, i, code=0) == ["exit 0, expected 3: "]
@@ -57,7 +60,33 @@ def test_a_wrong_exit_code_fails(tmp_path):
 def test_a_nonzero_exit_that_writes_a_file_fails(tmp_path):
     i, _ = _run(tmp_path, ["fresnel", "--freq-ghz", "nan"])
     (tmp_path / str(i) / "out.json").write_text("{}\n")
-    assert _failures(tmp_path, i) == ["exit 3, yet it wrote ['out.json']"]
+    assert _failures(tmp_path, i, stderr=_NAN_REJECT) == ["exit 3, yet it wrote ['out.json']"]
+
+
+def test_a_nonzero_exit_that_prints_fails(tmp_path):
+    i, _ = _run(tmp_path, ["fresnel", "--freq-ghz", "nan"])
+    assert _failures(tmp_path, i, stdout="ok\n", stderr=_NAN_REJECT) == [
+        "exit 3, yet it printed 'ok\\n'"]
+
+
+@pytest.mark.parametrize("stderr, failed", [
+    (_NAN_REJECT, False),
+    ("invalid configuration: freq_ghz_x: unknown\n", True),  # names another field
+    ("invalid configuration: d1: freq_ghz is nan\n", True),  # names it only in the text
+    (_NAN_REJECT + "Traceback\n", True),  # two lines
+    (_NAN_REJECT[:-1], True),  # no final newline
+])
+def test_a_reject_must_name_its_field_on_one_line(stderr, failed, tmp_path):
+    i, _ = _run(tmp_path, ["fresnel", "--freq-ghz", "nan"])
+    assert _failures(tmp_path, i, stderr=stderr) == (
+        [f"stderr {stderr!r} is not one line naming freq_ghz"] if failed else [])
+
+
+def test_a_reject_must_print_its_exact_stderr(tmp_path):
+    i, _ = _run(tmp_path, ["fresnel", "--seed"])
+    stderr = "parse error: flag --seed wants a value\n"
+    assert _failures(tmp_path, i, stderr=stderr) == [
+        f"stderr {stderr!r}, expected 'parse error: flag --seed needs a value\\n'"]
 
 
 def test_stderr_on_exit_0_fails(tmp_path):

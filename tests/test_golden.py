@@ -5,13 +5,13 @@ one table of the mimolab goldens, and its golden_failures() the one rule that
 compares a written file and its manifest with a golden; test_process_contract
 applies it to every row's output.  Tier-1 runs the table once, forked, in the
 session fixture ``contract_run``.  Here goldens.collect() writes the goldens
-from that run, as goldens.py does, and runs the two reports in process: it
-must write exactly the tree of tests/golden/, each mimolab golden must pass
-golden_failures(), and each report must match byte for byte.  The listing,
-its --list alias and the usage text are also run in process here, through
-pytest's capture.  A change that moves a value past the rule regenerates the
-goldens with scripts/goldens.py and declares the numerics change in
-CHANGES.md.
+from that run, as goldens.py does but with the .csv.gz goldens uncompressed,
+and runs the two reports in process: it must write exactly the file names of
+tests/golden/, each mimolab golden must pass golden_failures(), and each
+report must match byte for byte.  The listing, its --list alias and the usage
+text are also run in process here, through pytest's capture.  A change that
+moves a value past the rule regenerates the goldens with scripts/goldens.py
+and declares the numerics change in CHANGES.md.
 """
 
 import pytest
