@@ -52,12 +52,12 @@ def collect(contract_dir, reports, directory) -> None:
     """
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for i, (args, _, name, _, _, _, rule, _) in enumerate(process_contract.ROWS):
-        if rule is None:
+    for i, row in enumerate(process_contract.ROWS):
+        if row.rule is None:
             continue
-        report = reports[i]
+        report, name = reports[i], row.golden
         if report is None or report[0] != 0 or report[2]:
-            raise RuntimeError(f"mimolab {args} did not exit 0 with an empty stderr: {report}")
+            raise RuntimeError(f"mimolab {row.args} did not exit 0 with an empty stderr: {report}")
         if name.endswith(".txt"):
             (directory / name).write_text(report[1], encoding="utf-8")
             continue

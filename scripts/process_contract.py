@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every row of the CLI's process contract: python scripts/process_contract.py [DIR].
 
-ROWS holds one row per mimolab run: its argv, its exit code, the golden file
+ROWS holds one Row per mimolab run: its argv, its exit code, the golden file
 of its output or of its stdout (None for neither), its environment, the
 ``mimolab`` modules it leaves loaded, the modules it must not add, the
 golden's comparison rule, and the stderr of a non-zero exit.  The table owns
@@ -42,9 +42,9 @@ row's, exits 0 yet writes to stderr, prints other than its .txt golden,
 leaves loaded other ``mimolab`` modules than its own, or adds a module it
 must not add (a name, or a package with its submodules), or if its fork
 fails.  A non-zero row's stderr is either an exact text (ending in a newline)
-or a field, which the one stderr line must name as ``: FIELD: ``.  An exit-0
-row with any other golden fails unless its output and manifest keep the
-golden's rule (golden_failures).  Tier-1 runs check() once per session, in
+or a field: its one stderr line must then start
+``invalid configuration: FIELD: ``.  An exit-0 row with any other golden
+fails unless its output and manifest keep the golden's rule (golden_failures).  Tier-1 runs check() once per session, in
 both environments, and collects the goldens from the same run.  Where numpy
 cannot be imported at all, the script skips the NUMPY_IMPORTABLE rows and
 says so.  The rows run in DIR, which is made if missing and kept, or else in
@@ -61,6 +61,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from typing import NamedTuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -86,6 +87,17 @@ PROPAGATION = ("cli", "propagation")
 HARDWARE = ("cli", "hardware")
 
 
+class Row(NamedTuple):
+    args: list  # argv
+    code: int  # exit code
+    golden: str | None  # golden file of its output or of its stdout
+    env: str  # NUMPY_BLOCKED or NUMPY_IMPORTABLE
+    modules: tuple  # mimolab modules it leaves loaded
+    avoided: tuple  # modules it must not add
+    rule: tuple | None  # (exact CSV columns, pinned) of its own golden's row
+    stderr: str | None  # of a non-zero exit: its exact text, or the field it names
+
+
 def _row(args, code, golden, modules, env, rule=None, stderr=None):
     """A row, with the modules it must not add, which follow from its environment and its
     mimolab modules."""
@@ -93,7 +105,7 @@ def _row(args, code, golden, modules, env, rule=None, stderr=None):
         avoided = AVOIDED
     else:
         avoided = NUMPY_AVOIDED if "channels" in modules else UNSEEDED_AVOIDED
-    return args, code, golden, env, modules, avoided, rule, stderr
+    return Row(args, code, golden, env, modules, avoided, rule, stderr)
 
 
 def _golden(name, args, modules, exact=0, pinned=False, env=NUMPY_BLOCKED):
@@ -229,9 +241,6 @@ NON_FINITE_RESULTS = [_reject(args, 4, f"runtime failure: {message}\n", modules)
      "estimates_per_second is inf, not a finite number", PROPAGATION),
 ]]
 
-# (argv, exit code, golden file of the output or of stdout, environment,
-#  mimolab modules left loaded, modules it must not add, rule of its own golden row,
-#  stderr of a non-zero exit)
 ROWS = [
     _golden("fresnel.json", ["fresnel"], PROPAGATION),
     _golden("linkbudget.json", ["linkbudget", "--entry-window", "-40", "--entry-foliage", "-12.5"],
@@ -274,6 +283,9 @@ ROWS = [
     _alias(["--list"], "list.txt", ("cli",)),
     _golden("usage.txt", [], ("cli",), pinned=True),
     _alias(["--help"], "usage.txt", ("cli",)),
+    # help stops at its own token, whatever else the line holds
+    *(_alias(args, "usage.txt", ("cli",)) for args in (["--list", "--help"], ["list", "-h"],
+                                                        ["--help", "--list"])),
     # parse and schema rejects load no library module
     _reject(["--config", "../malformed.ini"], 2,
             "parse error: line 2, column 1: expected 'key = value'\n"),
@@ -288,16 +300,20 @@ ROWS = [
     _reject(["fresnel", "--set", "freq_gz=38"], 3, "freq_gz"),
     _reject(["fresnel", "--set", "freq_ghz=fast"], 3, "freq_ghz"),
     # a ledger entry without a label is an unknown parameter
-    _reject(["linkbudget", "--set", "entry_=3", "--output", "lb.json"], 3, "entry_"),
-    _reject(["linkbudget", "--entry-", "3", "--output", "lb.json"], 3, "entry_"),
+    *(_reject(["linkbudget", *args, "--output", "lb.json"], 3,
+              "invalid configuration: entry_: unknown parameter for experiment 'linkbudget'\n")
+      for args in (["--set", "entry_=3"], ["--entry-", "3"])),
     _reject(["--config", "no_such_file.ini"], 3, "config"),
     # squint's schema reject comes before its numpy import
     _reject(["squint", "--center-frequency-hz", "60e9", "--span-hz", "120e9"], 3, "span_hz"),
+    _reject(["squint", "--set", "center_frequency_hz=60e9", "--set", "span_hz=120e9"], 3,
+            "span_hz"),
     # 201 points within 1e-6 Hz of 60 GHz round onto a few distinct doubles
     _reject(["squint", "--rows", "4", "--cols", "4", "--span-hz", "1e-6"], 3, "span_hz", SQUINT,
             NUMPY_IMPORTABLE),
     # a drift amplitude above 1/8 wavelength is outside mobility's schema
     _reject(["mobility", "--mu-list", "0.2"], 3, "mu_list"),
+    _reject(["mobility", "--set", "mu_list=0.3"], 3, "mu_list"),
     *NON_FINITE_VALUES,
     *OUT_OF_RANGE,
     _reject(["capacity", "--coherence-time-s", "1e-300"], 3, "coherence_time_s", CAPACITY),
@@ -352,7 +368,7 @@ ROWS = [
          MONTE_CARLO, NUMPY_IMPORTABLE),
 ]
 # each golden's rule, from its own row
-RULES = {row[2]: row[6] for row in ROWS if row[6]}
+RULES = {row.golden: row.rule for row in ROWS if row.rule}
 
 
 def _content(path):
@@ -497,7 +513,7 @@ def check(directory, envs=(NUMPY_BLOCKED, NUMPY_IMPORTABLE)):
     directory = pathlib.Path(directory)
     (directory / "malformed.ini").write_text("experiment = fresnel\nfreq_ghz 38\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), *sys.path]))
-    rows = {env: [(i, row[0]) for i, row in enumerate(ROWS) if row[3] == env] for env in envs}
+    rows = {env: [(i, row.args) for i, row in enumerate(ROWS) if row.env == env] for env in envs}
     parts = []
     for env in envs:
         n = 2 if env == NUMPY_IMPORTABLE else 1
@@ -524,41 +540,43 @@ def check(directory, envs=(NUMPY_BLOCKED, NUMPY_IMPORTABLE)):
 
 def _stderr_failures(stderr, expected) -> list[str]:
     """Where a non-zero exit's stderr leaves its expectation: the exact text, or, for a
-    field, one line that names it as ``: FIELD: ``."""
+    field, one line that starts ``invalid configuration: FIELD: ``."""
     if expected.endswith("\n"):
         return [] if stderr == expected else [f"stderr {stderr!r}, expected {expected!r}"]
-    if stderr.count("\n") == 1 and stderr.endswith("\n") and f": {expected}: " in stderr:
+    start = f"invalid configuration: {expected}: "
+    if stderr.count("\n") == 1 and stderr.endswith("\n") and stderr.startswith(start):
         return []
     return [f"stderr {stderr!r} is not one line naming {expected}"]
 
 
 def _row_failures(directory, i, report) -> list[str]:
     """What row i's report breaks of the row."""
-    args, code, golden, _, modules, avoided, _, expected = ROWS[i]
+    row = ROWS[i]
     if report is None:
         return ["the fork failed; run the row alone to see why"]
     exit_code, stdout, stderr, added = report
     failures = []
     written = sorted(p.name for p in (directory / str(i)).iterdir())
-    if exit_code != code:
-        failures.append(f"exit {exit_code}, expected {code}: {stderr}")
-    elif code and written:
-        failures.append(f"exit {code}, yet it wrote {written}")
-    elif code and stdout:
-        failures.append(f"exit {code}, yet it printed {stdout!r}")
-    elif code:
-        failures += _stderr_failures(stderr, expected)
+    if exit_code != row.code:
+        failures.append(f"exit {exit_code}, expected {row.code}: {stderr}")
+    elif exit_code and written:
+        failures.append(f"exit {exit_code}, yet it wrote {written}")
+    elif exit_code and stdout:
+        failures.append(f"exit {exit_code}, yet it printed {stdout!r}")
+    elif exit_code:
+        failures += _stderr_failures(stderr, row.stderr)
     elif stderr:
         failures.append(f"exit 0, yet it wrote to stderr: {stderr}")
-    elif str(golden).endswith(".txt") and stdout != (GOLDEN / golden).read_text("utf-8"):
-        failures.append(f"stdout is not {golden}")
+    elif str(row.golden).endswith(".txt") and stdout != (GOLDEN / row.golden).read_text("utf-8"):
+        failures.append(f"stdout is not {row.golden}")
     loaded = tuple(name.removeprefix("mimolab.") for name in added if name.startswith("mimolab."))
-    if loaded != modules:
-        failures.append(f"loaded the mimolab modules {list(loaded)}, not {list(modules)}")
-    if any(_avoids(name, avoided) for name in added):
-        failures.append(f"loaded {[name for name in added if _avoids(name, avoided)]}")
-    if not code and golden and not golden.endswith(".txt"):
-        failures += golden_failures(directory / str(i), args[args.index("--output") + 1], golden)
+    if loaded != row.modules:
+        failures.append(f"loaded the mimolab modules {list(loaded)}, not {list(row.modules)}")
+    if any(_avoids(name, row.avoided) for name in added):
+        failures.append(f"loaded {[name for name in added if _avoids(name, row.avoided)]}")
+    if not row.code and row.golden and not row.golden.endswith(".txt"):
+        output = row.args[row.args.index("--output") + 1]
+        failures += golden_failures(directory / str(i), output, row.golden)
     return failures
 
 
@@ -575,7 +593,7 @@ if __name__ == "__main__":
     sys.stdout.reconfigure(errors="backslashreplace")  # an output name may hold a lone surrogate
     for i, row_failures in failures.items():
         for failure in row_failures:
-            print(f"FAIL  row {i} {ROWS[i][0]} ({ROWS[i][3]}): {failure}")
+            print(f"FAIL  row {i} {ROWS[i].args} ({ROWS[i].env}): {failure}")
     if len(failures) < len(ROWS):
         print(f"numpy cannot be imported: skipped the {len(ROWS) - len(failures)} "
               f"{NUMPY_IMPORTABLE} rows")

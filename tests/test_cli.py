@@ -529,11 +529,6 @@ def test_integer_accepts_exponent_notation(tmp_path, monkeypatch):
 # usage and listing
 # ---------------------------------------------------------------------------
 
-def test_no_args_prints_usage_and_succeeds(tmp_path, monkeypatch, capsys):
-    assert run_cli([], tmp_path, monkeypatch) == 0
-    assert "usage:" in capsys.readouterr().out
-
-
 def test_list_includes_every_default(tmp_path, monkeypatch, capsys):
     assert run_cli(["list"], tmp_path, monkeypatch) == 0
     text = capsys.readouterr().out
@@ -542,13 +537,6 @@ def test_list_includes_every_default(tmp_path, monkeypatch, capsys):
         for param in exp.params:
             assert param.name in text
             assert f"default {param.default}" in text
-
-
-@pytest.mark.parametrize("args", [["--list", "--help"], ["list", "-h"], ["--help", "--list"]])
-def test_help_beside_a_listing_prints_usage(args, tmp_path, monkeypatch, capsys):
-    # help stops at its own token, whatever else the line holds
-    assert run_cli(args, tmp_path, monkeypatch) == 0
-    assert capsys.readouterr().out == (GOLDEN / "usage.txt").read_text()
 
 
 def test_listing_mentions_bundled_configs():
@@ -1072,17 +1060,19 @@ def test_console_entry_point():
     assert "squint" in proc.stdout
 
 
-@pytest.mark.parametrize("i", range(len(process_contract.ROWS)),
-                         ids=[",".join(row[0]) or "no-arguments" for row in process_contract.ROWS])
+@pytest.mark.parametrize("i", range(len(process_contract.ROWS)), ids=[
+    ",".join(row.args) or "no-arguments" for row in process_contract.ROWS])
 def test_process_contract(i, contract_run):
     _, failures, _ = contract_run
     assert failures[i] == []
 
 
+_ROW_OF = {tuple(row.args): i for i, row in enumerate(process_contract.ROWS)}
+
+
 def _failures_of(contract_run, *argvs):
     """The failures of the process-contract rows of these argument lists."""
-    rows = {tuple(row[0]): i for i, row in enumerate(process_contract.ROWS)}
-    return [failure for args in argvs for failure in contract_run[1][rows[tuple(args)]]]
+    return [failure for args in argvs for failure in contract_run[1][_ROW_OF[tuple(args)]]]
 
 
 def _view(*argvs):
@@ -1092,50 +1082,44 @@ def _view(*argvs):
     return test
 
 
+def _views(argvs, ids=None):
+    """A test of each of these argument lists' process-contract rows."""
+    @pytest.mark.parametrize("args", argvs, ids=ids)
+    def test(args, contract_run):
+        assert _failures_of(contract_run, args) == []
+    return test
+
+
+def _args(rows):
+    return [row.args for row in rows]
+
+
 # The tests below ran their argv in process until they became process-contract rows, which
 # also check empty stdout and the module set; each keeps its name and ids as a view of its
-# rows.
-@pytest.mark.parametrize("args", [row[0] for row in process_contract.PARSE_ERRORS], ids=[
+# rows, an out-of-range or non-finite value's id naming its field.
+test_command_line_error_has_no_position = _views(_args(process_contract.PARSE_ERRORS), ids=[
     "flag-without-value", "set-without-equals", "unknown-short-flag", "second-positional",
     "list-with-argument", "list-flag-with-argument", "list-flag-after-experiment",
     "list-with-keys", "list-flag-after-keys", "list-flag-with-set", "empty-flag-key",
     "empty-set-key", "uppercase-key", "uppercase-ledger-label", "key-with-final-newline"])
-def test_command_line_error_has_no_position(args, contract_run):
-    assert _failures_of(contract_run, args) == []
-
-
-# a row's argv and field, so that each id names the field as before
-@pytest.mark.parametrize("args, field", [(row[0], row[7])
-                                        for row in process_contract.OUT_OF_RANGE])
-def test_out_of_range_value_is_validation_error(args, field, contract_run):
-    assert _failures_of(contract_run, args) == []
-
-
-@pytest.mark.parametrize("args, field", [(row[0], row[7])
-                                        for row in process_contract.NON_FINITE_VALUES])
-def test_non_finite_value_is_validation_error(args, field, contract_run):
-    assert _failures_of(contract_run, args) == []
-
-
-@pytest.mark.parametrize("args", [row[0] for row in process_contract.NON_FINITE_RESULTS])
-def test_non_finite_result_is_runtime_failure(args, contract_run):
-    assert _failures_of(contract_run, args) == []
-
-
-@pytest.mark.parametrize("args", [["linkbudget", "--set", "entry_=3", "--output", "lb.json"],
-                                  ["linkbudget", "--entry-", "3", "--output", "lb.json"]])
-def test_ledger_entry_without_label_is_unknown(args, contract_run):
-    assert _failures_of(contract_run, args) == []
-
-
+test_out_of_range_value_is_validation_error, test_non_finite_value_is_validation_error = (
+    _views(_args(rows), ids=[f"args{k}-{row.stderr}" for k, row in enumerate(rows)])
+    for rows in (process_contract.OUT_OF_RANGE, process_contract.NON_FINITE_VALUES))
+test_non_finite_result_is_runtime_failure = _views(_args(process_contract.NON_FINITE_RESULTS))
+test_ledger_entry_without_label_is_unknown = _views(
+    [["linkbudget", *args, "--output", "lb.json"] for args in (["--set", "entry_=3"],
+                                                                ["--entry-", "3"])])
+test_no_args_prints_usage_and_succeeds = _view([])
+test_help_beside_a_listing_prints_usage = _views([["--list", "--help"], ["list", "-h"],
+                                                  ["--help", "--list"]])
 test_unknown_parameter_names_the_field = _view(["fresnel", "--set", "freq_gz=38"])
 test_unknown_experiment_prints_listing = _view(["warp-drive"])
 test_missing_experiment_names_the_field = _view(["--seed", "3"])
 test_bad_value_type_is_validation_error = _view(["fresnel", "--set", "freq_ghz=fast"])
 test_missing_config_file = _view(["--config", "no_such_file.ini"])
-test_mu_above_an_eighth_rejected = _view(["mobility", "--mu-list", "0.2"])
+test_mu_above_an_eighth_rejected = _view(["mobility", "--set", "mu_list=0.3"])
 test_squint_band_below_zero_hz_is_validation_error = _view(
-    ["squint", "--center-frequency-hz", "60e9", "--span-hz", "120e9"])
+    ["squint", "--set", "center_frequency_hz=60e9", "--set", "span_hz=120e9"])
 test_squint_band_too_narrow_to_sample_names_the_span = _view(
     ["squint", "--rows", "4", "--cols", "4", "--span-hz", "1e-6"])
 test_runtime_failure_exits_four = _view(
@@ -1177,11 +1161,11 @@ _EXPERIMENT_MODULES = {
 @pytest.mark.parametrize("experiment", _EXPERIMENT_MODULES)
 def test_each_run_loads_only_the_modules_it_calls(experiment, contract_run):
     _, failures, _ = contract_run
-    rows = [i for i, (args, code, *_) in enumerate(process_contract.ROWS)
-            if code == 0 and _experiment(args) == experiment]
+    rows = [i for i, row in enumerate(process_contract.ROWS)
+            if row.code == 0 and _experiment(row.args) == experiment]
     assert rows
     for i in rows:
-        assert process_contract.ROWS[i][4] == _EXPERIMENT_MODULES[experiment]
+        assert process_contract.ROWS[i].modules == _EXPERIMENT_MODULES[experiment]
         assert failures[i] == []
 
 
@@ -1189,13 +1173,12 @@ def test_squint_run_loads_no_numpy_random_or_hashlib(contract_run):
     # squint draws its phases from rng's plain-Python PCG64; numpy is imported before
     # each row's baseline, as numpy 1.x imports numpy.random with numpy itself
     _, failures, _ = contract_run
-    rows = [i for i, (args, code, *_) in enumerate(process_contract.ROWS)
-            if code == 0 and _experiment(args) == "squint"]
+    rows = [i for i, row in enumerate(process_contract.ROWS)
+            if row.code == 0 and _experiment(row.args) == "squint"]
     assert rows
     for i in rows:
-        _, _, _, env, _, avoided, *_ = process_contract.ROWS[i]
-        assert env == process_contract.NUMPY_IMPORTABLE
-        assert {"numpy.random", "hashlib", "_hashlib"} <= set(avoided)
+        assert process_contract.ROWS[i].env == process_contract.NUMPY_IMPORTABLE
+        assert {"numpy.random", "hashlib", "_hashlib"} <= set(process_contract.ROWS[i].avoided)
         assert failures[i] == []
 
 
@@ -1203,7 +1186,7 @@ def test_process_contract_covers_every_experiment_and_bundled_config():
     # a new experiment or bundled config cannot skip the contract: each has a row that
     # runs it to exit 0, and so states the modules that it loads (test_golden also
     # requires that a bundled config's row names the golden that pins its output)
-    runs = [args for args, code, *_ in process_contract.ROWS if code == 0]
+    runs = [row.args for row in process_contract.ROWS if row.code == 0]
     configs = {args[args.index("--config") + 1] for args in runs if "--config" in args}
     experiments = {args[0] for args in runs if args[:1] and args[0] in EXPERIMENTS}
     experiments |= {resolve({"config": name})[0].name for name in configs}

@@ -18,11 +18,11 @@ from process_contract import GOLDEN, ROWS, _content, _row_failures
 def _run(tmp_path, args):
     """Row ``args``'s number, and the output that a run keeping the row writes: a copy of
     its golden, beside the manifest (None for a row that writes no file)."""
-    i = next(i for i, row in enumerate(ROWS) if row[0] == args)
+    i = next(i for i, row in enumerate(ROWS) if row.args == args)
     directory = tmp_path / str(i)
     directory.mkdir()
-    _, code, golden, *_ = ROWS[i]
-    if code or not golden or golden.endswith(".txt"):
+    golden = ROWS[i].golden
+    if ROWS[i].code or not golden or golden.endswith(".txt"):
         return i, None
     output, name = directory / args[args.index("--output") + 1], golden.removesuffix(".gz")
     output.write_bytes(_content(GOLDEN / golden))
@@ -35,12 +35,12 @@ def _run(tmp_path, args):
 
 def _failures(tmp_path, i, code=None, stdout=None, stderr="", added=None):
     """Row i's failures on a report that keeps the row, but for what is given."""
-    _, row_code, golden, _, modules, *_ = ROWS[i]
+    row = ROWS[i]
     if stdout is None:
-        stdout = (GOLDEN / golden).read_text() if str(golden).endswith(".txt") else ""
+        stdout = (GOLDEN / row.golden).read_text() if str(row.golden).endswith(".txt") else ""
     if added is None:
-        added = [f"mimolab.{module}" for module in modules]
-    return _row_failures(tmp_path, i, [row_code if code is None else code, stdout, stderr, added])
+        added = [f"mimolab.{module}" for module in row.modules]
+    return _row_failures(tmp_path, i, [row.code if code is None else code, stdout, stderr, added])
 
 
 def _edit(output, old, new):
@@ -73,6 +73,7 @@ def test_a_nonzero_exit_that_prints_fails(tmp_path):
     (_NAN_REJECT, False),
     ("invalid configuration: freq_ghz_x: unknown\n", True),  # names another field
     ("invalid configuration: d1: freq_ghz is nan\n", True),  # names it only in the text
+    ("parse error: freq_ghz: nan\n", True),  # names it, but in another kind of error
     (_NAN_REJECT + "Traceback\n", True),  # two lines
     (_NAN_REJECT[:-1], True),  # no final newline
 ])

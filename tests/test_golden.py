@@ -38,8 +38,8 @@ def test_writer_writes_exactly_the_golden_files(written):
 def test_every_bundled_config_has_a_golden():
     # each bundled config has a row that runs it to exit 0 and names the golden
     # that pins its output
-    configs = {args[args.index("--config") + 1] for args, code, golden, *_ in ROWS
-               if code == 0 and golden and "--config" in args}
+    configs = {row.args[row.args.index("--config") + 1] for row in ROWS
+               if row.code == 0 and row.golden and "--config" in row.args}
     assert set(BUNDLED_CONFIGS) <= configs
 
 
